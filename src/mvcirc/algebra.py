@@ -9,8 +9,9 @@ integers 0..n-1; named elements in input files are renumbered on load.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 from .errors import (
     CapExceeded,
@@ -25,6 +26,11 @@ from .errors import (
 from .partition import Partition
 
 DEFAULT_CAP = 200_000
+
+# Classifying the whole zoo fills 55 entries (quotients and pair algebras
+# included), and classifying and dispatching the benchmark's dispatch mix 44;
+# 256 holds either working set with no eviction.
+STORE_BOUND = 256
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,6 @@ class FiniteAlgebra:
                 return op
         raise UnknownOp(f"algebra {self.name} has no operation {name!r}")
 
-    def has_op(self, name: str) -> bool:
-        return any(op.name == name for op in self.ops)
-
     @property
     def universe(self) -> range:
         return range(self.size)
@@ -87,13 +90,55 @@ class FiniteAlgebra:
         return FiniteAlgebra(name, self.size, self.ops)
 
 
-def make_algebra(name: str, size: int, ops: Iterable[tuple[str, int, Sequence[int]]]) -> FiniteAlgebra:
-    return FiniteAlgebra(name, size, tuple(Operation(n, a, tuple(t)) for n, a, t in ops))
-
-
 def op_from_fn(name: str, arity: int, size: int, fn: Callable[..., int]) -> Operation:
     table = tuple(fn(*args) for args in itertools.product(range(size), repeat=arity))
     return Operation(name, arity, table)
+
+
+# ---------------------------------------------------------------------------
+# Per-algebra facts
+
+T = TypeVar("T")
+
+
+class FactStore:
+    """Least-recently-used map from an algebra's content (size, signature,
+    tables) to a dict of facts about it, holding at most STORE_BOUND
+    algebras.  A fact whose value depends on more than the content carries
+    that in its key, e.g. ("typed", cap)."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple, dict] = OrderedDict()
+
+    def facts(self, alg: FiniteAlgebra) -> dict:
+        key = (alg.size, alg.signature(), tuple(op.table for op in alg.ops))
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = {}
+            if len(self._entries) > STORE_BOUND:
+                self._entries.popitem(last=False)
+        else:
+            self._entries.move_to_end(key)
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+STORE = FactStore()
+
+
+def stored(alg: FiniteAlgebra, fact: Hashable, build: Callable[[], T],
+           keep: Callable[[T], bool] = lambda value: True) -> T:
+    """The fact of alg from the store; on a miss, build it and store it when
+    keep(value) (a cap-bounded result is kept only once it is complete)."""
+    facts = STORE.facts(alg)
+    if fact in facts:
+        return facts[fact]
+    value = build()
+    if keep(value):
+        facts[fact] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +340,21 @@ def poly_clone_on_points(
     return _close_tables(alg, list(points), _proj_generators(alg, points, k, constants), cap, stop)
 
 
-_clone_cache: dict[tuple, Clone] = {}
-
-
 def kary_poly_clone(alg: FiniteAlgebra, k: int, cap: int = DEFAULT_CAP) -> Clone:
     """All k-ary polynomial tables of alg, with first-witness terms.
 
-    Raises CapExceeded when the closure would grow past cap.  Results are
-    cached per algebra (clones are immutable; callers must not mutate).
+    Raises CapExceeded when the closure would grow past cap.  A completed
+    clone is kept in the per-algebra STORE under ("clone", k) and shared by
+    later calls whatever their cap (callers must not mutate it).
     """
-    key = (alg.size, alg.signature(), tuple(op.table for op in alg.ops), k)
-    cached = _clone_cache.get(key)
-    if cached is not None and cached.complete:
-        return cached
-    points = list(itertools.product(range(alg.size), repeat=k))
-    clone, _ = poly_clone_on_points(alg, points, k, cap)
-    if not clone.complete:
-        raise CapExceeded(len(clone), f"{k}-ary polynomial clone of {alg.name}")
-    _clone_cache[key] = clone
-    return clone
+    def build() -> Clone:
+        points = list(itertools.product(range(alg.size), repeat=k))
+        clone, _ = poly_clone_on_points(alg, points, k, cap)
+        if not clone.complete:
+            raise CapExceeded(len(clone), f"{k}-ary polynomial clone of {alg.name}")
+        return clone
+
+    return stored(alg, ("clone", k), build)
 
 
 def unary_poly_clone(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Clone:
@@ -348,32 +389,23 @@ def _is_malcev_table(tab: Sequence[int], size: int) -> bool:
     return True
 
 
-_malcev_cache: dict[tuple, Search] = {}
-
-
 def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
     """Search the ternary term clone for d with d(x,x,y) = y = d(y,x,x).
 
     YES carries (term, table); NO means the closure completed without a
-    witness; UNKNOWN means the cap was hit first.
+    witness; UNKNOWN means the cap was hit first.  YES and NO are stored.
     """
-    key = (alg.size, alg.signature(), tuple(op.table for op in alg.ops))
-    cached = _malcev_cache.get(key)
-    if cached is not None and cached.status is not Tri.UNKNOWN:
-        return cached
-    n = alg.size
-    points = list(itertools.product(range(n), repeat=3))
-    clone, hit = poly_clone_on_points(
-        alg, points, 3, cap, stop=lambda t: _is_malcev_table(t, n), constants=False
-    )
-    if hit is not None:
-        result = Search(Tri.YES, (clone.witness(hit), hit))
-    elif clone.complete:
-        result = Search(Tri.NO)
-    else:
-        result = Search(Tri.UNKNOWN)
-    _malcev_cache[key] = result
-    return result
+    def build() -> Search:
+        n = alg.size
+        points = list(itertools.product(range(n), repeat=3))
+        clone, hit = poly_clone_on_points(
+            alg, points, 3, cap, stop=lambda t: _is_malcev_table(t, n), constants=False
+        )
+        if hit is not None:
+            return Search(Tri.YES, (clone.witness(hit), hit))
+        return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
+
+    return stored(alg, "malcev", build, keep=lambda found: found.status is not Tri.UNKNOWN)
 
 
 @dataclass

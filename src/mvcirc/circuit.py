@@ -24,7 +24,7 @@ from .errors import (
 _RESERVED = {"input", "const"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str                     # "input" | "const" | "op"
     name: str = ""                # input name or op name
@@ -214,10 +214,6 @@ class ScsatInstance:
 Instance = CsatInstance | McsatInstance | CeqvInstance | ScsatInstance
 
 
-def instance_circuit(inst: Instance) -> Circuit:
-    return inst.circuit
-
-
 # ---------------------------------------------------------------------------
 # Builder
 
@@ -338,15 +334,6 @@ def serialize_circuit(c: Circuit) -> str:
         else:
             lines.append(f"g{i} = {g.name} " + " ".join(f"g{a}" for a in g.args))
     lines.append("outputs: " + " ".join(f"g{o}" for o in c.outputs))
-    return "\n".join(lines) + "\n"
-
-
-def serialize_system(s: ScsatInstance) -> str:
-    body = serialize_circuit(s.circuit.with_outputs(list(s.circuit.outputs)))
-    lines = body.rstrip("\n").splitlines()
-    lines = [ln for ln in lines if not ln.startswith("outputs:")]
-    for g, h in s.equations:
-        lines.append(f"equation: g{g} g{h}")
     return "\n".join(lines) + "\n"
 
 

@@ -260,7 +260,7 @@ def _cmd_solve(args) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    config = SolverConfig(budget=args.budget, threads=args.threads)
+    config = SolverConfig(budget=args.budget)
     try:
         if args.solver == "auto":
             result = dispatch(alg, inst, config)
@@ -367,7 +367,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--solver", default="auto",
                     choices=["auto", "brute", "usp", "supernil", "affine"])
     ps.add_argument("--budget", type=int, default=10 ** 8)
-    ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(fn=_cmd_solve)
 

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import FiniteAlgebra, Operation, find_malcev_term
-from .congruence import (
-    CongruenceLattice,
-    congruence_from_pairs,
-    congruence_lattice,
-    factor_pairs,
-)
+from .congruence import congruence_from_pairs, factor_pairs
 from .errors import NotACongruence, Tri
 from .partition import Partition
 from .algebra import is_congruence, kary_poly_clone
@@ -152,21 +147,16 @@ def is_affine(alg: FiniteAlgebra, cap: int = 200_000) -> Tri:
     return find_malcev_term(alg, cap).status
 
 
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return n == 1
-    p = None
-    m = n
-    for d in range(2, n + 1):
-        if d * d > m:
-            p = m if p is None else p
-            break
-        if m % d == 0:
-            p = d
-            break
-    while n % p == 0:
-        n //= p
-    return n == 1
+def is_prime_power(n: int) -> bool:
+    """n = p^e for a prime p and e >= 0, so 1 counts (n >= 1)."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                n //= d
+            return n == 1
+        d += 1
+    return True
 
 
 @dataclass
@@ -179,8 +169,7 @@ def indecomposable_factorization(alg: FiniteAlgebra) -> Factorization:
     """Greedy recursive factorization into directly indecomposable factors."""
     if alg.size == 1:
         return Factorization([], [])
-    lat = congruence_lattice(alg)
-    for fp in factor_pairs(alg, lat):
+    for fp in factor_pairs(alg):
         if fp.alpha1.is_zero() or fp.alpha1.is_one():
             continue
         from .algebra import quotient
@@ -197,7 +186,7 @@ def is_supernilpotent(alg: FiniteAlgebra) -> tuple[Tri, Optional[Factorization]]
     if not is_nilpotent(alg):
         return Tri.NO, None
     fact = indecomposable_factorization(alg)
-    if all(_is_prime_power(s) for s in fact.sizes):
+    if all(is_prime_power(s) for s in fact.sizes):
         return Tri.YES, fact
     return Tri.NO, fact
 

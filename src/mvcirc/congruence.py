@@ -13,19 +13,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, stored
 from .errors import CapExceeded, ElementOutOfRange, LatticeMismatch
 from .partition import Partition
-
-_translation_cache: dict[tuple, list[tuple[int, ...]]] = {}
 
 
 def translations(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All elementary unary translations of alg as value tables (deduplicated)."""
-    key = (alg.size, alg.signature(), tuple(op.table for op in alg.ops))
-    cached = _translation_cache.get(key)
-    if cached is not None:
-        return cached
+    return stored(alg, "translations", lambda: _translations(alg))
+
+
+def _translations(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     n = alg.size
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
@@ -40,7 +38,6 @@ def translations(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
                 if tab not in seen:
                     seen.add(tab)
                     out.append(tab)
-    _translation_cache[key] = out
     return out
 
 
@@ -163,9 +160,6 @@ class CongruenceLattice:
             raise LatticeMismatch(f"{p} is not join irreducible")
         return lows[0]
 
-    def join_irreducibles(self) -> list[Partition]:
-        return [p for p in self.congruences if self.is_join_irreducible(p)]
-
     def monolith(self) -> Optional[Partition]:
         atoms = self.upper_covers(self.zero)
         return atoms[0] if len(atoms) == 1 and not self.zero.is_one() else None
@@ -176,7 +170,12 @@ class CongruenceLattice:
 
 
 def congruence_lattice(alg: FiniteAlgebra, cap: int = 100_000) -> CongruenceLattice:
-    """Con(alg) by worklist join-closure of the principal congruences."""
+    """Con(alg) by worklist join-closure of the principal congruences.  A
+    finished lattice is stored, so it is built once per algebra."""
+    return stored(alg, "lattice", lambda: _congruence_lattice(alg, cap))
+
+
+def _congruence_lattice(alg: FiniteAlgebra, cap: int) -> CongruenceLattice:
     n = alg.size
     zero = Partition.zero(n)
     found: dict[Partition, None] = {zero: None}
@@ -225,13 +224,18 @@ class FactorPair:
     iso: list[tuple[int, int]]  # element -> (class in A/alpha1, class in A/alpha2)
 
 
-def factor_pairs(alg: FiniteAlgebra, lat: CongruenceLattice) -> list[FactorPair]:
+def factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
     """All (a1, a2) with a1 ^ a2 = 0, a1 v a2 = 1, and a1 o a2 = a2 o a1,
-    each with the explicit map a -> (a/a1, a/a2)."""
+    each with the explicit map a -> (a/a1, a/a2); stored per algebra."""
+    return stored(alg, "factor_pairs", lambda: _factor_pairs(alg))
+
+
+def _factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
     out = []
     n = alg.size
-    for a1 in lat.congruences:
-        for a2 in lat.congruences:
+    congruences = congruence_lattice(alg).congruences
+    for a1 in congruences:
+        for a2 in congruences:
             if not a1.meet(a2).is_zero():
                 continue
             if not a1.join(a2).is_one():

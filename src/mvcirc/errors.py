@@ -117,15 +117,3 @@ class Tri(enum.Enum):
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against accidental truthiness
         raise TypeError("Tri is three-valued; compare against Tri.YES/NO/UNKNOWN explicitly")
-
-    @property
-    def is_yes(self) -> bool:
-        return self is Tri.YES
-
-    @property
-    def is_no(self) -> bool:
-        return self is Tri.NO
-
-    @property
-    def is_unknown(self) -> bool:
-        return self is Tri.UNKNOWN

@@ -54,10 +54,6 @@ class Partition:
                 parent[rb] = ra
         return Partition(_canonical([find(i) for i in range(n)]))
 
-    @staticmethod
-    def from_classes(n: int, classes: Iterable[Iterable[int]]) -> "Partition":
-        return Partition.from_pairs(n, _class_pairs(classes))
-
     @property
     def n(self) -> int:
         return len(self.ids)
@@ -147,11 +143,3 @@ class Partition:
                     raise ValueError(f"element {x} out of range for size {n}")
             pairs.extend((elems[0], x) for x in elems[1:])
         return Partition.from_pairs(n, pairs)
-
-
-def _class_pairs(classes: Iterable[Iterable[int]]) -> list[tuple[int, int]]:
-    pairs = []
-    for cls in classes:
-        cls = list(cls)
-        pairs.extend((cls[0], x) for x in cls[1:])
-    return pairs

@@ -5,19 +5,21 @@ subdirect products of lattice-like 2-element algebras, a bounded-support
 sweep for supernilpotent algebras (the bound comes from an iterated Ramsey
 argument, so it saturates quickly and the sweep degenerates to exhaustive
 search at desk scale, where it is unconditionally sound), and elimination
-over the underlying module for affine algebras.  The dispatcher routes on a
-cached classification; every satisfying witness re-verifies by evaluation
-before it is returned.
+over the underlying module for affine algebras.  The dispatcher routes by a
+per-algebra Plan, built once per (algebra, cap) and kept in the per-algebra
+store; every satisfying witness re-verifies by evaluation before it is
+returned.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, Term, eval_term, find_malcev_term, quotient
+from .algebra import DEFAULT_CAP, FiniteAlgebra, Term, eval_term, find_malcev_term, quotient, stored
 from .circuit import (
     CeqvInstance,
     Circuit,
@@ -27,8 +29,11 @@ from .circuit import (
     McsatInstance,
     ScsatInstance,
     compile_circuit,
+    const_gate,
     eval_circuit,
 )
+from .commutator import is_affine, is_prime_power, is_supernilpotent
+from .congruence import FactorPair, factor_pairs
 from .errors import (
     BudgetExceeded,
     LinearityCheckFailed,
@@ -39,6 +44,7 @@ from .errors import (
     Tri,
 )
 from .partition import Partition
+from .structure import ClassificationReport, classify, is_dl_like
 
 RAMSEY_CEILING = 10 ** 18
 
@@ -47,7 +53,6 @@ RAMSEY_CEILING = 10 ** 18
 class SolverConfig:
     budget: int = 10 ** 8      # max assignment evaluations for exhaustive sweeps
     cap: int = 200_000         # clone/search cap
-    threads: int = 1           # enumeration may be chunked; output is deterministic
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -188,11 +193,8 @@ def solve_usp(
     algebras have."""
     if not isinstance(inst, (CsatInstance, McsatInstance)):
         raise TypeError("diagonal solver handles CSAT/MCSAT instances")
-    if checked:
-        from .structure import is_dl_like
-
-        if is_dl_like(alg, config.cap)[0] is not Tri.YES:
-            raise NotDlLike(f"{alg.name} is not a verified subdirect product of lattice-like algebras")
+    if checked and is_dl_like(alg, config.cap)[0] is not Tri.YES:
+        raise NotDlLike(f"{alg.name} is not a verified subdirect product of lattice-like algebras")
     names = _instance_inputs(inst)
     run = compile_circuit(alg, inst.circuit)
     tried = 0
@@ -252,31 +254,30 @@ class SupernilpotentSolverParams:
     c_colors: int
     m: int
     d_bound: int
-    override_acknowledged: bool = False
 
     @staticmethod
-    def for_algebra(alg: FiniteAlgebra, k: Optional[int] = None, zero: int = 0,
-                    override: bool = False) -> "SupernilpotentSolverParams":
-        if k is None:
-            from .commutator import nilpotency_class
-
-            nc = nilpotency_class(alg)
-            k = max(nc if nc is not None else 1, 1)
+    def for_algebra(alg: FiniteAlgebra, k: int, zero: int = 0) -> "SupernilpotentSolverParams":
+        """Parameters for degree bound k; a plan uses the nilpotency class."""
         if k < 1:
             raise ValueError("supernilpotency degree bound must be >= 1")
         c = alg.size ** (k * alg.size)
         m = math.factorial(k - 1) * alg.size
         d = ramsey_support_bound(k, alg.size)
         assert d >= m or d == RAMSEY_CEILING
-        return SupernilpotentSolverParams(zero, k, c, m, d, override)
+        return SupernilpotentSolverParams(zero, k, c, m, d)
 
 
 def normalize_to_zero(
     alg: FiniteAlgebra, csat: CsatInstance, d_term: Term, zero: int
 ) -> Circuit:
     """One-output circuit w = d(g1, g2, zero) with w = zero iff g1 = g2.
-    Requires d to be a pointwise-verified Malcev polynomial whose slice
-    x -> d(x, y, zero) hits zero only at x = y."""
+    Requires d to be a Malcev polynomial whose slice x -> d(x, y, zero) hits
+    zero only at x = y; both are checked pointwise first."""
+    _check_malcev(alg, d_term, zero)
+    return _zero_circuit(alg, csat, d_term, zero)
+
+
+def _check_malcev(alg: FiniteAlgebra, d_term: Term, zero: int) -> None:
     n = alg.size
     for x in range(n):
         for y in range(n):
@@ -286,6 +287,9 @@ def normalize_to_zero(
         for y in range(n):
             if (eval_term(alg, d_term, (x, y, zero)) == zero) != (x == y):
                 raise NotMalcev(f"d(x,y,{zero}) = {zero} does not characterize x = y at ({x},{y})")
+
+
+def _zero_circuit(alg: FiniteAlgebra, csat: CsatInstance, d_term: Term, zero: int) -> Circuit:
     b = CircuitBuilder(alg.name)
     b.gates = list(csat.circuit.gates)
     b._inputs = {g.name: i for i, g in enumerate(b.gates) if g.kind == "input"}
@@ -318,19 +322,13 @@ def solve_supernilpotent(
 ) -> SolveResult:
     """Normalize to w = zero and sweep assignments by support size up to
     min(D, n).  For n <= D the sweep is exhaustive, hence unconditionally
-    sound regardless of the quality of the Ramsey bound."""
-    from .commutator import is_supernilpotent
-
-    if params is None:
-        params = SupernilpotentSolverParams.for_algebra(alg)
-    if checked and not params.override_acknowledged:
-        if is_supernilpotent(alg)[0] is not Tri.YES:
-            raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
-    malcev = find_malcev_term(alg, config.cap)
-    if malcev.status is not Tri.YES:
-        raise NotMalcev(f"no Malcev term found for {alg.name}")
-    d_term, _ = malcev.value  # type: ignore[misc]
-    w = normalize_to_zero(alg, csat, d_term, params.zero_element)
+    sound regardless of the quality of the Ramsey bound.  Without params the
+    algebra's plan supplies them (from its classification)."""
+    if checked and is_supernilpotent(alg)[0] is not Tri.YES:
+        raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
+    plan = plan_for(alg, config.cap)
+    params = params if params is not None else plan.params
+    w = _zero_circuit(alg, csat, plan.checked_malcev(params.zero_element), params.zero_element)
     names = sorted(w.input_names)
     n = alg.size
     max_support = min(params.d_bound, len(names))
@@ -449,7 +447,7 @@ class _AbelianGroup:
                 if g in span:
                     continue
                 o = self.order(g)
-                if not _is_prime_power_int(o):
+                if not is_prime_power(o):
                     continue
                 # direct sum requirement: <g> meets the current span only at 0
                 cyc = {self.smul(k, g) for k in range(o)}
@@ -479,19 +477,6 @@ class _AbelianGroup:
             raise LinearityCheckFailed("coordinates are not a bijection")
         uncoords = {v: k for k, v in coords.items()}
         return coords, uncoords
-
-
-def _is_prime_power_int(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return n == 1
-        d += 1
-    return True
 
 
 def _smith_diagonalize(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -635,15 +620,11 @@ def solve_affine(
     with a diagnostic."""
     if isinstance(inst, CeqvInstance):
         raise TypeError("affine solver decides satisfiability problems")
-    if checked:
-        from .commutator import is_affine
-
-        if is_affine(alg, config.cap) is not Tri.YES:
-            raise NotAffine(f"{alg.name} is not verified affine")
-    malcev = find_malcev_term(alg, config.cap)
-    if malcev.status is not Tri.YES:
+    if checked and is_affine(alg, config.cap) is not Tri.YES:
+        raise NotAffine(f"{alg.name} is not verified affine")
+    plan = plan_for(alg, config.cap)
+    if plan.malcev is None:
         raise NotAffine(f"no Malcev term found for {alg.name}")
-    d_term, _ = malcev.value  # type: ignore[misc]
 
     if isinstance(inst, CsatInstance):
         equations = [tuple(inst.circuit.outputs)]
@@ -659,7 +640,7 @@ def solve_affine(
 
     names = sorted(circ.input_names)
     try:
-        group = _AbelianGroup(alg, d_term, 0)
+        group = plan.group
         forms: dict[int, _LinearForm] = {}
         for g, h in equations:
             for out in (g, h):
@@ -740,18 +721,12 @@ def ceqv_supernilpotent_experimental(
     among supports <= min(D, n) of the normalized difference circuit.  At
     desk scale (n <= D) the sweep is exhaustive, so agreement with brute
     force is enforced rather than assumed."""
-    from .commutator import is_supernilpotent
-
-    if params is None:
-        params = SupernilpotentSolverParams.for_algebra(alg)
-    if checked and not params.override_acknowledged:
-        if is_supernilpotent(alg)[0] is not Tri.YES:
-            raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
-    malcev = find_malcev_term(alg, config.cap)
-    if malcev.status is not Tri.YES:
-        raise NotMalcev(f"no Malcev term found for {alg.name}")
-    d_term, _ = malcev.value  # type: ignore[misc]
-    w = normalize_to_zero(alg, CsatInstance(ceqv.circuit), d_term, params.zero_element)
+    if checked and is_supernilpotent(alg)[0] is not Tri.YES:
+        raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
+    plan = plan_for(alg, config.cap)
+    params = params if params is not None else plan.params
+    zero = params.zero_element
+    w = _zero_circuit(alg, CsatInstance(ceqv.circuit), plan.checked_malcev(zero), zero)
     names = sorted(w.input_names)
     run = compile_circuit(alg, w)
     max_support = min(params.d_bound, len(names))
@@ -768,114 +743,148 @@ def ceqv_supernilpotent_experimental(
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher
+# Per-algebra plan and dispatcher
 
 
-def _project_circuit(circ: Circuit, theta: Partition) -> Circuit:
-    from .circuit import const_gate
+@dataclass
+class _Split:
+    """A = A/alpha1 x A/alpha2 along a nontrivial factor pair."""
 
-    gates = [
-        const_gate(theta.class_of(g.value)) if g.kind == "const" else g
-        for g in circ.gates
-    ]
-    return Circuit(tuple(gates), circ.outputs, circ.algebra_name)
+    pair: FactorPair
+    left: "Plan"                          # plan of A/alpha1
+    right: "Plan"                         # plan of A/alpha2
+    element: dict[tuple[int, int], int]   # (class mod alpha1, class mod alpha2) -> element
 
 
-def _project_instance(inst: Instance, theta: Partition) -> Instance:
-    c = _project_circuit(inst.circuit, theta)
-    if isinstance(inst, CsatInstance):
-        return CsatInstance(c)
-    if isinstance(inst, McsatInstance):
-        return McsatInstance(c)
-    if isinstance(inst, CeqvInstance):
-        return CeqvInstance(c)
-    assert isinstance(inst, ScsatInstance)
-    return ScsatInstance(c, inst.equations)
+class Plan:
+    """What the solvers need to know about one algebra under one cap: its
+    classification, the route for each problem kind, and the per-algebra
+    facts those routes use.  Every field is computed on first use, so a
+    direct solver call pays only for what it reads; plan_for keeps one plan
+    per (algebra content, cap) in the per-algebra store.  The report carries
+    the name of the algebra the plan was first built for."""
+
+    def __init__(self, alg: FiniteAlgebra, cap: int):
+        self.alg = alg
+        self.cap = cap
+        self._checked_zeros: set[int] = set()
+
+    @cached_property
+    def report(self) -> ClassificationReport:
+        return classify(self.alg, self.cap)
+
+    @cached_property
+    def routes(self) -> dict[type, str]:
+        """Route for each instance type: DL-like CSAT/MCSAT to the diagonal,
+        supernilpotent CSAT/CEQV to the support sweep, affine MCSAT/SCSAT to
+        elimination, otherwise per-factor solves or brute force."""
+        rep = self.report
+        dl, sn, af = (flag is Tri.YES for flag in (rep.dl_like, rep.supernilpotent, rep.affine))
+        other = "brute" if self.split is None else "product"
+        return {
+            CsatInstance: "usp" if dl else "supernilpotent" if sn else other,
+            McsatInstance: "usp" if dl else "affine" if af else other,
+            CeqvInstance: "ceqv" if sn else other,
+            ScsatInstance: "affine" if af else other,
+        }
+
+    @cached_property
+    def malcev(self) -> Optional[Term]:
+        found = find_malcev_term(self.alg, self.cap)
+        return found.value[0] if found.status is Tri.YES else None  # type: ignore[index]
+
+    def checked_malcev(self, zero: int) -> Term:
+        """The Malcev term, with its identities and its characterization of
+        x = y by d(x, y, zero) = zero checked pointwise once per zero."""
+        if self.malcev is None:
+            raise NotMalcev(f"no Malcev term found for {self.alg.name}")
+        if zero not in self._checked_zeros:
+            _check_malcev(self.alg, self.malcev, zero)
+            self._checked_zeros.add(zero)
+        return self.malcev
+
+    @cached_property
+    def params(self) -> SupernilpotentSolverParams:
+        """Support-sweep parameters, with the nilpotency class as degree bound."""
+        return SupernilpotentSolverParams.for_algebra(
+            self.alg, k=max(self.report.nilpotency_class or 1, 1))
+
+    @cached_property
+    def group(self) -> _AbelianGroup:
+        return _AbelianGroup(self.alg, self.malcev, 0)
+
+    @cached_property
+    def split(self) -> Optional[_Split]:
+        """The first nontrivial factor pair, with the plans of its quotients."""
+        for fp in factor_pairs(self.alg):
+            if not (fp.alpha1.is_zero() or fp.alpha1.is_one()):
+                return _Split(
+                    fp,
+                    plan_for(quotient(self.alg, fp.alpha1, check=False), self.cap),
+                    plan_for(quotient(self.alg, fp.alpha2, check=False), self.cap),
+                    {pair: x for x, pair in enumerate(fp.iso)},
+                )
+        return None
+
+
+def plan_for(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Plan:
+    """The plan of alg under cap, from the per-algebra store."""
+    return stored(alg, ("plan", cap), lambda: Plan(alg, cap))
+
+
+def _project(inst: Instance, theta: Partition) -> Instance:
+    """The instance over A/theta: each constant becomes its class."""
+    c = inst.circuit
+    gates = tuple(const_gate(theta.class_of(g.value)) if g.kind == "const" else g
+                  for g in c.gates)
+    return replace(inst, circuit=Circuit(gates, c.outputs, c.algebra_name))
 
 
 def dispatch(
     alg: FiniteAlgebra, inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
-    _depth: int = 0,
 ) -> SolveResult:
-    """Classify once (cached) and route: DL-like to the diagonal solver,
-    supernilpotent CSAT to the bounded-support sweep, affine systems to
-    elimination, nontrivial direct factorizations to per-factor solves,
-    anything else to brute force."""
-    from .structure import classify
+    """Look up the algebra's plan (classification and per-algebra facts,
+    computed once) and run the route it gives for the instance's kind."""
+    return _run(plan_for(alg, config.cap), alg, inst, config)
 
-    report = classify(alg, config.cap)
 
-    if isinstance(inst, (CsatInstance, McsatInstance)) and report.dl_like is Tri.YES:
-        res = solve_usp(alg, inst, config, checked=False)
-        return res
-
-    if isinstance(inst, CsatInstance) and report.supernilpotent is Tri.YES:
+def _run(plan: Plan, alg: FiniteAlgebra, inst: Instance, config: SolverConfig) -> SolveResult:
+    route = plan.routes[type(inst)]
+    if route == "usp":
+        return solve_usp(alg, inst, config, checked=False)
+    if route == "supernilpotent":
         return solve_supernilpotent(alg, inst, None, config, checked=False)
-
-    if isinstance(inst, CeqvInstance) and report.supernilpotent is Tri.YES:
+    if route == "ceqv":
         return ceqv_supernilpotent_experimental(alg, inst, None, config, checked=False)
-
-    if isinstance(inst, (ScsatInstance, McsatInstance)) and report.affine is Tri.YES:
+    if route == "affine":
         return solve_affine(alg, inst, config, checked=False)
-
-    if _depth == 0:
-        split = _try_factor_split(alg, inst, config)
-        if split is not None:
-            return split
-
+    if route == "product":
+        return _solve_split(plan.split, alg, inst, config)
     return solve_bruteforce(alg, inst, config)
 
 
-def _try_factor_split(alg, inst, config) -> Optional[SolveResult]:
-    from .congruence import congruence_lattice, factor_pairs
-
-    lat = congruence_lattice(alg)
-    for fp in factor_pairs(alg, lat):
-        if fp.alpha1.is_zero() or fp.alpha1.is_one():
-            continue
-        q1 = quotient(alg, fp.alpha1, check=False)
-        q2 = quotient(alg, fp.alpha2, check=False)
-        i1 = _project_instance(inst, fp.alpha1)
-        i2 = _project_instance(inst, fp.alpha2)
-        r1 = dispatch(q1, i1, config, _depth=1)
-        r2 = dispatch(q2, i2, config, _depth=1)
-        solver = f"product({r1.solver_used},{r2.solver_used})"
-        if isinstance(inst, CeqvInstance):
-            if r1.answer == "equiv" and r2.answer == "equiv":
-                return SolveResult("equiv", None, solver,
-                                   r1.assignments_tried + r2.assignments_tried)
-            bad, other = (r1, fp.alpha1) if r1.answer == "nequiv" else (r2, fp.alpha2)
-            witness = _lift_witness(alg, fp, bad.witness, from_first=bad is r1,
-                                    names=sorted(inst.circuit.input_names))
-            return _result(alg, inst, "nequiv", witness, solver,
-                           r1.assignments_tried + r2.assignments_tried)
-        if r1.answer == "sat" and r2.answer == "sat":
-            names = sorted(inst.circuit.input_names)
-            witness = {}
-            inv = {}
-            for x in range(alg.size):
-                inv[(fp.alpha1.class_of(x), fp.alpha2.class_of(x))] = x
-            for nm in names:
-                witness[nm] = inv[(r1.witness[nm], r2.witness[nm])]
-            return _result(alg, inst, "sat", witness, solver,
-                           r1.assignments_tried + r2.assignments_tried)
-        return SolveResult("unsat", None, solver,
-                           r1.assignments_tried + r2.assignments_tried)
-    return None
-
-
-def _lift_witness(alg, fp, witness, from_first: bool, names):
-    """Lift a factor counterexample by fixing the other coordinate to 0's class."""
-    inv = {}
-    for x in range(alg.size):
-        inv[(fp.alpha1.class_of(x), fp.alpha2.class_of(x))] = x
-    out = {}
-    for nm in names:
-        c = witness[nm]
-        if from_first:
-            # any second coordinate works; outputs already differ in factor 1
-            cand = [inv[k] for k in inv if k[0] == c]
-        else:
-            cand = [inv[k] for k in inv if k[1] == c]
-        out[nm] = min(cand)
-    return out
+def _solve_split(split: _Split, alg: FiniteAlgebra, inst: Instance,
+                 config: SolverConfig) -> SolveResult:
+    """Solve the projections on both factors by their own routes and
+    combine the answers; witnesses are glued through the element map."""
+    fp = split.pair
+    r1 = _run(split.left, split.left.alg, _project(inst, fp.alpha1), config)
+    r2 = _run(split.right, split.right.alg, _project(inst, fp.alpha2), config)
+    solver = f"product({r1.solver_used},{r2.solver_used})"
+    tried = r1.assignments_tried + r2.assignments_tried
+    names = sorted(inst.circuit.input_names)
+    if isinstance(inst, CeqvInstance):
+        if r1.answer == "equiv" and r2.answer == "equiv":
+            return SolveResult("equiv", None, solver, tried)
+        # the outputs already differ in one factor, so any class works in
+        # the other; take the least element
+        side, bad = (0, r1) if r1.answer == "nequiv" else (1, r2)
+        witness = {
+            nm: min(x for pair, x in split.element.items() if pair[side] == bad.witness[nm])
+            for nm in names
+        }
+        return _result(alg, inst, "nequiv", witness, solver, tried)
+    if r1.answer == "sat" and r2.answer == "sat":
+        witness = {nm: split.element[(r1.witness[nm], r2.witness[nm])] for nm in names}
+        return _result(alg, inst, "sat", witness, solver, tried)
+    return SolveResult("unsat", None, solver, tried)

@@ -29,6 +29,7 @@ from .algebra import (
     is_poly_equiv_to_2lattice,
     kary_poly_clone,
     quotient,
+    stored,
 )
 from .commutator import (
     is_abelian,
@@ -38,8 +39,8 @@ from .commutator import (
     is_supernilpotent,
     nilpotency_class,
 )
-from .congruence import CongruenceLattice, congruence_lattice, factor_pairs
-from .errors import Tri, UntypedLattice
+from .congruence import congruence_lattice, factor_pairs
+from .errors import CapExceeded, Tri, UntypedLattice
 from .partition import Partition
 from .tct import TypedLattice, typed_congruence_lattice, typeset
 
@@ -115,19 +116,24 @@ def decompose_nd(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Optional[Decompo
 def is_dl_like(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> tuple[Tri, list[Partition]]:
     """Subdirect product of 2-element lattice-like algebras: the meet of all
     congruences with a 2-element lattice-like quotient must be the diagonal.
-    The witness is the list of those congruences."""
-    lat = congruence_lattice(alg)
+    The witness is the list of those congruences.  UNKNOWN when a quotient's
+    check hit the cap and the witnesses found do not meet to the diagonal."""
     witnesses = []
-    for theta in lat.congruences:
+    capped = False
+    for theta in congruence_lattice(alg).congruences:
         if theta.num_classes != 2:
             continue
-        q = quotient(alg, theta, check=False)
-        if is_poly_equiv_to_2lattice(q, cap):
-            witnesses.append(theta)
+        try:
+            if is_poly_equiv_to_2lattice(quotient(alg, theta, check=False), cap):
+                witnesses.append(theta)
+        except CapExceeded:
+            capped = True
     meet = Partition.one(alg.size)
     for w in witnesses:
         meet = meet.meet(w)
-    return (Tri.YES if meet.is_zero() else Tri.NO), witnesses
+    if meet.is_zero():
+        return Tri.YES, witnesses
+    return (Tri.UNKNOWN if capped else Tri.NO), witnesses
 
 
 def is_poly_equiv_to_some_lattice(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
@@ -229,12 +235,11 @@ def _tri_and(a: Tri, b: Tri) -> Tri:
     return Tri.YES
 
 
-def _exists_decomposition(alg: FiniteAlgebra, lat: CongruenceLattice,
-                          left_flag, cap: int) -> Tri:
+def _exists_decomposition(alg: FiniteAlgebra, left_flag, cap: int) -> Tri:
     """Whether some factor-congruence pair splits alg as N x D with
     left_flag(N) and D DL-like.  Trivial pairs (0,1)/(1,0) participate."""
     best = Tri.NO
-    for fp in factor_pairs(alg, lat):
+    for fp in factor_pairs(alg):
         n_fac = quotient(alg, fp.alpha1, check=False)
         d_fac = quotient(alg, fp.alpha2, check=False)
         verdict = _tri_and(left_flag(n_fac), is_dl_like(d_fac, cap)[0])
@@ -245,19 +250,14 @@ def _exists_decomposition(alg: FiniteAlgebra, lat: CongruenceLattice,
     return best
 
 
-_classify_cache: dict[tuple, "ClassificationReport"] = {}
-
-
-def _alg_key(alg: FiniteAlgebra) -> tuple:
-    return (alg.name, alg.size, alg.signature(), tuple(op.table for op in alg.ops))
-
-
 def classify(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> ClassificationReport:
-    key = _alg_key(alg)
-    cached = _classify_cache.get(key)
-    if cached is not None:
-        return cached
+    """Structural flags and per-problem verdicts, stored per (algebra, name,
+    cap): the report carries the name, and a smaller cap can leave flags
+    undecided."""
+    return stored(alg, ("classify", alg.name, cap), lambda: _classify(alg, cap))
 
+
+def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
     gumm = find_directed_gumm_terms(alg, cap=cap)
     cm = gumm.status
 
@@ -267,7 +267,6 @@ def classify(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> ClassificationReport
     nclass = nilpotency_class(alg)
     supernil, _fact = is_supernilpotent(alg)
     affine = is_affine(alg, cap)
-    lat = congruence_lattice(alg)
     dl, dl_wit = is_dl_like(alg, cap)
 
     ts = typeset(alg, cap)
@@ -298,9 +297,9 @@ def classify(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> ClassificationReport
     def affine_tri(a: FiniteAlgebra) -> Tri:
         return is_affine(a, cap)
 
-    sn_dl = _exists_decomposition(alg, lat, supernil_tri, cap)
-    nil_dl = _exists_decomposition(alg, lat, nilpotent_tri, cap)
-    aff_dl = _exists_decomposition(alg, lat, affine_tri, cap)
+    sn_dl = _exists_decomposition(alg, supernil_tri, cap)
+    nil_dl = _exists_decomposition(alg, nilpotent_tri, cap)
+    aff_dl = _exists_decomposition(alg, affine_tri, cap)
 
     caveats: list[str] = []
     if cm is Tri.NO:
@@ -346,7 +345,7 @@ def classify(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> ClassificationReport
         else:
             verdicts["CEQV"] = Verdict("OpenGap", "nilpotent but not supernilpotent")
 
-    report = ClassificationReport(
+    return ClassificationReport(
         algebra=alg.name,
         size=alg.size,
         cm=cm,
@@ -363,5 +362,3 @@ def classify(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> ClassificationReport
         caveats=caveats,
         dl_witnesses=[str(w) for w in dl_wit],
     )
-    _classify_cache[key] = report
-    return report

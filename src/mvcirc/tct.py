@@ -21,6 +21,7 @@ from .algebra import (
     FiniteAlgebra,
     Term,
     poly_clone_on_points,
+    stored,
     unary_poly_clone,
 )
 from .commutator import commutator
@@ -112,10 +113,6 @@ def polynomially_isomorphic(
 # Restricted clone searches
 
 
-def _restricted_clone(alg, pts, k, cap, stop=None):
-    return poly_clone_on_points(alg, pts, k, cap, stop=stop)
-
-
 def _find_pseudo_malcev(
     alg: FiniteAlgebra, u: Sequence[int], body: Sequence[int], cap: int
 ) -> Tri:
@@ -153,7 +150,7 @@ def _find_pseudo_malcev(
             return False
         return True
 
-    clone, hit = _restricted_clone(alg, pts, 3, cap, stop=ok)
+    clone, hit = poly_clone_on_points(alg, pts, 3, cap, stop=ok)
     if hit is not None:
         return Tri.YES
     return Tri.NO if clone.complete else Tri.UNKNOWN
@@ -182,7 +179,7 @@ def _lattice_ops_on_trace(
             found["join"] = True
         return found["meet"] and found["join"]
 
-    clone, hit = _restricted_clone(alg, pts, 2, cap, stop=check)
+    clone, hit = poly_clone_on_points(alg, pts, 2, cap, stop=check)
     if hit is not None:
         return Tri.YES, Tri.NO
     both = Tri.NO if clone.complete else Tri.UNKNOWN
@@ -268,9 +265,14 @@ class TypedLattice:
         return set(self.labels.values())
 
 
-def typed_congruence_lattice(alg: FiniteAlgebra, cap: int = DEFAULT_CAP,
-                             lat: Optional[CongruenceLattice] = None) -> TypedLattice:
-    lat = lat or congruence_lattice(alg)
+def typed_congruence_lattice(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> TypedLattice:
+    """Con(alg) with every cover labeled; stored per (algebra, cap), since an
+    undecided label depends on the cap."""
+    return stored(alg, ("typed", cap), lambda: _typed_congruence_lattice(alg, cap))
+
+
+def _typed_congruence_lattice(alg: FiniteAlgebra, cap: int) -> TypedLattice:
+    lat = congruence_lattice(alg)
     labels = {}
     for i, j in lat.covers:
         labels[(i, j)] = type_of(alg, lat.congruences[i], lat.congruences[j], cap)

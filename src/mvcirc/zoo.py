@@ -214,10 +214,6 @@ def zoo() -> list[ZooEntry]:
     return _ZOO
 
 
-def zoo_names() -> list[str]:
-    return [e.name for e in zoo()]
-
-
 def get(name: str) -> FiniteAlgebra:
     for e in zoo():
         if e.name == name:

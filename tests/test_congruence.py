@@ -148,16 +148,14 @@ def test_group_congruence_counts_match_normal_subgroups():
 
 
 def test_factor_pairs_z6(z6):
-    lat = congruence_lattice(z6)
-    pairs = {(fp.alpha1, fp.alpha2) for fp in factor_pairs(z6, lat)}
+    pairs = {(fp.alpha1, fp.alpha2) for fp in factor_pairs(z6)}
     mod2, mod3 = mod_congruence(6, 2), mod_congruence(6, 3)
     assert (mod2, mod3) in pairs and (mod3, mod2) in pairs
     assert (Partition.zero(6), Partition.one(6)) in pairs
 
 
 def test_factor_pairs_z4_only_trivial(z4):
-    lat = congruence_lattice(z4)
-    pairs = {(fp.alpha1, fp.alpha2) for fp in factor_pairs(z4, lat)}
+    pairs = {(fp.alpha1, fp.alpha2) for fp in factor_pairs(z4)}
     assert pairs == {
         (Partition.zero(4), Partition.one(4)),
         (Partition.one(4), Partition.zero(4)),
@@ -165,8 +163,7 @@ def test_factor_pairs_z4_only_trivial(z4):
 
 
 def test_factor_pair_iso_is_bijective(z6):
-    lat = congruence_lattice(z6)
-    for fp in factor_pairs(z6, lat):
+    for fp in factor_pairs(z6):
         assert len(set(fp.iso)) == 6
 
 

@@ -491,3 +491,17 @@ def test_witnesses_verify_across_solvers(z4, lat2):
             if res.answer == "sat":
                 out = eval_circuit(z4, inst.circuit, res.witness)
                 assert out[0] == out[1]
+
+
+def test_dispatch_small_cap_agrees_with_brute(bool2):
+    # classification under cap 10 leaves DL-likeness undecided; dispatch
+    # must still decide every kind, by a sound route
+    config = SolverConfig(cap=10)
+    rng = random.Random(12)
+    for _ in range(10):
+        c = random_circuit(bool2, rng, 3, 8, 3)
+        for inst in (CsatInstance(c.with_outputs(c.outputs[:2])), McsatInstance(c),
+                     CeqvInstance(c.with_outputs(c.outputs[:2])),
+                     ScsatInstance(c, ((c.outputs[0], c.outputs[1]),))):
+            assert (dispatch(bool2, inst, config).answer
+                    == solve_bruteforce(bool2, inst, config).answer)

@@ -1,0 +1,105 @@
+"""The per-algebra store and the solver plan: one bounded store, and each
+per-algebra fact computed at most once per (algebra, cap)."""
+
+import importlib
+import itertools
+import pkgutil
+import random
+from collections import Counter
+
+import pytest
+
+import mvcirc
+from mvcirc import algebra, commutator, congruence, solvers, structure, tct
+from mvcirc.algebra import STORE_BOUND, FactStore, FiniteAlgebra, Operation
+from mvcirc.circuit import (
+    CeqvInstance,
+    CircuitBuilder,
+    CsatInstance,
+    McsatInstance,
+    ScsatInstance,
+    random_circuit,
+)
+from mvcirc.structure import classify
+from mvcirc.zoo import get
+
+
+def _content(alg):
+    return (alg.size, alg.signature(), tuple(op.table for op in alg.ops))
+
+
+def test_each_per_algebra_fact_is_computed_once(monkeypatch):
+    runs = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(alg, *args, **kwargs):
+            runs[(name, _content(alg))] += 1
+            return fn(alg, *args, **kwargs)
+
+        # wherever the function was imported to, so that every call counts
+        for holder in (algebra, commutator, congruence, solvers, structure, tct):
+            if getattr(holder, name, None) is fn:
+                monkeypatch.setattr(holder, name, counted)
+
+    count(commutator, "nilpotency_class")
+    count(congruence, "_congruence_lattice")
+    count(congruence, "_factor_pairs")
+    count(tct, "_typed_congruence_lattice")
+    count(solvers, "_AbelianGroup")
+    count(solvers, "_check_malcev")
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+
+    rng = random.Random(4)
+    for name in ("Z6", "Z2xL2", "S3"):
+        alg = get(name)
+        for _ in range(6):
+            c = random_circuit(alg, rng, 3, 9, 3)
+            pair = c.with_outputs(c.outputs[:2])
+            for inst in (CsatInstance(pair), McsatInstance(c), CeqvInstance(pair),
+                         ScsatInstance(c, ((c.outputs[0], c.outputs[1]),))):
+                solvers.dispatch(alg, inst)
+
+    ran = {name for name, _ in runs}
+    assert ran == {"nilpotency_class", "_congruence_lattice", "_factor_pairs",
+                   "_typed_congruence_lattice", "_AbelianGroup", "_check_malcev"}
+    assert [key for key, n in runs.items() if n > 1] == []
+
+
+def test_direct_affine_solve_does_not_classify(monkeypatch):
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    monkeypatch.setattr(solvers, "classify", lambda *args: pytest.fail("classified"))
+    z6 = get("Z6")
+    b = CircuitBuilder(z6.name)
+    t, c = b.op("mul", b.input("x"), b.input("x")), b.const(4)
+    res = solvers.solve_affine(z6, ScsatInstance(b.build([t]), ((t, c),)), checked=False)
+    assert (res.answer, res.solver_used) == ("sat", "affine")
+
+
+def test_no_module_level_cache_outside_the_store():
+    stores = []
+    for info in pkgutil.iter_modules(mvcirc.__path__):
+        module = importlib.import_module(f"mvcirc.{info.name}")
+        for attr, value in vars(module).items():
+            assert not attr.endswith("_cache"), f"{info.name}.{attr}"
+            assert not hasattr(value, "cache_info"), f"{info.name}.{attr} is memoized"
+            if isinstance(value, FactStore):
+                stores.append(value)
+    assert stores and all(s is algebra.STORE for s in stores)
+
+
+def test_store_stays_within_bound_and_evicted_algebras_reclassify(monkeypatch):
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    unary_pairs = itertools.product(itertools.product(range(3), repeat=3), repeat=2)
+    algebras = [
+        FiniteAlgebra(f"U{i}", 3, (Operation("f", 1, f), Operation("g", 1, g)))
+        for i, (f, g) in zip(range(STORE_BOUND + 1), unary_pairs)
+    ]
+    first = classify(algebras[0])
+    for alg in algebras[1:]:
+        classify(alg)
+        assert len(algebra.STORE) <= STORE_BOUND
+    again = classify(algebras[0])
+    assert again is not first          # evicted, so computed afresh
+    assert again.as_dict() == first.as_dict()

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from mvcirc.algebra import direct_product
+from mvcirc import algebra
+from mvcirc.algebra import FactStore, direct_product
 from mvcirc.errors import Tri
 from mvcirc.partition import Partition
 from mvcirc.structure import (
@@ -197,6 +198,27 @@ def test_classify_deterministic_and_json_stable(z6):
     b = classify(z6).as_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["schema"] == 1
+
+
+def test_classify_report_depends_on_cap(z6, monkeypatch):
+    # a report computed under a small cap must not answer a later call
+    # with a larger one; an empty store, so that no complete fact found
+    # under a larger cap helps
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    alg = z6.rename("Z6-cap-key")
+    small = classify(alg, cap=20)
+    assert small.cm is Tri.UNKNOWN and small.typeset == ["unknown"]
+    full = classify(alg)
+    assert (full.cm, full.affine, full.typeset) == (Tri.YES, Tri.YES, [2])
+    assert full.as_dict()["flags"] == classify(z6).as_dict()["flags"]
+
+
+def test_dl_like_unknown_when_quotient_check_caps_out(bool2):
+    # the 2-element quotient checks need more than 10 clone tables
+    assert is_dl_like(bool2, cap=10)[0] is Tri.UNKNOWN
+    rep = classify(bool2, cap=10)
+    assert rep.dl_like is Tri.UNKNOWN
+    assert is_dl_like(bool2)[0] is Tri.NO
 
 
 @pytest.mark.parametrize("entry", zoo(), ids=lambda e: e.name)
