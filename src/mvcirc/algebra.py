@@ -27,8 +27,8 @@ from .partition import Partition
 
 DEFAULT_CAP = 200_000
 
-# Classifying the whole zoo fills 55 entries (quotients and pair algebras
-# included), and classifying and dispatching the benchmark's dispatch mix 44;
+# Classifying the whole zoo fills 59 entries (quotients and pair algebras
+# included), and classifying and dispatching the benchmark's dispatch mix 46;
 # 256 holds either working set with no eviction.
 STORE_BOUND = 256
 
@@ -254,8 +254,11 @@ def _close_tables(
 ) -> tuple[Clone, Optional[tuple[int, ...]]]:
     """Worklist closure of generator tables under pointwise basic operations.
 
-    Returns the clone and, if stop matched a table, that table (closure halts
-    there and the clone is marked incomplete).
+    Every distinct generator is kept; a table the operations produce is kept
+    only while fewer than cap tables are held, else the closure stops
+    incomplete.  stop is called on each kept table in turn; returns the
+    clone and, if stop matched a table, that table (closure halts there and
+    the clone is marked incomplete).
     """
     size = alg.size
     npts = len(points)
@@ -273,17 +276,11 @@ def _close_tables(
         frontier_end = len(tables)
         for op in ops:
             r = op.arity
-            if r == 0:
-                const = op.table[0]
-                tab = (const,) * npts
-                if tab not in witnesses:
-                    witnesses[tab] = App(op.name, ())
-                    tables.append(tab)
-                continue
             optab = op.table
-            # every r-tuple with at least one component in the new frontier
+            # every r-tuple with at least one component in the new frontier;
+            # a nullary op yields its one constant table in every round
             for combo in itertools.product(range(frontier_end), repeat=r):
-                if max(combo) < frontier_start:
+                if r and max(combo) < frontier_start:
                     continue
                 args = [tables[i] for i in combo]
                 if r == 1:
@@ -336,25 +333,62 @@ def poly_clone_on_points(
     stop: Optional[Callable[[tuple[int, ...]], bool]] = None,
     constants: bool = True,
 ) -> tuple[Clone, Optional[tuple[int, ...]]]:
-    """Polynomial (or term, with constants=False) clone restricted to a point list."""
-    return _close_tables(alg, list(points), _proj_generators(alg, points, k, constants), cap, stop)
+    """Polynomial (or term, with constants=False) clone restricted to a point list.
+
+    The one entry point to clone closure.  A closure that runs to completion
+    is kept in the per-algebra STORE under ("closure", k, points, constants);
+    a later call with that key replays it under its own cap and stop, with
+    the same result as closing afresh.  Callers must not mutate the clone.
+    """
+    points = tuple(points)
+    key = ("closure", k, points, constants)
+    generators = _proj_generators(alg, points, k, constants)
+    facts = STORE.facts(alg)
+    if key in facts:
+        return _replay(facts[key], len({tab for tab, _ in generators}), cap, stop)
+    clone, hit = _close_tables(alg, points, generators, cap, stop)
+    if clone.complete:
+        facts[key] = clone
+    return clone, hit
+
+
+def _replay(
+    full: Clone, distinct_generators: int, cap: int,
+    stop: Optional[Callable[[tuple[int, ...]], bool]],
+) -> tuple[Clone, Optional[tuple[int, ...]]]:
+    """What _close_tables returns under cap and stop for the closure whose
+    complete run is full: its tables come in generation order, and table i
+    is kept iff i < max(cap, distinct_generators)."""
+    limit = max(cap, distinct_generators)
+    if stop is not None:
+        for i, tab in enumerate(itertools.islice(full.tables, limit)):
+            if stop(tab):
+                return _prefix(full, i + 1), tab
+    if len(full.tables) <= limit:
+        return full, None
+    return _prefix(full, limit), None
+
+
+def _prefix(full: Clone, length: int) -> Clone:
+    tables = full.tables[:length]
+    return Clone(full.arity, full.points, tables,
+                 {tab: full.witnesses[tab] for tab in tables}, False)
 
 
 def kary_poly_clone(alg: FiniteAlgebra, k: int, cap: int = DEFAULT_CAP) -> Clone:
     """All k-ary polynomial tables of alg, with first-witness terms.
 
-    Raises CapExceeded when the closure would grow past cap.  A completed
-    clone is kept in the per-algebra STORE under ("clone", k) and shared by
-    later calls whatever their cap (callers must not mutate it).
+    Raises CapExceeded when the closure would grow past cap.  The clone is
+    the closure of poly_clone_on_points over A^k in lexicographic order, kept
+    in the per-algebra STORE under ("closure", k, points, True) once complete
+    and shared by every later call whose cap admits it (callers must not
+    mutate it).
     """
-    def build() -> Clone:
-        points = list(itertools.product(range(alg.size), repeat=k))
-        clone, _ = poly_clone_on_points(alg, points, k, cap)
-        if not clone.complete:
-            raise CapExceeded(len(clone), f"{k}-ary polynomial clone of {alg.name}")
-        return clone
-
-    return stored(alg, ("clone", k), build)
+    points = list(itertools.product(range(alg.size), repeat=k))
+    clone, _ = poly_clone_on_points(alg, points, k, cap)
+    if not clone.complete:
+        raise CapExceeded(len(clone), f"{k}-ary polynomial clone of {alg.name}")
+    return clone
 
 
 def unary_poly_clone(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Clone:

@@ -13,11 +13,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import FiniteAlgebra, Operation, find_malcev_term
+from .algebra import (
+    FiniteAlgebra,
+    Operation,
+    find_malcev_term,
+    is_congruence,
+    kary_poly_clone,
+    stored,
+)
 from .congruence import congruence_from_pairs, factor_pairs
 from .errors import NotACongruence, Tri
 from .partition import Partition
-from .algebra import is_congruence, kary_poly_clone
 
 
 def pair_algebra(alg: FiniteAlgebra, alpha: Partition) -> tuple[FiniteAlgebra, list[tuple[int, int]]]:
@@ -38,10 +44,15 @@ def pair_algebra(alg: FiniteAlgebra, alpha: Partition) -> tuple[FiniteAlgebra, l
 
 
 def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
-    """[alpha, beta] via the pair-algebra construction."""
+    """[alpha, beta] via the pair-algebra construction, kept in the
+    per-algebra store under ("commutator", alpha, beta)."""
     for p in (alpha, beta):
         if not is_congruence(alg, p):
             raise NotACongruence(f"{p} is not a congruence of {alg.name}")
+    return stored(alg, ("commutator", alpha, beta), lambda: _commutator(alg, alpha, beta))
+
+
+def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
     sub, pairs = pair_algebra(alg, alpha)
     idx = {p: i for i, p in enumerate(pairs)}
     n = alg.size

@@ -313,6 +313,14 @@ def _support_sweep(n: int, names: list[str], zero: int, max_support: int):
                 yield out
 
 
+def _check_sweep_budget(n: int, inputs: int, max_support: int, config: SolverConfig) -> None:
+    """Raise BudgetExceeded when the support sweep has more assignments than
+    the budget allows."""
+    total = sum(math.comb(inputs, s) * (n - 1) ** s for s in range(max_support + 1))
+    if total > config.budget:
+        raise BudgetExceeded(total, config.budget)
+
+
 def solve_supernilpotent(
     alg: FiniteAlgebra,
     csat: CsatInstance,
@@ -332,11 +340,7 @@ def solve_supernilpotent(
     names = sorted(w.input_names)
     n = alg.size
     max_support = min(params.d_bound, len(names))
-    total = sum(
-        math.comb(len(names), s) * (n - 1) ** s for s in range(max_support + 1)
-    )
-    if total > config.budget:
-        raise BudgetExceeded(total, config.budget)
+    _check_sweep_budget(n, len(names), max_support, config)
     run = compile_circuit(alg, w)
     tried = 0
     for values in _support_sweep(n, names, params.zero_element, max_support):
@@ -728,8 +732,9 @@ def ceqv_supernilpotent_experimental(
     zero = params.zero_element
     w = _zero_circuit(alg, CsatInstance(ceqv.circuit), plan.checked_malcev(zero), zero)
     names = sorted(w.input_names)
-    run = compile_circuit(alg, w)
     max_support = min(params.d_bound, len(names))
+    _check_sweep_budget(alg.size, len(names), max_support, config)
+    run = compile_circuit(alg, w)
     tried = 0
     for values in _support_sweep(alg.size, names, params.zero_element, max_support):
         tried += 1
@@ -776,15 +781,18 @@ class Plan:
     @cached_property
     def routes(self) -> dict[type, str]:
         """Route for each instance type: DL-like CSAT/MCSAT to the diagonal,
-        supernilpotent CSAT/CEQV to the support sweep, affine MCSAT/SCSAT to
-        elimination, otherwise per-factor solves or brute force."""
+        supernilpotent CSAT/CEQV to the support sweep when a Malcev term is
+        found under the cap (the sweep normalizes through it), affine
+        MCSAT/SCSAT to elimination, otherwise per-factor solves or brute
+        force."""
         rep = self.report
         dl, sn, af = (flag is Tri.YES for flag in (rep.dl_like, rep.supernilpotent, rep.affine))
+        sweep = sn and self.malcev is not None
         other = "brute" if self.split is None else "product"
         return {
-            CsatInstance: "usp" if dl else "supernilpotent" if sn else other,
+            CsatInstance: "usp" if dl else "supernilpotent" if sweep else other,
             McsatInstance: "usp" if dl else "affine" if af else other,
-            CeqvInstance: "ceqv" if sn else other,
+            CeqvInstance: "ceqv" if sweep else other,
             ScsatInstance: "affine" if af else other,
         }
 

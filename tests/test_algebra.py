@@ -3,12 +3,16 @@ import random
 
 import pytest
 
+from mvcirc import algebra as algebra_module
 from mvcirc.algebra import (
+    DEFAULT_CAP,
     App,
     Const,
+    FactStore,
     FiniteAlgebra,
     Operation,
     Var,
+    _proj_generators,
     check_gumm_chain,
     direct_product,
     eval_term,
@@ -136,6 +140,63 @@ def test_clone_closure_is_idempotent(z4):
 def test_cap_exceeded_raises(s3):
     with pytest.raises(CapExceeded):
         kary_poly_clone(s3, 2, cap=10)
+
+
+# m(x, y) = max(x, y) with a nullary unit e = 1: the term clone gets the
+# constant table from e alone
+WITH_UNIT = FiniteAlgebra("max-with-unit", 3, (
+    Operation("m", 2, tuple(max(x, y) for x in range(3) for y in range(3))),
+    Operation("e", 0, (1,)),
+))
+
+
+def _stops(full):
+    """Stop predicates, each with the log of the tables it was called on:
+    none, a first match, and a recorder that, like the trace search in
+    tct, keeps state across calls and stops once it has seen two tables."""
+    tables = full.tables
+    target = tables[(2 * len(tables)) // 3]
+    pair = {tables[len(tables) // 3], tables[-1]}
+    yield None, None
+    log: list = []
+    yield (lambda t: log.append(t) or t == target), log
+    seen: list = []
+    yield (lambda t: seen.append(t) or pair <= set(seen)), seen
+
+
+@pytest.mark.parametrize("alg", [e.algebra for e in zoo()] + [WITH_UNIT], ids=lambda a: a.name)
+def test_stored_closure_replays_a_fresh_closure(alg, monkeypatch):
+    monkeypatch.setattr(algebra_module, "STORE", FactStore())
+    close = algebra_module._close_tables
+    rng = random.Random(alg.name)
+    for k, constants in itertools.product((1, 2, 3), (True, False)):
+        cube = list(itertools.product(range(alg.size), repeat=k))
+        points = cube if k == 1 else rng.sample(cube, min(len(cube), 5 - k))
+        full, _ = poly_clone_on_points(alg, points, k, constants=constants)
+        assert full.complete
+        generators = _proj_generators(alg, points, k, constants)
+        distinct = len({tab for tab, _ in generators})
+        # from here on every call must be answered by the stored closure
+        monkeypatch.setattr(algebra_module, "_close_tables", None)
+        for cap in (1, distinct, max(len(full) // 2, 1), DEFAULT_CAP):
+            for (stop, log), (fresh_stop, fresh_log) in zip(_stops(full), _stops(full)):
+                got, hit = poly_clone_on_points(alg, points, k, cap, stop, constants)
+                want, want_hit = close(alg, points, generators, cap, fresh_stop)
+                assert got.tables == want.tables
+                assert list(got.witnesses.items()) == list(want.witnesses.items())
+                assert (got.complete, hit, log) == (want.complete, want_hit, fresh_log)
+        monkeypatch.setattr(algebra_module, "_close_tables", close)
+
+
+def test_nullary_table_counts_against_cap_and_goes_to_stop():
+    points = [(0,), (1,), (2,)]
+    capped, _ = poly_clone_on_points(WITH_UNIT, points, 1, cap=1, constants=False)
+    assert (capped.tables, capped.complete) == ([(0, 1, 2)], False)
+    seen: list = []
+    clone, hit = poly_clone_on_points(
+        WITH_UNIT, points, 1, stop=lambda t: seen.append(t) or t == (1, 1, 1), constants=False)
+    assert hit == seen[-1] == (1, 1, 1)
+    assert clone.witness(hit) == App("e", ())
 
 
 # ---------------------------------------------------------------------------

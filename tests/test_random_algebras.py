@@ -1,22 +1,31 @@
 """Property tests over randomly generated finite algebras: the congruence
-machinery must agree with brute-force oracles on arbitrary operation tables,
-not just on the curated fixtures."""
+machinery and the dispatcher must agree with brute-force oracles on
+arbitrary operation tables, not just on the curated fixtures."""
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
 from mvcirc.algebra import FiniteAlgebra, Operation, is_congruence, quotient
+from mvcirc.circuit import (
+    CeqvInstance,
+    CsatInstance,
+    McsatInstance,
+    ScsatInstance,
+    random_circuit,
+)
 from mvcirc.commutator import commutator
 from mvcirc.congruence import congruence_lattice, principal_congruence
+from mvcirc.errors import BudgetExceeded
 from mvcirc.partition import Partition
+from mvcirc.solvers import SolverConfig, dispatch, solve_bruteforce
 
 from conftest import all_partitions
 
 
 @st.composite
-def small_algebras(draw):
-    n = draw(st.integers(min_value=2, max_value=4))
+def small_algebras(draw, max_size=4):
+    n = draw(st.integers(min_value=2, max_value=max_size))
     num_ops = draw(st.integers(min_value=1, max_value=2))
     ops = []
     for i in range(num_ops):
@@ -80,3 +89,24 @@ def test_quotients_are_well_defined(alg):
                 lhs = theta.class_of(op.apply(args, alg.size))
                 rhs = qop.apply(tuple(theta.class_of(a) for a in args), q.size)
                 assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_algebras(max_size=3), st.randoms(use_true_random=False))
+def test_dispatch_agrees_with_brute_force(alg, rng):
+    """Whatever route the plan picks for an algebra (including one whose
+    flags its Malcev search does not back up), dispatch decides every kind
+    as brute force does and raises nothing but BudgetExceeded.  The small
+    cap keeps each classification short, and sends the searches it cuts
+    short down the fallback routes."""
+    config = SolverConfig(cap=500)
+    for _ in range(2):
+        c = random_circuit(alg, rng, rng.randint(1, 4), rng.randint(5, 9), 3)
+        pair = c.with_outputs(c.outputs[:2])
+        for inst in (CsatInstance(pair), McsatInstance(c), CeqvInstance(pair),
+                     ScsatInstance(c, ((c.outputs[0], c.outputs[2]),))):
+            try:
+                got = dispatch(alg, inst, config)
+            except BudgetExceeded:
+                continue
+            assert got.answer == solve_bruteforce(alg, inst).answer, got.solver_used

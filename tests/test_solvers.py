@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from mvcirc.algebra import App, Var, find_malcev_term
+from mvcirc import algebra
+from mvcirc.algebra import App, FactStore, Var, find_malcev_term
 from mvcirc.circuit import (
     CeqvInstance,
     CircuitBuilder,
@@ -493,15 +494,37 @@ def test_witnesses_verify_across_solvers(z4, lat2):
                 assert out[0] == out[1]
 
 
-def test_dispatch_small_cap_agrees_with_brute(bool2):
-    # classification under cap 10 leaves DL-likeness undecided; dispatch
-    # must still decide every kind, by a sound route
+def test_dispatch_small_cap_agrees_with_brute(monkeypatch):
+    # classification under cap 10 leaves DL-likeness undecided for
+    # 2boolean, and for the supernilpotent Z3, Z4, Z6 and Z4ring the Malcev
+    # term that the support sweep normalizes through; dispatch must still
+    # decide every kind, by a sound route.  A fresh store keeps a term found
+    # at the default cap by an earlier test from answering the search.
+    monkeypatch.setattr(algebra, "STORE", FactStore())
     config = SolverConfig(cap=10)
     rng = random.Random(12)
-    for _ in range(10):
-        c = random_circuit(bool2, rng, 3, 8, 3)
-        for inst in (CsatInstance(c.with_outputs(c.outputs[:2])), McsatInstance(c),
-                     CeqvInstance(c.with_outputs(c.outputs[:2])),
-                     ScsatInstance(c, ((c.outputs[0], c.outputs[1]),))):
-            assert (dispatch(bool2, inst, config).answer
-                    == solve_bruteforce(bool2, inst, config).answer)
+    for name in ("2boolean", "Z3", "Z4", "Z6", "Z4ring"):
+        alg = get(name)
+        for _ in range(10):
+            c = random_circuit(alg, rng, 3, 8, 3)
+            for inst in (CsatInstance(c.with_outputs(c.outputs[:2])), McsatInstance(c),
+                         CeqvInstance(c.with_outputs(c.outputs[:2])),
+                         ScsatInstance(c, ((c.outputs[0], c.outputs[1]),))):
+                assert (dispatch(alg, inst, config).answer
+                        == solve_bruteforce(alg, inst, config).answer)
+
+
+def test_ceqv_sweep_respects_the_budget(z6):
+    # left fold against right fold of 9 inputs: equivalent, and the support
+    # sweep over it has 1,796,446 assignments
+    b = CircuitBuilder(z6.name)
+    xs = [b.input(f"x{i}") for i in range(9)]
+    left, right = xs[0], xs[-1]
+    for x in xs[1:]:
+        left = b.op("mul", left, x)
+    for x in reversed(xs[:-1]):
+        right = b.op("mul", x, right)
+    inst = CeqvInstance(b.build([left, right]))
+    with pytest.raises(BudgetExceeded) as exc:
+        dispatch(z6, inst, SolverConfig(budget=1000))
+    assert exc.value.needed == 1_796_446

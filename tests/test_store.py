@@ -21,7 +21,7 @@ from mvcirc.circuit import (
     random_circuit,
 )
 from mvcirc.structure import classify
-from mvcirc.zoo import get
+from mvcirc.zoo import get, zoo
 
 
 def _content(alg):
@@ -103,3 +103,32 @@ def test_store_stays_within_bound_and_evicted_algebras_reclassify(monkeypatch):
     again = classify(algebras[0])
     assert again is not first          # evicted, so computed afresh
     assert again.as_dict() == first.as_dict()
+
+
+def test_cold_ad2_classify_closes_each_point_list_once(monkeypatch):
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    close = algebra._close_tables
+    runs = Counter()
+
+    def counted(alg, points, generators, *args, **kwargs):
+        runs[(_content(alg), tuple(points), tuple(tab for tab, _ in generators))] += 1
+        return close(alg, points, generators, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_close_tables", counted)
+    classify(get("AD2"))
+    assert runs and max(runs.values()) == 1
+
+
+def test_cold_zoo_classify_computes_each_commutator_once(monkeypatch):
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    build = commutator._commutator
+    runs = Counter()
+
+    def counted(alg, alpha, beta):
+        runs[(_content(alg), alpha, beta)] += 1
+        return build(alg, alpha, beta)
+
+    monkeypatch.setattr(commutator, "_commutator", counted)
+    for entry in zoo():
+        classify(entry.algebra)
+    assert runs and max(runs.values()) == 1
