@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 from .errors import (
@@ -89,6 +90,11 @@ class FiniteAlgebra:
     def rename(self, name: str) -> "FiniteAlgebra":
         return FiniteAlgebra(name, self.size, self.ops)
 
+    @cached_property
+    def content(self) -> "Content":
+        """The key of this algebra's facts in the store, built once per object."""
+        return Content((self.size, self.signature(), tuple(op.table for op in self.ops)))
+
 
 def op_from_fn(name: str, arity: int, size: int, fn: Callable[..., int]) -> Operation:
     table = tuple(fn(*args) for args in itertools.product(range(size), repeat=arity))
@@ -101,6 +107,23 @@ def op_from_fn(name: str, arity: int, size: int, fn: Callable[..., int]) -> Oper
 T = TypeVar("T")
 
 
+class Content:
+    """An algebra's content (size, signature, tables) with its hash computed
+    once, so that a store lookup neither rebuilds nor rehashes the tables."""
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: tuple) -> None:
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Content) and self.value == other.value
+
+
 class FactStore:
     """Least-recently-used map from an algebra's content (size, signature,
     tables) to a dict of facts about it, holding at most STORE_BOUND
@@ -108,10 +131,10 @@ class FactStore:
     that in its key, e.g. ("typed", cap)."""
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, dict] = OrderedDict()
+        self._entries: OrderedDict[Content, dict] = OrderedDict()
 
     def facts(self, alg: FiniteAlgebra) -> dict:
-        key = (alg.size, alg.signature(), tuple(op.table for op in alg.ops))
+        key = alg.content
         entry = self._entries.get(key)
         if entry is None:
             entry = self._entries[key] = {}
@@ -427,7 +450,8 @@ def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
     """Search the ternary term clone for d with d(x,x,y) = y = d(y,x,x).
 
     YES carries (term, table); NO means the closure completed without a
-    witness; UNKNOWN means the cap was hit first.  YES and NO are stored.
+    witness; UNKNOWN means the cap was hit first.  YES and NO are stored,
+    and so is an UNKNOWN, under ("malcev", cap) and without the tables.
     """
     def build() -> Search:
         n = alg.size
@@ -439,7 +463,10 @@ def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
             return Search(Tri.YES, (clone.witness(hit), hit))
         return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
 
-    return stored(alg, "malcev", build, keep=lambda found: found.status is not Tri.UNKNOWN)
+    return stored(alg, "malcev",
+                  lambda: stored(alg, ("malcev", cap), build,
+                                 keep=lambda found: found.status is Tri.UNKNOWN),
+                  keep=lambda found: found.status is not Tri.UNKNOWN)
 
 
 @dataclass
@@ -461,6 +488,8 @@ def find_directed_gumm_terms(
     one visiting each candidate table at most once, so exhausting the visited
     set decides existence.  A Malcev term short-circuits the search:
     (d_1, Q) = (first projection, d) satisfies all the displayed identities.
+    An UNKNOWN Malcev search at this cap does too: it ran this closure, and
+    the closure hit the cap before its stop matched.
     """
     n = alg.size
     n2 = n * n
@@ -471,6 +500,8 @@ def find_directed_gumm_terms(
         proj1 = Var(0)
         proj1_table = tuple(p[0] for p in itertools.product(range(n), repeat=3))
         return Search(Tri.YES, GummChain([proj1], term, [proj1_table], table))
+    if malcev.status is Tri.UNKNOWN:
+        return Search(Tri.UNKNOWN)
 
     points = list(itertools.product(range(n), repeat=3))
     clone, _ = poly_clone_on_points(alg, points, 3, cap, constants=False)

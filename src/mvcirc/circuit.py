@@ -3,15 +3,18 @@
 A circuit is a gate list in topological order (operands strictly precede
 their gate) with an ordered output list.  Inputs are named, not positional,
 because generated instances carry structured names.  Serialization preserves
-gate order so generated gadgets diff cleanly.
+gate order so generated gadgets diff cleanly.  BlockProgram evaluates a
+circuit over blocks of assignments at once, for the solvers' enumerations.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .algebra import App, Const as TermConst, FiniteAlgebra, Term, Var
+from .algebra import App, Const as TermConst, FiniteAlgebra, Term, Var, stored
 from .errors import (
     ArityMismatch,
     ElementOutOfRange,
@@ -124,7 +127,10 @@ def eval_circuit(
 
 
 def compile_circuit(alg: FiniteAlgebra, c: Circuit) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """Compile to a fast evaluator taking values for sorted(input_names)."""
+    """Compile to an evaluator of one assignment, taking values for
+    sorted(input_names).  Its only callers are the affine solver's
+    linear-form extraction and linearity check; every enumeration runs on
+    BlockProgram."""
     n = alg.size
     names = sorted(c.input_names)
     slot = {nm: i for i, nm in enumerate(names)}
@@ -164,6 +170,153 @@ def compile_circuit(alg: FiniteAlgebra, c: Circuit) -> Callable[[Sequence[int]],
         return tuple(vals[o] for o in outs)
 
     return run
+
+
+# ---------------------------------------------------------------------------
+# Block evaluation
+#
+# A block is `count` assignments.  Every input and gate holds a column with
+# one digit per assignment, `width` bytes per digit in the machine's byte
+# order (an array of that item size).  A k-ary gate reads its argument
+# columns as integers and combines them digit-wise by Horner,
+# acc = acc * |A| + column; no digit carries into the next, because each
+# stays below |A|^k <= 256^width.  The op table then maps every digit: one
+# bytes.translate at width 1, which holds whenever |A| and each |A|^arity
+# are at most 256, and a map over the digits above that.
+
+BLOCK = 4096                                       # assignments in a full block
+_ORDER = sys.byteorder
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}   # width -> typecode
+
+
+@dataclass(frozen=True)
+class _OpTables:
+    width: int
+    ops: dict[str, tuple[int, Sequence[int]]]   # name -> (arity, table; 256 bytes at width 1)
+
+
+def _op_tables(alg: FiniteAlgebra) -> _OpTables:
+    """The algebra's op tables in the kernel's form, built once per algebra."""
+    def build() -> _OpTables:
+        top = max([alg.size] + [alg.size ** op.arity for op in alg.ops])
+        width = min(w for w in _TYPECODES if top <= 256 ** w)
+        return _OpTables(width, {
+            op.name: (op.arity, bytes(op.table).ljust(256, b"\0") if width == 1 else op.table)
+            for op in alg.ops})
+
+    return stored(alg, "block_tables", build)
+
+
+class BlockProgram:
+    """A circuit compiled once for block evaluation, with the gate pairs an
+    enumeration compares.  Input columns come in the order of `names`
+    (sorted input names); `mismatches` evaluates a block and flags, per
+    assignment, whether some pair differs.  Every gate is checked against
+    the algebra, but only gates that some compared gate depends on are
+    evaluated."""
+
+    def __init__(self, alg: FiniteAlgebra, c: Circuit, pairs: Iterable[tuple[int, int]]):
+        tables = _op_tables(alg)
+        self.size = alg.size
+        self.width = tables.width
+        self.names = sorted(c.input_names)
+        self.pairs = tuple(pairs)
+        gates = c.gates
+        self.gates = len(gates)
+        live = [False] * len(gates)
+        for a, b in self.pairs:
+            live[a] = live[b] = True
+        for i in range(len(gates) - 1, -1, -1):
+            if live[i]:
+                for a in gates[i].args:
+                    live[a] = True
+        slot = {nm: i for i, nm in enumerate(self.names)}
+        ops = tables.ops
+        # (gate, 0, input slot) | (gate, 1, value) | (gate, 2, table, first arg, other args)
+        steps: list[tuple] = []
+        append = steps.append
+        for i, g in enumerate(gates):
+            kind = g.kind
+            if kind == "op":
+                entry = ops.get(g.name)
+                if entry is None:
+                    raise UnknownOp(f"algebra {alg.name} has no operation {g.name!r}")
+                arity, table = entry
+                if len(g.args) != arity:
+                    raise ArityMismatch(f"gate g{i}: op {g.name} arity mismatch")
+                if live[i]:
+                    append((i, 2, table, g.args[0], g.args[1:]) if arity else (i, 1, table[0]))
+            elif kind == "input":
+                if live[i]:
+                    append((i, 0, slot[g.name]))
+            else:
+                if not 0 <= g.value < alg.size:
+                    raise ElementOutOfRange(f"const {g.value} out of range")
+                if live[i]:
+                    append((i, 1, g.value))
+        self.steps = steps
+
+    def pack(self, values: Iterable[int]) -> bytes:
+        """A column holding values."""
+        if self.width == 1:
+            return bytes(values)
+        return array(_TYPECODES[self.width], values).tobytes()
+
+    def assignment(self, columns: Sequence[bytes], p: int) -> tuple[int, ...]:
+        """The input values of assignment p of a block."""
+        w = self.width
+        if w == 1:
+            return tuple(col[p] for col in columns)
+        return tuple(int.from_bytes(col[p * w:(p + 1) * w], _ORDER) for col in columns)
+
+    def differs(self, values: Sequence[int]) -> bool:
+        """Whether some pair of gates differs at one assignment, given its
+        input values: the scalar form of mismatches, for the first
+        assignment of an enumeration, which often decides it."""
+        n = self.size
+        vals = [0] * self.gates
+        for step in self.steps:
+            tag = step[1]
+            if tag == 2:
+                idx = vals[step[3]]
+                for a in step[4]:
+                    idx = idx * n + vals[a]
+                vals[step[0]] = step[2][idx]
+            else:
+                vals[step[0]] = values[step[2]] if tag == 0 else step[2]
+        return any(vals[a] != vals[b] for a, b in self.pairs)
+
+    def mismatches(self, columns: Sequence[bytes], count: int) -> bytes:
+        """Evaluate the block whose input columns are given: one byte per
+        assignment, zero exactly where every pair of gates agrees."""
+        n, w, order = self.size, self.width, _ORDER
+        frm = int.from_bytes
+        vals: list = [b""] * self.gates
+        for step in self.steps:
+            tag = step[1]
+            if tag == 2:
+                table, rest = step[2], step[4]
+                if w == 1 and not rest:
+                    vals[step[0]] = vals[step[3]].translate(table)
+                    continue
+                acc = frm(vals[step[3]], order)
+                for a in rest:
+                    acc = acc * n + frm(vals[a], order)
+                raw = acc.to_bytes(count * w, order)
+                if w == 1:
+                    vals[step[0]] = raw.translate(table)
+                else:
+                    vals[step[0]] = self.pack(map(table.__getitem__,
+                                                  memoryview(raw).cast(_TYPECODES[w])))
+            elif tag == 0:
+                vals[step[0]] = columns[step[2]]
+            else:
+                vals[step[0]] = self.pack((step[2],)) * count
+        diff = 0
+        for a, b in self.pairs:
+            diff |= frm(vals[a], order) ^ frm(vals[b], order)
+        raw = diff.to_bytes(count * w, order)
+        return raw if w == 1 else bytes(map(bool, memoryview(raw).cast(_TYPECODES[w])))
 
 
 # ---------------------------------------------------------------------------

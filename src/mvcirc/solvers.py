@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import DEFAULT_CAP, FiniteAlgebra, Term, eval_term, find_malcev_term, quotient, stored
 from .circuit import (
+    BLOCK,
+    BlockProgram,
     CeqvInstance,
     Circuit,
     CircuitBuilder,
@@ -124,21 +127,94 @@ def _result(alg, inst, answer, witness, solver, tried, experimental=False, diagn
 
 
 # ---------------------------------------------------------------------------
+# Enumeration in blocks
+
+Block = tuple[Sequence[bytes], int]   # input columns, number of assignments
+
+
+def _agreement_pairs(inst: Instance) -> list[tuple[int, int]]:
+    """The gate pairs whose agreement satisfies the instance (for CEQV,
+    whose disagreement refutes it)."""
+    if isinstance(inst, ScsatInstance):
+        return list(inst.equations)
+    outs = inst.circuit.outputs
+    return [(outs[0], o) for o in outs[1:]]
+
+
+_FLIP = b"\1" + bytes(255)     # translate table: 0 to 1, anything else to 0
+
+
+def _hits(program: BlockProgram, first: tuple[int, ...], blocks: Iterable[Block],
+          agree: bool) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every assignment, in the order first then the blocks, at which every
+    compared pair agrees (agree) or some pair differs (not agree), with the
+    number of assignments up to and including it.  The first assignment is
+    evaluated alone, so an instance it decides builds no block."""
+    if program.differs(first) is not agree:
+        yield first, 1
+    tried = 1
+    for columns, count in blocks:
+        flags = program.mismatches(columns, count)
+        if not agree:
+            flags = flags.translate(_FLIP)      # now zero where some pair differs
+        p = flags.find(0)
+        while p >= 0:
+            yield program.assignment(columns, p), tried + p + 1
+            p = flags.find(0, p + 1)
+        tried += count
+
+
+class _Digits:
+    """Columns over ranges of the lexicographic order on values^k (the last
+    position varies fastest).  A range aligned to `span` assignments varies
+    only the last j positions, where span = r^j is the largest power of
+    r = len(values) within BLOCK (j <= k); the other positions are constant
+    on it."""
+
+    def __init__(self, program: BlockProgram, values: Sequence[int], k: int):
+        r, j, span = len(values), 0, 1
+        while j < k and span * r <= BLOCK:
+            j, span = j + 1, span * r
+        self.width, self.r, self.k, self.j, self.span = program.width, r, k, j, span
+        self.consts = [program.pack((v,)) for v in values]
+        self.patterns: dict[int, bytes] = {}     # digit -> its column over one span
+
+    def columns(self, lo: int, count: int) -> list[bytes]:
+        """The k columns of [lo, lo + count), a range inside one aligned
+        span; a digit constant on the range costs no pattern."""
+        w, r = self.width, self.r
+        start = lo % self.span
+        out = []
+        for d in range(self.k - 1, -1, -1):     # digit d belongs to position k-1-d
+            step = r ** d
+            if start // step == (start + count - 1) // step:
+                out.append(self.consts[lo // step % r] * count)
+                continue
+            pattern = self.patterns.get(d)
+            if pattern is None:
+                pattern = self.patterns[d] = (b"".join(c * step for c in self.consts)
+                                              * r ** (self.j - 1 - d))
+            out.append(pattern[start * w:(start + count) * w])
+        return out
+
+
+def _lex_blocks(program: BlockProgram, m: int) -> Iterator[Block]:
+    """The n^m assignments after the first (all 0) in lexicographic order
+    (sorted input names, last fastest), in blocks [1, 16), [16, 256), ...
+    up to one aligned span of at most BLOCK, then aligned spans.  A block of
+    up to 16 assignments costs little more than one, so an instance
+    satisfied early pays for about two evaluations."""
+    n = program.size
+    digits = _Digits(program, range(n), m)
+    span, total, lo = digits.span, n ** m, 1
+    while lo < total:
+        hi = lo + span if lo >= span else min(lo * 16, span)
+        yield digits.columns(lo, hi - lo), hi - lo
+        lo = hi
+
+
+# ---------------------------------------------------------------------------
 # Brute force
-
-
-def _scsat_evaluator(alg: FiniteAlgebra, inst: ScsatInstance) -> Callable[[Sequence[int]], bool]:
-    pairs = inst.equations
-    gate_circ = inst.circuit.with_outputs(
-        tuple(g for pair in pairs for g in pair)
-    )
-    run = compile_circuit(alg, gate_circ)
-
-    def ok(values: Sequence[int]) -> bool:
-        outs = run(values)
-        return all(outs[i] == outs[i + 1] for i in range(0, len(outs), 2))
-
-    return ok
 
 
 def solve_bruteforce(
@@ -147,36 +223,17 @@ def solve_bruteforce(
     """Lexicographic enumeration of all |A|^n assignments (sorted input names,
     values as base-|A| digits); the first hit is reported."""
     names = _instance_inputs(inst)
-    n = alg.size
-    total = n ** len(names)
+    total = alg.size ** len(names)
     if total > config.budget:
         raise BudgetExceeded(total, config.budget)
-
-    if isinstance(inst, ScsatInstance):
-        ok = _scsat_evaluator(alg, inst)
-        tried = 0
-        for values in itertools.product(range(n), repeat=len(names)):
-            tried += 1
-            if ok(values):
-                return _result(alg, inst, "sat", dict(zip(names, values)), "brute", tried)
-        return SolveResult("unsat", None, "brute", tried)
-
-    run = compile_circuit(alg, inst.circuit)
-    tried = 0
-    if isinstance(inst, CeqvInstance):
-        for values in itertools.product(range(n), repeat=len(names)):
-            tried += 1
-            o = run(values)
-            if o[0] != o[1]:
-                return _result(alg, inst, "nequiv", dict(zip(names, values)), "brute", tried)
-        return SolveResult("equiv", None, "brute", tried)
-
-    for values in itertools.product(range(n), repeat=len(names)):
-        tried += 1
-        o = run(values)
-        if all(x == o[0] for x in o):
-            return _result(alg, inst, "sat", dict(zip(names, values)), "brute", tried)
-    return SolveResult("unsat", None, "brute", tried)
+    program = BlockProgram(alg, inst.circuit, _agreement_pairs(inst))
+    ceqv = isinstance(inst, CeqvInstance)
+    hits = _hits(program, (0,) * len(names), _lex_blocks(program, len(names)), agree=not ceqv)
+    values, tried = next(hits, (None, total))
+    hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
+    if values is None:
+        return SolveResult(miss, None, "brute", tried)
+    return _result(alg, inst, hit, dict(zip(names, values)), "brute", tried)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +253,13 @@ def solve_usp(
     if checked and is_dl_like(alg, config.cap)[0] is not Tri.YES:
         raise NotDlLike(f"{alg.name} is not a verified subdirect product of lattice-like algebras")
     names = _instance_inputs(inst)
-    run = compile_circuit(alg, inst.circuit)
-    tried = 0
-    for a in range(alg.size):
-        tried += 1
-        o = run([a] * len(names))
-        if all(x == o[0] for x in o):
-            return _result(alg, inst, "sat", {nm: a for nm in names}, "usp", tried)
-    return SolveResult("unsat", None, "usp", tried)
+    program = BlockProgram(alg, inst.circuit, _agreement_pairs(inst))
+    diagonals = [program.pack(range(1, alg.size))] * len(names)
+    hits = _hits(program, (0,) * len(names), [(diagonals, alg.size - 1)], agree=True)
+    values, tried = next(hits, (None, alg.size))
+    if values is None:
+        return SolveResult("unsat", None, "usp", tried)
+    return _result(alg, inst, "sat", dict(zip(names, values)), "usp", tried)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +330,8 @@ def normalize_to_zero(
     Requires d to be a Malcev polynomial whose slice x -> d(x, y, zero) hits
     zero only at x = y; both are checked pointwise first."""
     _check_malcev(alg, d_term, zero)
-    return _zero_circuit(alg, csat, d_term, zero)
+    c = _zero_circuit(alg, csat, d_term, zero)
+    return c.with_outputs(c.outputs[:1])
 
 
 def _check_malcev(alg: FiniteAlgebra, d_term: Term, zero: int) -> None:
@@ -290,35 +347,70 @@ def _check_malcev(alg: FiniteAlgebra, d_term: Term, zero: int) -> None:
 
 
 def _zero_circuit(alg: FiniteAlgebra, csat: CsatInstance, d_term: Term, zero: int) -> Circuit:
+    """The circuit with outputs (w, zero gate), w = d(g1, g2, zero)."""
     b = CircuitBuilder(alg.name)
     b.gates = list(csat.circuit.gates)
     b._inputs = {g.name: i for i, g in enumerate(b.gates) if g.kind == "input"}
     zgate = b.const(zero)
     g1, g2 = csat.circuit.outputs
     w = b.inline_term(d_term, [g1, g2, zgate])
-    return b.build([w])
+    return b.build([w, zgate])
 
 
-def _support_sweep(n: int, names: list[str], zero: int, max_support: int):
-    """Assignments ordered by support size, then positions, then values."""
-    nonzero = [v for v in range(n) if v != zero]
-    base = [zero] * len(names)
-    yield list(base)
+def _support_sweep(program: BlockProgram, m: int, zero: int, max_support: int) -> Iterator[Block]:
+    """The assignments after the first (all zero) ordered by support size,
+    then positions (combinations order), then values (product order over
+    the nonzero values), in blocks: consecutive position sets of one support
+    size up to BLOCK assignments; a position set with more values than that
+    comes in aligned spans."""
+    nonzero = [v for v in range(program.size) if v != zero]
+    if not nonzero:         # |A| = 1: the first assignment is the only one
+        return
+    fill, w = program.pack((zero,)), program.width
     for s in range(1, max_support + 1):
-        for positions in itertools.combinations(range(len(names)), s):
-            for values in itertools.product(nonzero, repeat=s):
-                out = list(base)
-                for p, v in zip(positions, values):
-                    out[p] = v
-                yield out
+        digits = _Digits(program, nonzero, s)
+        span, size, per = digits.span, digits.span * w, len(nonzero) ** s
+        whole = digits.columns(0, span) if span == per else None   # one span per position set
+        pieces = ((positions, lo) for positions in itertools.combinations(range(m), s)
+                  for lo in range(0, per, span))
+        while True:
+            batch = list(itertools.islice(pieces, BLOCK // span))
+            if not batch:
+                break
+            count = len(batch) * span
+            columns = [bytearray(fill * count) for _ in range(m)]
+            for k, (positions, lo) in enumerate(batch):
+                for i, col in zip(positions, whole or digits.columns(lo, span)):
+                    columns[i][k * size:(k + 1) * size] = col
+            yield columns, count
 
 
-def _check_sweep_budget(n: int, inputs: int, max_support: int, config: SolverConfig) -> None:
-    """Raise BudgetExceeded when the support sweep has more assignments than
-    the budget allows."""
+def _sweep_size(n: int, inputs: int, max_support: int, config: SolverConfig) -> int:
+    """The number of assignments in the support sweep; BudgetExceeded when
+    that is more than the budget allows."""
     total = sum(math.comb(inputs, s) * (n - 1) ** s for s in range(max_support + 1))
     if total > config.budget:
         raise BudgetExceeded(total, config.budget)
+    return total
+
+
+def _sweep(alg: FiniteAlgebra, csat: CsatInstance, params: Optional[SupernilpotentSolverParams],
+           config: SolverConfig, agree: bool) -> tuple[list[str], Optional[tuple[int, ...]], int]:
+    """Normalize to w = zero through the plan's Malcev term and sweep by
+    support size up to min(D, n) for the first assignment where w = zero
+    (agree) or w != zero; returns the input names, that assignment (or None)
+    and the number tried."""
+    plan = plan_for(alg, config.cap)
+    params = params if params is not None else plan.params
+    zero = params.zero_element
+    c = _zero_circuit(alg, csat, plan.checked_malcev(zero), zero)
+    names = sorted(c.input_names)
+    max_support = min(params.d_bound, len(names))
+    total = _sweep_size(alg.size, len(names), max_support, config)
+    program = BlockProgram(alg, c, [c.outputs])
+    blocks = _support_sweep(program, len(names), zero, max_support)
+    values, tried = next(_hits(program, (zero,) * len(names), blocks, agree), (None, total))
+    return names, values, tried
 
 
 def solve_supernilpotent(
@@ -334,22 +426,10 @@ def solve_supernilpotent(
     algebra's plan supplies them (from its classification)."""
     if checked and is_supernilpotent(alg)[0] is not Tri.YES:
         raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
-    plan = plan_for(alg, config.cap)
-    params = params if params is not None else plan.params
-    w = _zero_circuit(alg, csat, plan.checked_malcev(params.zero_element), params.zero_element)
-    names = sorted(w.input_names)
-    n = alg.size
-    max_support = min(params.d_bound, len(names))
-    _check_sweep_budget(n, len(names), max_support, config)
-    run = compile_circuit(alg, w)
-    tried = 0
-    for values in _support_sweep(n, names, params.zero_element, max_support):
-        tried += 1
-        if run(values)[0] == params.zero_element:
-            return _result(
-                alg, csat, "sat", dict(zip(names, values)), "supernilpotent", tried
-            )
-    return SolveResult("unsat", None, "supernilpotent", tried)
+    names, values, tried = _sweep(alg, csat, params, config, agree=True)
+    if values is None:
+        return SolveResult("unsat", None, "supernilpotent", tried)
+    return _result(alg, csat, "sat", dict(zip(names, values)), "supernilpotent", tried)
 
 
 def minimal_support_profile(
@@ -359,18 +439,13 @@ def minimal_support_profile(
     """For satisfiable instances, the histogram of support sizes over all
     solutions (brute force); None when unsatisfiable."""
     names = _instance_inputs(csat)
-    n = alg.size
-    total = n ** len(names)
+    total = alg.size ** len(names)
     if total > config.budget:
         raise BudgetExceeded(total, config.budget)
-    run = compile_circuit(alg, csat.circuit)
-    hist: dict[int, int] = {}
-    for values in itertools.product(range(n), repeat=len(names)):
-        o = run(values)
-        if o[0] == o[1]:
-            s = sum(1 for v in values if v != zero)
-            hist[s] = hist.get(s, 0) + 1
-    return hist or None
+    program = BlockProgram(alg, csat.circuit, _agreement_pairs(csat))
+    hits = _hits(program, (0,) * len(names), _lex_blocks(program, len(names)), agree=True)
+    hist = Counter(sum(1 for v in values if v != zero) for values, _ in hits)
+    return dict(hist) or None
 
 
 # ---------------------------------------------------------------------------
@@ -727,24 +802,12 @@ def ceqv_supernilpotent_experimental(
     force is enforced rather than assumed."""
     if checked and is_supernilpotent(alg)[0] is not Tri.YES:
         raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
-    plan = plan_for(alg, config.cap)
-    params = params if params is not None else plan.params
-    zero = params.zero_element
-    w = _zero_circuit(alg, CsatInstance(ceqv.circuit), plan.checked_malcev(zero), zero)
-    names = sorted(w.input_names)
-    max_support = min(params.d_bound, len(names))
-    _check_sweep_budget(alg.size, len(names), max_support, config)
-    run = compile_circuit(alg, w)
-    tried = 0
-    for values in _support_sweep(alg.size, names, params.zero_element, max_support):
-        tried += 1
-        if run(values)[0] != params.zero_element:
-            return _result(
-                alg, ceqv, "nequiv", dict(zip(names, values)),
-                "ceqv-supernilpotent-experimental", tried, experimental=True,
-            )
-    return SolveResult("equiv", None, "ceqv-supernilpotent-experimental", tried,
-                       experimental=True)
+    names, values, tried = _sweep(alg, CsatInstance(ceqv.circuit), params, config, agree=False)
+    if values is None:
+        return SolveResult("equiv", None, "ceqv-supernilpotent-experimental", tried,
+                           experimental=True)
+    return _result(alg, ceqv, "nequiv", dict(zip(names, values)),
+                   "ceqv-supernilpotent-experimental", tried, experimental=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from mvcirc.algebra import FiniteAlgebra, Operation
+from mvcirc.circuit import CircuitBuilder, eval_circuit
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
@@ -78,6 +82,50 @@ def all_partitions(n):
         k = p.num_classes
         for c in range(k + 1):
             yield Partition.from_ids(p.ids + (c,))
+
+
+def _random_op(rng, name, size, arity):
+    return Operation(name, arity, tuple(rng.randrange(size) for _ in range(size ** arity)))
+
+
+def _edge_algebras():
+    rng = random.Random(5)
+    return [
+        get("Z6"), get("majority"), get("2boolean"), get("Z4ring"), get("trivial"),
+        FiniteAlgebra("one", 1, (Operation("c", 0, (0,)), Operation("f", 2, (0,)))),
+        FiniteAlgebra("N3", 3, (Operation("c", 0, (2,)), _random_op(rng, "f", 3, 2))),
+        # 17^2 and 7^3 exceed 256: two-byte digits in the block kernel
+        FiniteAlgebra("W17", 17, (_random_op(rng, "f", 17, 2), _random_op(rng, "g", 17, 1))),
+        FiniteAlgebra("T7", 7, (_random_op(rng, "t", 7, 3), Operation("c", 0, (6,)))),
+    ]
+
+
+# The block kernel's edge cases: one element (with and without ops),
+# nullary ops, and tables too wide for one-byte digits.
+EDGE_ALGEBRAS = _edge_algebras()
+
+
+def random_edge_circuit(alg, rng, n_inputs, n_gates, n_outputs):
+    """A random circuit with inputs first, then constants and gates of every
+    op, nullary ones included; zero inputs are allowed."""
+    b = CircuitBuilder(alg.name)
+    for i in range(n_inputs):
+        b.input(f"x{i}")
+    while len(b.gates) < n_inputs + n_gates:
+        ops = [op for op in alg.ops if op.arity == 0 or b.gates]
+        if not ops or rng.random() < 0.15:
+            b.const(rng.randrange(alg.size))
+            continue
+        op = rng.choice(ops)
+        b.op(op.name, *(rng.randrange(len(b.gates)) for _ in range(op.arity)))
+    return b.build([rng.randrange(len(b.gates)) for _ in range(n_outputs)])
+
+
+def gate_values(alg, circuit, asg):
+    """Every gate's value under asg, by eval_circuit."""
+    vals = []
+    eval_circuit(alg, circuit, asg, hook=lambda i, v: vals.append(v))
+    return vals
 
 
 def mod_congruence(n, m):

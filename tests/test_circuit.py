@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvcirc.algebra import App, Const, Var, eval_term
 from mvcirc.circuit import (
+    BlockProgram,
     CeqvInstance,
     Circuit,
     CircuitBuilder,
@@ -21,8 +22,16 @@ from mvcirc.circuit import (
     serialize_circuit,
     to_term,
 )
-from mvcirc.errors import ForwardReference, ParseError, UnboundInput
+from mvcirc.errors import (
+    ElementOutOfRange,
+    ForwardReference,
+    ParseError,
+    UnboundInput,
+    UnknownOp,
+)
 from mvcirc.zoo import get
+
+from conftest import EDGE_ALGEBRAS, gate_values, random_edge_circuit
 
 
 def _term_size(t):
@@ -206,3 +215,42 @@ def test_compile_matches_eval(z6):
         for asg in itertools.product(range(6), repeat=len(names)):
             env = dict(zip(names, asg))
             assert run(asg) == eval_circuit(z6, c, env)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(EDGE_ALGEBRAS), st.integers(0, 2 ** 32), st.integers(1, 300))
+def test_block_kernel_matches_eval(alg, seed, count):
+    rng = random.Random(seed)
+    c = random_edge_circuit(alg, rng, rng.randrange(4), rng.randrange(1, 14), 2)
+    pairs = [(rng.randrange(len(c.gates)), rng.randrange(len(c.gates)))
+             for _ in range(rng.randrange(4))]
+    prog = BlockProgram(alg, c, pairs)
+    assert prog.names == sorted(c.input_names)
+    assignments = [tuple(rng.randrange(alg.size) for _ in prog.names) for _ in range(count)]
+    columns = [prog.pack(a[i] for a in assignments) for i in range(len(prog.names))]
+    flags = prog.mismatches(columns, count)
+    assert len(flags) == count
+    for p, values in enumerate(assignments):
+        assert prog.assignment(columns, p) == values
+        vals = gate_values(alg, c, dict(zip(prog.names, values)))
+        expected = any(vals[a] != vals[b] for a, b in pairs)
+        assert (flags[p] != 0) == prog.differs(values) == expected
+
+
+def test_block_kernel_uses_two_byte_digits_for_wide_tables():
+    widths = {alg.name: BlockProgram(alg, from_term(alg, Var(0)), []).width
+              for alg in EDGE_ALGEBRAS}
+    assert widths["W17"] == widths["T7"] == 2
+    assert widths["Z6"] == widths["majority"] == widths["one"] == 1
+
+
+def test_block_program_checks_every_gate(z6):
+    b = CircuitBuilder(z6.name)
+    x = b.input("x")
+    b.op("nope", x)                   # not compared, still rejected
+    with pytest.raises(UnknownOp):
+        BlockProgram(z6, b.build([x]), [(0, 0)])
+    b = CircuitBuilder(z6.name)
+    b.const(6)
+    with pytest.raises(ElementOutOfRange):
+        BlockProgram(z6, b.build([0]), [])

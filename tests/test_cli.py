@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import mvcirc
 from mvcirc.cli import main
 
 
@@ -126,10 +129,15 @@ def test_solve_precondition_exit_code(tmp_path, capsys):
 
 
 def test_usage_error_exit_code():
+    # the child imports the package under test, installed or not
+    source = str(Path(mvcirc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (source, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "mvcirc.cli", "bogus-command"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 64
 

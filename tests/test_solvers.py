@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvcirc import algebra
+from mvcirc import algebra, solvers
 from mvcirc.algebra import App, FactStore, Var, find_malcev_term
 from mvcirc.circuit import (
     CeqvInstance,
@@ -29,7 +31,10 @@ from mvcirc.solvers import (
     solve_supernilpotent,
     solve_usp,
 )
+from mvcirc.circuit import BLOCK
 from mvcirc.zoo import get
+
+from conftest import EDGE_ALGEBRAS, gate_values, random_edge_circuit
 
 
 def _meet_eq_one(lat2):
@@ -77,6 +82,160 @@ def test_brute_reports_lex_least_witness(z4):
     inst = CsatInstance(b.build([b.op("mul", x, y), b.const(2)]))
     res = solve_bruteforce(z4, inst)
     assert res.witness == {"x": 0, "y": 2}  # first in lexicographic order
+
+
+# ---------------------------------------------------------------------------
+# Enumeration order: every route that enumerates against a reference that
+# walks the documented order one assignment at a time with eval_circuit.
+# Block sizes below BLOCK put block boundaries inside small instances.
+
+KINDS = ("CSAT", "MCSAT", "SCSAT", "CEQV")
+
+
+def _edge_instance(alg, rng, kind, max_assignments=600):
+    m = 0
+    while m < 6 and alg.size ** (m + 1) <= max_assignments:
+        m += 1
+    c = random_edge_circuit(alg, rng, rng.randrange(m + 1), rng.randrange(1, 12),
+                            3 if kind == "MCSAT" else 2)
+    if kind == "CSAT":
+        return CsatInstance(c)
+    if kind == "MCSAT":
+        return McsatInstance(c)
+    if kind == "CEQV":
+        return CeqvInstance(c)
+    equations = tuple((rng.randrange(len(c.gates)), rng.randrange(len(c.gates)))
+                      for _ in range(rng.randrange(4)))
+    return ScsatInstance(c, equations)
+
+
+def _holds(alg, inst, asg):
+    """Agreement for CSAT/MCSAT/SCSAT, disagreement for CEQV."""
+    vals = gate_values(alg, inst.circuit, asg)
+    if isinstance(inst, ScsatInstance):
+        return all(vals[g] == vals[h] for g, h in inst.equations)
+    outs = [vals[o] for o in inst.circuit.outputs]
+    if isinstance(inst, CeqvInstance):
+        return outs[0] != outs[1]
+    return all(o == outs[0] for o in outs)
+
+
+def _reference(names, order, hit):
+    """(first assignment in order satisfying hit or None, number tried)."""
+    tried = 0
+    for values in order:
+        tried += 1
+        asg = dict(zip(names, values))
+        if hit(asg):
+            return asg, tried
+    return None, tried
+
+
+def _old_sweep_order(n, m, zero, max_support):
+    """Support size, then positions in combinations order, then values in
+    product order over the nonzero elements."""
+    nonzero = [v for v in range(n) if v != zero]
+    yield (zero,) * m
+    for s in range(1, max_support + 1):
+        for positions in itertools.combinations(range(m), s):
+            for values in itertools.product(nonzero, repeat=s):
+                out = [zero] * m
+                for p, v in zip(positions, values):
+                    out[p] = v
+                yield tuple(out)
+
+
+def _outcome(res):
+    return res.answer, res.witness, res.assignments_tried
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EDGE_ALGEBRAS), st.integers(0, 2 ** 32), st.sampled_from(KINDS),
+       st.sampled_from([1, 2, 5, 7, BLOCK]))
+def test_enumerations_follow_lexicographic_reference(alg, seed, kind, block):
+    rng = random.Random(seed)
+    inst = _edge_instance(alg, rng, kind)
+    names = sorted(inst.circuit.input_names)
+    lex = list(itertools.product(range(alg.size), repeat=len(names)))
+    asg, tried = _reference(names, lex, lambda a: _holds(alg, inst, a))
+    hit, miss = ("nequiv", "equiv") if kind == "CEQV" else ("sat", "unsat")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "BLOCK", block)
+        assert _outcome(solve_bruteforce(alg, inst)) == (hit if asg is not None else miss, asg, tried)
+        if kind in ("CSAT", "MCSAT"):
+            diagonal = [(a,) * len(names) for a in range(alg.size)]
+            asg, tried = _reference(names, diagonal, lambda a: _holds(alg, inst, a))
+            res = solve_usp(alg, inst, checked=False)
+            assert _outcome(res) == ("sat" if asg is not None else "unsat", asg, tried)
+        if kind == "CSAT":
+            zero = rng.randrange(alg.size)
+            hist = {}
+            for values in lex:
+                if _holds(alg, inst, dict(zip(names, values))):
+                    s = sum(1 for v in values if v != zero)
+                    hist[s] = hist.get(s, 0) + 1
+            assert minimal_support_profile(alg, inst, zero) == (hist or None)
+
+
+SWEEP_ALGEBRAS = ("trivial", "Z2", "Z3", "Z4", "Z6", "Z2xZ2", "Z4ring", "S3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SWEEP_ALGEBRAS), st.integers(0, 2 ** 32), st.booleans(),
+       st.integers(1, 3), st.sampled_from([1, 2, 5, 7, BLOCK]))
+def test_support_sweeps_follow_reference_order(name, seed, ceqv, k, block):
+    alg = get(name)
+    rng = random.Random(seed)
+    inst = _edge_instance(alg, rng, "CEQV" if ceqv else "CSAT", max_assignments=1300)
+    zero = rng.randrange(alg.size)
+    params = SupernilpotentSolverParams.for_algebra(alg, k, zero)
+    solve = ceqv_supernilpotent_experimental if ceqv else solve_supernilpotent
+    malcev = solvers.plan_for(alg).malcev
+    try:
+        w = normalize_to_zero(alg, CsatInstance(inst.circuit), malcev, zero)
+    except NotMalcev:
+        with pytest.raises(NotMalcev):
+            solve(alg, inst, params, checked=False)
+        return
+    names = sorted(inst.circuit.input_names)
+    order = _old_sweep_order(alg.size, len(names), zero, min(params.d_bound, len(names)))
+    asg, tried = _reference(names, order,
+                            lambda a: (eval_circuit(alg, w, a)[0] == zero) != ceqv)
+    hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "BLOCK", block)
+        res = solve(alg, inst, params, checked=False)
+    assert _outcome(res) == (hit if asg is not None else miss, asg, tried)
+
+
+def test_enumerations_cross_full_blocks(bool2, z4ring):
+    # 2^13 assignments: the geometric blocks, then two full aligned blocks;
+    # the only model of x0 & ... & x12 = 1 is the last assignment
+    b = CircuitBuilder(bool2.name)
+    xs = [b.input(f"x{i:02}") for i in range(13)]
+    conj = xs[0]
+    for x in xs[1:]:
+        conj = b.op("meet", conj, x)
+    sat = CsatInstance(b.build([conj, b.const(1)]))
+    assert _outcome(solve_bruteforce(bool2, sat)) == (
+        "sat", {f"x{i:02}": 1 for i in range(13)}, 2 ** 13)
+    equiv = CeqvInstance(b.build([conj, b.op("meet", conj, conj)]))
+    assert _outcome(solve_bruteforce(bool2, equiv)) == ("equiv", None, 2 ** 13)
+    # a support sweep up to support 4 over 10 inputs (1 + 30 + 405 + 3240 +
+    # 17010 assignments) of g = g + 1, which has no solution
+    b = CircuitBuilder(z4ring.name)
+    xs = [b.input(f"x{i}") for i in range(10)]
+    acc = xs[0]
+    for x, y in zip(xs[1:], xs[:-1]):
+        acc = b.op("add", acc, b.op("mul", x, y))
+    inst = CsatInstance(b.build([acc, b.op("add", acc, b.const(1))]))
+    params = SupernilpotentSolverParams.for_algebra(z4ring, 1)
+    assert params.d_bound == 4
+    res = solve_supernilpotent(z4ring, inst, params, checked=False)
+    assert _outcome(res) == ("unsat", None, sum(math.comb(10, s) * 3 ** s for s in range(5)))
+    w = normalize_to_zero(z4ring, inst, solvers.plan_for(z4ring).malcev, 0)
+    assert not any(eval_circuit(z4ring, w, dict(zip(sorted(inst.circuit.input_names), a)))[0] == 0
+                   for a in _old_sweep_order(4, 10, 0, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -132,3 +132,33 @@ def test_cold_zoo_classify_computes_each_commutator_once(monkeypatch):
     for entry in zoo():
         classify(entry.algebra)
     assert runs and max(runs.values()) == 1
+
+
+def test_equal_content_shares_one_entry_and_its_key_is_built_once(monkeypatch):
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    z6 = get("Z6")
+    twin = z6.rename("Z6 again")
+    assert twin is not z6 and twin.content is twin.content
+    assert algebra.STORE.facts(z6) is algebra.STORE.facts(twin)
+    assert len(algebra.STORE) == 1
+    assert classify(twin).algebra == "Z6 again"     # the name stays in the report's key
+
+
+def test_capped_malcev_closure_runs_once(monkeypatch):
+    # the ternary term clone of this algebra outgrows the cap: classify's
+    # Malcev and Gumm searches and the plan's Malcev term share one closure
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    close = algebra._close_tables
+    capped = []
+
+    def counted(alg, points, generators, cap, stop=None):
+        clone, hit = close(alg, points, generators, cap, stop)
+        if not clone.complete and hit is None:
+            capped.append(len(points))
+        return clone, hit
+
+    monkeypatch.setattr(algebra, "_close_tables", counted)
+    alg = FiniteAlgebra("f3", 3, (Operation("f", 2, (1, 2, 0, 2, 0, 1, 0, 0, 0)),))
+    classify(alg, 2000)
+    assert solvers.plan_for(alg, 2000).malcev is None
+    assert capped == [27]
