@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mvcirc import algebra, solvers
 from mvcirc.algebra import App, FactStore, Var, find_malcev_term
 from mvcirc.circuit import (
+    BLOCK,
     CeqvInstance,
     CircuitBuilder,
     CsatInstance,
@@ -31,7 +32,6 @@ from mvcirc.solvers import (
     solve_supernilpotent,
     solve_usp,
 )
-from mvcirc.circuit import BLOCK
 from mvcirc.zoo import get
 
 from conftest import EDGE_ALGEBRAS, gate_values, random_edge_circuit
