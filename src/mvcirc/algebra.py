@@ -9,10 +9,12 @@ integers 0..n-1; named elements in input files are renumbered on load.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import (
     CapExceeded,
@@ -165,6 +167,69 @@ def stored(alg: FiniteAlgebra, fact: Hashable, build: Callable[[], T],
 
 
 # ---------------------------------------------------------------------------
+# Byte columns
+#
+# The block kernel (circuit.BlockProgram) and the clone closure hold values
+# as columns: one digit per assignment or point, `width` bytes per digit in
+# the machine's byte order (an array of that item size).  A k-ary op reads
+# its argument columns as integers and combines them digit-wise by Horner,
+# acc = acc * |A| + column; no digit carries into the next, because each
+# stays below |A|^k <= 256^width.  The op table then maps every digit: one
+# bytes.translate at width 1, which holds whenever |A| and each |A|^arity
+# are at most 256, and a map over the digits above that.
+
+BLOCK = 4096                    # assignments (or tables) evaluated at once, at most
+_ORDER = sys.byteorder
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}   # width -> typecode
+
+
+@dataclass(frozen=True)
+class _OpTables:
+    width: int
+    ops: dict[str, tuple[int, Sequence[int]]]   # name -> (arity, table; 256 bytes at width 1)
+
+
+def _op_tables(alg: FiniteAlgebra) -> _OpTables:
+    """The algebra's op tables in the column form, built once per algebra."""
+    def build() -> _OpTables:
+        top = max([alg.size] + [alg.size ** op.arity for op in alg.ops])
+        width = min(w for w in _TYPECODES if top <= 256 ** w)
+        return _OpTables(width, {
+            op.name: (op.arity, bytes(op.table).ljust(256, b"\0") if width == 1 else op.table)
+            for op in alg.ops})
+
+    return stored(alg, "block_tables", build)
+
+
+def pack_column(width: int, values: Iterable[int]) -> bytes:
+    """A column holding values."""
+    if width == 1:
+        return bytes(values)
+    return array(_TYPECODES[width], values).tobytes()
+
+
+def column_digits(width: int, column: bytes) -> Sequence[int]:
+    """The digits of a column."""
+    return column if width == 1 else memoryview(column).cast(_TYPECODES[width])
+
+
+def column_op(size: int, width: int, table: Sequence[int], columns: Sequence[bytes],
+              args: Sequence[int], length: int) -> bytes:
+    """An op (its table in _OpTables form) applied digit-wise to the
+    argument columns columns[a] for a in args, each `length` bytes long."""
+    if width == 1 and len(args) == 1:
+        return columns[args[0]].translate(table)
+    frm = int.from_bytes
+    acc = frm(columns[args[0]], _ORDER)
+    for a in args[1:]:
+        acc = acc * size + frm(columns[a], _ORDER)
+    raw = acc.to_bytes(length, _ORDER)
+    if width == 1:
+        return raw.translate(table)
+    return pack_column(width, map(table.__getitem__, column_digits(width, raw)))
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
@@ -275,65 +340,90 @@ def _close_tables(
     cap: int,
     stop: Optional[Callable[[tuple[int, ...]], bool]] = None,
 ) -> tuple[Clone, Optional[tuple[int, ...]]]:
-    """Worklist closure of generator tables under pointwise basic operations.
+    """Semi-naive closure of generator tables under pointwise basic operations.
 
     Every distinct generator is kept; a table the operations produce is kept
     only while fewer than cap tables are held, else the closure stops
     incomplete.  stop is called on each kept table in turn; returns the
     clone and, if stop matched a table, that table (closure halts there and
     the clone is marked incomplete).
+
+    Round by round, with [start, end) the tables kept in the last round,
+    each op in signature order is applied to every r-tuple of tables below
+    end with some index at or above start, in itertools.product order: for
+    each prefix of r-1 indices, the last index runs over [0, end) when the
+    prefix holds a new table and over [start, end) otherwise (always for a
+    unary op); a nullary op yields its constant once per round.  Tables are
+    byte columns, one digit per point as in the block kernel, deduplicated
+    by their bytes and turned into tuples once, when kept.  The tables of
+    one prefix are evaluated together, up to BLOCK at a time, and then
+    walked in order: a table kept in a round is an argument only from the
+    next round on, so evaluating ahead changes nothing.
     """
-    size = alg.size
-    npts = len(points)
+    size, npts = alg.size, len(points)
+    kernel = _op_tables(alg)
+    width = kernel.width
+    length = npts * width
     tables: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], Term] = {}
+    columns: list[bytes] = []        # table i as a column
+    terms: list[Term] = []           # witness of table i
+    seen: set[bytes] = set()
+    cuts: list[slice] = []           # cut j: table j of a batch's result
+
+    def result(complete: bool, hit: Optional[tuple[int, ...]]) -> tuple[Clone, Optional[tuple[int, ...]]]:
+        return Clone(len(points[0]) if points else 0, tuple(points), tables, witnesses, complete), hit
+
+    def keep(col: bytes, tab: tuple[int, ...], wit: Term) -> bool:
+        seen.add(col)
+        columns.append(col)
+        terms.append(wit)
+        witnesses[tab] = wit
+        tables.append(tab)
+        return stop is not None and stop(tab)
+
     for tab, wit in generators:
-        if tab not in witnesses:
-            witnesses[tab] = wit
-            tables.append(tab)
-            if stop is not None and stop(tab):
-                return Clone(len(points[0]) if points else 0, tuple(points), tables, witnesses, False), tab
-    ops = [op for op in alg.ops]
+        if tab not in witnesses and keep(pack_column(width, tab), tab, wit):
+            return result(False, tab)
     frontier_start = 0
     while frontier_start < len(tables):
         frontier_end = len(tables)
-        for op in ops:
-            r = op.arity
-            optab = op.table
-            # every r-tuple with at least one component in the new frontier;
-            # a nullary op yields its one constant table in every round
-            for combo in itertools.product(range(frontier_end), repeat=r):
-                if r and max(combo) < frontier_start:
-                    continue
-                args = [tables[i] for i in combo]
-                if r == 1:
-                    t0 = args[0]
-                    tab = tuple(optab[t0[p]] for p in range(npts))
-                elif r == 2:
-                    t0, t1 = args
-                    tab = tuple(optab[t0[p] * size + t1[p]] for p in range(npts))
-                else:
-                    tab = tuple(
-                        optab[_mixed_radix(tuple(a[p] for a in args), size)]
-                        for p in range(npts)
-                    )
-                if tab in witnesses:
+        cuts += [slice(j * length, (j + 1) * length)
+                 for j in range(len(cuts), min(frontier_end, BLOCK))]
+        for op in alg.ops:
+            r, table = kernel.ops[op.name]
+            if r == 0:
+                col = pack_column(width, table[:1]) * npts
+                if col in seen:
                     continue
                 if len(tables) >= cap:
-                    return Clone(len(points[0]) if points else 0, tuple(points), tables, witnesses, False), None
-                witnesses[tab] = App(op.name, tuple(witnesses[a] for a in args))
-                tables.append(tab)
-                if stop is not None and stop(tab):
-                    return Clone(len(points[0]) if points else 0, tuple(points), tables, witnesses, False), tab
+                    return result(False, None)
+                tab = tuple(column_digits(width, col))
+                if keep(col, tab, App(op.name, ())):
+                    return result(False, tab)
+                continue
+            for prefix in itertools.product(range(frontier_end), repeat=r - 1):
+                lo = 0 if prefix and max(prefix) >= frontier_start else frontier_start
+                head = tuple(terms[i] for i in prefix)
+                for first in range(lo, frontier_end, BLOCK):
+                    last = min(first + BLOCK, frontier_end)
+                    count = last - first
+                    args = [columns[i] * count for i in prefix]
+                    args.append(b"".join(columns[first:last]))
+                    out = column_op(size, width, table, args, range(r), count * length)
+                    batch = list(map(out.__getitem__, cuts[:count]))
+                    if seen.issuperset(batch):
+                        continue
+                    for j, col in enumerate(batch):
+                        if col in seen:
+                            continue
+                        if len(tables) >= cap:
+                            return result(False, None)
+                        tab = tuple(column_digits(width, col))
+                        if keep(col, tab, App(op.name, head + (terms[first + j],))):
+                            return result(False, tab)
         frontier_start = frontier_end
-    return Clone(len(points[0]) if points else 0, tuple(points), tables, witnesses, True), None
-
-
-def _mixed_radix(args: tuple[int, ...], size: int) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
+    return result(True, None)
 
 
 def _proj_generators(
@@ -595,24 +685,39 @@ def check_gumm_chain(alg: FiniteAlgebra, chain: GummChain) -> bool:
 # Quotients, products, induced structure
 
 
+def translations(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """All elementary unary translations x -> f(c_1, .., x, .., c_r) of alg
+    as value tables (deduplicated, in order of op, position, context),
+    kept in the per-algebra store."""
+    return stored(alg, "translations", lambda: _translations(alg))
+
+
+def _translations(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    n = alg.size
+    out: dict[tuple[int, ...], None] = {}
+    for op in alg.ops:
+        r, table = op.arity, op.table
+        for pos in range(r):
+            # context c (the other r-1 arguments, in product order) puts x at
+            # base + x * stride, with stride the weight of position pos
+            stride = n ** (r - 1 - pos)
+            for c in range(n ** (r - 1)):
+                base = c // stride * n * stride + c % stride
+                out.setdefault(table[base:base + n * stride:stride], None)
+    return list(out)
+
+
 def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
+    """Whether p is closed under every elementary translation, which
+    suffices for congruence closure (one position at a time)."""
     if p.n != alg.size:
         return False
-    n = alg.size
-    for op in alg.ops:
-        r = op.arity
-        if r == 0:
-            continue
-        # one-position substitution suffices for congruence closure
-        for pos in range(r):
-            for ctx in itertools.product(range(n), repeat=r - 1):
-                prefix, suffix = ctx[:pos], ctx[pos:]
-                vals = [op.apply(prefix + (x,) + suffix, n) for x in range(n)]
-                for cls in p.classes():
-                    rep = vals[cls[0]]
-                    for x in cls[1:]:
-                        if not p.same(vals[x], rep):
-                            return False
+    ids = p.ids
+    for tab in translations(alg):
+        image: dict[int, int] = {}
+        for x, y in zip(ids, tab):
+            if image.setdefault(x, ids[y]) != ids[y]:
+                return False
     return True
 
 

@@ -9,12 +9,22 @@ circuit over blocks of assignments at once, for the solvers' enumerations.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .algebra import App, Const as TermConst, FiniteAlgebra, Term, Var, stored
+from .algebra import (
+    BLOCK,
+    _ORDER,
+    App,
+    Const as TermConst,
+    FiniteAlgebra,
+    Term,
+    Var,
+    _op_tables,
+    column_digits,
+    column_op,
+    pack_column,
+)
 from .errors import (
     ArityMismatch,
     ElementOutOfRange,
@@ -176,35 +186,8 @@ def compile_circuit(alg: FiniteAlgebra, c: Circuit) -> Callable[[Sequence[int]],
 # Block evaluation
 #
 # A block is `count` assignments.  Every input and gate holds a column with
-# one digit per assignment, `width` bytes per digit in the machine's byte
-# order (an array of that item size).  A k-ary gate reads its argument
-# columns as integers and combines them digit-wise by Horner,
-# acc = acc * |A| + column; no digit carries into the next, because each
-# stays below |A|^k <= 256^width.  The op table then maps every digit: one
-# bytes.translate at width 1, which holds whenever |A| and each |A|^arity
-# are at most 256, and a map over the digits above that.
-
-BLOCK = 4096                                       # assignments in a full block
-_ORDER = sys.byteorder
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}   # width -> typecode
-
-
-@dataclass(frozen=True)
-class _OpTables:
-    width: int
-    ops: dict[str, tuple[int, Sequence[int]]]   # name -> (arity, table; 256 bytes at width 1)
-
-
-def _op_tables(alg: FiniteAlgebra) -> _OpTables:
-    """The algebra's op tables in the kernel's form, built once per algebra."""
-    def build() -> _OpTables:
-        top = max([alg.size] + [alg.size ** op.arity for op in alg.ops])
-        width = min(w for w in _TYPECODES if top <= 256 ** w)
-        return _OpTables(width, {
-            op.name: (op.arity, bytes(op.table).ljust(256, b"\0") if width == 1 else op.table)
-            for op in alg.ops})
-
-    return stored(alg, "block_tables", build)
+# one digit per assignment (see "Byte columns" in algebra.py); a gate is
+# evaluated over the whole block by one column_op.
 
 
 class BlockProgram:
@@ -232,7 +215,7 @@ class BlockProgram:
                     live[a] = True
         slot = {nm: i for i, nm in enumerate(self.names)}
         ops = tables.ops
-        # (gate, 0, input slot) | (gate, 1, value) | (gate, 2, table, first arg, other args)
+        # (gate, 0, input slot) | (gate, 1, value) | (gate, 2, table, args)
         steps: list[tuple] = []
         append = steps.append
         for i, g in enumerate(gates):
@@ -245,7 +228,7 @@ class BlockProgram:
                 if len(g.args) != arity:
                     raise ArityMismatch(f"gate g{i}: op {g.name} arity mismatch")
                 if live[i]:
-                    append((i, 2, table, g.args[0], g.args[1:]) if arity else (i, 1, table[0]))
+                    append((i, 2, table, g.args) if arity else (i, 1, table[0]))
             elif kind == "input":
                 if live[i]:
                     append((i, 0, slot[g.name]))
@@ -256,18 +239,34 @@ class BlockProgram:
                     append((i, 1, g.value))
         self.steps = steps
 
+    def append(self, steps: Sequence[tuple], binding: Sequence[int],
+               pairs: Iterable[tuple[int, int]]) -> None:
+        """Continue with steps over local gate numbers (see compile_term)
+        and compare pairs of local gates instead of the program's pairs.
+        Local gate i < len(binding) is the program's gate binding[i]; each
+        step defines one new local gate, numbered on from len(binding), and
+        these follow the program's gates in order."""
+        k = len(binding)
+        base = self.gates - k
+
+        def gate(i: int) -> int:
+            return binding[i] if i < k else base + i
+
+        for step in steps:
+            if step[1] == 2:
+                self.steps.append((gate(step[0]), 2, step[2], tuple(map(gate, step[3]))))
+            else:
+                self.steps.append((gate(step[0]),) + step[1:])
+        self.gates += len(steps)
+        self.pairs = tuple((gate(a), gate(b)) for a, b in pairs)
+
     def pack(self, values: Iterable[int]) -> bytes:
         """A column holding values."""
-        if self.width == 1:
-            return bytes(values)
-        return array(_TYPECODES[self.width], values).tobytes()
+        return pack_column(self.width, values)
 
     def assignment(self, columns: Sequence[bytes], p: int) -> tuple[int, ...]:
         """The input values of assignment p of a block."""
-        w = self.width
-        if w == 1:
-            return tuple(col[p] for col in columns)
-        return tuple(int.from_bytes(col[p * w:(p + 1) * w], _ORDER) for col in columns)
+        return tuple(column_digits(self.width, col)[p] for col in columns)
 
     def differs(self, values: Sequence[int]) -> bool:
         """Whether some pair of gates differs at one assignment, given its
@@ -278,8 +277,8 @@ class BlockProgram:
         for step in self.steps:
             tag = step[1]
             if tag == 2:
-                idx = vals[step[3]]
-                for a in step[4]:
+                idx = 0
+                for a in step[3]:
                     idx = idx * n + vals[a]
                 vals[step[0]] = step[2][idx]
             else:
@@ -290,24 +289,13 @@ class BlockProgram:
         """Evaluate the block whose input columns are given: one byte per
         assignment, zero exactly where every pair of gates agrees."""
         n, w, order = self.size, self.width, _ORDER
+        length = count * w
         frm = int.from_bytes
         vals: list = [b""] * self.gates
         for step in self.steps:
             tag = step[1]
             if tag == 2:
-                table, rest = step[2], step[4]
-                if w == 1 and not rest:
-                    vals[step[0]] = vals[step[3]].translate(table)
-                    continue
-                acc = frm(vals[step[3]], order)
-                for a in rest:
-                    acc = acc * n + frm(vals[a], order)
-                raw = acc.to_bytes(count * w, order)
-                if w == 1:
-                    vals[step[0]] = raw.translate(table)
-                else:
-                    vals[step[0]] = self.pack(map(table.__getitem__,
-                                                  memoryview(raw).cast(_TYPECODES[w])))
+                vals[step[0]] = column_op(n, w, step[2], vals, step[3], length)
             elif tag == 0:
                 vals[step[0]] = columns[step[2]]
             else:
@@ -315,8 +303,36 @@ class BlockProgram:
         diff = 0
         for a, b in self.pairs:
             diff |= frm(vals[a], order) ^ frm(vals[b], order)
-        raw = diff.to_bytes(count * w, order)
-        return raw if w == 1 else bytes(map(bool, memoryview(raw).cast(_TYPECODES[w])))
+        raw = diff.to_bytes(length, order)
+        return raw if w == 1 else bytes(map(bool, column_digits(w, raw)))
+
+
+def compile_term(alg: FiniteAlgebra, t: Term, args: int) -> tuple[list[tuple], int]:
+    """A term of alg over x0..x{args-1} (checked already, as by eval_term)
+    as BlockProgram steps over local gate numbers, for BlockProgram.append:
+    Var(i) reads local gate i, and each distinct node of t (by identity,
+    since witness terms share subterms) becomes one step defining the next
+    local gate from args on.  Returns the steps and the local gate of t."""
+    ops = _op_tables(alg).ops
+    steps: list[tuple] = []
+    gate_of: dict[int, int] = {}
+
+    def emit(node: Term) -> int:
+        if isinstance(node, Var):
+            return node.index
+        gate = gate_of.get(id(node))
+        if gate is None:
+            if isinstance(node, TermConst):
+                step: tuple = (1, node.value)
+            else:
+                assert isinstance(node, App)
+                arity, table = ops[node.op]
+                step = (2, table, tuple(map(emit, node.args))) if arity else (1, table[0])
+            gate = gate_of[id(node)] = args + len(steps)
+            steps.append((gate,) + step)
+        return gate
+
+    return steps, emit(t)
 
 
 # ---------------------------------------------------------------------------

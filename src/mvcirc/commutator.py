@@ -30,16 +30,20 @@ def pair_algebra(alg: FiniteAlgebra, alpha: Partition) -> tuple[FiniteAlgebra, l
     """The subalgebra of A^2 with universe {(x,y) : x alpha y} (lex order)."""
     n = alg.size
     pairs = [(x, y) for x in range(n) for y in range(n) if alpha.same(x, y)]
-    idx = {p: i for i, p in enumerate(pairs)}
+    code = [0] * (n * n)                 # x * n + y -> index of the pair (x, y)
+    for i, (x, y) in enumerate(pairs):
+        code[x * n + y] = i
+    # for each arity r, the table indices of the x- and y-components of
+    # every r-tuple of pairs, in product order
+    xs, ys = [[0]], [[0]]
+    for _ in range(max((op.arity for op in alg.ops), default=0)):
+        xs.append([i * n + x for i in xs[-1] for x, _ in pairs])
+        ys.append([i * n + y for i in ys[-1] for _, y in pairs])
     ops = []
     for op in alg.ops:
-        r = op.arity
-        table = []
-        for args in itertools.product(range(len(pairs)), repeat=r):
-            xs = tuple(pairs[a][0] for a in args)
-            ys = tuple(pairs[a][1] for a in args)
-            table.append(idx[(op.apply(xs, n), op.apply(ys, n))])
-        ops.append(Operation(op.name, r, tuple(table)))
+        table, r = op.table, op.arity
+        ops.append(Operation(op.name, r, tuple(
+            code[table[i] * n + table[j]] for i, j in zip(xs[r], ys[r]))))
     return FiniteAlgebra(f"{alg.name}(pairs)", len(pairs), tuple(ops)), pairs
 
 

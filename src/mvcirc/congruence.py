@@ -9,36 +9,12 @@ lattice rather than the Bell number of the universe.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, stored
+from .algebra import FiniteAlgebra, stored, translations
 from .errors import CapExceeded, ElementOutOfRange, LatticeMismatch
 from .partition import Partition
-
-
-def translations(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """All elementary unary translations of alg as value tables (deduplicated)."""
-    return stored(alg, "translations", lambda: _translations(alg))
-
-
-def _translations(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
-    n = alg.size
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for op in alg.ops:
-        r = op.arity
-        if r == 0:
-            continue
-        for pos in range(r):
-            for ctx in itertools.product(range(n), repeat=r - 1):
-                prefix, suffix = ctx[:pos], ctx[pos:]
-                tab = tuple(op.apply(prefix + (x,) + suffix, n) for x in range(n))
-                if tab not in seen:
-                    seen.add(tab)
-                    out.append(tab)
-    return out
 
 
 def congruence_from_pairs(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:

@@ -32,6 +32,7 @@ from .circuit import (
     McsatInstance,
     ScsatInstance,
     compile_circuit,
+    compile_term,
     const_gate,
     eval_circuit,
 )
@@ -330,8 +331,10 @@ def normalize_to_zero(
     Requires d to be a Malcev polynomial whose slice x -> d(x, y, zero) hits
     zero only at x = y; both are checked pointwise first."""
     _check_malcev(alg, d_term, zero)
-    c = _zero_circuit(alg, csat, d_term, zero)
-    return c.with_outputs(c.outputs[:1])
+    b = CircuitBuilder(alg.name)
+    b.gates = list(csat.circuit.gates)
+    zgate = b.const(zero)
+    return b.build([b.inline_term(d_term, [*csat.circuit.outputs, zgate])])
 
 
 def _check_malcev(alg: FiniteAlgebra, d_term: Term, zero: int) -> None:
@@ -344,17 +347,6 @@ def _check_malcev(alg: FiniteAlgebra, d_term: Term, zero: int) -> None:
         for y in range(n):
             if (eval_term(alg, d_term, (x, y, zero)) == zero) != (x == y):
                 raise NotMalcev(f"d(x,y,{zero}) = {zero} does not characterize x = y at ({x},{y})")
-
-
-def _zero_circuit(alg: FiniteAlgebra, csat: CsatInstance, d_term: Term, zero: int) -> Circuit:
-    """The circuit with outputs (w, zero gate), w = d(g1, g2, zero)."""
-    b = CircuitBuilder(alg.name)
-    b.gates = list(csat.circuit.gates)
-    b._inputs = {g.name: i for i, g in enumerate(b.gates) if g.kind == "input"}
-    zgate = b.const(zero)
-    g1, g2 = csat.circuit.outputs
-    w = b.inline_term(d_term, [g1, g2, zgate])
-    return b.build([w, zgate])
 
 
 def _support_sweep(program: BlockProgram, m: int, zero: int, max_support: int) -> Iterator[Block]:
@@ -403,11 +395,13 @@ def _sweep(alg: FiniteAlgebra, csat: CsatInstance, params: Optional[Supernilpote
     plan = plan_for(alg, config.cap)
     params = params if params is not None else plan.params
     zero = params.zero_element
-    c = _zero_circuit(alg, csat, plan.checked_malcev(zero), zero)
+    steps, w = plan.zero_steps(zero)
+    c = csat.circuit
     names = sorted(c.input_names)
     max_support = min(params.d_bound, len(names))
     total = _sweep_size(alg.size, len(names), max_support, config)
     program = BlockProgram(alg, c, [c.outputs])
+    program.append(steps, c.outputs, [(w, 2)])
     blocks = _support_sweep(program, len(names), zero, max_support)
     values, tried = next(_hits(program, (zero,) * len(names), blocks, agree), (None, total))
     return names, values, tried
@@ -835,7 +829,7 @@ class Plan:
     def __init__(self, alg: FiniteAlgebra, cap: int):
         self.alg = alg
         self.cap = cap
-        self._checked_zeros: set[int] = set()
+        self._zero_steps: dict[int, tuple[list[tuple], int]] = {}
 
     @cached_property
     def report(self) -> ClassificationReport:
@@ -864,15 +858,19 @@ class Plan:
         found = find_malcev_term(self.alg, self.cap)
         return found.value[0] if found.status is Tri.YES else None  # type: ignore[index]
 
-    def checked_malcev(self, zero: int) -> Term:
-        """The Malcev term, with its identities and its characterization of
-        x = y by d(x, y, zero) = zero checked pointwise once per zero."""
+    def zero_steps(self, zero: int) -> tuple[list[tuple], int]:
+        """d(x, y, zero) for the Malcev term d, as BlockProgram steps over
+        local gates 0 (x) and 1 (y) with zero at local gate 2 (see
+        compile_term), and the local gate of d.  Built once per zero, after
+        d's identities and its characterization of x = y by
+        d(x, y, zero) = zero are checked pointwise."""
         if self.malcev is None:
             raise NotMalcev(f"no Malcev term found for {self.alg.name}")
-        if zero not in self._checked_zeros:
+        if zero not in self._zero_steps:
             _check_malcev(self.alg, self.malcev, zero)
-            self._checked_zeros.add(zero)
-        return self.malcev
+            steps, w = compile_term(self.alg, self.malcev, 3)
+            self._zero_steps[zero] = [(2, 1, zero)] + steps, w
+        return self._zero_steps[zero]
 
     @cached_property
     def params(self) -> SupernilpotentSolverParams:

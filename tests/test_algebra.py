@@ -1,10 +1,13 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvcirc import algebra as algebra_module
 from mvcirc.algebra import (
+    BLOCK,
     DEFAULT_CAP,
     App,
     Const,
@@ -26,12 +29,16 @@ from mvcirc.algebra import (
     poly_clone_on_points,
     quotient,
     serialize_algebra,
+    translations,
     unary_poly_clone,
 )
+from mvcirc.commutator import pair_algebra
+from mvcirc.congruence import congruence_from_pairs
 from mvcirc.errors import CapExceeded, SizeNot2, Tri, UnknownOp
+from mvcirc.partition import Partition
 from mvcirc.zoo import get, zoo
 
-from conftest import mod_congruence
+from conftest import EDGE_ALGEBRAS, mod_congruence
 
 MEET = App("meet", (Var(0), Var(1)))
 
@@ -197,6 +204,155 @@ def test_nullary_table_counts_against_cap_and_goes_to_stop():
         WITH_UNIT, points, 1, stop=lambda t: seen.append(t) or t == (1, 1, 1), constants=False)
     assert hit == seen[-1] == (1, 1, 1)
     assert clone.witness(hit) == App("e", ())
+
+
+def _reference_close_tables(alg, points, generators, cap, stop=None):
+    """The pointwise worklist closure: every r-tuple of tables below the
+    round's end, in itertools.product order, skipping those with no index
+    in the last round's tables, each table built point by point."""
+    size = alg.size
+    arity = len(points[0]) if points else 0
+    tables, witnesses = [], {}
+    for tab, wit in generators:
+        if tab not in witnesses:
+            witnesses[tab] = wit
+            tables.append(tab)
+            if stop is not None and stop(tab):
+                return algebra_module.Clone(arity, tuple(points), tables, witnesses, False), tab
+    start = 0
+    while start < len(tables):
+        end = len(tables)
+        for op in alg.ops:
+            for combo in itertools.product(range(end), repeat=op.arity):
+                if op.arity and max(combo) < start:
+                    continue
+                args = [tables[i] for i in combo]
+                tab = tuple(op.apply([a[p] for a in args], size) for p in range(len(points)))
+                if tab in witnesses:
+                    continue
+                if len(tables) >= cap:
+                    return algebra_module.Clone(arity, tuple(points), tables, witnesses, False), None
+                witnesses[tab] = App(op.name, tuple(witnesses[a] for a in args))
+                tables.append(tab)
+                if stop is not None and stop(tab):
+                    return algebra_module.Clone(arity, tuple(points), tables, witnesses, False), tab
+        start = end
+    return algebra_module.Clone(arity, tuple(points), tables, witnesses, True), None
+
+
+def _random_algebra(draw, size):
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    return FiniteAlgebra(f"R{size}", size, tuple(
+        Operation(f"f{i}", r, tuple(draw(st.lists(st.integers(0, size - 1),
+                                                  min_size=size ** r, max_size=size ** r))))
+        for i, r in enumerate(arities)))
+
+
+WIDE = {alg.name: alg for alg in EDGE_ALGEBRAS if alg.name in ("W17", "T7")}
+
+
+def _closure_case(data, alg, max_points):
+    """A point list (empty, with duplicates, in any order), k, constants, a
+    cap, a stop for alg (with a fresh copy for the reference run) and a
+    batch size."""
+    k = data.draw(st.integers(1, 3), label="k")
+    constants = data.draw(st.booleans(), label="constants")
+    point = st.tuples(*[st.integers(0, alg.size - 1)] * k)
+    points = data.draw(st.lists(point, max_size=max_points), label="points")
+    generators = _proj_generators(alg, points, k, constants)
+    full, _ = _reference_close_tables(alg, points, generators, DEFAULT_CAP)
+    distinct = len({tab for tab, _ in generators})
+    cap = data.draw(st.sampled_from([1, distinct, max(len(full) // 2, 1), DEFAULT_CAP]),
+                    label="cap")
+    which = data.draw(st.integers(0, 2), label="stop")
+    stops = [list(_stops(full))[which] for _ in range(2)]
+    block = data.draw(st.sampled_from([1, 2, 5, BLOCK]), label="block")
+    return points, generators, cap, stops, block
+
+
+def _assert_same_closure(alg, points, generators, cap, stops, block):
+    (stop, log), (ref_stop, ref_log) = stops
+    # small blocks split the tables of one argument prefix into batches
+    with mock.patch.object(algebra_module, "BLOCK", block):
+        got, hit = algebra_module._close_tables(alg, points, generators, cap, stop)
+    want, want_hit = _reference_close_tables(alg, points, generators, cap, ref_stop)
+    assert got.tables == want.tables
+    assert list(got.witnesses.items()) == list(want.witnesses.items())
+    assert (got.arity, got.points) == (want.arity, want.points)
+    assert (got.complete, hit, log) == (want.complete, want_hit, ref_log)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closure_matches_pointwise_reference(data):
+    size = data.draw(st.integers(1, 5), label="size")
+    alg = _random_algebra(data.draw, size)
+    # keep the reference closure small: at most 20,000 argument tuples per op
+    top = max(op.arity for op in alg.ops)
+    max_points = 4 if size == 1 else max(
+        m for m in range(5) if (size ** m) ** top <= 20_000)
+    _assert_same_closure(alg, *_closure_case(data, alg, max_points))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(WIDE)), st.data())
+def test_closure_matches_pointwise_reference_on_two_byte_digits(name, data):
+    alg = WIDE[name]
+    assert algebra_module._op_tables(alg).width == 2
+    _assert_same_closure(alg, *_closure_case(data, alg, 2 if name == "W17" else 1))
+
+
+def _reference_translations(alg):
+    """Every x -> f(.., x, ..) by op, position and context, built with apply."""
+    n = alg.size
+    for op in alg.ops:
+        for pos in range(op.arity):
+            for ctx in itertools.product(range(n), repeat=op.arity - 1):
+                yield tuple(op.apply(ctx[:pos] + (x,) + ctx[pos:], n) for x in range(n))
+
+
+def _reference_is_congruence(alg, p):
+    if p.n != alg.size:
+        return False
+    for vals in _reference_translations(alg):
+        for cls in p.classes():
+            if any(not p.same(vals[x], vals[cls[0]]) for x in cls[1:]):
+                return False
+    return True
+
+
+def _reference_pair_algebra(alg, alpha):
+    n = alg.size
+    pairs = [(x, y) for x in range(n) for y in range(n) if alpha.same(x, y)]
+    idx = {p: i for i, p in enumerate(pairs)}
+    ops = []
+    for op in alg.ops:
+        table = []
+        for args in itertools.product(range(len(pairs)), repeat=op.arity):
+            xs = tuple(pairs[a][0] for a in args)
+            ys = tuple(pairs[a][1] for a in args)
+            table.append(idx[(op.apply(xs, n), op.apply(ys, n))])
+        ops.append(Operation(op.name, op.arity, tuple(table)))
+    return ops, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_congruence_check_and_pair_algebra_match_pointwise_references(data):
+    size = data.draw(st.integers(1, 5), label="size")
+    alg = _random_algebra(data.draw, size)
+    ids = data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    p = Partition.from_ids(ids)
+    assert translations(alg) == list(dict.fromkeys(_reference_translations(alg)))
+    assert is_congruence(alg, p) == _reference_is_congruence(alg, p)
+    assert not is_congruence(alg, Partition.zero(size + 1))
+    # the least congruence containing p's pairs is one
+    theta = congruence_from_pairs(alg, p.pairs())
+    assert is_congruence(alg, theta) and _reference_is_congruence(alg, theta)
+    sub, pairs = pair_algebra(alg, theta)
+    ops, want_pairs = _reference_pair_algebra(alg, theta)
+    assert pairs == want_pairs
+    assert sub.ops == tuple(ops)
 
 
 # ---------------------------------------------------------------------------

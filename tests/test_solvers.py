@@ -10,6 +10,7 @@ from mvcirc.algebra import App, FactStore, Var, find_malcev_term
 from mvcirc.circuit import (
     BLOCK,
     CeqvInstance,
+    Circuit,
     CircuitBuilder,
     CsatInstance,
     McsatInstance,
@@ -559,6 +560,24 @@ def test_dispatch_routes_z6_to_supernilpotent(z6):
     res = dispatch(z6, inst)
     assert res.solver_used == "supernilpotent"
     assert res.answer == "sat"
+
+
+def test_sweep_routes_build_no_circuit(z6, monkeypatch):
+    # the plan's Malcev term is compiled once per zero and appended to each
+    # instance's block program, with no normalized Circuit in between
+    rng = random.Random(3)
+    insts = []
+    for _ in range(10):
+        c = random_circuit(z6, rng, 4, 12, 2)
+        insts += [CsatInstance(c), CeqvInstance(c)]
+    want = [solve_bruteforce(z6, inst).answer for inst in insts]
+    built = []
+    post_init = Circuit.__post_init__
+    monkeypatch.setattr(Circuit, "__post_init__", lambda c: built.append(c) or post_init(c))
+    results = [dispatch(z6, inst) for inst in insts]
+    assert built == []
+    assert {r.solver_used for r in results} == {"supernilpotent", "ceqv-supernilpotent-experimental"}
+    assert [r.answer for r in results] == want
 
 
 def test_dispatch_routes_majority_to_usp(majority):
