@@ -371,8 +371,10 @@ def _close_tables(
     seen: set[bytes] = set()
     cuts: list[slice] = []           # cut j: table j of a batch's result
 
-    def result(complete: bool, hit: Optional[tuple[int, ...]]) -> tuple[Clone, Optional[tuple[int, ...]]]:
-        return Clone(len(points[0]) if points else 0, tuple(points), tables, witnesses, complete), hit
+    def result(complete: bool,
+               hit: Optional[tuple[int, ...]]) -> tuple[Clone, Optional[tuple[int, ...]]]:
+        return Clone(len(points[0]) if points else 0, tuple(points), tables, witnesses,
+                     complete), hit
 
     def keep(col: bytes, tab: tuple[int, ...], wit: Term) -> bool:
         seen.add(col)
