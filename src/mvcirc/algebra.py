@@ -14,7 +14,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, KeysView, Optional, Sequence, TypeVar
 
 from .errors import (
     CapExceeded,
@@ -306,31 +306,49 @@ def eval_term(alg: FiniteAlgebra, t: Term, asg: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Clone closure
 #
-# A k-ary polynomial table is the tuple of values of a polynomial on a fixed
-# list of argument points.  Closure starts from the projections (and, for
-# polynomial clones, the constants) and repeatedly applies every basic
-# operation pointwise to tuples of stored tables.  First-witness terms are
-# retained because reductions and the type-labeling machinery need them.
+# A k-ary polynomial table is the sequence of values of a polynomial on a
+# fixed list of argument points (a Table: see Clone).  Closure starts from
+# the projections (and, for polynomial clones, the constants) and repeatedly
+# applies every basic operation pointwise to tuples of stored tables.
+# First-witness terms are retained because reductions and the type-labeling
+# machinery need them.
+
+
+Table = bytes | tuple[int, ...]
 
 
 @dataclass
 class Clone:
-    """Result of a bounded clone closure over a fixed point list."""
+    """Result of a bounded clone closure over a fixed point list.
+
+    witnesses maps each kept table to its first witness, in generation
+    order, so its keys are the tables.  A table is its byte column, one
+    digit per point, when the algebra's digits are one byte wide (width 1),
+    and a tuple otherwise; either indexes to ints, and lookups take any
+    sequence of elements.
+    """
 
     arity: int
     points: tuple[tuple[int, ...], ...]
-    tables: list[tuple[int, ...]]
-    witnesses: dict[tuple[int, ...], Term]
+    witnesses: dict[Table, Term]
     complete: bool
+    width: int
+
+    @property
+    def tables(self) -> KeysView[Table]:
+        return self.witnesses.keys()
+
+    def _key(self, table: Sequence[int]) -> Table:
+        return bytes(table) if self.width == 1 else tuple(table)
 
     def __contains__(self, table: Sequence[int]) -> bool:
-        return tuple(table) in self.witnesses
+        return self._key(table) in self.witnesses
 
     def witness(self, table: Sequence[int]) -> Term:
-        return self.witnesses[tuple(table)]
+        return self.witnesses[self._key(table)]
 
     def __len__(self) -> int:
-        return len(self.tables)
+        return len(self.witnesses)
 
 
 def _close_tables(
@@ -338,8 +356,8 @@ def _close_tables(
     points: Sequence[tuple[int, ...]],
     generators: list[tuple[tuple[int, ...], Term]],
     cap: int,
-    stop: Optional[Callable[[tuple[int, ...]], bool]] = None,
-) -> tuple[Clone, Optional[tuple[int, ...]]]:
+    stop: Optional[Callable[[Table], bool]] = None,
+) -> tuple[Clone, Optional[Table]]:
     """Semi-naive closure of generator tables under pointwise basic operations.
 
     Every distinct generator is kept; a table the operations produce is kept
@@ -354,42 +372,44 @@ def _close_tables(
     each prefix of r-1 indices, the last index runs over [0, end) when the
     prefix holds a new table and over [start, end) otherwise (always for a
     unary op); a nullary op yields its constant once per round.  Tables are
-    byte columns, one digit per point as in the block kernel, deduplicated
-    by their bytes and turned into tuples once, when kept.  The tables of
-    one prefix are evaluated together, up to BLOCK at a time, and then
-    walked in order: a table kept in a round is an argument only from the
-    next round on, so evaluating ahead changes nothing.
+    evaluated as byte columns, one digit per point as in the block kernel,
+    and deduplicated by their bytes; at width 1 the column is the kept
+    table.  The tables of one prefix are evaluated together, up to BLOCK at
+    a time, and then walked in order: a table kept in a round is an argument
+    only from the next round on, so evaluating ahead changes nothing.
     """
     size, npts = alg.size, len(points)
     kernel = _op_tables(alg)
     width = kernel.width
     length = npts * width
-    tables: list[tuple[int, ...]] = []
-    witnesses: dict[tuple[int, ...], Term] = {}
+    kept: dict[Table, Term] = {}     # the clone's witnesses
+    seen = kept if width == 1 else set()    # the kept tables' columns
     columns: list[bytes] = []        # table i as a column
     terms: list[Term] = []           # witness of table i
-    seen: set[bytes] = set()
     cuts: list[slice] = []           # cut j: table j of a batch's result
 
-    def result(complete: bool,
-               hit: Optional[tuple[int, ...]]) -> tuple[Clone, Optional[tuple[int, ...]]]:
-        return Clone(len(points[0]) if points else 0, tuple(points), tables, witnesses,
-                     complete), hit
+    def result(complete: bool, hit: Optional[Table]) -> tuple[Clone, Optional[Table]]:
+        return Clone(len(points[0]) if points else 0, tuple(points), kept, complete,
+                     width), hit
 
-    def keep(col: bytes, tab: tuple[int, ...], wit: Term) -> bool:
-        seen.add(col)
+    def keep(col: bytes, wit: Term) -> Optional[Table]:
+        """Keep col's table; the table, if stop matches it."""
+        tab: Table = col
+        if width > 1:
+            seen.add(col)
+            tab = tuple(column_digits(width, col))
+        kept[tab] = wit
         columns.append(col)
         terms.append(wit)
-        witnesses[tab] = wit
-        tables.append(tab)
-        return stop is not None and stop(tab)
+        return tab if stop is not None and stop(tab) else None
 
     for tab, wit in generators:
-        if tab not in witnesses and keep(pack_column(width, tab), tab, wit):
-            return result(False, tab)
+        col = pack_column(width, tab)
+        if col not in seen and (hit := keep(col, wit)) is not None:
+            return result(False, hit)
     frontier_start = 0
-    while frontier_start < len(tables):
-        frontier_end = len(tables)
+    while frontier_start < len(columns):
+        frontier_end = len(columns)
         cuts += [slice(j * length, (j + 1) * length)
                  for j in range(len(cuts), min(frontier_end, BLOCK))]
         for op in alg.ops:
@@ -398,11 +418,10 @@ def _close_tables(
                 col = pack_column(width, table[:1]) * npts
                 if col in seen:
                     continue
-                if len(tables) >= cap:
+                if len(columns) >= cap:
                     return result(False, None)
-                tab = tuple(column_digits(width, col))
-                if keep(col, tab, App(op.name, ())):
-                    return result(False, tab)
+                if (hit := keep(col, App(op.name, ()))) is not None:
+                    return result(False, hit)
                 continue
             for prefix in itertools.product(range(frontier_end), repeat=r - 1):
                 lo = 0 if prefix and max(prefix) >= frontier_start else frontier_start
@@ -414,16 +433,16 @@ def _close_tables(
                     args.append(b"".join(columns[first:last]))
                     out = column_op(size, width, table, args, range(r), count * length)
                     batch = list(map(out.__getitem__, cuts[:count]))
-                    if seen.issuperset(batch):
+                    if all(map(seen.__contains__, batch)):
                         continue
                     for j, col in enumerate(batch):
                         if col in seen:
                             continue
-                        if len(tables) >= cap:
+                        if len(columns) >= cap:
                             return result(False, None)
-                        tab = tuple(column_digits(width, col))
-                        if keep(col, tab, App(op.name, head + (terms[first + j],))):
-                            return result(False, tab)
+                        hit = keep(col, App(op.name, head + (terms[first + j],)))
+                        if hit is not None:
+                            return result(False, hit)
         frontier_start = frontier_end
     return result(True, None)
 
@@ -445,9 +464,9 @@ def poly_clone_on_points(
     points: Sequence[tuple[int, ...]],
     k: int,
     cap: int = DEFAULT_CAP,
-    stop: Optional[Callable[[tuple[int, ...]], bool]] = None,
+    stop: Optional[Callable[[Table], bool]] = None,
     constants: bool = True,
-) -> tuple[Clone, Optional[tuple[int, ...]]]:
+) -> tuple[Clone, Optional[Table]]:
     """Polynomial (or term, with constants=False) clone restricted to a point list.
 
     The one entry point to clone closure.  A closure that runs to completion
@@ -469,8 +488,8 @@ def poly_clone_on_points(
 
 def _replay(
     full: Clone, distinct_generators: int, cap: int,
-    stop: Optional[Callable[[tuple[int, ...]], bool]],
-) -> tuple[Clone, Optional[tuple[int, ...]]]:
+    stop: Optional[Callable[[Table], bool]],
+) -> tuple[Clone, Optional[Table]]:
     """What _close_tables returns under cap and stop for the closure whose
     complete run is full: its tables come in generation order, and table i
     is kept iff i < max(cap, distinct_generators)."""
@@ -479,15 +498,14 @@ def _replay(
         for i, tab in enumerate(itertools.islice(full.tables, limit)):
             if stop(tab):
                 return _prefix(full, i + 1), tab
-    if len(full.tables) <= limit:
+    if len(full) <= limit:
         return full, None
     return _prefix(full, limit), None
 
 
 def _prefix(full: Clone, length: int) -> Clone:
-    tables = full.tables[:length]
-    return Clone(full.arity, full.points, tables,
-                 {tab: full.witnesses[tab] for tab in tables}, False)
+    return Clone(full.arity, full.points, dict(itertools.islice(full.witnesses.items(), length)),
+                 False, full.width)
 
 
 def kary_poly_clone(alg: FiniteAlgebra, k: int, cap: int = DEFAULT_CAP) -> Clone:
@@ -552,7 +570,7 @@ def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
             alg, points, 3, cap, stop=lambda t: _is_malcev_table(t, n), constants=False
         )
         if hit is not None:
-            return Search(Tri.YES, (clone.witness(hit), hit))
+            return Search(Tri.YES, (clone.witness(hit), tuple(hit)))
         return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
 
     return stored(alg, "malcev",
@@ -574,7 +592,8 @@ def find_directed_gumm_terms(
 ) -> Search:
     """Search ternary terms for a directed chain d_1..d_n, Q with
     d_i(x,y,x)=x, d_1(x,x,y)=x, d_i(x,y,y)=d_{i+1}(x,x,y), d_n(x,y,y)=Q(x,y,y),
-    Q(x,x,y)=y, chain length <= max_n.
+    Q(x,x,y)=y, chain length <= max_n.  A chain is returned only once
+    check_gumm_chain has verified it.
 
     With max_n=None the search is complete: any chain can be spliced down to
     one visiting each candidate table at most once, so exhausting the visited
@@ -591,7 +610,7 @@ def find_directed_gumm_terms(
         term, table = malcev.value  # type: ignore[misc]
         proj1 = Var(0)
         proj1_table = tuple(p[0] for p in itertools.product(range(n), repeat=3))
-        return Search(Tri.YES, GummChain([proj1], term, [proj1_table], table))
+        return _verified(alg, GummChain([proj1], term, [proj1_table], table))
     if malcev.status is Tri.UNKNOWN:
         return Search(Tri.UNKNOWN)
 
@@ -613,18 +632,18 @@ def find_directed_gumm_terms(
     sel_y = tuple(y for _ in range(n) for y in range(n))           # (x,y) -> y
 
     nodes = [t for t in clone.tables if slice_xyx_ok(t)]
-    q_by_xyy: dict[tuple[int, ...], tuple[int, ...]] = {}
+    q_by_xyy: dict[tuple[int, ...], Table] = {}
     for t in clone.tables:
         if slice_xxy(t) == sel_y:
             q_by_xyy.setdefault(slice_xyy(t), t)
 
     # BFS over nodes: start where d(x,x,y)=x; step t -> u when u(x,x,y)=t(x,y,y)
-    by_xxy: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    by_xxy: dict[tuple[int, ...], list[Table]] = {}
     for t in nodes:
         by_xxy.setdefault(slice_xxy(t), []).append(t)
 
     start = [t for t in nodes if slice_xxy(t) == id_xxy]
-    prev: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {t: None for t in start}
+    prev: dict[Table, Optional[Table]] = {t: None for t in start}
     frontier = list(start)
     depth = 1
     limit = max_n if max_n is not None else max(len(nodes), 1)
@@ -633,20 +652,17 @@ def find_directed_gumm_terms(
             q = q_by_xyy.get(slice_xyy(t))
             if q is not None:
                 chain = []
-                cur: Optional[tuple[int, ...]] = t
+                cur: Optional[Table] = t
                 while cur is not None:
                     chain.append(cur)
                     cur = prev[cur]
                 chain.reverse()
-                return Search(
-                    Tri.YES,
-                    GummChain(
-                        [clone.witness(c) for c in chain],
-                        clone.witness(q),
-                        chain,
-                        q,
-                    ),
-                )
+                return _verified(alg, GummChain(
+                    [clone.witness(c) for c in chain],
+                    clone.witness(q),
+                    [tuple(c) for c in chain],
+                    tuple(q),
+                ))
         nxt = []
         for t in frontier:
             for u in by_xxy.get(slice_xyy(t), []):
@@ -656,6 +672,11 @@ def find_directed_gumm_terms(
         frontier = nxt
         depth += 1
     return Search(Tri.NO)
+
+
+def _verified(alg: FiniteAlgebra, chain: GummChain) -> Search:
+    assert check_gumm_chain(alg, chain), "Gumm chain failed verification"
+    return Search(Tri.YES, chain)
 
 
 def check_gumm_chain(alg: FiniteAlgebra, chain: GummChain) -> bool:
@@ -779,11 +800,11 @@ def induced_on_pair_set(alg: FiniteAlgebra, pair: Sequence[int], cap: int = DEFA
         raise CapExceeded(len(clone2), "binary clone on pair")
     meet = (u0, u0, u0, u1)
     join = (u0, u1, u1, u1)
-    has_meet = meet in clone2.witnesses
-    has_join = join in clone2.witnesses
+    has_meet = meet in clone2
+    has_join = join in clone2
     pts1 = [(u0,), (u1,)]
     clone1, _ = poly_clone_on_points(alg, pts1, 1, cap)
-    has_neg = (u1, u0) in clone1.witnesses
+    has_neg = (u1, u0) in clone1
     mono = True
     for tab in clone1.tables:
         if set(tab) <= {u0, u1} and (tab[0], tab[1]) == (u1, u0):
@@ -853,6 +874,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         size = int(stok)
     except ValueError:
         raise ParseError(f"bad size {stok!r}", ln) from None
+    if size < 1:
+        raise ParseError(f"size {size} is not positive", ln)
     ops = []
     while pos < len(tokens):
         take("op")
@@ -863,6 +886,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             arity = int(atok)
         except ValueError:
             raise ParseError(f"bad arity {atok!r}", ln) from None
+        if arity < 0:
+            raise ParseError(f"op {opname}: negative arity {arity}", ln)
         count = size ** arity
         entries = []
         for _ in range(count):

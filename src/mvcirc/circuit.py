@@ -424,47 +424,6 @@ class CircuitBuilder:
         return Circuit(tuple(self.gates), tuple(outputs), self.algebra_name)
 
 
-# ---------------------------------------------------------------------------
-# Term <-> circuit
-
-
-def from_term(alg: FiniteAlgebra, t: Term, var_names: Optional[Sequence[str]] = None) -> Circuit:
-    """Tree-shaped circuit for a term; size equals the term node count."""
-    b = CircuitBuilder(alg.name)
-
-    def emit(node: Term) -> int:
-        if isinstance(node, Var):
-            name = var_names[node.index] if var_names else f"x{node.index}"
-            # tree shape: do not intern inputs
-            b.gates.append(input_gate(name))
-            return len(b.gates) - 1
-        if isinstance(node, TermConst):
-            return b.const(node.value)
-        assert isinstance(node, App)
-        args = [emit(a) for a in node.args]
-        return b.op(node.op, *args)
-
-    out = emit(t)
-    return b.build([out])
-
-
-def to_term(c: Circuit, output: int) -> Term:
-    """Unfold a gate into a term; shared gates are duplicated (may grow
-    exponentially relative to the circuit)."""
-    names = sorted(c.input_names)
-    index_of = {nm: i for i, nm in enumerate(names)}
-
-    def unfold(i: int) -> Term:
-        g = c.gates[i]
-        if g.kind == "input":
-            return Var(index_of[g.name])
-        if g.kind == "const":
-            return TermConst(g.value)
-        return App(g.name, tuple(unfold(a) for a in g.args))
-
-    return unfold(output)
-
-
 def iterated_commutator_circuit(alg: FiniteAlgebra, n: int,
                                 mul: str = "mul", inv: str = "inv") -> Circuit:
     """Maximally shared circuit for t_n = [..[[x1,x2],x3]..,xn] with

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .algebra import FiniteAlgebra, serialize_algebra
 from .circuit import (
@@ -46,28 +46,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _unreadable(path: str, exc: Exception) -> NoReturn:
+    reason = (exc.strerror or exc) if isinstance(exc, OSError) else "not UTF-8 text"
+    print(f"error: cannot read {path!r}: {reason}", file=sys.stderr)
+    sys.exit(EX_NOINPUT)
+
+
 def _load_algebra(source: str) -> FiniteAlgebra:
     from .zoo import load_algebra
 
     try:
         return load_algebra(source)
-    except FileNotFoundError:
-        print(f"error: cannot open {source!r}", file=sys.stderr)
-        sys.exit(EX_NOINPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        _unreadable(source, exc)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EX_NOINPUT)
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except FileNotFoundError:
-        print(f"error: cannot open {path!r}", file=sys.stderr)
-        sys.exit(EX_NOINPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        _unreadable(path, exc)
 
 
 def _emit(data: dict, as_json: bool, text: str) -> None:

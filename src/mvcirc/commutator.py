@@ -1,15 +1,15 @@
-"""The binary modular commutator, centralizers, and the derived predicates.
+"""The binary modular commutator, the series built from it, and the derived
+predicates.
 
 The definitional term condition quantifies over all polynomials, so [a,b] is
 computed through the pair algebra A(a) = {(x,y) : x a y}: generate the
 congruence D on A(a) from {((u,u),(v,v)) : u b v} and read off
-{(x,y) : (x,y) D (y,y)}, closed to a congruence.  At desk scale the result is
-cross-checked against a depth-bounded brute-force term-condition oracle.
+{(x,y) : (x,y) D (y,y)}, closed to a congruence.  The test suite
+cross-checks the result against a brute-force term-condition oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +18,6 @@ from .algebra import (
     Operation,
     find_malcev_term,
     is_congruence,
-    kary_poly_clone,
     stored,
 )
 from .congruence import congruence_from_pairs, factor_pairs
@@ -78,29 +77,6 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
 def centralizes(alg: FiniteAlgebra, alpha: Partition, beta: Partition, gamma: Partition) -> bool:
     """C(alpha, beta; gamma), decided as [alpha, beta] <= gamma."""
     return commutator(alg, alpha, beta).leq(gamma)
-
-
-def centralizer(alg: FiniteAlgebra, beta: Partition, alpha: Partition) -> Partition:
-    """(beta : alpha): largest delta with C(delta, beta; alpha).
-
-    Computed as the join of all principal congruences Cg(a,b) whose
-    commutator with beta sits below alpha (valid by join-distributivity of
-    the commutator in the congruence modular setting).
-    """
-    n = alg.size
-    result = Partition.zero(n)
-    seen: set[Partition] = set()
-    from .congruence import principal_congruence
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = principal_congruence(alg, a, b)
-            if p in seen:
-                continue
-            seen.add(p)
-            if commutator(alg, p, beta).leq(alpha):
-                result = result.join(p)
-    return result
 
 
 @dataclass
@@ -204,67 +180,3 @@ def is_supernilpotent(alg: FiniteAlgebra) -> tuple[Tri, Optional[Factorization]]
     if all(is_prime_power(s) for s in fact.sizes):
         return Tri.YES, fact
     return Tri.NO, fact
-
-
-# ---------------------------------------------------------------------------
-# Brute-force term-condition oracle (test support)
-
-
-def term_condition_violation(
-    alg: FiniteAlgebra,
-    alpha: Partition,
-    beta: Partition,
-    gamma: Partition,
-    extra_vars: int = 1,
-    cap: int = 50_000,
-):
-    """Search the (1+extra_vars)-ary polynomial clone for a witness against
-    C(alpha, beta; gamma).  Returns (table, a, b, cs, ds) or None.
-
-    Independent of the pair-algebra route: this is the definitional condition
-    checked over an explicitly generated polynomial clone.  Tables are probed
-    as the closure grows, so a violation exits early; the None answer needs
-    the closure to complete and raises CapExceeded otherwise.
-    """
-    from .algebra import poly_clone_on_points
-    from .errors import CapExceeded
-
-    n = alg.size
-    k = 1 + extra_vars
-    apairs = [(a, b) for a in range(n) for b in range(n) if a != b and alpha.same(a, b)]
-    bpairs = [(c, d) for c in range(n) for d in range(n) if beta.same(c, d)]
-    cd_tuples = [
-        (tuple(cd[0] for cd in cds), tuple(cd[1] for cd in cds))
-        for cds in itertools.product(bpairs, repeat=extra_vars)
-    ]
-    found: list = []
-
-    def at(tab, args):
-        i = 0
-        for x in args:
-            i = i * n + x
-        return tab[i]
-
-    def probe(tab) -> bool:
-        for a, b in apairs:
-            for cs, ds in cd_tuples:
-                lhs = gamma.same(at(tab, (a,) + cs), at(tab, (a,) + ds))
-                rhs = gamma.same(at(tab, (b,) + cs), at(tab, (b,) + ds))
-                if lhs != rhs:
-                    found.append((tab, a, b, cs, ds))
-                    return True
-        return False
-
-    try:
-        clone = kary_poly_clone(alg, k, cap)  # cached across triples
-    except CapExceeded:
-        # big clone: probe incrementally and exit on the first violation
-        points = list(itertools.product(range(n), repeat=k))
-        partial, hit = poly_clone_on_points(alg, points, k, cap, stop=probe)
-        if hit is not None:
-            return found[0]
-        raise
-    for tab in clone.tables:
-        if probe(tab):
-            return found[0]
-    return None

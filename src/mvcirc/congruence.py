@@ -10,7 +10,7 @@ lattice rather than the Bell number of the universe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .algebra import FiniteAlgebra, stored, translations
 from .errors import CapExceeded, ElementOutOfRange, LatticeMismatch
@@ -116,29 +116,8 @@ class CongruenceLattice:
             raise LatticeMismatch("meet escaped the lattice; lattice incomplete?")
         return m
 
-    def lower_covers(self, p: Partition) -> list[Partition]:
-        i = self.index(p)
-        return [self.congruences[a] for a, b in self.covers if b == i]
-
-    def upper_covers(self, p: Partition) -> list[Partition]:
-        i = self.index(p)
-        return [self.congruences[b] for a, b in self.covers if a == i]
-
     def cover_pairs(self) -> list[tuple[Partition, Partition]]:
         return [(self.congruences[a], self.congruences[b]) for a, b in self.covers]
-
-    def is_join_irreducible(self, p: Partition) -> bool:
-        return len(self.lower_covers(p)) == 1 and not p.is_zero()
-
-    def unique_subcover(self, p: Partition) -> Partition:
-        lows = self.lower_covers(p)
-        if len(lows) != 1:
-            raise LatticeMismatch(f"{p} is not join irreducible")
-        return lows[0]
-
-    def monolith(self) -> Optional[Partition]:
-        atoms = self.upper_covers(self.zero)
-        return atoms[0] if len(atoms) == 1 and not self.zero.is_one() else None
 
     def interval(self, lo: Partition, hi: Partition) -> list[Partition]:
         i, j = self.index(lo), self.index(hi)
@@ -221,62 +200,3 @@ def _factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
             iso = [(a1.class_of(x), a2.class_of(x)) for x in range(n)]
             out.append(FactorPair(a1, a2, iso))
     return out
-
-
-def _pentagon_violation(parts: Sequence[Partition]) -> Optional[tuple[Partition, Partition, Partition]]:
-    """A triple a < b, c with a v c = b v c and a ^ c = b ^ c, if any."""
-    members = set(parts)
-    for a in parts:
-        for b in parts:
-            if a == b or not a.leq(b):
-                continue
-            for c in parts:
-                ja, jb = a.join(c), b.join(c)
-                ma, mb = a.meet(c), b.meet(c)
-                if ja not in members or jb not in members or ma not in members or mb not in members:
-                    raise ValueError("family is not closed under join/meet")
-                if ja == jb and ma == mb:
-                    return (a, b, c)
-    return None
-
-
-def is_modular(parts: Sequence[Partition]) -> bool:
-    """Exhaustive pentagon search over a join/meet-closed family of partitions."""
-    return _pentagon_violation(parts) is None
-
-
-def is_distributive(parts: Sequence[Partition]) -> bool:
-    members = set(parts)
-    for a in parts:
-        for b in parts:
-            for c in parts:
-                lhs = a.meet(b.join(c))
-                rhs = a.meet(b).join(a.meet(c))
-                if lhs not in members or rhs not in members:
-                    raise ValueError("family is not closed under join/meet")
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def transposes_up(lat: CongruenceLattice, a: Partition, b: Partition, c: Partition, d: Partition) -> bool:
-    """I[a,b] transposes up to I[c,d]: b ^ c = a and b v c = d."""
-    return b.meet(c) == a and b.join(c) == d
-
-
-def projective_intervals(lat: CongruenceLattice, ab: tuple[Partition, Partition],
-                         cd: tuple[Partition, Partition]) -> bool:
-    """Whether two intervals are connected by a chain of transposes."""
-    pairs = [(x, y) for x in lat.congruences for y in lat.congruences if x.leq(y) and x != y]
-    seen = {ab}
-    frontier = [ab]
-    while frontier:
-        cur = frontier.pop()
-        if cur == cd:
-            return True
-        a, b = cur
-        for x, y in pairs:
-            if (transposes_up(lat, a, b, x, y) or transposes_up(lat, x, y, a, b)) and (x, y) not in seen:
-                seen.add((x, y))
-                frontier.append((x, y))
-    return cd in seen

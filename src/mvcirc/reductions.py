@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from .algebra import (
     App,
-    Const as TermConst,
     FiniteAlgebra,
     Operation,
     Term,
@@ -33,7 +32,6 @@ from .errors import (
     NotMalcev,
     NotPermutationWarning,
     ParseError,
-    UnrecognizedShape,
 )
 
 
@@ -182,13 +180,8 @@ def derive_type3_witness(alg: FiniteAlgebra, cap: int = 200_000) -> Optional[Typ
         pts = [(z, z), (z, o), (o, z), (o, o)]
         clone2, _ = poly_clone_on_points(alg, pts, 2, cap)
         uset = {z, o}
-        meet = join = None
-        for tab in clone2.tables:
-            if set(tab) <= uset:
-                if tab == (z, z, z, o):
-                    meet = clone2.witness(tab)
-                elif tab == (z, o, o, o):
-                    join = clone2.witness(tab)
+        meet = clone2.witness((z, z, z, o)) if (z, z, z, o) in clone2 else None
+        join = clone2.witness((z, o, o, o)) if (z, o, o, o) in clone2 else None
         clone1 = unary_poly_clone(alg, cap)
         neg = None
         for tab in clone1.tables:

@@ -26,7 +26,6 @@ from .circuit import (
     BlockProgram,
     CeqvInstance,
     Circuit,
-    CircuitBuilder,
     CsatInstance,
     Instance,
     McsatInstance,
@@ -322,19 +321,6 @@ class SupernilpotentSolverParams:
         d = ramsey_support_bound(k, alg.size)
         assert d >= m or d == RAMSEY_CEILING
         return SupernilpotentSolverParams(zero, k, c, m, d)
-
-
-def normalize_to_zero(
-    alg: FiniteAlgebra, csat: CsatInstance, d_term: Term, zero: int
-) -> Circuit:
-    """One-output circuit w = d(g1, g2, zero) with w = zero iff g1 = g2.
-    Requires d to be a Malcev polynomial whose slice x -> d(x, y, zero) hits
-    zero only at x = y; both are checked pointwise first."""
-    _check_malcev(alg, d_term, zero)
-    b = CircuitBuilder(alg.name)
-    b.gates = list(csat.circuit.gates)
-    zgate = b.const(zero)
-    return b.build([b.inline_term(d_term, [*csat.circuit.outputs, zgate])])
 
 
 def _check_malcev(alg: FiniteAlgebra, d_term: Term, zero: int) -> None:

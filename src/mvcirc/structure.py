@@ -25,7 +25,6 @@ from .algebra import (
     FiniteAlgebra,
     direct_product,
     find_directed_gumm_terms,
-    find_malcev_term,
     is_poly_equiv_to_2lattice,
     kary_poly_clone,
     quotient,

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .algebra import (
     DEFAULT_CAP,
     FiniteAlgebra,
+    Table,
     Term,
     poly_clone_on_points,
     stored,
@@ -53,7 +54,7 @@ def minimal_sets(
     clone = unary_poly_clone(alg, cap)
     n = alg.size
     bpairs = [(a, b) for a in range(n) for b in range(a + 1, n) if beta.same(a, b)]
-    qualifying: dict[frozenset, tuple[int, ...]] = {}
+    qualifying: dict[frozenset, Table] = {}
     for tab in clone.tables:
         rng = frozenset(tab)
         if len(rng) < 2:
@@ -73,7 +74,7 @@ def minimal_sets(
         e_wit = None
         for tab in clone.tables:
             if set(tab) == uset and all(tab[tab[x]] == tab[x] for x in range(n)):
-                e_tab = tab
+                e_tab = tuple(tab)
                 e_wit = clone.witness(tab)
                 break
         traces = _traces(alpha, beta, u)
@@ -94,21 +95,6 @@ def _traces(alpha: Partition, beta: Partition, u: Sequence[int]) -> list[tuple[i
     return traces
 
 
-def polynomially_isomorphic(
-    alg: FiniteAlgebra, u: Sequence[int], v: Sequence[int], cap: int = DEFAULT_CAP
-) -> bool:
-    """Unary polynomials f, g with f(U)=V, g(V)=U, g.f = id on U, f.g = id on V."""
-    clone = unary_poly_clone(alg, cap)
-    uset, vset = set(u), set(v)
-    fwd = [t for t in clone.tables if {t[x] for x in uset} == vset]
-    bwd = [t for t in clone.tables if {t[x] for x in vset} == uset]
-    for f in fwd:
-        for g in bwd:
-            if all(g[f[x]] == x for x in uset) and all(f[g[y]] == y for y in vset):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Restricted clone searches
 
@@ -125,7 +111,7 @@ def _find_pseudo_malcev(
     pts = list(itertools.product(u, repeat=3))
     pos = {p: i for i, p in enumerate(pts)}
 
-    def ok(tab: tuple[int, ...]) -> bool:
+    def ok(tab: Table) -> bool:
         if any(v not in uset for v in tab):
             return False
         for x in u:
@@ -170,9 +156,10 @@ def _lattice_ops_on_trace(
 
     found = {"meet": False, "join": False}
 
-    def check(tab: tuple[int, ...]) -> bool:
+    def check(tab: Table) -> bool:
         if any(v not in uset for v in tab):
             return False
+        tab = tuple(tab)
         if tab == meet_pat:
             found["meet"] = True
         elif tab == join_pat:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -90,24 +91,24 @@ def test_eval_term_errors(lat2):
 
 def test_unary_clone_2lattice(lat2):
     clone = unary_poly_clone(lat2)
-    assert sorted(clone.tables) == [(0, 0), (0, 1), (1, 1)]  # const0, id, const1
+    assert sorted(map(tuple, clone.tables)) == [(0, 0), (0, 1), (1, 1)]  # const0, id, const1
 
 
 def test_unary_clone_z2(z2):
     clone = unary_poly_clone(z2)
-    assert sorted(clone.tables) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert sorted(map(tuple, clone.tables)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_unary_clone_trivial(trivial):
     clone = unary_poly_clone(trivial)
-    assert clone.tables == [(0,)]
+    assert list(map(tuple, clone.tables)) == [(0,)]
 
 
 def test_unary_clone_witnesses_evaluate(z4):
     clone = unary_poly_clone(z4)
     for tab in clone.tables:
         wit = clone.witness(tab)
-        assert tuple(eval_term(z4, wit, (x,)) for x in range(4)) == tab
+        assert tuple(eval_term(z4, wit, (x,)) for x in range(4)) == tuple(tab)
 
 
 def test_binary_clone_2lattice_is_monotone_clone(lat2):
@@ -123,7 +124,7 @@ def test_binary_clone_2lattice_is_monotone_clone(lat2):
             if a[0] <= b[0] and a[1] <= b[1]
         ):
             monotone.add(tab)
-    assert set(clone.tables) == monotone
+    assert set(map(tuple, clone.tables)) == monotone
     assert len(clone) == 6
 
 
@@ -160,15 +161,16 @@ WITH_UNIT = FiniteAlgebra("max-with-unit", 3, (
 def _stops(full):
     """Stop predicates, each with the log of the tables it was called on:
     none, a first match, and a recorder that, like the trace search in
-    tct, keeps state across calls and stops once it has seen two tables."""
-    tables = full.tables
+    tct, keeps state across calls and stops once it has seen two tables.
+    Tables are compared and logged as tuples."""
+    tables = list(map(tuple, full.tables))
     target = tables[(2 * len(tables)) // 3]
     pair = {tables[len(tables) // 3], tables[-1]}
     yield None, None
     log: list = []
-    yield (lambda t: log.append(t) or t == target), log
+    yield (lambda t: log.append(tuple(t)) or tuple(t) == target), log
     seen: list = []
-    yield (lambda t: seen.append(t) or pair <= set(seen)), seen
+    yield (lambda t: seen.append(tuple(t)) or pair <= set(seen)), seen
 
 
 @pytest.mark.parametrize("alg", [e.algebra for e in zoo()] + [WITH_UNIT], ids=lambda a: a.name)
@@ -189,7 +191,7 @@ def test_stored_closure_replays_a_fresh_closure(alg, monkeypatch):
             for (stop, log), (fresh_stop, fresh_log) in zip(_stops(full), _stops(full)):
                 got, hit = poly_clone_on_points(alg, points, k, cap, stop, constants)
                 want, want_hit = close(alg, points, generators, cap, fresh_stop)
-                assert got.tables == want.tables
+                assert list(got.tables) == list(want.tables)
                 assert list(got.witnesses.items()) == list(want.witnesses.items())
                 assert (got.complete, hit, log) == (want.complete, want_hit, fresh_log)
         monkeypatch.setattr(algebra_module, "_close_tables", close)
@@ -198,27 +200,32 @@ def test_stored_closure_replays_a_fresh_closure(alg, monkeypatch):
 def test_nullary_table_counts_against_cap_and_goes_to_stop():
     points = [(0,), (1,), (2,)]
     capped, _ = poly_clone_on_points(WITH_UNIT, points, 1, cap=1, constants=False)
-    assert (capped.tables, capped.complete) == ([(0, 1, 2)], False)
+    assert (list(map(tuple, capped.tables)), capped.complete) == ([(0, 1, 2)], False)
     seen: list = []
     clone, hit = poly_clone_on_points(
-        WITH_UNIT, points, 1, stop=lambda t: seen.append(t) or t == (1, 1, 1), constants=False)
-    assert hit == seen[-1] == (1, 1, 1)
+        WITH_UNIT, points, 1, stop=lambda t: seen.append(tuple(t)) or tuple(t) == (1, 1, 1),
+        constants=False)
+    assert tuple(hit) == seen[-1] == (1, 1, 1)
     assert clone.witness(hit) == App("e", ())
 
 
 def _reference_close_tables(alg, points, generators, cap, stop=None):
     """The pointwise worklist closure: every r-tuple of tables below the
     round's end, in itertools.product order, skipping those with no index
-    in the last round's tables, each table built point by point."""
+    in the last round's tables, each table built point by point as a tuple."""
     size = alg.size
-    arity = len(points[0]) if points else 0
     tables, witnesses = [], {}
+
+    def result(complete, hit):
+        return SimpleNamespace(arity=len(points[0]) if points else 0, points=tuple(points),
+                               tables=tables, witnesses=witnesses, complete=complete), hit
+
     for tab, wit in generators:
         if tab not in witnesses:
             witnesses[tab] = wit
             tables.append(tab)
             if stop is not None and stop(tab):
-                return algebra_module.Clone(arity, tuple(points), tables, witnesses, False), tab
+                return result(False, tab)
     start = 0
     while start < len(tables):
         end = len(tables)
@@ -231,13 +238,13 @@ def _reference_close_tables(alg, points, generators, cap, stop=None):
                 if tab in witnesses:
                     continue
                 if len(tables) >= cap:
-                    return algebra_module.Clone(arity, tuple(points), tables, witnesses, False), None
+                    return result(False, None)
                 witnesses[tab] = App(op.name, tuple(witnesses[a] for a in args))
                 tables.append(tab)
                 if stop is not None and stop(tab):
-                    return algebra_module.Clone(arity, tuple(points), tables, witnesses, False), tab
+                    return result(False, tab)
         start = end
-    return algebra_module.Clone(arity, tuple(points), tables, witnesses, True), None
+    return result(True, None)
 
 
 def _random_algebra(draw, size):
@@ -262,7 +269,7 @@ def _closure_case(data, alg, max_points):
     generators = _proj_generators(alg, points, k, constants)
     full, _ = _reference_close_tables(alg, points, generators, DEFAULT_CAP)
     distinct = len({tab for tab, _ in generators})
-    cap = data.draw(st.sampled_from([1, distinct, max(len(full) // 2, 1), DEFAULT_CAP]),
+    cap = data.draw(st.sampled_from([1, distinct, max(len(full.tables) // 2, 1), DEFAULT_CAP]),
                     label="cap")
     which = data.draw(st.integers(0, 2), label="stop")
     stops = [list(_stops(full))[which] for _ in range(2)]
@@ -276,9 +283,10 @@ def _assert_same_closure(alg, points, generators, cap, stops, block):
     with mock.patch.object(algebra_module, "BLOCK", block):
         got, hit = algebra_module._close_tables(alg, points, generators, cap, stop)
     want, want_hit = _reference_close_tables(alg, points, generators, cap, ref_stop)
-    assert got.tables == want.tables
-    assert list(got.witnesses.items()) == list(want.witnesses.items())
+    assert list(map(tuple, got.tables)) == want.tables
+    assert [(tuple(t), w) for t, w in got.witnesses.items()] == list(want.witnesses.items())
     assert (got.arity, got.points) == (want.arity, want.points)
+    hit = None if hit is None else tuple(hit)
     assert (got.complete, hit, log) == (want.complete, want_hit, ref_log)
 
 
@@ -300,6 +308,24 @@ def test_closure_matches_pointwise_reference_on_two_byte_digits(name, data):
     alg = WIDE[name]
     assert algebra_module._op_tables(alg).width == 2
     _assert_same_closure(alg, *_closure_case(data, alg, 2 if name == "W17" else 1))
+
+
+@pytest.mark.parametrize("name, width", [("Z4ring", 1), ("T7", 2)])
+def test_clone_looks_tables_up_by_tuple(name, width):
+    alg = WIDE.get(name) or get(name)
+    assert algebra_module._op_tables(alg).width == width
+    points = [(0,), (1,), (2,)]
+    clone, _ = poly_clone_on_points(alg, points, 1, cap=200)
+    kept = set()
+    for t in clone.tables:
+        tab = tuple(t)
+        assert tab in clone
+        assert tuple(eval_term(alg, clone.witness(tab), p) for p in points) == tab
+        kept.add(tab)
+    assert len(kept) == len(clone)
+    missing = next(t for t in itertools.product(range(alg.size), repeat=3) if t not in kept)
+    assert missing not in clone
+    assert (0, 0) not in clone
 
 
 def _reference_translations(alg):
@@ -412,6 +438,13 @@ def test_gumm_majority_found(majority):
     assert check_gumm_chain(majority, res.value)
 
 
+def test_gumm_yes_needs_a_verified_chain(lat2, z2, monkeypatch):
+    monkeypatch.setattr(algebra_module, "check_gumm_chain", lambda alg, chain: False)
+    for alg in (lat2, z2):      # a chain from the search, and one from a Malcev term
+        with pytest.raises(AssertionError, match="Gumm chain failed verification"):
+            find_directed_gumm_terms(alg)
+
+
 # ---------------------------------------------------------------------------
 # Quotients, products, induced structure
 
@@ -508,3 +541,18 @@ def test_parse_algebra_errors():
         parse_algebra("algebra X size 2\nop f arity 1\n0 5\n")
     with pytest.raises(ParseError):
         parse_algebra("algebra X size 2\nop f arity 1\n0\n")  # short table
+
+
+def test_parse_algebra_rejects_negative_arity():
+    from mvcirc.errors import ParseError
+
+    with pytest.raises(ParseError, match="op f: negative arity -1 at line 2"):
+        parse_algebra("algebra X size 2\nop f arity -1\n0\n")
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_parse_algebra_rejects_nonpositive_size(size):
+    from mvcirc.errors import ParseError
+
+    with pytest.raises(ParseError, match=f"size {size} is not positive at line 1"):
+        parse_algebra(f"algebra X size {size}\nop f arity 1\n1 0\n")

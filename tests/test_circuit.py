@@ -16,12 +16,10 @@ from mvcirc.circuit import (
     compile_circuit,
     compile_term,
     eval_circuit,
-    from_term,
     iterated_commutator_circuit,
     parse_circuit,
     random_circuit,
     serialize_circuit,
-    to_term,
 )
 from mvcirc.errors import (
     ElementOutOfRange,
@@ -85,44 +83,29 @@ def test_iterated_commutator_gate_count(s3, n):
     assert c.size == 6 * n - 5
 
 
+def _commutator_word(a, b):
+    """[a, b] = a^-1 b^-1 a b, multiplied left to right."""
+    inv_a, inv_b = App("inv", (a,)), App("inv", (b,))
+    return App("mul", (App("mul", (App("mul", (inv_a, inv_b)), a)), b))
+
+
 def test_iterated_commutator_semantics(s3):
-    # against the unfolded term, for n = 3
+    # against the term [[x1, x2], x3], for n = 3
     c = iterated_commutator_circuit(s3, 3)
-    t = to_term(c, c.outputs[0])
+    t = _commutator_word(_commutator_word(Var(0), Var(1)), Var(2))
     for asg in itertools.product(range(6), repeat=3):
         env = {"x1": asg[0], "x2": asg[1], "x3": asg[2]}
         assert eval_circuit(s3, c, env) == (eval_term(s3, t, asg),)
 
 
-def test_to_term_of_shared_circuit_grows(s3):
-    c = iterated_commutator_circuit(s3, 3)
-    t = to_term(c, c.outputs[0])
-    assert _term_size(t) > c.size
-
-
 # ---------------------------------------------------------------------------
-# term <-> circuit
-
-
-def test_from_term_is_tree_and_matches_eval(z4):
-    t = App("mul", (App("inv", (Var(0),)), App("mul", (Var(1), Var(0)))))
-    c = from_term(z4, t)
-    assert c.size == _term_size(t)
-    for asg in itertools.product(range(4), repeat=2):
-        env = {"x0": asg[0], "x1": asg[1]}
-        assert eval_circuit(z4, c, env) == (eval_term(z4, t, asg),)
-
-
-def test_from_term_to_term_round_trip(z4):
-    t = App("mul", (Var(0), App("inv", (Var(1),))))
-    c = from_term(z4, t)
-    assert to_term(c, c.outputs[0]) == t
+# Terms inlined into circuits
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_from_term_eval_agrees_randomized(data):
-    alg = get(data.draw(st.sampled_from(["Z4", "2lattice", "2boolean", "majority"])))
+def test_inline_term_eval_agrees_randomized(data):
+    alg = get(data.draw(st.sampled_from(["Z4", "2lattice", "2boolean", "majority", "S3"])))
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
 
     def rand_term(depth):
@@ -133,7 +116,8 @@ def test_from_term_eval_agrees_randomized(data):
         return App(op.name, tuple(rand_term(depth - 1) for _ in range(op.arity)))
 
     t = rand_term(3)
-    c = from_term(alg, t)
+    b = CircuitBuilder(alg.name)
+    c = b.build([b.inline_term(t, [b.input(f"x{i}") for i in range(3)])])
     for asg in itertools.product(range(alg.size), repeat=3):
         env = {f"x{i}": asg[i] for i in range(3)}
         assert eval_circuit(alg, c, env)[0] == eval_term(alg, t, asg)
@@ -239,8 +223,11 @@ def test_block_kernel_matches_eval(alg, seed, count):
 
 
 def test_block_kernel_uses_two_byte_digits_for_wide_tables():
-    widths = {alg.name: BlockProgram(alg, from_term(alg, Var(0)), []).width
-              for alg in EDGE_ALGEBRAS}
+    def identity(alg):
+        b = CircuitBuilder(alg.name)
+        return b.build([b.input("x0")])
+
+    widths = {alg.name: BlockProgram(alg, identity(alg), []).width for alg in EDGE_ALGEBRAS}
     assert widths["W17"] == widths["T7"] == 2
     assert widths["Z6"] == widths["majority"] == widths["one"] == 1
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mvcirc
 from mvcirc.cli import main
 
@@ -107,6 +109,29 @@ def test_solve_scsat_equations(tmp_path, capsys):
 def test_solve_unknown_file(capsys):
     code, _, err = run_cli(["solve", "csat", "zoo:Z2", "/nonexistent/file"], capsys)
     assert code == 66
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+@pytest.mark.parametrize("command", ["classify", "solve"])
+def test_unreadable_input_exit_code(tmp_path, capsys, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"algebra caf\xe9 size 1\n")
+    argv = ["classify", str(path)] if command == "classify" else [
+        "solve", "csat", "zoo:Z2", str(path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 66
+    assert "cannot read" in err
+
+
+def test_classify_bad_arity_is_a_usage_error(tmp_path, capsys):
+    alg = tmp_path / "bad.alg"
+    alg.write_text("algebra X size 2\nop f arity -1\n0\n")
+    code, _, err = run_cli(["classify", str(alg)], capsys)
+    assert code == 64
+    assert "negative arity" in err
 
 
 def test_solve_budget_exit_code(tmp_path, capsys):

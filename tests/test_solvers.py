@@ -26,7 +26,6 @@ from mvcirc.solvers import (
     ceqv_supernilpotent_experimental,
     dispatch,
     minimal_support_profile,
-    normalize_to_zero,
     ramsey_support_bound,
     solve_affine,
     solve_bruteforce,
@@ -43,6 +42,18 @@ def _meet_eq_one(lat2):
     g = b.op("meet", b.input("x"), b.input("y"))
     one = b.const(1)
     return CsatInstance(b.build([g, one]))
+
+
+def normalize_to_zero(alg, csat, d_term, zero):
+    """One-output circuit w = d(g1, g2, zero) with w = zero iff g1 = g2, the
+    reference for the sweep's compiled normalization.  Requires d to be a
+    Malcev polynomial whose slice x -> d(x, y, zero) hits zero only at
+    x = y; both are checked pointwise first."""
+    solvers._check_malcev(alg, d_term, zero)
+    b = CircuitBuilder(alg.name)
+    b.gates = list(csat.circuit.gates)
+    zgate = b.const(zero)
+    return b.build([b.inline_term(d_term, [*csat.circuit.outputs, zgate])])
 
 
 # ---------------------------------------------------------------------------

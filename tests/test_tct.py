@@ -6,7 +6,6 @@ from mvcirc.tct import (
     AbstractTypedLattice,
     abstract_from_typed,
     minimal_sets,
-    polynomially_isomorphic,
     transfer_check,
     transfer_principle_holds,
     type_of,
@@ -67,13 +66,6 @@ def test_minimal_sets_idempotent_witness(z4):
     assert e is not None
     assert set(e) == set(ms.elements)
     assert all(e[e[x]] == e[x] for x in range(4))
-
-
-def test_minimal_sets_polynomially_isomorphic(s3):
-    a3 = Partition.from_ids([0, 1, 1, 0, 0, 1])
-    ms = minimal_sets(s3, a3, one(s3))
-    for m2 in ms[1:]:
-        assert polynomially_isomorphic(s3, ms[0].elements, m2.elements)
 
 
 # ---------------------------------------------------------------------------
