@@ -10,15 +10,17 @@ BENCHMARK.json this runs ten pairs of
     python3 perfbench/run.py --workload W --seed 1 --seconds 24 --trace 0
 
 alternating which side runs first, then each side once on the held-out seed
-20261017, and last one traced run (--trace 1, classify-cold) per side.  The
-output of each run is kept in DIR as <workload>_<side>_<seed>_<tag>.txt; a
-run whose file is already there is not repeated, so an interrupted
-comparison resumes where it stopped.
+20261017, and last three traced runs (--trace 1, classify-cold) per side,
+again alternating.  The output of each run is kept in DIR as
+<workload>_<side>_<seed>_<tag>.txt; a run whose file is already there is not
+repeated, so an interrupted comparison resumes where it stopped.
 
 The JSON holds, per workload and side, the median and quartiles of every
 end-to-end metric over the ten seed-1 runs, the number of pairs in which the
-change is better, the held-out runs, the failure counts, and the per-layer
-metrics of both traced runs.
+change is better, the held-out runs, the failure counts, and per side the
+median and every value of each per-layer metric over the traced runs.  A
+traced rate is not speed-normalised, so one traced run swings with the
+host; the median of three is steadier.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
+TRACED = 3
 SEED, HELD_OUT = 1, 20261017
 SECONDS = 24
 SIDES = ("parent", "change")
@@ -86,12 +89,24 @@ def compare(trees: dict[str, Path], logs: Path) -> dict:
                                              for r in runs[side] + [held[side]]]
             entry["correct"][side] = all(r["correct"] for r in runs[side] + [held[side]])
         out["workloads"][workload] = entry
-    traced = {side: run(trees[side], logs, "classify-cold", side, SEED, "trace", trace=1)
-              for side in SIDES}
-    out["traced_classify_cold_seed1"] = {
-        name: {side: traced[side]["metrics"][name]["value"] for side in SIDES}
-        for name in traced["parent"]["metrics"]}
+    traced: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(1, TRACED + 1):
+        for side in SIDES if i % 2 else reversed(SIDES):
+            traced[side].append(run(trees[side], logs, "classify-cold", side, SEED,
+                                    f"trace{i}", trace=1))
+    names = dict.fromkeys(name for side in SIDES for r in traced[side] for name in r["metrics"])
+    out["traced_classify_cold_seed1"] = {"runs": TRACED, "metrics": {
+        name: {side: traced_summary(traced[side], name) for side in SIDES} for name in names}}
     return out
+
+
+def traced_summary(runs: list[dict], name: str) -> dict | None:
+    """Median and every value of one per-layer metric over the traced runs
+    of one side; None when that side does not report the metric."""
+    values = [r["metrics"][name]["value"] for r in runs if name in r["metrics"]]
+    if not values:
+        return None
+    return {"median": statistics.median(values), "runs": values}
 
 
 def main() -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
+    DEFAULT_CAP,
     FiniteAlgebra,
     Operation,
     find_malcev_term,
@@ -171,12 +172,19 @@ def indecomposable_factorization(alg: FiniteAlgebra) -> Factorization:
     return Factorization([alg], [alg.size])
 
 
-def is_supernilpotent(alg: FiniteAlgebra) -> tuple[Tri, Optional[Factorization]]:
-    """Nilpotent plus a factorization into directly indecomposable factors of
-    prime power order; the factorization is returned as witness."""
+def is_supernilpotent(
+    alg: FiniteAlgebra, cap: int = DEFAULT_CAP
+) -> tuple[Tri, Optional[Factorization]]:
+    """Whether alg is a supernilpotent Malcev algebra, the hypothesis of the
+    CSAT and CEQV theorems that read this flag.  A finite nilpotent Malcev
+    algebra is supernilpotent iff it is a direct product of algebras of
+    prime power order, so YES needs a Malcev term found under the cap and a
+    factorization into directly indecomposable factors of prime power
+    order, which is returned as witness.  UNKNOWN when the Malcev search
+    caps out, NO when it completes without a term."""
     if not is_nilpotent(alg):
         return Tri.NO, None
     fact = indecomposable_factorization(alg)
-    if all(is_prime_power(s) for s in fact.sizes):
-        return Tri.YES, fact
-    return Tri.NO, fact
+    if not all(is_prime_power(s) for s in fact.sizes):
+        return Tri.NO, fact
+    return find_malcev_term(alg, cap).status, fact

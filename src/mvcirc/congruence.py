@@ -58,23 +58,21 @@ class CongruenceLattice:
     congruences: list[Partition]
     covers: list[tuple[int, int]] = field(default_factory=list)   # (lower, upper) indices
     _index: dict[Partition, int] = field(default_factory=dict)
-    _leq: list[list[bool]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._index = {p: i for i, p in enumerate(self.congruences)}
-        m = len(self.congruences)
-        self._leq = [[self.congruences[i].leq(self.congruences[j]) for j in range(m)] for i in range(m)]
         if not self.covers:
             self.covers = self._compute_covers()
 
     def _compute_covers(self) -> list[tuple[int, int]]:
         m = len(self.congruences)
+        leq = [[self.congruences[i].leq(self.congruences[j]) for j in range(m)] for i in range(m)]
         out = []
         for i in range(m):
             for j in range(m):
-                if i == j or not self._leq[i][j]:
+                if i == j or not leq[i][j]:
                     continue
-                if any(k != i and k != j and self._leq[i][k] and self._leq[k][j] for k in range(m)):
+                if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(m)):
                     continue
                 out.append((i, j))
         return out
@@ -90,9 +88,6 @@ class CongruenceLattice:
             return self._index[p]
         except KeyError:
             raise LatticeMismatch(f"partition {p} is not in this lattice") from None
-
-    def leq(self, a: Partition, b: Partition) -> bool:
-        return self._leq[self.index(a)][self.index(b)]
 
     @property
     def zero(self) -> Partition:
@@ -118,10 +113,6 @@ class CongruenceLattice:
 
     def cover_pairs(self) -> list[tuple[Partition, Partition]]:
         return [(self.congruences[a], self.congruences[b]) for a, b in self.covers]
-
-    def interval(self, lo: Partition, hi: Partition) -> list[Partition]:
-        i, j = self.index(lo), self.index(hi)
-        return [p for k, p in enumerate(self.congruences) if self._leq[i][k] and self._leq[k][j]]
 
 
 def congruence_lattice(alg: FiniteAlgebra, cap: int = 100_000) -> CongruenceLattice:

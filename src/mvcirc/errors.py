@@ -100,10 +100,6 @@ class InvalidWitness(MvcircError):
     pass
 
 
-class UnrecognizedShape(MvcircError):
-    pass
-
-
 class NotPermutationWarning(UserWarning):
     """The translation x -> d(x, y, a) is not a permutation for some y."""
 

@@ -28,6 +28,7 @@ from .circuit import (
     ScsatInstance,
 )
 from .errors import (
+    CapExceeded,
     InvalidWitness,
     NotMalcev,
     NotPermutationWarning,
@@ -167,13 +168,15 @@ def derive_type3_witness(alg: FiniteAlgebra, cap: int = 200_000) -> Optional[Typ
     from .congruence import congruence_lattice
     from .tct import minimal_sets, type_of
     from .algebra import poly_clone_on_points, unary_poly_clone
-    import itertools
 
     lat = congruence_lattice(alg)
     for lo, hi in lat.cover_pairs():
         if type_of(alg, lo, hi, cap) != 3:
             continue
-        ms = minimal_sets(alg, lo, hi, cap)[0]
+        try:
+            ms = minimal_sets(alg, lo, hi, cap)[0]
+        except CapExceeded:
+            continue
         if len(ms.elements) != 2 or ms.idempotent_witness is None:
             continue
         z, o = ms.elements

@@ -404,7 +404,7 @@ def solve_supernilpotent(
     min(D, n).  For n <= D the sweep is exhaustive, hence unconditionally
     sound regardless of the quality of the Ramsey bound.  Without params the
     algebra's plan supplies them (from its classification)."""
-    if checked and is_supernilpotent(alg)[0] is not Tri.YES:
+    if checked and is_supernilpotent(alg, config.cap)[0] is not Tri.YES:
         raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
     names, values, tried = _sweep(alg, csat, params, config, agree=True)
     if values is None:
@@ -780,7 +780,7 @@ def ceqv_supernilpotent_experimental(
     among supports <= min(D, n) of the normalized difference circuit.  At
     desk scale (n <= D) the sweep is exhaustive, so agreement with brute
     force is enforced rather than assumed."""
-    if checked and is_supernilpotent(alg)[0] is not Tri.YES:
+    if checked and is_supernilpotent(alg, config.cap)[0] is not Tri.YES:
         raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
     names, values, tried = _sweep(alg, CsatInstance(ceqv.circuit), params, config, agree=False)
     if values is None:
@@ -824,18 +824,17 @@ class Plan:
     @cached_property
     def routes(self) -> dict[type, str]:
         """Route for each instance type: DL-like CSAT/MCSAT to the diagonal,
-        supernilpotent CSAT/CEQV to the support sweep when a Malcev term is
-        found under the cap (the sweep normalizes through it), affine
-        MCSAT/SCSAT to elimination, otherwise per-factor solves or brute
-        force."""
+        supernilpotent CSAT/CEQV to the support sweep (the flag needs a
+        Malcev term found under the cap, and the sweep normalizes through
+        it), affine MCSAT/SCSAT to elimination, otherwise per-factor solves
+        or brute force."""
         rep = self.report
         dl, sn, af = (flag is Tri.YES for flag in (rep.dl_like, rep.supernilpotent, rep.affine))
-        sweep = sn and self.malcev is not None
         other = "brute" if self.split is None else "product"
         return {
-            CsatInstance: "usp" if dl else "supernilpotent" if sweep else other,
+            CsatInstance: "usp" if dl else "supernilpotent" if sn else other,
             McsatInstance: "usp" if dl else "affine" if af else other,
-            CeqvInstance: "ceqv" if sweep else other,
+            CeqvInstance: "ceqv" if sn else other,
             ScsatInstance: "affine" if af else other,
         }
 

@@ -264,7 +264,7 @@ def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
     solvable = is_solvable(alg)
     nilpotent = is_nilpotent(alg)
     nclass = nilpotency_class(alg)
-    supernil, _fact = is_supernilpotent(alg)
+    supernil, _fact = is_supernilpotent(alg, cap)
     affine = is_affine(alg, cap)
     dl, dl_wit = is_dl_like(alg, cap)
 
@@ -291,7 +291,7 @@ def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
         return Tri.YES if is_nilpotent(a) else Tri.NO
 
     def supernil_tri(a: FiniteAlgebra) -> Tri:
-        return is_supernilpotent(a)[0]
+        return is_supernilpotent(a, cap)[0]
 
     def affine_tri(a: FiniteAlgebra) -> Tri:
         return is_affine(a, cap)

@@ -1,12 +1,19 @@
 """Minimal sets, traces, and the five-way type labeling of prime quotients.
 
-For a quotient alpha < beta, the candidate sets are ranges f(A) of unary
-polynomials with f(beta) not inside alpha and at least two elements; the
-inclusion-minimal ones are the minimal sets.  The local label is decided by
-what the polynomial clone realizes on a trace: a pseudo-Malcev operation
-(vector-space behavior, label 2), lattice operations with or without a
-complement (labels 4 / 3), just a semilattice operation (label 5), or
-nothing (label 1).  Searches are cap-bounded: a positive witness exits
+An algebra with a Malcev term needs no search: it generates a
+congruence-permutable variety, which omits types 1, 4 and 5, and a prime
+quotient alpha < beta is abelian iff its type is 1 or 2 (Hobby and McKenzie,
+The Structure of Finite Algebras, 1988, Ch. 5 and 9).  So its label is 2
+when [beta, beta] <= alpha and 3 otherwise, read off the stored commutator.
+
+Without a Malcev term found under the cap, the label comes from a ladder of
+clone searches.  For a quotient alpha < beta, the candidate sets are ranges
+f(A) of unary polynomials with f(beta) not inside alpha and at least two
+elements; the inclusion-minimal ones are the minimal sets.  The local label
+is decided by what the polynomial clone realizes on a trace: a pseudo-Malcev
+operation (vector-space behavior, label 2), lattice operations with or
+without a complement (labels 4 / 3), just a semilattice operation (label 5),
+or nothing (label 1).  Searches are cap-bounded: a positive witness exits
 early, a negative answer needs the restricted clone to close.
 """
 
@@ -21,6 +28,7 @@ from .algebra import (
     FiniteAlgebra,
     Table,
     Term,
+    find_malcev_term,
     poly_clone_on_points,
     stored,
     unary_poly_clone,
@@ -194,13 +202,37 @@ def type_of(
     alpha: Partition,
     beta: Partition,
     cap: int = DEFAULT_CAP,
-    all_traces: bool = False,
 ) -> Optional[int]:
     """Label in 1..5 for the quotient alpha < beta, or None when undecided.
 
+    With a Malcev term found under the cap the label is read off the
+    commutator: 2 when [beta, beta] <= alpha, else 3.  A Malcev algebra
+    generates a congruence-permutable variety, which omits types 1, 4 and
+    5, and a prime quotient is abelian iff its type is 1 or 2 (Hobby and
+    McKenzie, The Structure of Finite Algebras, 1988, Ch. 5 and 9).  Only
+    when the Malcev search says NO or UNKNOWN does _type_by_search run.
+    """
+    if not alpha.leq(beta) or alpha == beta:
+        raise ValueError("need alpha < beta")
+    if find_malcev_term(alg, cap).status is Tri.YES:
+        return 2 if commutator(alg, beta, beta).leq(alpha) else 3
+    return _type_by_search(alg, alpha, beta, cap)
+
+
+def _type_by_search(
+    alg: FiniteAlgebra,
+    alpha: Partition,
+    beta: Partition,
+    cap: int,
+    all_traces: bool = False,
+) -> Optional[int]:
+    """The label from restricted clone searches on minimal sets.
+
     Ladder: beta abelian over alpha splits 2 (pseudo-Malcev on a minimal-set
     body) from 1; otherwise lattice operations on a trace give 4, plus a
-    polynomial complement 3, and a lone semilattice operation gives 5.
+    polynomial complement 3, and a lone semilattice operation gives 5.  The
+    first minimal set and trace decide, or with all_traces every one of
+    them, and they must agree.
     """
     try:
         msets = minimal_sets(alg, alpha, beta, cap)

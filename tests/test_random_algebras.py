@@ -4,9 +4,9 @@ arbitrary operation tables, not just on the curated fixtures."""
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mvcirc.algebra import FiniteAlgebra, Operation, is_congruence, quotient
+from mvcirc.algebra import FiniteAlgebra, Operation, find_malcev_term, is_congruence, quotient
 from mvcirc.circuit import (
     CeqvInstance,
     CsatInstance,
@@ -14,9 +14,9 @@ from mvcirc.circuit import (
     ScsatInstance,
     random_circuit,
 )
-from mvcirc.commutator import commutator
+from mvcirc.commutator import commutator, is_supernilpotent
 from mvcirc.congruence import congruence_lattice, principal_congruence
-from mvcirc.errors import BudgetExceeded
+from mvcirc.errors import BudgetExceeded, Tri
 from mvcirc.partition import Partition
 from mvcirc.solvers import SolverConfig, dispatch, solve_bruteforce
 
@@ -110,3 +110,15 @@ def test_dispatch_agrees_with_brute_force(alg, rng):
             except BudgetExceeded:
                 continue
             assert got.answer == solve_bruteforce(alg, inst).answer, got.solver_used
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras(), st.sampled_from([50, 500, 5000]))
+@example(FiniteAlgebra("proj", 2, (Operation("p", 2, (0, 0, 1, 1)),)), 500)
+def test_supernilpotent_flag_needs_a_malcev_term(alg, cap):
+    """The flag stands for the hypothesis of the CSAT and CEQV theorems, a
+    supernilpotent Malcev algebra, so YES needs a Malcev term found under
+    the same cap.  The 2-element algebra with one projection is nilpotent
+    and of prime order, and has none."""
+    if is_supernilpotent(alg, cap)[0] is Tri.YES:
+        assert find_malcev_term(alg, cap).status is Tri.YES

@@ -83,6 +83,12 @@ def test_derive_type3_witness(bool2, lat2):
     assert derive_type3_witness(lat2) is None  # no type-3 cover in a lattice
 
 
+def test_derive_type3_witness_under_a_small_cap(bool2):
+    # the Malcev term types the cover 3, but its minimal sets need more than
+    # two unary tables: no witness, and no CapExceeded
+    assert derive_type3_witness(bool2, cap=2) is None
+
+
 # ---------------------------------------------------------------------------
 # CSP <-> CSAT
 

@@ -1,5 +1,7 @@
 """The experiment scripts run end to end on small batches."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -21,3 +23,53 @@ def test_script_exits_cleanly(argv):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_pairs_takes_the_median_of_three_traced_runs(tmp_path, monkeypatch):
+    """compare() reads every run from its log when the log is there, so
+    written logs stand in for the benchmark runs."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    trees = {}
+    for side in bench_pairs.SIDES:
+        trees[side] = tmp_path / side
+        trees[side].mkdir()
+        (trees[side] / "BENCHMARK.json").write_text(json.dumps(declared))
+    logs = tmp_path / "logs"
+    logs.mkdir()
+
+    def log(workload, side, seed, tag, metrics):
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            name: {"value": value, "unit": "s"} for name, value in metrics.items()}})
+        (logs / f"{workload}_{side}_{seed}_{tag}.txt").write_text(f"noise\n{line}\nexit 0\n")
+
+    e2e = {m["name"]: 1.0 for m in declared["end_to_end"]}
+    for workload in (w["name"] for w in declared["workloads"]):
+        for side in bench_pairs.SIDES:
+            for tag in [str(i) for i in range(1, bench_pairs.PAIRS + 1)] + ["h"]:
+                seed = bench_pairs.HELD_OUT if tag == "h" else bench_pairs.SEED
+                log(workload, side, seed, tag, e2e)
+    for i, value in enumerate([1.0, 2.0, 6.0], start=1):
+        log("classify-cold", "parent", bench_pairs.SEED, f"trace{i}", {"tct.s": value})
+        log("classify-cold", "change", bench_pairs.SEED, f"trace{i}",
+            {"tct.s": value / 2, "new.s": value})
+
+    order = []
+    read = bench_pairs.run
+
+    def run(tree, logs, workload, side, seed, tag, trace=0):
+        order.append((side, tag))
+        return read(tree, logs, workload, side, seed, tag, trace)
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    traced = bench_pairs.compare(trees, logs)["traced_classify_cold_seed1"]
+    assert order[-6:] == [("parent", "trace1"), ("change", "trace1"), ("change", "trace2"),
+                          ("parent", "trace2"), ("parent", "trace3"), ("change", "trace3")]
+    assert traced["runs"] == 3
+    assert traced["metrics"]["tct.s"] == {
+        "parent": {"median": 2.0, "runs": [1.0, 2.0, 6.0]},
+        "change": {"median": 1.0, "runs": [0.5, 1.0, 3.0]},
+    }
+    assert traced["metrics"]["new.s"]["parent"] is None

@@ -1,9 +1,17 @@
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
+from mvcirc.algebra import DEFAULT_CAP, FiniteAlgebra, Operation, find_malcev_term
 from mvcirc.congruence import congruence_lattice
+from mvcirc.errors import Tri
 from mvcirc.partition import Partition
+from mvcirc.structure import classify
 from mvcirc.tct import (
     AbstractTypedLattice,
+    _type_by_search,
     abstract_from_typed,
     minimal_sets,
     transfer_check,
@@ -12,7 +20,7 @@ from mvcirc.tct import (
     typed_congruence_lattice,
     typeset,
 )
-from mvcirc.zoo import get
+from mvcirc.zoo import _cyclic_group, get
 
 from conftest import mod_congruence
 
@@ -100,7 +108,8 @@ def test_type_stable_across_traces_and_minimal_sets(z4, s3, z2xl2):
     for alg in (z4, s3, z2xl2):
         lat = congruence_lattice(alg)
         for lo, hi in lat.cover_pairs():
-            assert type_of(alg, lo, hi, all_traces=True) == type_of(alg, lo, hi)
+            by_all = _type_by_search(alg, lo, hi, DEFAULT_CAP, all_traces=True)
+            assert by_all == _type_by_search(alg, lo, hi, DEFAULT_CAP) == type_of(alg, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +149,64 @@ def test_cm_typeset_restriction_and_empty_tails():
         for lo, hi in lat.cover_pairs():
             for ms in minimal_sets(alg, lo, hi):
                 assert ms.tail == ()
+
+
+# ---------------------------------------------------------------------------
+# Malcev algebras: labels by theorem, checked against the search ladder
+
+MALCEV_ZOO = ["2boolean", "Z2", "Z3", "Z4", "Z2xZ2", "Z6", "S3", "Z4ring"]
+
+
+def _labels_against_ladder(alg, cap, decided):
+    # a Malcev term, once found, is kept for every cap
+    assert find_malcev_term(alg).status is Tri.YES
+    for lo, hi in congruence_lattice(alg).cover_pairs():
+        want = _type_by_search(alg, lo, hi, cap)
+        if want is not None:
+            assert type_of(alg, lo, hi, cap) == want, (alg, lo, hi)
+            decided[want] += 1
+
+
+@pytest.mark.parametrize("name", MALCEV_ZOO)
+def test_theorem_labels_match_the_ladder_on_the_zoo(name):
+    decided = Counter()
+    _labels_against_ladder(get(name), DEFAULT_CAP, decided)
+    assert sum(decided.values()) == len(congruence_lattice(get(name)).covers)
+
+
+def _with_random_op(base, rng):
+    """base plus one random unary or binary op that preserves a random
+    congruence theta of base: the group term stays a Malcev term, the new op
+    cuts Con(base) down, and theta survives to keep some lattices larger
+    than 0 < 1."""
+    theta = rng.choice(congruence_lattice(base).congruences)
+    classes = {}
+    for x in range(base.size):
+        classes.setdefault(theta.class_of(x), []).append(x)
+    arity = rng.choice((1, 2))
+    image = {}
+    table = []
+    for args in itertools.product(range(base.size), repeat=arity):
+        key = tuple(theta.class_of(a) for a in args)
+        image.setdefault(key, rng.choice(list(classes)))
+        table.append(rng.choice(classes[image[key]]))
+    return FiniteAlgebra(f"{base.name}+f", base.size,
+                         base.ops + (Operation("f", arity, tuple(table)),))
+
+
+def test_theorem_labels_match_the_ladder_on_random_malcev_algebras():
+    rng = random.Random(7)
+    bases = [_cyclic_group(f"Z{n}", n) for n in range(2, 7)] + [get("S3")]
+    decided = Counter()
+    for _ in range(60):
+        # a small cap keeps the ladder short; covers it leaves open are skipped
+        _labels_against_ladder(_with_random_op(rng.choice(bases), rng), 1000, decided)
+    assert decided[2] >= 10 and decided[3] >= 10, decided
+
+
+def test_malcev_typeset_needs_no_search_under_a_small_cap(z6):
+    # the ladder's unary clone of Z6 does not close within 50 tables
+    assert classify(z6, 50).typeset == [2]
 
 
 # ---------------------------------------------------------------------------
