@@ -153,17 +153,12 @@ class FactStore:
 STORE = FactStore()
 
 
-def stored(alg: FiniteAlgebra, fact: Hashable, build: Callable[[], T],
-           keep: Callable[[T], bool] = lambda value: True) -> T:
-    """The fact of alg from the store; on a miss, build it and store it when
-    keep(value) (a cap-bounded result is kept only once it is complete)."""
+def stored(alg: FiniteAlgebra, fact: Hashable, build: Callable[[], T]) -> T:
+    """The fact of alg from the store; on a miss, build it and store it."""
     facts = STORE.facts(alg)
-    if fact in facts:
-        return facts[fact]
-    value = build()
-    if keep(value):
-        facts[fact] = value
-    return value
+    if fact not in facts:
+        facts[fact] = build()
+    return facts[fact]
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +555,9 @@ def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
     """Search the ternary term clone for d with d(x,x,y) = y = d(y,x,x).
 
     YES carries (term, table); NO means the closure completed without a
-    witness; UNKNOWN means the cap was hit first.  YES and NO are stored,
-    and so is an UNKNOWN, under ("malcev", cap) and without the tables.
+    witness; UNKNOWN means the cap was hit first.  Every outcome is stored
+    under ("malcev", cap), without the clone's tables, so a capped search
+    answers the same whatever ran before it.
     """
     def build() -> Search:
         n = alg.size
@@ -573,10 +569,7 @@ def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
             return Search(Tri.YES, (clone.witness(hit), tuple(hit)))
         return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
 
-    return stored(alg, "malcev",
-                  lambda: stored(alg, ("malcev", cap), build,
-                                 keep=lambda found: found.status is Tri.UNKNOWN),
-                  keep=lambda found: found.status is not Tri.UNKNOWN)
+    return stored(alg, ("malcev", cap), build)
 
 
 @dataclass

@@ -242,20 +242,17 @@ def _instance_from_text(kind: str, alg: FiniteAlgebra, text: str):
     raise ParseError(f"unknown problem kind {kind!r}")
 
 
+# --solver choice -> the route dispatch runs (None: the plan's own)
+_SOLVERS = {"auto": None, "brute": "brute", "usp": "usp", "supernil": "supernilpotent",
+            "affine": "affine"}
+
+
 def _format_witness(witness: dict[str, int]) -> str:
     return " ".join(f"{k}={witness[k]}" for k in sorted(witness))
 
 
 def _cmd_solve(args) -> int:
-    from .solvers import (
-        SolverConfig,
-        ceqv_supernilpotent_experimental,
-        dispatch,
-        solve_affine,
-        solve_bruteforce,
-        solve_supernilpotent,
-        solve_usp,
-    )
+    from .solvers import SolverConfig, dispatch
 
     alg = _load_algebra(args.algebra)
     text = _read_text(args.circuit)
@@ -266,22 +263,7 @@ def _cmd_solve(args) -> int:
         return EX_USAGE
     config = SolverConfig(budget=args.budget)
     try:
-        if args.solver == "auto":
-            result = dispatch(alg, inst, config)
-        elif args.solver == "brute":
-            result = solve_bruteforce(alg, inst, config)
-        elif args.solver == "usp":
-            result = solve_usp(alg, inst, config)
-        elif args.solver == "supernil":
-            if isinstance(inst, CeqvInstance):
-                result = ceqv_supernilpotent_experimental(alg, inst, config=config)
-            else:
-                result = solve_supernilpotent(alg, inst, config=config)
-        elif args.solver == "affine":
-            result = solve_affine(alg, inst, config)
-        else:
-            print(f"error: unknown solver {args.solver!r}", file=sys.stderr)
-            return EX_USAGE
+        result = dispatch(alg, inst, config, solver=_SOLVERS[args.solver])
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_BUDGET
@@ -369,7 +351,7 @@ def build_parser() -> _Parser:
     ps.add_argument("algebra")
     ps.add_argument("circuit", help="circuit file, or - for stdin")
     ps.add_argument("--solver", default="auto",
-                    choices=["auto", "brute", "usp", "supernil", "affine"])
+                    choices=list(_SOLVERS))
     ps.add_argument("--budget", type=int, default=10 ** 8)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(fn=_cmd_solve)

@@ -132,7 +132,7 @@ def nilpotency_class(alg: FiniteAlgebra) -> Optional[int]:
     return len(rep.congruences) - 1
 
 
-def is_affine(alg: FiniteAlgebra, cap: int = 200_000) -> Tri:
+def is_affine(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Tri:
     """Abelian with a Malcev term; UNKNOWN only when the term search caps out."""
     if not is_abelian(alg):
         return Tri.NO

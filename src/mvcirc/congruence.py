@@ -16,6 +16,8 @@ from .algebra import FiniteAlgebra, stored, translations
 from .errors import CapExceeded, ElementOutOfRange, LatticeMismatch
 from .partition import Partition
 
+LATTICE_CAP = 100_000
+
 
 def congruence_from_pairs(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
     """Least congruence containing the given pairs (Malcev-chain closure)."""
@@ -115,13 +117,14 @@ class CongruenceLattice:
         return [(self.congruences[a], self.congruences[b]) for a, b in self.covers]
 
 
-def congruence_lattice(alg: FiniteAlgebra, cap: int = 100_000) -> CongruenceLattice:
-    """Con(alg) by worklist join-closure of the principal congruences.  A
-    finished lattice is stored, so it is built once per algebra."""
-    return stored(alg, "lattice", lambda: _congruence_lattice(alg, cap))
+def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
+    """Con(alg) by worklist join-closure of the principal congruences, with
+    CapExceeded past LATTICE_CAP congruences.  A finished lattice is stored,
+    so it is built once per algebra."""
+    return stored(alg, "lattice", lambda: _congruence_lattice(alg))
 
 
-def _congruence_lattice(alg: FiniteAlgebra, cap: int) -> CongruenceLattice:
+def _congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     n = alg.size
     zero = Partition.zero(n)
     found: dict[Partition, None] = {zero: None}
@@ -138,7 +141,7 @@ def _congruence_lattice(alg: FiniteAlgebra, cap: int) -> CongruenceLattice:
         for p in principals:
             j = cur.join(p)
             if j not in found:
-                if len(found) >= cap:
+                if len(found) >= LATTICE_CAP:
                     raise CapExceeded(len(found), "congruence lattice")
                 found[j] = None
                 worklist.append(j)

@@ -5,10 +5,13 @@ subdirect products of lattice-like 2-element algebras, a bounded-support
 sweep for supernilpotent algebras (the bound comes from an iterated Ramsey
 argument, so it saturates quickly and the sweep degenerates to exhaustive
 search at desk scale, where it is unconditionally sound), and elimination
-over the underlying module for affine algebras.  The dispatcher routes by a
-per-algebra Plan, built once per (algebra, cap) and kept in the per-algebra
-store; every satisfying witness re-verifies by evaluation before it is
-returned.
+over the underlying module for affine algebras.  Each fast solver is a
+function of (plan, instance, config): the per-algebra Plan, built once per
+(algebra, cap) and kept in the per-algebra store, holds the classification
+whose flags the solver's hypothesis reads (Plan.require) and the facts it
+uses.  The dispatcher runs the plan's route for the instance's kind, or a
+route the caller names; every satisfying witness re-verifies by evaluation
+before it is returned.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .circuit import (
     const_gate,
     eval_circuit,
 )
-from .commutator import is_affine, is_prime_power, is_supernilpotent
+from .commutator import is_prime_power
 from .congruence import FactorPair, factor_pairs
 from .errors import (
     BudgetExceeded,
@@ -47,7 +50,7 @@ from .errors import (
     Tri,
 )
 from .partition import Partition
-from .structure import ClassificationReport, classify, is_dl_like
+from .structure import ClassificationReport, classify
 
 RAMSEY_CEILING = 10 ** 18
 
@@ -55,7 +58,7 @@ RAMSEY_CEILING = 10 ** 18
 @dataclass
 class SolverConfig:
     budget: int = 10 ** 8      # max assignment evaluations for exhaustive sweeps
-    cap: int = 200_000         # clone/search cap
+    cap: int = DEFAULT_CAP     # clone/search cap
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -240,18 +243,18 @@ def solve_bruteforce(
 # Diagonal solver for DL-like algebras
 
 
-def solve_usp(
-    alg: FiniteAlgebra, inst: CsatInstance | McsatInstance,
-    config: SolverConfig = DEFAULT_CONFIG, checked: bool = True,
-) -> SolveResult:
+def solve_usp(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     """Test only the |A| constant diagonals.  Complete for algebras with the
     uniform solution property (value attained somewhere is attained on its
     own diagonal), which subdirect products of lattice-like 2-element
     algebras have."""
-    if not isinstance(inst, (CsatInstance, McsatInstance)):
-        raise TypeError("diagonal solver handles CSAT/MCSAT instances")
-    if checked and is_dl_like(alg, config.cap)[0] is not Tri.YES:
-        raise NotDlLike(f"{alg.name} is not a verified subdirect product of lattice-like algebras")
+    plan.require("usp", inst)
+    return _diagonal(plan.alg, inst)
+
+
+def _diagonal(alg: FiniteAlgebra, inst: CsatInstance | McsatInstance) -> SolveResult:
+    """The first constant diagonal, 0 then 1, 2, ..., at which every output
+    agrees."""
     names = _instance_inputs(inst)
     program = BlockProgram(alg, inst.circuit, _agreement_pairs(inst))
     diagonals = [program.pack(range(1, alg.size))] * len(names)
@@ -372,44 +375,41 @@ def _sweep_size(n: int, inputs: int, max_support: int, config: SolverConfig) -> 
     return total
 
 
-def _sweep(alg: FiniteAlgebra, csat: CsatInstance, params: Optional[SupernilpotentSolverParams],
-           config: SolverConfig, agree: bool) -> tuple[list[str], Optional[tuple[int, ...]], int]:
-    """Normalize to w = zero through the plan's Malcev term and sweep by
-    support size up to min(D, n) for the first assignment where w = zero
-    (agree) or w != zero; returns the input names, that assignment (or None)
-    and the number tried."""
-    plan = plan_for(alg, config.cap)
-    params = params if params is not None else plan.params
-    zero = params.zero_element
+def _sweep(plan: Plan, inst: CsatInstance | CeqvInstance, params: SupernilpotentSolverParams,
+           config: SolverConfig) -> SolveResult:
+    """Normalize the two outputs to w = zero through the plan's Malcev term
+    and sweep by support size up to min(D, n) for the first assignment where
+    w = zero (CSAT) or w != zero (CEQV)."""
+    alg, zero = plan.alg, params.zero_element
     steps, w = plan.zero_steps(zero)
-    c = csat.circuit
+    c = inst.circuit
     names = sorted(c.input_names)
     max_support = min(params.d_bound, len(names))
     total = _sweep_size(alg.size, len(names), max_support, config)
     program = BlockProgram(alg, c, [c.outputs])
     program.append(steps, c.outputs, [(w, 2)])
     blocks = _support_sweep(program, len(names), zero, max_support)
-    values, tried = next(_hits(program, (zero,) * len(names), blocks, agree), (None, total))
-    return names, values, tried
-
-
-def solve_supernilpotent(
-    alg: FiniteAlgebra,
-    csat: CsatInstance,
-    params: Optional[SupernilpotentSolverParams] = None,
-    config: SolverConfig = DEFAULT_CONFIG,
-    checked: bool = True,
-) -> SolveResult:
-    """Normalize to w = zero and sweep assignments by support size up to
-    min(D, n).  For n <= D the sweep is exhaustive, hence unconditionally
-    sound regardless of the quality of the Ramsey bound.  Without params the
-    algebra's plan supplies them (from its classification)."""
-    if checked and is_supernilpotent(alg, config.cap)[0] is not Tri.YES:
-        raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
-    names, values, tried = _sweep(alg, csat, params, config, agree=True)
+    ceqv = isinstance(inst, CeqvInstance)
+    hits = _hits(program, (zero,) * len(names), blocks, agree=not ceqv)
+    values, tried = next(hits, (None, total))
+    hit, miss, solver = (("nequiv", "equiv", "ceqv-supernilpotent-experimental") if ceqv
+                         else ("sat", "unsat", "supernilpotent"))
     if values is None:
-        return SolveResult("unsat", None, "supernilpotent", tried)
-    return _result(alg, csat, "sat", dict(zip(names, values)), "supernilpotent", tried)
+        return SolveResult(miss, None, solver, tried, experimental=ceqv)
+    return _result(alg, inst, hit, dict(zip(names, values)), solver, tried, experimental=ceqv)
+
+
+def solve_supernilpotent(plan: Plan, inst: Instance,
+                         config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+    """Normalize to w = zero and sweep assignments by support size up to
+    min(D, n), with the plan's parameters.  For n <= D the sweep is
+    exhaustive, hence unconditionally sound regardless of the quality of the
+    Ramsey bound.  CSAT looks for an assignment where the outputs agree.
+    CEQV looks for one where they differ; its result is marked experimental,
+    since no support bound for CEQV is proven here, and at desk scale
+    (n <= D) agreement with brute force is enforced rather than assumed."""
+    plan.require("supernilpotent", inst)
+    return _sweep(plan, inst, plan.params, config)
 
 
 def minimal_support_profile(
@@ -668,34 +668,19 @@ def _verify_linear(alg: FiniteAlgebra, group: _AbelianGroup, circ: Circuit,
     return None
 
 
-def solve_affine(
-    alg: FiniteAlgebra, inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
-    checked: bool = True,
-) -> SolveResult:
+def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     """Decompose both sides of every equation as sum of unary endomorphisms
     plus a constant, verify the decomposition pointwise, and solve the linear
     system by CRT across the primary components of (A, +) with elimination
     modulo prime powers.  A failed linearity check downgrades to brute force
     with a diagnostic."""
-    if isinstance(inst, CeqvInstance):
-        raise TypeError("affine solver decides satisfiability problems")
-    if checked and is_affine(alg, config.cap) is not Tri.YES:
-        raise NotAffine(f"{alg.name} is not verified affine")
-    plan = plan_for(alg, config.cap)
-    if plan.malcev is None:
-        raise NotAffine(f"no Malcev term found for {alg.name}")
-
-    if isinstance(inst, CsatInstance):
-        equations = [tuple(inst.circuit.outputs)]
-        circ = inst.circuit
-    elif isinstance(inst, McsatInstance):
-        outs = inst.circuit.outputs
-        equations = [(outs[i], outs[i + 1]) for i in range(len(outs) - 1)]
-        circ = inst.circuit
-    else:
-        assert isinstance(inst, ScsatInstance)
+    plan.require("affine", inst)
+    alg, circ = plan.alg, inst.circuit
+    if isinstance(inst, ScsatInstance):
         equations = list(inst.equations)
-        circ = inst.circuit
+    else:   # CSAT or MCSAT: consecutive outputs agree
+        outs = circ.outputs
+        equations = [(outs[i], outs[i + 1]) for i in range(len(outs) - 1)]
 
     names = sorted(circ.input_names)
     try:
@@ -766,31 +751,6 @@ def solve_affine(
 
 
 # ---------------------------------------------------------------------------
-# Experimental CEQV for supernilpotent algebras
-
-
-def ceqv_supernilpotent_experimental(
-    alg: FiniteAlgebra,
-    ceqv: CeqvInstance,
-    params: Optional[SupernilpotentSolverParams] = None,
-    config: SolverConfig = DEFAULT_CONFIG,
-    checked: bool = True,
-) -> SolveResult:
-    """Dual bounded-support check: search for a distinguishing assignment
-    among supports <= min(D, n) of the normalized difference circuit.  At
-    desk scale (n <= D) the sweep is exhaustive, so agreement with brute
-    force is enforced rather than assumed."""
-    if checked and is_supernilpotent(alg, config.cap)[0] is not Tri.YES:
-        raise NotSupernilpotent(f"{alg.name} is not verified supernilpotent")
-    names, values, tried = _sweep(alg, CsatInstance(ceqv.circuit), params, config, agree=False)
-    if values is None:
-        return SolveResult("equiv", None, "ceqv-supernilpotent-experimental", tried,
-                           experimental=True)
-    return _result(alg, ceqv, "nequiv", dict(zip(names, values)),
-                   "ceqv-supernilpotent-experimental", tried, experimental=True)
-
-
-# ---------------------------------------------------------------------------
 # Per-algebra plan and dispatcher
 
 
@@ -804,13 +764,27 @@ class _Split:
     element: dict[tuple[int, int], int]   # (class mod alpha1, class mod alpha2) -> element
 
 
+# The hypothesis of each fast route: the classification flag that must be
+# YES, the error raised when it is not, what the flag asserts, and the
+# instance kinds the route decides.
+HYPOTHESES: dict[str, tuple[str, type[Exception], str, tuple[type, ...]]] = {
+    "usp": ("dl_like", NotDlLike, "a verified subdirect product of lattice-like algebras",
+            (CsatInstance, McsatInstance)),
+    "supernilpotent": ("supernilpotent", NotSupernilpotent, "verified supernilpotent",
+                       (CsatInstance, CeqvInstance)),
+    "affine": ("affine", NotAffine, "verified affine",
+               (CsatInstance, McsatInstance, ScsatInstance)),
+}
+SOLVERS = ("brute", *HYPOTHESES)     # the routes a caller may name
+
+
 class Plan:
     """What the solvers need to know about one algebra under one cap: its
     classification, the route for each problem kind, and the per-algebra
     facts those routes use.  Every field is computed on first use, so a
-    direct solver call pays only for what it reads; plan_for keeps one plan
-    per (algebra content, cap) in the per-algebra store.  The report carries
-    the name of the algebra the plan was first built for."""
+    forced brute-force route classifies nothing; plan_for keeps one plan
+    per (algebra content, cap) in the per-algebra store.  The plan's algebra
+    and report carry the name of the algebra it was first built for."""
 
     def __init__(self, alg: FiniteAlgebra, cap: int):
         self.alg = alg
@@ -834,9 +808,18 @@ class Plan:
         return {
             CsatInstance: "usp" if dl else "supernilpotent" if sn else other,
             McsatInstance: "usp" if dl else "affine" if af else other,
-            CeqvInstance: "ceqv" if sn else other,
+            CeqvInstance: "supernilpotent" if sn else other,
             ScsatInstance: "affine" if af else other,
         }
+
+    def require(self, route: str, inst: Instance) -> None:
+        """Raise TypeError unless the fast route decides inst's kind, and the
+        route's error unless the classification says YES to its hypothesis."""
+        flag, error, claim, kinds = HYPOTHESES[route]
+        if not isinstance(inst, kinds):
+            raise TypeError(f"the {route} route does not decide {type(inst).__name__}")
+        if getattr(self.report, flag) is not Tri.YES:
+            raise error(f"{self.alg.name} is not {claim}")
 
     @cached_property
     def malcev(self) -> Optional[Term]:
@@ -865,6 +848,9 @@ class Plan:
 
     @cached_property
     def group(self) -> _AbelianGroup:
+        """(A, +) with x + y = d(x, 0, y) for the Malcev term d."""
+        if self.malcev is None:
+            raise NotMalcev(f"no Malcev term found for {self.alg.name}")
         return _AbelianGroup(self.alg, self.malcev, 0)
 
     @cached_property
@@ -896,34 +882,41 @@ def _project(inst: Instance, theta: Partition) -> Instance:
 
 def dispatch(
     alg: FiniteAlgebra, inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
+    solver: Optional[str] = None,
 ) -> SolveResult:
     """Look up the algebra's plan (classification and per-algebra facts,
-    computed once) and run the route it gives for the instance's kind."""
-    return _run(plan_for(alg, config.cap), alg, inst, config)
+    computed once) and run the route it gives for the instance's kind, or
+    the route named by solver (one of SOLVERS), whose hypothesis is then
+    required of the plan."""
+    if solver not in (None, *SOLVERS):
+        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    return _run(plan_for(alg, config.cap), inst, config, solver)
 
 
-def _run(plan: Plan, alg: FiniteAlgebra, inst: Instance, config: SolverConfig) -> SolveResult:
-    route = plan.routes[type(inst)]
+def _run(plan: Plan, inst: Instance, config: SolverConfig,
+         route: Optional[str] = None) -> SolveResult:
+    """Run route (by default the plan's) on inst.  Each solver is looked up
+    by its module-level name at the call, so a rebinding of that name, as by
+    a tracer, sees the call."""
+    route = route or plan.routes[type(inst)]
     if route == "usp":
-        return solve_usp(alg, inst, config, checked=False)
+        return solve_usp(plan, inst, config)
     if route == "supernilpotent":
-        return solve_supernilpotent(alg, inst, None, config, checked=False)
-    if route == "ceqv":
-        return ceqv_supernilpotent_experimental(alg, inst, None, config, checked=False)
+        return solve_supernilpotent(plan, inst, config)
     if route == "affine":
-        return solve_affine(alg, inst, config, checked=False)
+        return solve_affine(plan, inst, config)
     if route == "product":
-        return _solve_split(plan.split, alg, inst, config)
-    return solve_bruteforce(alg, inst, config)
+        return _solve_split(plan, inst, config)
+    return solve_bruteforce(plan.alg, inst, config)
 
 
-def _solve_split(split: _Split, alg: FiniteAlgebra, inst: Instance,
-                 config: SolverConfig) -> SolveResult:
+def _solve_split(plan: Plan, inst: Instance, config: SolverConfig) -> SolveResult:
     """Solve the projections on both factors by their own routes and
     combine the answers; witnesses are glued through the element map."""
+    split, alg = plan.split, plan.alg
     fp = split.pair
-    r1 = _run(split.left, split.left.alg, _project(inst, fp.alpha1), config)
-    r2 = _run(split.right, split.right.alg, _project(inst, fp.alpha2), config)
+    r1 = _run(split.left, _project(inst, fp.alpha1), config)
+    r2 = _run(split.right, _project(inst, fp.alpha2), config)
     solver = f"product({r1.solver_used},{r2.solver_used})"
     tried = r1.assignments_tried + r2.assignments_tried
     names = sorted(inst.circuit.input_names)

@@ -36,6 +36,7 @@ from mvcirc.reductions import (
 from mvcirc.solvers import (
     RAMSEY_CEILING,
     minimal_support_profile,
+    plan_for,
     ramsey_support_bound,
     solve_affine,
     solve_bruteforce,
@@ -155,7 +156,7 @@ def test_criterion_07_usp_oracle_equivalence():
             n_outputs = 2 if i % 2 == 0 else rng.randint(2, 4)
             circ = random_circuit(alg, rng, n_inputs, n_gates, n_outputs)
             inst = CsatInstance(circ) if n_outputs == 2 and i % 2 == 0 else McsatInstance(circ)
-            fast = solve_usp(alg, inst, checked=False)
+            fast = solve_usp(plan_for(alg), inst)
             slow = solve_bruteforce(alg, inst)
             assert fast.answer == slow.answer, f"{name} instance {i}"
             total += 1
@@ -191,7 +192,7 @@ def test_criterion_09_supernilpotent_oracle_equivalence():
             n_inputs = rng.randint(1, 4)
             n_gates = rng.randint(n_inputs + 1, 10)
             inst = CsatInstance(random_circuit(alg, rng, n_inputs, n_gates, 2))
-            fast = solve_supernilpotent(alg, inst, checked=False)
+            fast = solve_supernilpotent(plan_for(alg), inst)
             slow = solve_bruteforce(alg, inst)
             assert fast.answer == slow.answer, f"{name} instance {i}"
             if fast.answer == "sat":
@@ -237,7 +238,7 @@ def test_criterion_10_affine_solver():
         rng = random.Random(1789)
         for i in range(167):
             inst = _random_system(alg, rng)
-            fast = solve_affine(alg, inst, checked=False)
+            fast = solve_affine(plan_for(alg), inst)
             slow = solve_bruteforce(alg, inst)
             assert fast.answer == slow.answer, f"{name} system {i}"
             assert fast.diagnostic is None  # linearity never fails on affine algebras

@@ -153,6 +153,20 @@ def test_solve_precondition_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("problem, text", [
+    ("mcsat", "g0 = input x\ng1 = input y\ng2 = mul g0 g1\ng3 = const 1\noutputs: g2 g3 g0\n"),
+    ("scsat", "g0 = input x\ng1 = mul g0 g0\ng2 = const 1\nequation: g1 g2\n"),
+], ids=["mcsat", "scsat"])
+def test_solve_supernil_rejects_kinds_it_does_not_decide(tmp_path, capsys, problem, text):
+    # the support sweep decides CSAT and CEQV; other kinds are a precondition error
+    circ = tmp_path / "c.txt"
+    circ.write_text(text)
+    code, out, err = run_cli(["solve", problem, "zoo:Z4", str(circ), "--solver", "supernil"],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert "does not decide" in err
+
+
 def test_usage_error_exit_code():
     # the child imports the package under test, installed or not
     source = str(Path(mvcirc.__file__).resolve().parents[1])

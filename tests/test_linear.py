@@ -101,7 +101,7 @@ def test_affine_solver_on_z4_x_z2_against_brute():
     import random as _r
 
     from mvcirc.circuit import ScsatInstance, CircuitBuilder
-    from mvcirc.solvers import solve_affine, solve_bruteforce
+    from mvcirc.solvers import plan_for, solve_affine, solve_bruteforce
 
     def add(x, y):
         return ((x // 2 + y // 2) % 4) * 2 + ((x % 2) ^ (y % 2))
@@ -125,4 +125,4 @@ def test_affine_solver_on_z4_x_z2_against_brute():
         eqs = tuple((rng.randrange(len(b.gates)), rng.randrange(len(b.gates)))
                     for _ in range(rng.randint(1, 2)))
         inst = ScsatInstance(b.build([0]), eqs)
-        assert solve_affine(alg, inst, checked=False).answer == solve_bruteforce(alg, inst).answer
+        assert solve_affine(plan_for(alg), inst).answer == solve_bruteforce(alg, inst).answer

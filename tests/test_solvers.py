@@ -23,16 +23,16 @@ from mvcirc.solvers import (
     RAMSEY_CEILING,
     SolverConfig,
     SupernilpotentSolverParams,
-    ceqv_supernilpotent_experimental,
     dispatch,
     minimal_support_profile,
+    plan_for,
     ramsey_support_bound,
     solve_affine,
     solve_bruteforce,
     solve_supernilpotent,
     solve_usp,
 )
-from mvcirc.zoo import get
+from mvcirc.zoo import get, zoo
 
 from conftest import EDGE_ALGEBRAS, gate_values, random_edge_circuit
 
@@ -177,7 +177,7 @@ def test_enumerations_follow_lexicographic_reference(alg, seed, kind, block):
         if kind in ("CSAT", "MCSAT"):
             diagonal = [(a,) * len(names) for a in range(alg.size)]
             asg, tried = _reference(names, diagonal, lambda a: _holds(alg, inst, a))
-            res = solve_usp(alg, inst, checked=False)
+            res = solvers._diagonal(alg, inst)
             assert _outcome(res) == ("sat" if asg is not None else "unsat", asg, tried)
         if kind == "CSAT":
             zero = rng.randrange(alg.size)
@@ -201,13 +201,12 @@ def test_support_sweeps_follow_reference_order(name, seed, ceqv, k, block):
     inst = _edge_instance(alg, rng, "CEQV" if ceqv else "CSAT", max_assignments=1300)
     zero = rng.randrange(alg.size)
     params = SupernilpotentSolverParams.for_algebra(alg, k, zero)
-    solve = ceqv_supernilpotent_experimental if ceqv else solve_supernilpotent
-    malcev = solvers.plan_for(alg).malcev
+    plan = plan_for(alg)
     try:
-        w = normalize_to_zero(alg, CsatInstance(inst.circuit), malcev, zero)
+        w = normalize_to_zero(alg, CsatInstance(inst.circuit), plan.malcev, zero)
     except NotMalcev:
         with pytest.raises(NotMalcev):
-            solve(alg, inst, params, checked=False)
+            solvers._sweep(plan, inst, params, SolverConfig())
         return
     names = sorted(inst.circuit.input_names)
     order = _old_sweep_order(alg.size, len(names), zero, min(params.d_bound, len(names)))
@@ -216,7 +215,7 @@ def test_support_sweeps_follow_reference_order(name, seed, ceqv, k, block):
     hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "BLOCK", block)
-        res = solve(alg, inst, params, checked=False)
+        res = solvers._sweep(plan, inst, params, SolverConfig())
     assert _outcome(res) == (hit if asg is not None else miss, asg, tried)
 
 
@@ -243,7 +242,7 @@ def test_enumerations_cross_full_blocks(bool2, z4ring):
     inst = CsatInstance(b.build([acc, b.op("add", acc, b.const(1))]))
     params = SupernilpotentSolverParams.for_algebra(z4ring, 1)
     assert params.d_bound == 4
-    res = solve_supernilpotent(z4ring, inst, params, checked=False)
+    res = solvers._sweep(plan_for(z4ring), inst, params, SolverConfig())
     assert _outcome(res) == ("unsat", None, sum(math.comb(10, s) * 3 ** s for s in range(5)))
     w = normalize_to_zero(z4ring, inst, solvers.plan_for(z4ring).malcev, 0)
     assert not any(eval_circuit(z4ring, w, dict(zip(sorted(inst.circuit.input_names), a)))[0] == 0
@@ -259,7 +258,7 @@ def test_usp_distributivity_instance(lat2):
     x, y, z = b.input("x"), b.input("y"), b.input("z")
     lhs = b.op("join", b.op("meet", x, y), z)
     rhs = b.op("join", x, b.op("meet", y, z))
-    res = solve_usp(lat2, CsatInstance(b.build([lhs, rhs])))
+    res = solve_usp(plan_for(lat2), CsatInstance(b.build([lhs, rhs])))
     assert res.answer == "sat"
     assert res.witness == {"x": 0, "y": 0, "z": 0}  # diagonal a = 0
 
@@ -267,7 +266,7 @@ def test_usp_distributivity_instance(lat2):
 def test_usp_majority_constant_instance(majority):
     b = CircuitBuilder(majority.name)
     g = b.op("m", b.input("x"), b.input("y"), b.input("z"))
-    res = solve_usp(majority, CsatInstance(b.build([g, b.const(1)])))
+    res = solve_usp(plan_for(majority), CsatInstance(b.build([g, b.const(1)])))
     assert res.answer == "sat"
     w = res.witness
     assert w["x"] == w["y"] == w["z"]
@@ -278,7 +277,7 @@ def test_usp_rejects_non_dl_like(z2):
     x = b.input("x")
     inst = CsatInstance(b.build([x, x]))
     with pytest.raises(NotDlLike):
-        solve_usp(z2, inst)
+        solve_usp(plan_for(z2), inst)
 
 
 def test_usp_agreement_small_batch(lat2, majority):
@@ -286,7 +285,7 @@ def test_usp_agreement_small_batch(lat2, majority):
     for alg in (lat2, majority):
         for _ in range(150):
             inst = CsatInstance(random_circuit(alg, rng, 3, 10, 2))
-            assert solve_usp(alg, inst, checked=False).answer == solve_bruteforce(alg, inst).answer
+            assert solve_usp(plan_for(alg), inst).answer == solve_bruteforce(alg, inst).answer
 
 
 def test_usp_property_exhaustive_small(majority, lat2):
@@ -396,7 +395,7 @@ def test_supernil_z2_support_one(z2):
     b = CircuitBuilder(z2.name)
     s = b.op("mul", b.op("mul", b.input("x1"), b.input("x2")), b.input("x3"))
     inst = CsatInstance(b.build([s, b.const(1)]))
-    res = solve_supernilpotent(z2, inst)
+    res = solve_supernilpotent(plan_for(z2), inst)
     assert res.answer == "sat"
     assert sum(1 for v in res.witness.values() if v != 0) == 1
 
@@ -405,7 +404,7 @@ def test_supernil_z4_2x_unsat(z4):
     b = CircuitBuilder(z4.name)
     x = b.input("x")
     inst = CsatInstance(b.build([b.op("mul", x, x), b.const(1)]))
-    assert solve_supernilpotent(z4, inst).answer == "unsat"
+    assert solve_supernilpotent(plan_for(z4), inst).answer == "unsat"
 
 
 def test_supernil_agreement_batch():
@@ -415,7 +414,7 @@ def test_supernil_agreement_batch():
         for _ in range(100):
             inst = CsatInstance(random_circuit(alg, rng, 4, 9, 2))
             assert (
-                solve_supernilpotent(alg, inst, checked=False).answer
+                solve_supernilpotent(plan_for(alg), inst).answer
                 == solve_bruteforce(alg, inst).answer
             )
 
@@ -449,7 +448,7 @@ def test_affine_z4_system(z4):
     minus = b.op("mul", x, b.op("inv", y))
     one = b.const(1)
     inst = ScsatInstance(b.build([plus, minus]), ((plus, one), (minus, one)))
-    res = solve_affine(z4, inst)
+    res = solve_affine(plan_for(z4), inst)
     assert res.answer == "sat"
     w = res.witness
     assert (w["x"] + w["y"]) % 4 == 1 and (w["x"] - w["y"]) % 4 == 1
@@ -461,7 +460,7 @@ def test_affine_z2xz2_double_always_zero(z2xz2):
     dbl = b.op("mul", x, x)
     zero = b.const(0)
     inst = ScsatInstance(b.build([dbl, zero]), ((dbl, zero),))
-    res = solve_affine(z2xz2, inst)
+    res = solve_affine(plan_for(z2xz2), inst)
     assert res.answer == "sat"
 
 
@@ -471,7 +470,7 @@ def test_affine_z6_triple(z6):
     t = b.op("mul", b.op("mul", x, x), x)
     c3 = b.const(3)
     inst = ScsatInstance(b.build([t, c3]), ((t, c3),))
-    res = solve_affine(z6, inst)
+    res = solve_affine(plan_for(z6), inst)
     bres = solve_bruteforce(z6, inst)
     assert res.answer == bres.answer == "sat"
     assert (3 * res.witness["x"]) % 6 == 3
@@ -483,7 +482,7 @@ def test_affine_unsat(z4):
     dbl = b.op("mul", x, x)
     one = b.const(1)
     inst = ScsatInstance(b.build([dbl, one]), ((dbl, one),))
-    assert solve_affine(z4, inst).answer == "unsat"
+    assert solve_affine(plan_for(z4), inst).answer == "unsat"
     assert solve_bruteforce(z4, inst).answer == "unsat"
 
 
@@ -493,7 +492,7 @@ def test_affine_agreement_batch():
         alg = get(name)
         for _ in range(60):
             inst = _random_system(alg, rng, max_eq=3, max_vars=3)
-            a = solve_affine(alg, inst, checked=False)
+            a = solve_affine(plan_for(alg), inst)
             b = solve_bruteforce(alg, inst)
             assert a.answer == b.answer, f"{name}: {a.answer} vs {b.answer}"
 
@@ -524,7 +523,7 @@ def test_affine_mcsat(z4):
     g2 = b.op("mul", x, b.op("inv", y))
     g3 = b.const(2)
     inst = McsatInstance(b.build([g1, g2, g3]))
-    res = solve_affine(z4, inst)
+    res = solve_affine(plan_for(z4), inst)
     bres = solve_bruteforce(z4, inst)
     assert res.answer == bres.answer
 
@@ -537,7 +536,7 @@ def test_ceqv_commutativity(z4):
     b = CircuitBuilder(z4.name)
     x, y = b.input("x"), b.input("y")
     inst = CeqvInstance(b.build([b.op("mul", x, y), b.op("mul", y, x)]))
-    res = ceqv_supernilpotent_experimental(z4, inst)
+    res = solve_supernilpotent(plan_for(z4), inst)
     assert res.answer == "equiv" and res.experimental
 
 
@@ -545,7 +544,7 @@ def test_ceqv_2x_vs_zero(z4):
     b = CircuitBuilder(z4.name)
     x = b.input("x")
     inst = CeqvInstance(b.build([b.op("mul", x, x), b.const(0)]))
-    res = ceqv_supernilpotent_experimental(z4, inst)
+    res = solve_supernilpotent(plan_for(z4), inst)
     assert res.answer == "nequiv"
     assert res.witness == {"x": 1}
 
@@ -555,7 +554,7 @@ def test_ceqv_agreement_batch(z4):
     for _ in range(150):
         inst = CeqvInstance(random_circuit(z4, rng, 3, 9, 2))
         assert (
-            ceqv_supernilpotent_experimental(z4, inst, checked=False).answer
+            solve_supernilpotent(plan_for(z4), inst).answer
             == solve_bruteforce(z4, inst).answer
         )
 
@@ -618,6 +617,39 @@ def test_dispatch_scsat_affine(z6):
     assert res.answer == "sat"
 
 
+def _small_instances(alg, seed):
+    c = random_circuit(alg, random.Random(seed), 3, 8, 3)
+    pair = c.with_outputs(c.outputs[:2])
+    return [CsatInstance(pair), McsatInstance(c), CeqvInstance(pair),
+            ScsatInstance(c, (c.outputs[:2], c.outputs[1:]))]
+
+
+@pytest.mark.parametrize("name", [e.name for e in zoo()])
+def test_forced_routes_follow_the_hypothesis_table(name):
+    """Naming the plan's own route gives the auto result; naming a fast route
+    raises TypeError for a kind it does not decide and its precondition
+    error when its flag is not YES, and otherwise agrees with brute force."""
+    alg = get(name)
+    plan = plan_for(alg)
+    for inst in _small_instances(alg, 1) + _small_instances(alg, 2):
+        own = plan.routes[type(inst)]
+        if own in solvers.SOLVERS:
+            assert dispatch(alg, inst, solver=own) == dispatch(alg, inst)
+        assert dispatch(alg, inst, solver="brute") == solve_bruteforce(alg, inst)
+        for route, (flag, error, _, kinds) in solvers.HYPOTHESES.items():
+            if not isinstance(inst, kinds):
+                with pytest.raises(TypeError):
+                    dispatch(alg, inst, solver=route)
+            elif getattr(plan.report, flag) is not Tri.YES:
+                with pytest.raises(error):
+                    dispatch(alg, inst, solver=route)
+            else:
+                res = dispatch(alg, inst, solver=route)
+                assert res.answer == solve_bruteforce(alg, inst).answer
+    with pytest.raises(ValueError):
+        dispatch(alg, _small_instances(alg, 1)[0], solver="product")
+
+
 def test_dispatch_agreement_sample():
     rng = random.Random(31337)
     for name in ("Z4", "Z6", "majority", "S3", "Z4ring", "2lattice",
@@ -677,7 +709,7 @@ def test_witnesses_verify_across_solvers(z4, lat2):
     rng = random.Random(11)
     for _ in range(30):
         inst = CsatInstance(random_circuit(z4, rng, 3, 8, 2))
-        for res in (solve_bruteforce(z4, inst), solve_supernilpotent(z4, inst, checked=False)):
+        for res in (solve_bruteforce(z4, inst), solve_supernilpotent(plan_for(z4), inst)):
             if res.answer == "sat":
                 out = eval_circuit(z4, inst.circuit, res.witness)
                 assert out[0] == out[1]

@@ -14,7 +14,6 @@ from mvcirc import algebra, commutator, congruence, solvers, structure, tct
 from mvcirc.algebra import STORE_BOUND, FactStore, FiniteAlgebra, Operation
 from mvcirc.circuit import (
     CeqvInstance,
-    CircuitBuilder,
     CsatInstance,
     McsatInstance,
     ScsatInstance,
@@ -65,16 +64,6 @@ def test_each_per_algebra_fact_is_computed_once(monkeypatch):
     assert ran == {"nilpotency_class", "_congruence_lattice", "_factor_pairs",
                    "_typed_congruence_lattice", "_AbelianGroup", "_check_malcev"}
     assert [key for key, n in runs.items() if n > 1] == []
-
-
-def test_direct_affine_solve_does_not_classify(monkeypatch):
-    monkeypatch.setattr(algebra, "STORE", FactStore())
-    monkeypatch.setattr(solvers, "classify", lambda *args: pytest.fail("classified"))
-    z6 = get("Z6")
-    b = CircuitBuilder(z6.name)
-    t, c = b.op("mul", b.input("x"), b.input("x")), b.const(4)
-    res = solvers.solve_affine(z6, ScsatInstance(b.build([t]), ((t, c),)), checked=False)
-    assert (res.answer, res.solver_used) == ("sat", "affine")
 
 
 def test_no_module_level_cache_outside_the_store():
@@ -162,3 +151,16 @@ def test_capped_malcev_closure_runs_once(monkeypatch):
     classify(alg, 2000)
     assert solvers.plan_for(alg, 2000).malcev is None
     assert capped == [27]
+
+
+def test_capped_classification_does_not_depend_on_earlier_caps(monkeypatch):
+    # a Malcev term found at the default cap must not answer a search at a
+    # cap under which it is not found
+    z2 = get("Z2")
+    twin = z2.rename("Z2b")
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    fresh = classify(twin, 3).as_dict()
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    classify(z2)
+    assert classify(twin, 3).as_dict() == fresh
+    assert fresh["flags"]["affine"] == "unknown"
