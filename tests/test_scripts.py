@@ -85,7 +85,7 @@ def test_traced_dispatch_records_the_fast_solvers(monkeypatch):
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    from mvcirc import solvers
+    from mvcirc import cli, reductions, solvers, structure  # noqa: F401  (all that install wraps)
 
     for module in list(sys.modules.values()):   # monkeypatch restores every rebinding
         for _, name, _ in spans.TRACED:

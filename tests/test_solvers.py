@@ -719,8 +719,8 @@ def test_dispatch_small_cap_agrees_with_brute(monkeypatch):
     # classification under cap 10 leaves DL-likeness undecided for
     # 2boolean, and for the supernilpotent Z3, Z4, Z6 and Z4ring the Malcev
     # term that the support sweep normalizes through; dispatch must still
-    # decide every kind, by a sound route.  A fresh store keeps a term found
-    # at the default cap by an earlier test from answering the search.
+    # decide every kind, by a sound route.  A fresh store keeps the test
+    # independent of what earlier tests stored.
     monkeypatch.setattr(algebra, "STORE", FactStore())
     config = SolverConfig(cap=10)
     rng = random.Random(12)
