@@ -82,10 +82,6 @@ class FiniteAlgebra:
                 return op
         raise UnknownOp(f"algebra {self.name} has no operation {name!r}")
 
-    @property
-    def universe(self) -> range:
-        return range(self.size)
-
     def signature(self) -> tuple[tuple[str, int], ...]:
         return tuple((op.name, op.arity) for op in self.ops)
 
@@ -231,11 +227,6 @@ def column_op(size: int, width: int, table: Sequence[int], columns: Sequence[byt
 class Term:
     __slots__ = ()
 
-    def variables(self) -> set[int]:
-        out: set[int] = set()
-        _collect_vars(self, out)
-        return out
-
 
 @dataclass(frozen=True)
 class Var(Term):
@@ -251,31 +242,6 @@ class Const(Term):
 class App(Term):
     op: str
     args: tuple[Term, ...]
-
-
-def _collect_vars(t: Term, out: set[int]) -> None:
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.index)
-        elif isinstance(node, App):
-            stack.extend(node.args)
-
-
-def term_size(t: Term) -> int:
-    if isinstance(t, App):
-        return 1 + sum(term_size(a) for a in t.args)
-    return 1
-
-
-def term_str(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"x{t.index}"
-    if isinstance(t, Const):
-        return f"c{t.value}"
-    assert isinstance(t, App)
-    return f"{t.op}({', '.join(term_str(a) for a in t.args)})"
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, asg: Sequence[int]) -> int:
@@ -534,10 +500,6 @@ class Search:
     status: Tri
     value: object = None
 
-    @property
-    def found(self) -> bool:
-        return self.status is Tri.YES
-
 
 def _is_malcev_table(tab: Sequence[int], size: int) -> bool:
     # table indexed by (x, y, z) with z fastest
@@ -576,21 +538,17 @@ def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
 class GummChain:
     terms: list[Term]          # d_1 .. d_n
     q: Term
-    tables: list[tuple[int, ...]]
-    q_table: tuple[int, ...]
 
 
-def find_directed_gumm_terms(
-    alg: FiniteAlgebra, max_n: Optional[int] = None, cap: int = DEFAULT_CAP
-) -> Search:
+def find_directed_gumm_terms(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
     """Search ternary terms for a directed chain d_1..d_n, Q with
     d_i(x,y,x)=x, d_1(x,x,y)=x, d_i(x,y,y)=d_{i+1}(x,x,y), d_n(x,y,y)=Q(x,y,y),
-    Q(x,x,y)=y, chain length <= max_n.  A chain is returned only once
-    check_gumm_chain has verified it.
+    Q(x,x,y)=y.  A chain is returned only once check_gumm_chain has verified
+    it.
 
-    With max_n=None the search is complete: any chain can be spliced down to
-    one visiting each candidate table at most once, so exhausting the visited
-    set decides existence.  A Malcev term short-circuits the search:
+    The search is complete: any chain can be spliced down to one visiting
+    each candidate table at most once, so exhausting the visited set decides
+    existence.  A Malcev term short-circuits the search:
     (d_1, Q) = (first projection, d) satisfies all the displayed identities.
     An UNKNOWN Malcev search at this cap does too: it ran this closure, and
     the closure hit the cap before its stop matched.
@@ -600,10 +558,8 @@ def find_directed_gumm_terms(
 
     malcev = find_malcev_term(alg, cap)
     if malcev.status is Tri.YES:
-        term, table = malcev.value  # type: ignore[misc]
-        proj1 = Var(0)
-        proj1_table = tuple(p[0] for p in itertools.product(range(n), repeat=3))
-        return _verified(alg, GummChain([proj1], term, [proj1_table], table))
+        term, _ = malcev.value  # type: ignore[misc]
+        return _verified(alg, GummChain([Var(0)], term))
     if malcev.status is Tri.UNKNOWN:
         return Search(Tri.UNKNOWN)
 
@@ -638,9 +594,7 @@ def find_directed_gumm_terms(
     start = [t for t in nodes if slice_xxy(t) == id_xxy]
     prev: dict[Table, Optional[Table]] = {t: None for t in start}
     frontier = list(start)
-    depth = 1
-    limit = max_n if max_n is not None else max(len(nodes), 1)
-    while frontier and depth <= limit:
+    while frontier:
         for t in frontier:
             q = q_by_xyy.get(slice_xyy(t))
             if q is not None:
@@ -650,12 +604,8 @@ def find_directed_gumm_terms(
                     chain.append(cur)
                     cur = prev[cur]
                 chain.reverse()
-                return _verified(alg, GummChain(
-                    [clone.witness(c) for c in chain],
-                    clone.witness(q),
-                    [tuple(c) for c in chain],
-                    tuple(q),
-                ))
+                return _verified(alg, GummChain([clone.witness(c) for c in chain],
+                                                clone.witness(q)))
         nxt = []
         for t in frontier:
             for u in by_xxy.get(slice_xyy(t), []):
@@ -663,7 +613,6 @@ def find_directed_gumm_terms(
                     prev[u] = t
                     nxt.append(u)
         frontier = nxt
-        depth += 1
     return Search(Tri.NO)
 
 
@@ -772,50 +721,17 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) 
     return FiniteAlgebra(name or f"{a.name}x{b.name}", size, tuple(ops))
 
 
-@dataclass
-class InducedSummary:
-    """What the polynomial clone realizes on a 2-element subset {u0 < u1}."""
-
-    pair: tuple[int, int]
-    has_meet: bool
-    has_join: bool
-    has_negation: bool
-    all_unary_monotone: bool
-
-
-def induced_on_pair_set(alg: FiniteAlgebra, pair: Sequence[int], cap: int = DEFAULT_CAP) -> InducedSummary:
-    u0, u1 = sorted(pair)
-    if not (0 <= u0 < alg.size and 0 <= u1 < alg.size and u0 != u1):
-        raise ElementOutOfRange(f"bad pair {pair}")
-    pts2 = [(u0, u0), (u0, u1), (u1, u0), (u1, u1)]
-    clone2, _ = poly_clone_on_points(alg, pts2, 2, cap)
-    if not clone2.complete:
-        raise CapExceeded(len(clone2), "binary clone on pair")
-    meet = (u0, u0, u0, u1)
-    join = (u0, u1, u1, u1)
-    has_meet = meet in clone2
-    has_join = join in clone2
-    pts1 = [(u0,), (u1,)]
-    clone1, _ = poly_clone_on_points(alg, pts1, 1, cap)
-    has_neg = (u1, u0) in clone1
-    mono = True
-    for tab in clone1.tables:
-        if set(tab) <= {u0, u1} and (tab[0], tab[1]) == (u1, u0):
-            mono = False
-            break
-    return InducedSummary((u0, u1), has_meet, has_join, has_neg, mono)
-
-
 def is_poly_equiv_to_2lattice(alg2: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
     """A 2-element algebra is polynomially equivalent to the 2-element lattice
     iff its binary polynomials include meet and join for one of the two
     orderings and no unary polynomial is the negation."""
     if alg2.size != 2:
         raise SizeNot2(f"algebra {alg2.name} has size {alg2.size}")
-    summary = induced_on_pair_set(alg2, (0, 1), cap)
     # meet for one ordering is join for the other, so the orientation-free
     # condition is: both lattice tables present and no negation.
-    return summary.has_meet and summary.has_join and not summary.has_negation
+    binary = kary_poly_clone(alg2, 2, cap)
+    return ((0, 0, 0, 1) in binary and (0, 1, 1, 1) in binary
+            and (1, 0) not in kary_poly_clone(alg2, 1, cap))
 
 
 # ---------------------------------------------------------------------------

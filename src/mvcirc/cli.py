@@ -23,15 +23,7 @@ from .circuit import (
     parse_circuit,
     serialize_circuit,
 )
-from .errors import (
-    BudgetExceeded,
-    MvcircError,
-    NotAffine,
-    NotDlLike,
-    NotMalcev,
-    NotSupernilpotent,
-    ParseError,
-)
+from .errors import BudgetExceeded, MvcircError, ParseError
 from .partition import Partition
 
 EX_OK = 0
@@ -261,15 +253,12 @@ def _cmd_solve(args) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    config = SolverConfig(budget=args.budget)
+    config = SolverConfig() if args.budget is None else SolverConfig(budget=args.budget)
     try:
         result = dispatch(alg, inst, config, solver=_SOLVERS[args.solver])
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_BUDGET
-    except (NotDlLike, NotMalcev, NotAffine, NotSupernilpotent, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_PRECONDITION
 
     if result.answer == "sat":
         text_out = f"SAT {_format_witness(result.witness)}"
@@ -352,7 +341,7 @@ def build_parser() -> _Parser:
     ps.add_argument("circuit", help="circuit file, or - for stdin")
     ps.add_argument("--solver", default="auto",
                     choices=list(_SOLVERS))
-    ps.add_argument("--budget", type=int, default=10 ** 8)
+    ps.add_argument("--budget", type=int)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(fn=_cmd_solve)
 

@@ -82,33 +82,31 @@ def centralizes(alg: FiniteAlgebra, alpha: Partition, beta: Partition, gamma: Pa
 
 @dataclass
 class SeriesReport:
-    kind: str                       # "lower-central" or "derived"
     congruences: list[Partition]    # descending, starting at 1_A
-    stabilized_at: int              # first index i with s[i] == s[i+1]
 
     @property
     def reaches_zero(self) -> bool:
         return self.congruences[-1].is_zero()
 
 
-def _iterate_series(alg: FiniteAlgebra, step, kind: str) -> SeriesReport:
+def _iterate_series(alg: FiniteAlgebra, step) -> SeriesReport:
     seq = [Partition.one(alg.size)]
     while True:
         nxt = step(seq[-1])
         if nxt == seq[-1]:
-            return SeriesReport(kind, seq, len(seq) - 1)
+            return SeriesReport(seq)
         seq.append(nxt)
         if nxt.is_zero():
-            return SeriesReport(kind, seq, len(seq) - 1)
+            return SeriesReport(seq)
 
 
 def lower_central_series(alg: FiniteAlgebra) -> SeriesReport:
     one = Partition.one(alg.size)
-    return _iterate_series(alg, lambda cur: commutator(alg, one, cur), "lower-central")
+    return _iterate_series(alg, lambda cur: commutator(alg, one, cur))
 
 
 def derived_series(alg: FiniteAlgebra) -> SeriesReport:
-    return _iterate_series(alg, lambda cur: commutator(alg, cur, cur), "derived")
+    return _iterate_series(alg, lambda cur: commutator(alg, cur, cur))
 
 
 def is_abelian(alg: FiniteAlgebra) -> bool:
@@ -151,40 +149,26 @@ def is_prime_power(n: int) -> bool:
     return True
 
 
-@dataclass
-class Factorization:
-    factors: list[FiniteAlgebra]
-    sizes: list[int]
-
-
-def indecomposable_factorization(alg: FiniteAlgebra) -> Factorization:
+def indecomposable_factorization(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     """Greedy recursive factorization into directly indecomposable factors."""
     if alg.size == 1:
-        return Factorization([], [])
+        return []
     for fp in factor_pairs(alg):
-        if fp.alpha1.is_zero() or fp.alpha1.is_one():
-            continue
-        from .algebra import quotient
-
-        left = indecomposable_factorization(quotient(alg, fp.alpha1, check=False))
-        right = indecomposable_factorization(quotient(alg, fp.alpha2, check=False))
-        return Factorization(left.factors + right.factors, left.sizes + right.sizes)
-    return Factorization([alg], [alg.size])
+        if not (fp.alpha1.is_zero() or fp.alpha1.is_one()):
+            return indecomposable_factorization(fp.left) + indecomposable_factorization(fp.right)
+    return [alg]
 
 
-def is_supernilpotent(
-    alg: FiniteAlgebra, cap: int = DEFAULT_CAP
-) -> tuple[Tri, Optional[Factorization]]:
+def is_supernilpotent(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Tri:
     """Whether alg is a supernilpotent Malcev algebra, the hypothesis of the
     CSAT and CEQV theorems that read this flag.  A finite nilpotent Malcev
     algebra is supernilpotent iff it is a direct product of algebras of
     prime power order, so YES needs a Malcev term found under the cap and a
     factorization into directly indecomposable factors of prime power
-    order, which is returned as witness.  UNKNOWN when the Malcev search
-    caps out, NO when it completes without a term."""
+    order.  UNKNOWN when the Malcev search caps out, NO when it completes
+    without a term."""
     if not is_nilpotent(alg):
-        return Tri.NO, None
-    fact = indecomposable_factorization(alg)
-    if not all(is_prime_power(s) for s in fact.sizes):
-        return Tri.NO, fact
-    return find_malcev_term(alg, cap).status, fact
+        return Tri.NO
+    if not all(is_prime_power(f.size) for f in indecomposable_factorization(alg)):
+        return Tri.NO
+    return find_malcev_term(alg, cap).status

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .algebra import FiniteAlgebra, stored, translations
+from .algebra import FiniteAlgebra, quotient, stored, translations
 from .errors import CapExceeded, ElementOutOfRange, LatticeMismatch
 from .partition import Partition
 
@@ -149,33 +149,24 @@ def _congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     return CongruenceLattice(alg, congruences)
 
 
-def relational_compose(a: Partition, b: Partition) -> set[tuple[int, int]]:
-    """a o b as a set of pairs: (x, z) with x a y and y b z for some y."""
-    n = a.n
-    out: set[tuple[int, int]] = set()
-    b_classes = b.classes()
-    for x in range(n):
-        for y in range(n):
-            if a.same(x, y):
-                for z in b_classes[b.class_of(y)]:
-                    out.add((x, z))
-    return out
-
-
-def permute(a: Partition, b: Partition) -> bool:
-    return relational_compose(a, b) == relational_compose(b, a)
-
-
 @dataclass
 class FactorPair:
+    """Factor congruences alpha1, alpha2 of A, with A ~ left x right."""
+
     alpha1: Partition
     alpha2: Partition
     iso: list[tuple[int, int]]  # element -> (class in A/alpha1, class in A/alpha2)
+    left: FiniteAlgebra         # A/alpha1
+    right: FiniteAlgebra        # A/alpha2
 
 
 def factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
-    """All (a1, a2) with a1 ^ a2 = 0, a1 v a2 = 1, and a1 o a2 = a2 o a1,
-    each with the explicit map a -> (a/a1, a/a2); stored per algebra."""
+    """All (a1, a2) with a1 ^ a2 = 0 and |A/a1| |A/a2| = |A|, each with the
+    map a -> (a/a1, a/a2) and both quotients; stored per algebra.  A zero
+    meet makes the map one-to-one, and the class count makes it onto, which
+    holds exactly when a1 v a2 = 1 and the pair permutes: these are the
+    factor congruence pairs (Burris and Sankappanavar, II.7), and the map is
+    then an isomorphism onto A/a1 x A/a2."""
     return stored(alg, "factor_pairs", lambda: _factor_pairs(alg))
 
 
@@ -185,12 +176,9 @@ def _factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
     congruences = congruence_lattice(alg).congruences
     for a1 in congruences:
         for a2 in congruences:
-            if not a1.meet(a2).is_zero():
-                continue
-            if not a1.join(a2).is_one():
-                continue
-            if not permute(a1, a2):
+            if a1.num_classes * a2.num_classes != n or not a1.meet(a2).is_zero():
                 continue
             iso = [(a1.class_of(x), a2.class_of(x)) for x in range(n)]
-            out.append(FactorPair(a1, a2, iso))
+            out.append(FactorPair(a1, a2, iso, quotient(alg, a1, check=False),
+                                  quotient(alg, a2, check=False)))
     return out

@@ -90,6 +90,10 @@ class NotSupernilpotent(MvcircError):
     pass
 
 
+class UnsupportedKind(MvcircError, TypeError):
+    """A fast route was asked for a problem kind it does not decide."""
+
+
 class LinearityCheckFailed(MvcircError):
     def __init__(self, diagnostic: str):
         super().__init__(diagnostic)

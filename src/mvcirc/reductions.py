@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import (
+    DEFAULT_CAP,
     App,
     FiniteAlgebra,
     Operation,
@@ -163,7 +164,7 @@ def boolean_host_witness(alg: FiniteAlgebra) -> Type3Witness:
     return w
 
 
-def derive_type3_witness(alg: FiniteAlgebra, cap: int = 200_000) -> Optional[Type3Witness]:
+def derive_type3_witness(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Optional[Type3Witness]:
     """Auto-derive a witness from a type-3 labeled cover, if one exists."""
     from .congruence import congruence_lattice
     from .tct import minimal_sets, type_of

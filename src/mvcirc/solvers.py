@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import DEFAULT_CAP, FiniteAlgebra, Term, eval_term, find_malcev_term, quotient, stored
+from .algebra import DEFAULT_CAP, FiniteAlgebra, Term, eval_term, find_malcev_term, stored
 from .circuit import (
     BLOCK,
     BlockProgram,
@@ -48,6 +48,7 @@ from .errors import (
     NotMalcev,
     NotSupernilpotent,
     Tri,
+    UnsupportedKind,
 )
 from .partition import Partition
 from .structure import ClassificationReport, classify
@@ -78,14 +79,6 @@ class SolveResult:
         if self.answer == "sat":
             return True
         if self.answer == "unsat":
-            return False
-        return None
-
-    @property
-    def equivalent(self) -> Optional[bool]:
-        if self.answer == "equiv":
-            return True
-        if self.answer == "nequiv":
             return False
         return None
 
@@ -813,11 +806,12 @@ class Plan:
         }
 
     def require(self, route: str, inst: Instance) -> None:
-        """Raise TypeError unless the fast route decides inst's kind, and the
-        route's error unless the classification says YES to its hypothesis."""
+        """Raise UnsupportedKind unless the fast route decides inst's kind, and
+        the route's error unless the classification says YES to its
+        hypothesis."""
         flag, error, claim, kinds = HYPOTHESES[route]
         if not isinstance(inst, kinds):
-            raise TypeError(f"the {route} route does not decide {type(inst).__name__}")
+            raise UnsupportedKind(f"the {route} route does not decide {type(inst).__name__}")
         if getattr(self.report, flag) is not Tri.YES:
             raise error(f"{self.alg.name} is not {claim}")
 
@@ -858,12 +852,8 @@ class Plan:
         """The first nontrivial factor pair, with the plans of its quotients."""
         for fp in factor_pairs(self.alg):
             if not (fp.alpha1.is_zero() or fp.alpha1.is_one()):
-                return _Split(
-                    fp,
-                    plan_for(quotient(self.alg, fp.alpha1, check=False), self.cap),
-                    plan_for(quotient(self.alg, fp.alpha2, check=False), self.cap),
-                    {pair: x for x, pair in enumerate(fp.iso)},
-                )
+                return _Split(fp, plan_for(fp.left, self.cap), plan_for(fp.right, self.cap),
+                              {pair: x for x, pair in enumerate(fp.iso)})
         return None
 
 

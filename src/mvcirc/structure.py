@@ -16,14 +16,12 @@ variety: with that refuted the verdicts degrade to Unknown, and with the
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
     DEFAULT_CAP,
     FiniteAlgebra,
-    direct_product,
     find_directed_gumm_terms,
     is_poly_equiv_to_2lattice,
     kary_poly_clone,
@@ -81,8 +79,8 @@ class Decomposition:
 
 
 def decompose_nd(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Optional[Decomposition]:
-    """A = N x D along the type radicals, when the typeset is inside {2,4},
-    rho2 ^ rho4 = 0, rho2 v rho4 = 1, and the pair permutes."""
+    """A = N x D along the type radicals, when the typeset is inside {2,4}
+    and (rho4, rho2) is a factor congruence pair."""
     typed = typed_congruence_lattice(alg, cap)
     if not typed.fully_typed:
         raise UntypedLattice(f"Con({alg.name}) has unlabeled covers")
@@ -90,26 +88,11 @@ def decompose_nd(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Optional[Decompo
         return None
     rho2 = radical(alg, typed, 2)
     rho4 = radical(alg, typed, 4)
-    if not rho2.meet(rho4).is_zero() or not rho2.join(rho4).is_one():
-        return None
-    from .congruence import permute
-
-    if not permute(rho2, rho4):
-        return None
-    n_factor = quotient(alg, rho4, check=False).rename(f"{alg.name}.N")
-    d_factor = quotient(alg, rho2, check=False).rename(f"{alg.name}.D")
-    iso = [(rho4.class_of(a), rho2.class_of(a)) for a in range(alg.size)]
-    # the map a -> (a/rho4, a/rho2) must be a bijection commuting with all ops
-    if len(set(iso)) != alg.size:
-        return None
-    prod = direct_product(n_factor, d_factor)
-    flat = [i * d_factor.size + j for (i, j) in iso]
-    for op_a, op_p in zip(alg.ops, prod.ops):
-        for args in itertools.product(range(alg.size), repeat=op_a.arity):
-            mapped = tuple(flat[x] for x in args)
-            if flat[op_a.apply(args, alg.size)] != op_p.apply(mapped, prod.size):
-                return None
-    return Decomposition(n_factor, d_factor, rho2, rho4, iso)
+    for fp in factor_pairs(alg):
+        if fp.alpha1 == rho4 and fp.alpha2 == rho2:
+            return Decomposition(fp.left.rename(f"{alg.name}.N"),
+                                 fp.right.rename(f"{alg.name}.D"), rho2, rho4, fp.iso)
+    return None
 
 
 def is_dl_like(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> tuple[Tri, list[Partition]]:
@@ -239,9 +222,7 @@ def _exists_decomposition(alg: FiniteAlgebra, left_flag, cap: int) -> Tri:
     left_flag(N) and D DL-like.  Trivial pairs (0,1)/(1,0) participate."""
     best = Tri.NO
     for fp in factor_pairs(alg):
-        n_fac = quotient(alg, fp.alpha1, check=False)
-        d_fac = quotient(alg, fp.alpha2, check=False)
-        verdict = _tri_and(left_flag(n_fac), is_dl_like(d_fac, cap)[0])
+        verdict = _tri_and(left_flag(fp.left), is_dl_like(fp.right, cap)[0])
         if verdict is Tri.YES:
             return Tri.YES
         if verdict is Tri.UNKNOWN:
@@ -264,7 +245,7 @@ def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
     solvable = is_solvable(alg)
     nilpotent = is_nilpotent(alg)
     nclass = nilpotency_class(alg)
-    supernil, _fact = is_supernilpotent(alg, cap)
+    supernil = is_supernilpotent(alg, cap)
     affine = is_affine(alg, cap)
     dl, dl_wit = is_dl_like(alg, cap)
 
@@ -287,18 +268,9 @@ def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
             "iso": [list(pair) for pair in dec.iso],
         }
 
-    def nilpotent_tri(a: FiniteAlgebra) -> Tri:
-        return Tri.YES if is_nilpotent(a) else Tri.NO
-
-    def supernil_tri(a: FiniteAlgebra) -> Tri:
-        return is_supernilpotent(a, cap)[0]
-
-    def affine_tri(a: FiniteAlgebra) -> Tri:
-        return is_affine(a, cap)
-
-    sn_dl = _exists_decomposition(alg, supernil_tri, cap)
-    nil_dl = _exists_decomposition(alg, nilpotent_tri, cap)
-    aff_dl = _exists_decomposition(alg, affine_tri, cap)
+    sn_dl = _exists_decomposition(alg, lambda a: is_supernilpotent(a, cap), cap)
+    nil_dl = _exists_decomposition(alg, lambda a: Tri.YES if is_nilpotent(a) else Tri.NO, cap)
+    aff_dl = _exists_decomposition(alg, lambda a: is_affine(a, cap), cap)
 
     caveats: list[str] = []
     if cm is Tri.NO:

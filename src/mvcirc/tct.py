@@ -273,9 +273,6 @@ class TypedLattice:
     lattice: CongruenceLattice
     labels: dict[tuple[int, int], Optional[int]]  # cover (lo, hi) index pair -> label
 
-    def label(self, lo: Partition, hi: Partition) -> Optional[int]:
-        return self.labels[(self.lattice.index(lo), self.lattice.index(hi))]
-
     @property
     def fully_typed(self) -> bool:
         return all(v is not None for v in self.labels.values())

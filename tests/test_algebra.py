@@ -22,7 +22,6 @@ from mvcirc.algebra import (
     eval_term,
     find_directed_gumm_terms,
     find_malcev_term,
-    induced_on_pair_set,
     is_congruence,
     is_poly_equiv_to_2lattice,
     kary_poly_clone,
@@ -506,11 +505,6 @@ def test_direct_product_of_lattices(lat2):
 def test_direct_product_signature_mismatch(lat2, z2):
     with pytest.raises(ValueError):
         direct_product(lat2, z2)
-
-
-def test_induced_on_pair_boolean(bool2):
-    summary = induced_on_pair_set(bool2, (0, 1))
-    assert summary.has_meet and summary.has_join and summary.has_negation
 
 
 def test_poly_equiv_to_2lattice(lat2, bool2, semi2):

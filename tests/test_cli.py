@@ -153,6 +153,20 @@ def test_solve_precondition_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_does_not_mask_a_type_error(tmp_path, monkeypatch):
+    """Exit 3 means a precondition failed; a TypeError from a fault in the
+    program is raised, not reported as one."""
+    circ = tmp_path / "c.txt"
+    circ.write_text("g0 = input x\ng1 = mul g0 g0\noutputs: g0 g1\n")
+
+    def faulty(*args, **kwargs):
+        raise TypeError("fault")
+
+    monkeypatch.setattr("mvcirc.solvers.dispatch", faulty)
+    with pytest.raises(TypeError, match="fault"):
+        main(["solve", "csat", "zoo:Z2", str(circ)])
+
+
 @pytest.mark.parametrize("problem, text", [
     ("mcsat", "g0 = input x\ng1 = input y\ng2 = mul g0 g1\ng3 = const 1\noutputs: g2 g3 g0\n"),
     ("scsat", "g0 = input x\ng1 = mul g0 g0\ng2 = const 1\nequation: g1 g2\n"),

@@ -4,7 +4,6 @@ from mvcirc.algebra import is_congruence
 from mvcirc.congruence import (
     congruence_lattice,
     factor_pairs,
-    permute,
     principal_congruence,
 )
 from mvcirc.errors import LatticeMismatch
@@ -155,11 +154,3 @@ def test_factor_pair_iso_is_bijective(z6):
     for fp in factor_pairs(z6):
         assert len(set(fp.iso)) == 6
 
-
-def test_permutability_via_relation_composition(z6, s3):
-    mod2, mod3 = mod_congruence(6, 2), mod_congruence(6, 3)
-    assert permute(mod2, mod3)
-    lat = congruence_lattice(s3)
-    for a in lat.congruences:
-        for b in lat.congruences:
-            assert permute(a, b)  # groups are congruence permutable

@@ -6,7 +6,14 @@ import itertools
 
 from hypothesis import example, given, settings, strategies as st
 
-from mvcirc.algebra import FiniteAlgebra, Operation, find_malcev_term, is_congruence, quotient
+from mvcirc.algebra import (
+    FiniteAlgebra,
+    Operation,
+    direct_product,
+    find_malcev_term,
+    is_congruence,
+    quotient,
+)
 from mvcirc.circuit import (
     CeqvInstance,
     CsatInstance,
@@ -15,7 +22,7 @@ from mvcirc.circuit import (
     random_circuit,
 )
 from mvcirc.commutator import commutator, is_supernilpotent
-from mvcirc.congruence import congruence_lattice, principal_congruence
+from mvcirc.congruence import congruence_lattice, factor_pairs, principal_congruence
 from mvcirc.errors import BudgetExceeded, Tri
 from mvcirc.partition import Partition
 from mvcirc.solvers import SolverConfig, dispatch, solve_bruteforce
@@ -36,6 +43,50 @@ def small_algebras(draw, max_size=4):
         )
         ops.append(Operation(f"f{i}", arity, table))
     return FiniteAlgebra("rand", n, tuple(ops))
+
+
+@st.composite
+def small_products(draw):
+    """Products of two random algebras of one signature, of order at most 6,
+    so that nontrivial factor pairs occur."""
+    arities = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=2))
+    sizes = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    left, right = (
+        FiniteAlgebra(f"F{n}", n, tuple(
+            Operation(f"f{i}", r, tuple(draw(st.integers(min_value=0, max_value=n - 1))
+                                        for _ in range(n ** r)))
+            for i, r in enumerate(arities)))
+        for n in sizes)
+    return direct_product(left, right)
+
+
+def _compose(a, b):
+    """a o b as a set of pairs: (x, z) with x a y and y b z for some y."""
+    a_classes, b_classes = a.classes(), b.classes()
+    return {(x, z) for x in range(a.n) for y in a_classes[a.class_of(x)]
+            for z in b_classes[b.class_of(y)]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_algebras(), small_products()))
+def test_factor_pairs_match_the_definition(alg):
+    """factor_pairs decides a pair by a zero meet and the class counts; the
+    oracle is the definition (meet 0, join 1, and the pair permutes).  Each
+    pair's map is an isomorphism of A onto the product of its quotients."""
+    cons = congruence_lattice(alg).congruences
+    oracle = [(a1, a2) for a1 in cons for a2 in cons
+              if a1.meet(a2).is_zero() and a1.join(a2).is_one()
+              and _compose(a1, a2) == _compose(a2, a1)]
+    pairs = factor_pairs(alg)
+    assert [(fp.alpha1, fp.alpha2) for fp in pairs] == oracle
+    for fp in pairs:
+        prod = direct_product(fp.left, fp.right)
+        flat = [i * fp.right.size + j for i, j in fp.iso]
+        assert sorted(flat) == list(range(alg.size))
+        for op, prod_op in zip(alg.ops, prod.ops):
+            for args in itertools.product(range(alg.size), repeat=op.arity):
+                mapped = [flat[x] for x in args]
+                assert flat[op.apply(args, alg.size)] == prod_op.apply(mapped, prod.size)
 
 
 @settings(max_examples=120, deadline=None)
@@ -120,5 +171,5 @@ def test_supernilpotent_flag_needs_a_malcev_term(alg, cap):
     supernilpotent Malcev algebra, so YES needs a Malcev term found under
     the same cap.  The 2-element algebra with one projection is nilpotent
     and of prime order, and has none."""
-    if is_supernilpotent(alg, cap)[0] is Tri.YES:
+    if is_supernilpotent(alg, cap) is Tri.YES:
         assert find_malcev_term(alg, cap).status is Tri.YES
