@@ -20,6 +20,7 @@ from .errors import (
     CapExceeded,
     ElementOutOfRange,
     NotACongruence,
+    NotMalcev,
     ParseError,
     SizeNot2,
     Tri,
@@ -32,7 +33,8 @@ DEFAULT_CAP = 200_000
 
 # Classifying the whole zoo fills 59 entries (quotients and pair algebras
 # included), and classifying and dispatching the benchmark's dispatch mix 46;
-# 256 holds either working set with no eviction.
+# stored quotients and DL-likeness answers are facts of existing entries and
+# add none.  256 holds either working set with no eviction.
 STORE_BOUND = 256
 
 
@@ -513,6 +515,15 @@ def _is_malcev_table(tab: Sequence[int], size: int) -> bool:
     return True
 
 
+def check_malcev_term(alg: FiniteAlgebra, d: Term) -> None:
+    """Raise NotMalcev unless d(x,x,y) = y = d(y,x,x) for all x, y of alg."""
+    n = alg.size
+    for x in range(n):
+        for y in range(n):
+            if eval_term(alg, d, (x, x, y)) != y or eval_term(alg, d, (y, x, x)) != y:
+                raise NotMalcev(f"Malcev identities fail at ({x},{y})")
+
+
 def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
     """Search the ternary term clone for d with d(x,x,y) = y = d(y,x,x).
 
@@ -687,9 +698,18 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
 
 
 def quotient(alg: FiniteAlgebra, theta: Partition, check: bool = True) -> FiniteAlgebra:
-    """Quotient algebra; classes are numbered in canonical (first occurrence) order."""
+    """Quotient algebra; classes are numbered in canonical (first occurrence)
+    order.  It is stored per algebra under ("quotient", theta), so it is
+    built once; the congruence check runs on every call, before the lookup,
+    and the result is named after the calling algebra."""
     if check and not is_congruence(alg, theta):
         raise NotACongruence(f"partition {theta} is not a congruence of {alg.name}")
+    q = stored(alg, ("quotient", theta), lambda: _quotient(alg, theta))
+    name = f"{alg.name}/{theta}"
+    return q if q.name == name else q.rename(name)
+
+
+def _quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
     n = alg.size
     k = theta.num_classes
     reps = [cls[0] for cls in theta.classes()]

@@ -184,7 +184,6 @@ def _cmd_commutator(args) -> int:
 
 
 def _cmd_typeset(args) -> int:
-    from .congruence import congruence_lattice
     from .tct import typed_congruence_lattice
 
     alg = _load_algebra(args.algebra)
@@ -194,11 +193,10 @@ def _cmd_typeset(args) -> int:
         (str(lat.congruences[i]), str(lat.congruences[j])): t
         for (i, j), t in typed.labels.items()
     }
-    ts = sorted(x for x in typed.typeset() if x is not None)
     data = {
         "schema": 1,
         "algebra": alg.name,
-        "typeset": ts + (["unknown"] if None in typed.typeset() else []),
+        "typeset": typed.typeset_list(),
         "covers": [
             {"lower": lo, "upper": hi, "type": (t if t is not None else "unknown")}
             for (lo, hi), t in sorted(labels.items())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .algebra import FiniteAlgebra, quotient, stored, translations
-from .errors import CapExceeded, ElementOutOfRange, LatticeMismatch
+from .errors import CapExceeded, ElementOutOfRange
 from .partition import Partition
 
 LATTICE_CAP = 100_000
@@ -59,10 +59,8 @@ class CongruenceLattice:
     algebra: FiniteAlgebra
     congruences: list[Partition]
     covers: list[tuple[int, int]] = field(default_factory=list)   # (lower, upper) indices
-    _index: dict[Partition, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._index = {p: i for i, p in enumerate(self.congruences)}
         if not self.covers:
             self.covers = self._compute_covers()
 
@@ -81,37 +79,6 @@ class CongruenceLattice:
 
     def __len__(self) -> int:
         return len(self.congruences)
-
-    def __contains__(self, p: Partition) -> bool:
-        return p in self._index
-
-    def index(self, p: Partition) -> int:
-        try:
-            return self._index[p]
-        except KeyError:
-            raise LatticeMismatch(f"partition {p} is not in this lattice") from None
-
-    @property
-    def zero(self) -> Partition:
-        return Partition.zero(self.algebra.size)
-
-    @property
-    def one(self) -> Partition:
-        return Partition.one(self.algebra.size)
-
-    def join(self, a: Partition, b: Partition) -> Partition:
-        self.index(a), self.index(b)
-        j = a.join(b)
-        if j not in self._index:
-            raise LatticeMismatch("join escaped the lattice; lattice incomplete?")
-        return j
-
-    def meet(self, a: Partition, b: Partition) -> Partition:
-        self.index(a), self.index(b)
-        m = a.meet(b)
-        if m not in self._index:
-            raise LatticeMismatch("meet escaped the lattice; lattice incomplete?")
-        return m
 
     def cover_pairs(self) -> list[tuple[Partition, Partition]]:
         return [(self.congruences[a], self.congruences[b]) for a, b in self.covers]

@@ -37,10 +37,6 @@ class NotACongruence(MvcircError):
     pass
 
 
-class LatticeMismatch(MvcircError):
-    pass
-
-
 class UntypedLattice(MvcircError):
     pass
 

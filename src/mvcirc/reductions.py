@@ -19,6 +19,7 @@ from .algebra import (
     Operation,
     Term,
     Var,
+    check_malcev_term,
     eval_term,
 )
 from .circuit import (
@@ -31,7 +32,6 @@ from .circuit import (
 from .errors import (
     CapExceeded,
     InvalidWitness,
-    NotMalcev,
     NotPermutationWarning,
     ParseError,
 )
@@ -479,21 +479,13 @@ def dl01_system(m: int, n: int, seed: int, lattice: FiniteAlgebra) -> Dl01Instan
 # SCSAT -> MCSAT over a Malcev algebra
 
 
-def _check_malcev_poly(alg: FiniteAlgebra, d: Term) -> None:
-    n = alg.size
-    for x in range(n):
-        for y in range(n):
-            if eval_term(alg, d, (x, x, y)) != y or eval_term(alg, d, (y, x, x)) != y:
-                raise NotMalcev(f"term fails the Malcev identities at ({x},{y})")
-
-
 def scsat_to_mcsat(
     alg: FiniteAlgebra, system: ScsatInstance, d: Term, a: int
 ) -> McsatInstance:
     """Rewrite g_i = h_i (all i) as d(g_i, h_i, a) = ... = a.  Valid when
     x -> d(x, y, a) hits a only at x = y; that is checked pointwise and a
     warning is raised otherwise (the construction then loses equivalence)."""
-    _check_malcev_poly(alg, d)
+    check_malcev_term(alg, d)
     n = alg.size
     for y in range(n):
         hits = [x for x in range(n) if eval_term(alg, d, (x, y, a)) == a]

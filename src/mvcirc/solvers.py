@@ -23,7 +23,15 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import DEFAULT_CAP, FiniteAlgebra, Term, eval_term, find_malcev_term, stored
+from .algebra import (
+    DEFAULT_CAP,
+    FiniteAlgebra,
+    Term,
+    check_malcev_term,
+    eval_term,
+    find_malcev_term,
+    stored,
+)
 from .circuit import (
     BLOCK,
     BlockProgram,
@@ -73,14 +81,6 @@ class SolveResult:
     assignments_tried: int = 0
     experimental: bool = False
     diagnostic: Optional[str] = None
-
-    @property
-    def satisfiable(self) -> Optional[bool]:
-        if self.answer == "sat":
-            return True
-        if self.answer == "unsat":
-            return False
-        return None
 
     def as_dict(self) -> dict:
         return {
@@ -320,11 +320,8 @@ class SupernilpotentSolverParams:
 
 
 def _check_malcev(alg: FiniteAlgebra, d_term: Term, zero: int) -> None:
+    check_malcev_term(alg, d_term)
     n = alg.size
-    for x in range(n):
-        for y in range(n):
-            if eval_term(alg, d_term, (x, x, y)) != y or eval_term(alg, d_term, (y, x, x)) != y:
-                raise NotMalcev(f"Malcev identities fail at ({x},{y})")
     for x in range(n):
         for y in range(n):
             if (eval_term(alg, d_term, (x, y, zero)) == zero) != (x == y):

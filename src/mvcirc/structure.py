@@ -39,7 +39,7 @@ from .commutator import (
 from .congruence import congruence_lattice, factor_pairs
 from .errors import CapExceeded, Tri, UntypedLattice
 from .partition import Partition
-from .tct import TypedLattice, typed_congruence_lattice, typeset
+from .tct import TypedLattice, typed_congruence_lattice
 
 
 def radical(alg: FiniteAlgebra, typed: TypedLattice, i: int) -> Partition:
@@ -99,7 +99,13 @@ def is_dl_like(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> tuple[Tri, list[Pa
     """Subdirect product of 2-element lattice-like algebras: the meet of all
     congruences with a 2-element lattice-like quotient must be the diagonal.
     The witness is the list of those congruences.  UNKNOWN when a quotient's
-    check hit the cap and the witnesses found do not meet to the diagonal."""
+    check hit the cap and the witnesses found do not meet to the diagonal.
+    The answer is stored per algebra under ("dl_like", cap), since a smaller
+    cap can leave it undecided."""
+    return stored(alg, ("dl_like", cap), lambda: _is_dl_like(alg, cap))
+
+
+def _is_dl_like(alg: FiniteAlgebra, cap: int) -> tuple[Tri, list[Partition]]:
     witnesses = []
     capped = False
     for theta in congruence_lattice(alg).congruences:
@@ -217,17 +223,32 @@ def _tri_and(a: Tri, b: Tri) -> Tri:
     return Tri.YES
 
 
-def _exists_decomposition(alg: FiniteAlgebra, left_flag, cap: int) -> Tri:
-    """Whether some factor-congruence pair splits alg as N x D with
-    left_flag(N) and D DL-like.  Trivial pairs (0,1)/(1,0) participate."""
-    best = Tri.NO
+def _tri_or(a: Tri, b: Tri) -> Tri:
+    if a is Tri.YES or b is Tri.YES:
+        return Tri.YES
+    if a is Tri.UNKNOWN or b is Tri.UNKNOWN:
+        return Tri.UNKNOWN
+    return Tri.NO
+
+
+def _decomposition_flags(alg: FiniteAlgebra, cap: int) -> tuple[Tri, Tri, Tri]:
+    """Whether some factor-congruence pair splits alg as N x D with D
+    DL-like and N supernilpotent, nilpotent or affine, in that order: YES if
+    some pair says YES, else UNKNOWN if some pair says UNKNOWN, else NO.
+    Trivial pairs (0,1)/(1,0) participate.  One pass over the pairs; a flag
+    already YES reads no further left factors."""
+    sn = nil = aff = Tri.NO
     for fp in factor_pairs(alg):
-        verdict = _tri_and(left_flag(fp.left), is_dl_like(fp.right, cap)[0])
-        if verdict is Tri.YES:
-            return Tri.YES
-        if verdict is Tri.UNKNOWN:
-            best = Tri.UNKNOWN
-    return best
+        if sn is nil is aff is Tri.YES:
+            break
+        dl = is_dl_like(fp.right, cap)[0]
+        if sn is not Tri.YES:
+            sn = _tri_or(sn, _tri_and(is_supernilpotent(fp.left, cap), dl))
+        if nil is not Tri.YES:
+            nil = _tri_or(nil, _tri_and(Tri.YES if is_nilpotent(fp.left) else Tri.NO, dl))
+        if aff is not Tri.YES:
+            aff = _tri_or(aff, _tri_and(is_affine(fp.left, cap), dl))
+    return sn, nil, aff
 
 
 def classify(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> ClassificationReport:
@@ -249,11 +270,6 @@ def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
     affine = is_affine(alg, cap)
     dl, dl_wit = is_dl_like(alg, cap)
 
-    ts = typeset(alg, cap)
-    typeset_list = sorted(x for x in ts if x is not None)
-    if None in ts:
-        typeset_list = typeset_list + ["unknown"]
-
     decomposition = None
     try:
         dec = decompose_nd(alg, cap)
@@ -268,9 +284,7 @@ def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
             "iso": [list(pair) for pair in dec.iso],
         }
 
-    sn_dl = _exists_decomposition(alg, lambda a: is_supernilpotent(a, cap), cap)
-    nil_dl = _exists_decomposition(alg, lambda a: Tri.YES if is_nilpotent(a) else Tri.NO, cap)
-    aff_dl = _exists_decomposition(alg, lambda a: is_affine(a, cap), cap)
+    sn_dl, nil_dl, aff_dl = _decomposition_flags(alg, cap)
 
     caveats: list[str] = []
     if cm is Tri.NO:
@@ -327,7 +341,7 @@ def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
         supernilpotent=supernil,
         affine=affine,
         dl_like=dl,
-        typeset=typeset_list,
+        typeset=typed_congruence_lattice(alg, cap).typeset_list(),
         decomposition=decomposition,
         verdicts=verdicts,
         caveats=caveats,

@@ -280,6 +280,12 @@ class TypedLattice:
     def typeset(self) -> set:
         return set(self.labels.values())
 
+    def typeset_list(self) -> list:
+        """The typeset as output lists it: labels in order, then "unknown"
+        when some label is undecided."""
+        ts = self.typeset()
+        return sorted(x for x in ts if x is not None) + (["unknown"] if None in ts else [])
+
 
 def typed_congruence_lattice(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> TypedLattice:
     """Con(alg) with every cover labeled; stored per (algebra, cap), since an

@@ -34,7 +34,7 @@ from mvcirc.algebra import (
 )
 from mvcirc.commutator import pair_algebra
 from mvcirc.congruence import congruence_from_pairs
-from mvcirc.errors import CapExceeded, SizeNot2, Tri, UnknownOp
+from mvcirc.errors import CapExceeded, NotACongruence, SizeNot2, Tri, UnknownOp
 from mvcirc.partition import Partition
 from mvcirc.zoo import get, zoo
 
@@ -454,6 +454,18 @@ def test_quotient_z4_mod2_is_z2(z4, z2):
     assert q.size == 2
     assert q.op("mul").table == z2.op("mul").table
     assert q.op("inv").table == z2.op("inv").table
+
+
+def test_quotient_is_stored_and_checked_on_every_call(monkeypatch, z4):
+    monkeypatch.setattr(algebra_module, "STORE", FactStore())
+    theta = mod_congruence(4, 2)
+    assert quotient(z4, theta) is quotient(z4, theta)
+    assert quotient(z4.rename("Z4b"), theta).name == f"Z4b/{theta}"
+    bad = Partition.from_ids([0, 0, 1, 2])
+    quotient(z4, bad, check=False)
+    for _ in range(2):
+        with pytest.raises(NotACongruence):
+            quotient(z4, bad)
 
 
 @pytest.mark.parametrize("name", [e.name for e in zoo()])

@@ -71,6 +71,13 @@ def test_commutator_cmd(capsys):
     assert out.strip() == "{0 3 4|1 2 5}"
 
 
+def test_commutator_cmd_rejects_a_non_congruence(capsys):
+    code, _, err = run_cli(
+        ["commutator", "zoo:Z4", "--alpha", "{0 1|2|3}", "--beta", "{0 1 2 3}"], capsys)
+    assert code == 3
+    assert "not a congruence" in err
+
+
 def test_typeset_cmd(capsys):
     code, out, _ = run_cli(["typeset", "zoo:2boolean", "--json"], capsys)
     assert code == 0

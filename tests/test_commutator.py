@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from mvcirc.algebra import kary_poly_clone, poly_clone_on_points
+from mvcirc import algebra
+from mvcirc.algebra import FactStore, kary_poly_clone, poly_clone_on_points
 from mvcirc.commutator import (
     centralizes,
     commutator,
@@ -17,7 +18,7 @@ from mvcirc.commutator import (
     nilpotency_class,
 )
 from mvcirc.congruence import congruence_lattice
-from mvcirc.errors import CapExceeded, Tri
+from mvcirc.errors import CapExceeded, NotACongruence, Tri
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
@@ -51,6 +52,20 @@ def test_commutator_with_zero(z4, s3, lat2):
     for alg in (z4, s3, lat2):
         for alpha in congruence_lattice(alg).congruences:
             assert commutator(alg, zero(alg), alpha) == zero(alg)
+
+
+def test_commutator_rejects_a_non_congruence(monkeypatch, z4):
+    # 0 ~ 1 forces 1 ~ 2 under +1, so {0 1|2|3} is not a congruence of Z4
+    bad = Partition.from_ids([0, 0, 1, 2])
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    with pytest.raises(NotACongruence):
+        commutator(z4, bad, one(z4))
+    cons = congruence_lattice(z4).congruences
+    for a, b in itertools.product(cons, repeat=2):
+        commutator(z4, a, b)
+    for alpha, beta in ((bad, one(z4)), (one(z4), bad), (bad, bad)):
+        with pytest.raises(NotACongruence):
+            commutator(z4, alpha, beta)
 
 
 def test_commutator_below_meet(z4, z6, s3, z4ring, z2xl2):

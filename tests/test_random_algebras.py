@@ -7,6 +7,7 @@ import itertools
 from hypothesis import example, given, settings, strategies as st
 
 from mvcirc.algebra import (
+    DEFAULT_CAP,
     FiniteAlgebra,
     Operation,
     direct_product,
@@ -21,11 +22,13 @@ from mvcirc.circuit import (
     ScsatInstance,
     random_circuit,
 )
-from mvcirc.commutator import commutator, is_supernilpotent
+from mvcirc.commutator import commutator, is_affine, is_nilpotent, is_supernilpotent
 from mvcirc.congruence import congruence_lattice, factor_pairs, principal_congruence
 from mvcirc.errors import BudgetExceeded, Tri
 from mvcirc.partition import Partition
 from mvcirc.solvers import SolverConfig, dispatch, solve_bruteforce
+from mvcirc.structure import _decomposition_flags, is_dl_like
+from mvcirc.zoo import get
 
 from conftest import all_partitions
 
@@ -173,3 +176,33 @@ def test_supernilpotent_flag_needs_a_malcev_term(alg, cap):
     and of prime order, and has none."""
     if is_supernilpotent(alg, cap) is Tri.YES:
         assert find_malcev_term(alg, cap).status is Tri.YES
+
+
+def _exists_decomposition(alg, left_flag, cap):
+    """Reference: one scan of the factor pairs per flag, stopping at the
+    first pair that says YES."""
+    best = Tri.NO
+    for fp in factor_pairs(alg):
+        left, right = left_flag(fp.left), is_dl_like(fp.right, cap)[0]
+        if left is Tri.YES and right is Tri.YES:
+            return Tri.YES
+        if Tri.NO not in (left, right):
+            best = Tri.UNKNOWN
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_algebras(), small_products()), st.sampled_from([3, 10, DEFAULT_CAP]))
+@example(get("Z2xL2"), 10)
+@example(get("Z4ring"), 10)
+@example(get("Z6"), DEFAULT_CAP)
+def test_decomposition_flags_match_one_scan_per_flag(alg, cap):
+    """The single pass folds each flag as its own scan does: YES if some
+    pair says YES, else UNKNOWN if some pair says UNKNOWN, else NO.  Random
+    algebras seldom have a Malcev term, so zoo algebras cover the YES and
+    mixed cases."""
+    assert _decomposition_flags(alg, cap) == (
+        _exists_decomposition(alg, lambda a: is_supernilpotent(a, cap), cap),
+        _exists_decomposition(alg, lambda a: Tri.YES if is_nilpotent(a) else Tri.NO, cap),
+        _exists_decomposition(alg, lambda a: is_affine(a, cap), cap),
+    )

@@ -66,6 +66,31 @@ def test_each_per_algebra_fact_is_computed_once(monkeypatch):
     assert [key for key, n in runs.items() if n > 1] == []
 
 
+def test_cold_classify_decides_dl_likeness_and_builds_quotients_once(monkeypatch):
+    """The factor pairs, the decomposition flags and is_dl_like all read
+    quotients, and the flags read is_dl_like of every right factor: a cold
+    classify of the zoo still runs each build once per store key."""
+    runs = Counter()
+    dl_like, build = structure._is_dl_like, algebra._quotient
+
+    def counted_dl_like(alg, cap):
+        runs[("dl_like", _content(alg), cap)] += 1
+        return dl_like(alg, cap)
+
+    def counted_quotient(alg, theta):
+        runs[("quotient", _content(alg), theta)] += 1
+        return build(alg, theta)
+
+    monkeypatch.setattr(structure, "_is_dl_like", counted_dl_like)
+    monkeypatch.setattr(algebra, "_quotient", counted_quotient)
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    for e in zoo():
+        classify(e.algebra)
+
+    assert {key[0] for key in runs} == {"dl_like", "quotient"}
+    assert [key for key, n in runs.items() if n > 1] == []
+
+
 def test_no_module_level_cache_outside_the_store():
     stores = []
     for info in pkgutil.iter_modules(mvcirc.__path__):
