@@ -237,10 +237,6 @@ _SOLVERS = {"auto": None, "brute": "brute", "usp": "usp", "supernil": "supernilp
             "affine": "affine"}
 
 
-def _format_witness(witness: dict[str, int]) -> str:
-    return " ".join(f"{k}={witness[k]}" for k in sorted(witness))
-
-
 def _cmd_solve(args) -> int:
     from .solvers import SolverConfig, dispatch
 
@@ -258,14 +254,9 @@ def _cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EX_BUDGET
 
-    if result.answer == "sat":
-        text_out = f"SAT {_format_witness(result.witness)}"
-    elif result.answer == "unsat":
-        text_out = "UNSAT"
-    elif result.answer == "equiv":
-        text_out = "EQUIV"
-    else:
-        text_out = f"NEQUIV {_format_witness(result.witness)}"
+    text_out = result.answer.upper()
+    if result.witness is not None:
+        text_out += " " + " ".join(f"{k}={v}" for k, v in sorted(result.witness.items()))
     _emit(result.as_dict(), args.json, text_out)
     return EX_OK
 

@@ -9,7 +9,7 @@ lattice rather than the Bell number of the universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .algebra import FiniteAlgebra, quotient, stored, translations
@@ -56,26 +56,8 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
 
 @dataclass
 class CongruenceLattice:
-    algebra: FiniteAlgebra
     congruences: list[Partition]
-    covers: list[tuple[int, int]] = field(default_factory=list)   # (lower, upper) indices
-
-    def __post_init__(self) -> None:
-        if not self.covers:
-            self.covers = self._compute_covers()
-
-    def _compute_covers(self) -> list[tuple[int, int]]:
-        m = len(self.congruences)
-        leq = [[self.congruences[i].leq(self.congruences[j]) for j in range(m)] for i in range(m)]
-        out = []
-        for i in range(m):
-            for j in range(m):
-                if i == j or not leq[i][j]:
-                    continue
-                if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(m)):
-                    continue
-                out.append((i, j))
-        return out
+    covers: list[tuple[int, int]]   # (lower, upper) indices
 
     def __len__(self) -> int:
         return len(self.congruences)
@@ -113,7 +95,12 @@ def _congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
                 found[j] = None
                 worklist.append(j)
     congruences = sorted(found.keys(), key=lambda p: (-p.num_classes, p.ids))
-    return CongruenceLattice(alg, congruences)
+    m = len(congruences)
+    leq = [[congruences[i].leq(congruences[j]) for j in range(m)] for i in range(m)]
+    covers = [(i, j) for i in range(m) for j in range(m)
+              if i != j and leq[i][j]
+              and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(m))]
+    return CongruenceLattice(congruences, covers)
 
 
 @dataclass

@@ -99,21 +99,8 @@ class Partition:
         """Least upper bound in the partition lattice (transitive closure of the union)."""
         if self.n != other.n:
             raise ValueError("partitions over different universes")
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in (self, other):
-            for cls in p.classes():
-                for x in cls[1:]:
-                    ra, rb = find(cls[0]), find(x)
-                    if ra != rb:
-                        parent[rb] = ra
-        return Partition(_canonical([find(i) for i in range(self.n)]))
+        return Partition.from_pairs(self.n, ((cls[0], x) for p in (self, other)
+                                             for cls in p.classes() for x in cls[1:]))
 
     def meet(self, other: "Partition") -> "Partition":
         if self.n != other.n:

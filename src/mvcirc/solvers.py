@@ -94,26 +94,13 @@ class SolveResult:
         }
 
 
-def _instance_inputs(inst: Instance) -> list[str]:
-    return sorted(inst.circuit.input_names)
-
-
 def _verify_witness(alg: FiniteAlgebra, inst: Instance, witness: dict[str, int]) -> bool:
-    if isinstance(inst, ScsatInstance):
-        vals = _gate_values(alg, inst.circuit, witness)
-        return all(vals[g] == vals[h] for g, h in inst.equations)
-    outs = eval_circuit(alg, inst.circuit, witness)
-    if isinstance(inst, (CsatInstance, McsatInstance)):
-        return all(o == outs[0] for o in outs)
-    if isinstance(inst, CeqvInstance):
-        return outs[0] != outs[1]   # witness distinguishes the outputs
-    raise TypeError
-
-
-def _gate_values(alg: FiniteAlgebra, c: Circuit, asg: dict[str, int]) -> list[int]:
+    """Whether witness, evaluated anew, makes every pair agree (for CEQV:
+    some pair differ)."""
     vals: list[int] = []
-    eval_circuit(alg, c, asg, hook=lambda i, v: vals.append(v))
-    return vals
+    eval_circuit(alg, inst.circuit, witness, hook=lambda i, v: vals.append(v))
+    agree = all(vals[g] == vals[h] for g, h in _pairs(inst))
+    return agree is not isinstance(inst, CeqvInstance)
 
 
 def _result(alg, inst, answer, witness, solver, tried, experimental=False, diagnostic=None):
@@ -128,13 +115,14 @@ def _result(alg, inst, answer, witness, solver, tried, experimental=False, diagn
 Block = tuple[Sequence[bytes], int]   # input columns, number of assignments
 
 
-def _agreement_pairs(inst: Instance) -> list[tuple[int, int]]:
-    """The gate pairs whose agreement satisfies the instance (for CEQV,
-    whose disagreement refutes it)."""
+def _pairs(inst: Instance) -> list[tuple[int, int]]:
+    """The gate pairs that must all agree: the equations of a system, else
+    the consecutive outputs.  A hit proves the instance, except for CEQV,
+    where a hit (some pair differs) refutes it."""
     if isinstance(inst, ScsatInstance):
         return list(inst.equations)
     outs = inst.circuit.outputs
-    return [(outs[0], o) for o in outs[1:]]
+    return list(zip(outs, outs[1:]))
 
 
 _FLIP = b"\1" + bytes(255)     # translate table: 0 to 1, anything else to 0
@@ -213,23 +201,31 @@ def _lex_blocks(program: BlockProgram, m: int) -> Iterator[Block]:
 # Brute force
 
 
+def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tuple[int, ...],
+            blocks: Iterable[Block], total: int, solver: str,
+            experimental: bool = False) -> SolveResult:
+    """The answer from the first hit of an enumeration of total assignments
+    (first, then the blocks): sat, or nequiv for CEQV, with the hit as
+    witness; unsat, or equiv, when there is none."""
+    ceqv = isinstance(inst, CeqvInstance)
+    values, tried = next(_hits(program, first, blocks, agree=not ceqv), (None, total))
+    hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
+    if values is None:
+        return SolveResult(miss, None, solver, tried, experimental)
+    return _result(alg, inst, hit, dict(zip(program.names, values)), solver, tried, experimental)
+
+
 def solve_bruteforce(
     alg: FiniteAlgebra, inst: Instance, config: SolverConfig = DEFAULT_CONFIG
 ) -> SolveResult:
     """Lexicographic enumeration of all |A|^n assignments (sorted input names,
     values as base-|A| digits); the first hit is reported."""
-    names = _instance_inputs(inst)
-    total = alg.size ** len(names)
+    m = len(inst.circuit.input_names)
+    total = alg.size ** m
     if total > config.budget:
         raise BudgetExceeded(total, config.budget)
-    program = BlockProgram(alg, inst.circuit, _agreement_pairs(inst))
-    ceqv = isinstance(inst, CeqvInstance)
-    hits = _hits(program, (0,) * len(names), _lex_blocks(program, len(names)), agree=not ceqv)
-    values, tried = next(hits, (None, total))
-    hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
-    if values is None:
-        return SolveResult(miss, None, "brute", tried)
-    return _result(alg, inst, hit, dict(zip(names, values)), "brute", tried)
+    program = BlockProgram(alg, inst.circuit, _pairs(inst))
+    return _decide(alg, inst, program, (0,) * m, _lex_blocks(program, m), total, "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +244,10 @@ def solve_usp(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONFIG)
 def _diagonal(alg: FiniteAlgebra, inst: CsatInstance | McsatInstance) -> SolveResult:
     """The first constant diagonal, 0 then 1, 2, ..., at which every output
     agrees."""
-    names = _instance_inputs(inst)
-    program = BlockProgram(alg, inst.circuit, _agreement_pairs(inst))
-    diagonals = [program.pack(range(1, alg.size))] * len(names)
-    hits = _hits(program, (0,) * len(names), [(diagonals, alg.size - 1)], agree=True)
-    values, tried = next(hits, (None, alg.size))
-    if values is None:
-        return SolveResult("unsat", None, "usp", tried)
-    return _result(alg, inst, "sat", dict(zip(names, values)), "usp", tried)
+    program = BlockProgram(alg, inst.circuit, _pairs(inst))
+    m = len(program.names)
+    diagonals = [program.pack(range(1, alg.size))] * m
+    return _decide(alg, inst, program, (0,) * m, [(diagonals, alg.size - 1)], alg.size, "usp")
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +365,15 @@ def _sweep(plan: Plan, inst: CsatInstance | CeqvInstance, params: Supernilpotent
     alg, zero = plan.alg, params.zero_element
     steps, w = plan.zero_steps(zero)
     c = inst.circuit
-    names = sorted(c.input_names)
-    max_support = min(params.d_bound, len(names))
-    total = _sweep_size(alg.size, len(names), max_support, config)
-    program = BlockProgram(alg, c, [c.outputs])
+    m = len(c.input_names)
+    max_support = min(params.d_bound, m)
+    total = _sweep_size(alg.size, m, max_support, config)
+    program = BlockProgram(alg, c, _pairs(inst))
     program.append(steps, c.outputs, [(w, 2)])
-    blocks = _support_sweep(program, len(names), zero, max_support)
     ceqv = isinstance(inst, CeqvInstance)
-    hits = _hits(program, (zero,) * len(names), blocks, agree=not ceqv)
-    values, tried = next(hits, (None, total))
-    hit, miss, solver = (("nequiv", "equiv", "ceqv-supernilpotent-experimental") if ceqv
-                         else ("sat", "unsat", "supernilpotent"))
-    if values is None:
-        return SolveResult(miss, None, solver, tried, experimental=ceqv)
-    return _result(alg, inst, hit, dict(zip(names, values)), solver, tried, experimental=ceqv)
+    return _decide(alg, inst, program, (zero,) * m, _support_sweep(program, m, zero, max_support),
+                   total, "ceqv-supernilpotent-experimental" if ceqv else "supernilpotent",
+                   experimental=ceqv)
 
 
 def solve_supernilpotent(plan: Plan, inst: Instance,
@@ -408,12 +395,12 @@ def minimal_support_profile(
 ) -> Optional[dict[int, int]]:
     """For satisfiable instances, the histogram of support sizes over all
     solutions (brute force); None when unsatisfiable."""
-    names = _instance_inputs(csat)
-    total = alg.size ** len(names)
+    m = len(csat.circuit.input_names)
+    total = alg.size ** m
     if total > config.budget:
         raise BudgetExceeded(total, config.budget)
-    program = BlockProgram(alg, csat.circuit, _agreement_pairs(csat))
-    hits = _hits(program, (0,) * len(names), _lex_blocks(program, len(names)), agree=True)
+    program = BlockProgram(alg, csat.circuit, _pairs(csat))
+    hits = _hits(program, (0,) * m, _lex_blocks(program, m), agree=True)
     hist = Counter(sum(1 for v in values if v != zero) for values, _ in hits)
     return dict(hist) or None
 
@@ -666,12 +653,7 @@ def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONF
     with a diagnostic."""
     plan.require("affine", inst)
     alg, circ = plan.alg, inst.circuit
-    if isinstance(inst, ScsatInstance):
-        equations = list(inst.equations)
-    else:   # CSAT or MCSAT: consecutive outputs agree
-        outs = circ.outputs
-        equations = [(outs[i], outs[i + 1]) for i in range(len(outs) - 1)]
-
+    equations = _pairs(inst)
     names = sorted(circ.input_names)
     try:
         group = plan.group
@@ -787,20 +769,19 @@ class Plan:
 
     @cached_property
     def routes(self) -> dict[type, str]:
-        """Route for each instance type: DL-like CSAT/MCSAT to the diagonal,
+        """Route for each instance type: the first route of HYPOTHESES that
+        decides the type and whose flag is YES, otherwise per-factor solves
+        or brute force.  So DL-like CSAT/MCSAT go to the diagonal,
         supernilpotent CSAT/CEQV to the support sweep (the flag needs a
         Malcev term found under the cap, and the sweep normalizes through
-        it), affine MCSAT/SCSAT to elimination, otherwise per-factor solves
-        or brute force."""
+        it), and affine MCSAT/SCSAT to elimination; an affine algebra is
+        supernilpotent, so its CSAT instances sweep."""
         rep = self.report
-        dl, sn, af = (flag is Tri.YES for flag in (rep.dl_like, rep.supernilpotent, rep.affine))
         other = "brute" if self.split is None else "product"
-        return {
-            CsatInstance: "usp" if dl else "supernilpotent" if sn else other,
-            McsatInstance: "usp" if dl else "affine" if af else other,
-            CeqvInstance: "supernilpotent" if sn else other,
-            ScsatInstance: "affine" if af else other,
-        }
+        yes = [(route, kinds) for route, (flag, _, _, kinds) in HYPOTHESES.items()
+               if getattr(rep, flag) is Tri.YES]
+        return {kind: next((route for route, kinds in yes if kind in kinds), other)
+                for kind in (CsatInstance, McsatInstance, CeqvInstance, ScsatInstance)}
 
     def require(self, route: str, inst: Instance) -> None:
         """Raise UnsupportedKind unless the fast route decides inst's kind, and
@@ -906,19 +887,16 @@ def _solve_split(plan: Plan, inst: Instance, config: SolverConfig) -> SolveResul
     r2 = _run(split.right, _project(inst, fp.alpha2), config)
     solver = f"product({r1.solver_used},{r2.solver_used})"
     tried = r1.assignments_tried + r2.assignments_tried
-    names = sorted(inst.circuit.input_names)
     if isinstance(inst, CeqvInstance):
         if r1.answer == "equiv" and r2.answer == "equiv":
             return SolveResult("equiv", None, solver, tried)
         # the outputs already differ in one factor, so any class works in
         # the other; take the least element
         side, bad = (0, r1) if r1.answer == "nequiv" else (1, r2)
-        witness = {
-            nm: min(x for pair, x in split.element.items() if pair[side] == bad.witness[nm])
-            for nm in names
-        }
+        witness = {nm: min(x for pair, x in split.element.items() if pair[side] == v)
+                   for nm, v in bad.witness.items()}
         return _result(alg, inst, "nequiv", witness, solver, tried)
     if r1.answer == "sat" and r2.answer == "sat":
-        witness = {nm: split.element[(r1.witness[nm], r2.witness[nm])] for nm in names}
+        witness = {nm: split.element[(v, r2.witness[nm])] for nm, v in r1.witness.items()}
         return _result(alg, inst, "sat", witness, solver, tried)
     return SolveResult("unsat", None, solver, tried)

@@ -715,6 +715,31 @@ def test_witnesses_verify_across_solvers(z4, lat2):
                 assert out[0] == out[1]
 
 
+def test_a_non_witness_fails_re_verification(z4):
+    """For each kind, an assignment that does not prove the instance (for
+    CEQV: does not refute it) fails re-verification, and _result refuses
+    it; an assignment that does passes."""
+    b = CircuitBuilder(z4.name)
+    x, y, z = b.input("x"), b.input("y"), b.input("z")
+    c = b.build([x, y, z])
+    cases = [   # instance, non-witness, witness
+        (CsatInstance(c.with_outputs([x, y])), {"x": 0, "y": 1, "z": 0}, {"x": 1, "y": 1, "z": 0}),
+        # only the first two outputs agree
+        (McsatInstance(c), {"x": 2, "y": 2, "z": 3}, {"x": 3, "y": 3, "z": 3}),
+        # x = y holds, y = z does not
+        (ScsatInstance(c, ((x, y), (y, z))), {"x": 1, "y": 1, "z": 0}, {"x": 0, "y": 0, "z": 0}),
+        # the outputs agree, so nothing is refuted
+        (CeqvInstance(c.with_outputs([x, y])), {"x": 2, "y": 2, "z": 0}, {"x": 2, "y": 1, "z": 0}),
+    ]
+    for inst, bad, good in cases:
+        hit = "nequiv" if isinstance(inst, CeqvInstance) else "sat"
+        assert not solvers._verify_witness(z4, inst, bad), type(inst).__name__
+        with pytest.raises(AssertionError, match="re-verification"):
+            solvers._result(z4, inst, hit, bad, "brute", 1)
+        assert solvers._verify_witness(z4, inst, good), type(inst).__name__
+        assert solvers._result(z4, inst, hit, good, "brute", 1).witness == good
+
+
 def test_dispatch_small_cap_agrees_with_brute(monkeypatch):
     # classification under cap 10 leaves DL-likeness undecided for
     # 2boolean, and for the supernilpotent Z3, Z4, Z6 and Z4ring the Malcev
