@@ -197,10 +197,6 @@ def _lex_blocks(program: BlockProgram, m: int) -> Iterator[Block]:
         lo = hi
 
 
-# ---------------------------------------------------------------------------
-# Brute force
-
-
 def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tuple[int, ...],
             blocks: Iterable[Block], total: int, solver: str,
             experimental: bool = False) -> SolveResult:
@@ -213,6 +209,10 @@ def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tu
     if values is None:
         return SolveResult(miss, None, solver, tried, experimental)
     return _result(alg, inst, hit, dict(zip(program.names, values)), solver, tried, experimental)
+
+
+# ---------------------------------------------------------------------------
+# Brute force
 
 
 def solve_bruteforce(

@@ -196,7 +196,7 @@ def test_dispatch_agrees_with_brute_force(alg, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_algebras(), st.sampled_from([50, 500, 5000]))
+@given(st.one_of(small_algebras(), malcev_algebras()), st.sampled_from([50, 500, 5000]))
 @example(FiniteAlgebra("proj", 2, (Operation("p", 2, (0, 0, 1, 1)),)), 500)
 def test_supernilpotent_flag_needs_a_malcev_term(alg, cap):
     """The flag stands for the hypothesis of the CSAT and CEQV theorems, a
@@ -210,10 +210,11 @@ def test_supernilpotent_flag_needs_a_malcev_term(alg, cap):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(small_algebras(), malcev_algebras()), st.sampled_from([50, 500, 5000]))
 def test_an_affine_algebra_is_supernilpotent(alg, cap):
-    """Plan.routes sends CSAT down the first route of HYPOTHESES whose flag
-    is YES, so an affine algebra's CSAT instances take the support sweep
-    only because an abelian Malcev algebra is 1-supernilpotent, and both
-    flags read the same Malcev search."""
+    """Plan.routes gives CSAT the first route of HYPOTHESES whose flag is
+    YES, and the affine route decides CSAT too.  An affine algebra's CSAT
+    instances still take the support sweep, because an abelian Malcev
+    algebra is 1-supernilpotent and both flags read the same Malcev
+    search."""
     if is_affine(alg, cap) is Tri.YES:
         assert is_supernilpotent(alg, cap) is Tri.YES
 
@@ -240,8 +241,8 @@ def _exists_decomposition(alg, left_flag, cap):
 def test_decomposition_flags_match_one_scan_per_flag(alg, cap):
     """The single pass folds each flag as its own scan does: YES if some
     pair says YES, else UNKNOWN if some pair says UNKNOWN, else NO.  Random
-    algebras seldom have a Malcev term, so zoo algebras cover the YES and
-    mixed cases."""
+    tables seldom have a Malcev term; the expansions of Z_n reach YES
+    through the trivial pair, and zoo algebras cover the mixed cases."""
     assert _decomposition_flags(alg, cap) == (
         _exists_decomposition(alg, lambda a: is_supernilpotent(a, cap), cap),
         _exists_decomposition(alg, lambda a: Tri.YES if is_nilpotent(a) else Tri.NO, cap),
