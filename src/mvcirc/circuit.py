@@ -239,27 +239,6 @@ class BlockProgram:
                     append((i, 1, g.value))
         self.steps = steps
 
-    def append(self, steps: Sequence[tuple], binding: Sequence[int],
-               pairs: Iterable[tuple[int, int]]) -> None:
-        """Continue with steps over local gate numbers (see compile_term)
-        and compare pairs of local gates instead of the program's pairs.
-        Local gate i < len(binding) is the program's gate binding[i]; each
-        step defines one new local gate, numbered on from len(binding), and
-        these follow the program's gates in order."""
-        k = len(binding)
-        base = self.gates - k
-
-        def gate(i: int) -> int:
-            return binding[i] if i < k else base + i
-
-        for step in steps:
-            if step[1] == 2:
-                self.steps.append((gate(step[0]), 2, step[2], tuple(map(gate, step[3]))))
-            else:
-                self.steps.append((gate(step[0]),) + step[1:])
-        self.gates += len(steps)
-        self.pairs = tuple((gate(a), gate(b)) for a, b in pairs)
-
     def pack(self, values: Iterable[int]) -> bytes:
         """A column holding values."""
         return pack_column(self.width, values)
@@ -305,34 +284,6 @@ class BlockProgram:
             diff |= frm(vals[a], order) ^ frm(vals[b], order)
         raw = diff.to_bytes(length, order)
         return raw if w == 1 else bytes(map(bool, column_digits(w, raw)))
-
-
-def compile_term(alg: FiniteAlgebra, t: Term, args: int) -> tuple[list[tuple], int]:
-    """A term of alg over x0..x{args-1} (checked already, as by eval_term)
-    as BlockProgram steps over local gate numbers, for BlockProgram.append:
-    Var(i) reads local gate i, and each distinct node of t (by identity,
-    since witness terms share subterms) becomes one step defining the next
-    local gate from args on.  Returns the steps and the local gate of t."""
-    ops = _op_tables(alg).ops
-    steps: list[tuple] = []
-    gate_of: dict[int, int] = {}
-
-    def emit(node: Term) -> int:
-        if isinstance(node, Var):
-            return node.index
-        gate = gate_of.get(id(node))
-        if gate is None:
-            if isinstance(node, TermConst):
-                step: tuple = (1, node.value)
-            else:
-                assert isinstance(node, App)
-                arity, table = ops[node.op]
-                step = (2, table, tuple(map(emit, node.args))) if arity else (1, table[0])
-            gate = gate_of[id(node)] = args + len(steps)
-            steps.append((gate,) + step)
-        return gate
-
-    return steps, emit(t)
 
 
 # ---------------------------------------------------------------------------

@@ -343,9 +343,11 @@ def build_parser() -> _Parser:
     return p
 
 
+_PARSER = build_parser()     # built once per process; parse_args leaves it unchanged
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except SystemExit as exc:  # helpers exit for file errors

@@ -7,6 +7,7 @@ programmatically.
 
 from __future__ import annotations
 
+import itertools
 import random
 import warnings
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ from .algebra import (
     Var,
     check_malcev_term,
     eval_term,
+    poly_clone_on_points,
+    unary_poly_clone,
 )
 from .circuit import (
     Circuit,
@@ -29,12 +32,14 @@ from .circuit import (
     McsatInstance,
     ScsatInstance,
 )
+from .congruence import congruence_lattice
 from .errors import (
     CapExceeded,
     InvalidWitness,
     NotPermutationWarning,
     ParseError,
 )
+from .tct import minimal_sets, type_of
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +171,6 @@ def boolean_host_witness(alg: FiniteAlgebra) -> Type3Witness:
 
 def derive_type3_witness(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Optional[Type3Witness]:
     """Auto-derive a witness from a type-3 labeled cover, if one exists."""
-    from .congruence import congruence_lattice
-    from .tct import minimal_sets, type_of
-    from .algebra import poly_clone_on_points, unary_poly_clone
-
     lat = congruence_lattice(alg)
     for lo, hi in lat.cover_pairs():
         if type_of(alg, lo, hi, cap) != 3:
@@ -256,8 +257,6 @@ class CspInstance:
 
     def satisfiable(self) -> bool:
         """Direct backtracking-free enumeration over the domain."""
-        import itertools
-
         names: list[str] = []
         for _, vs in self.atoms:
             for v in vs:
@@ -284,8 +283,6 @@ def build_csp_algebra(d: RelStructure) -> FiniteAlgebra:
         for y in range(n)
     )
     ops = [Operation("and", 2, and_table)]
-    import itertools
-
     for rname in sorted(d.relations):
         arity, tuples = d.relations[rname]
         table = tuple(
@@ -432,8 +429,6 @@ class Dl01Instance:
     def verify(self) -> bool:
         """Semantic truth over {0,1} directly from the triples: the AND of
         x-clause ORs must be 1 and the OR over all y-clause ORs must be 0."""
-        import itertools
-
         for vals in itertools.product((0, 1), repeat=len(self.variables)):
             env = dict(zip(self.variables, vals))
             eq1 = all(max(env[a], env[b], env[c]) == 1 for a, b, c in self.x_triples)

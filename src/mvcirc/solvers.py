@@ -2,16 +2,16 @@
 
 Brute force is the universal oracle; the fast paths are a diagonal check for
 subdirect products of lattice-like 2-element algebras, a bounded-support
-sweep for supernilpotent algebras (the bound comes from an iterated Ramsey
-argument, so it saturates quickly and the sweep degenerates to exhaustive
-search at desk scale, where it is unconditionally sound), and elimination
-over the underlying module for affine algebras.  Each fast solver is a
-function of (plan, instance, config): the per-algebra Plan, built once per
-(algebra, cap) and kept in the per-algebra store, holds the classification
-whose flags the solver's hypothesis reads (Plan.require) and the facts it
-uses.  The dispatcher runs the plan's route for the instance's kind, or a
-route the caller names; every satisfying witness re-verifies by evaluation
-before it is returned.
+sweep for supernilpotent algebras that compares the instance's own output
+pairs (the bound comes from an iterated Ramsey argument, so it saturates
+quickly and the sweep degenerates to exhaustive search at desk scale, where
+it is unconditionally sound), and elimination over the underlying module for
+affine algebras.  Each fast solver is a function of (plan, instance, config):
+the per-algebra Plan, built once per (algebra, cap) and kept in the
+per-algebra store, holds the classification whose flags the solver's
+hypothesis reads (Plan.require) and the facts it uses.  The dispatcher runs
+the plan's route for the instance's kind, or a route the caller names; every
+satisfying witness re-verifies by evaluation before it is returned.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .algebra import (
     DEFAULT_CAP,
     FiniteAlgebra,
     Term,
-    check_malcev_term,
     eval_term,
     find_malcev_term,
     stored,
@@ -42,7 +41,6 @@ from .circuit import (
     McsatInstance,
     ScsatInstance,
     compile_circuit,
-    compile_term,
     const_gate,
     eval_circuit,
 )
@@ -291,35 +289,6 @@ def ramsey_support_bound(k: int, card_a: int, ceiling: int = RAMSEY_CEILING) -> 
     return min(max(t, m), ceiling)
 
 
-@dataclass
-class SupernilpotentSolverParams:
-    zero_element: int
-    k: int
-    c_colors: int
-    m: int
-    d_bound: int
-
-    @staticmethod
-    def for_algebra(alg: FiniteAlgebra, k: int, zero: int = 0) -> "SupernilpotentSolverParams":
-        """Parameters for degree bound k; a plan uses the nilpotency class."""
-        if k < 1:
-            raise ValueError("supernilpotency degree bound must be >= 1")
-        c = alg.size ** (k * alg.size)
-        m = math.factorial(k - 1) * alg.size
-        d = ramsey_support_bound(k, alg.size)
-        assert d >= m or d == RAMSEY_CEILING
-        return SupernilpotentSolverParams(zero, k, c, m, d)
-
-
-def _check_malcev(alg: FiniteAlgebra, d_term: Term, zero: int) -> None:
-    check_malcev_term(alg, d_term)
-    n = alg.size
-    for x in range(n):
-        for y in range(n):
-            if (eval_term(alg, d_term, (x, y, zero)) == zero) != (x == y):
-                raise NotMalcev(f"d(x,y,{zero}) = {zero} does not characterize x = y at ({x},{y})")
-
-
 def _support_sweep(program: BlockProgram, m: int, zero: int, max_support: int) -> Iterator[Block]:
     """The assignments after the first (all zero) ordered by support size,
     then positions (combinations order), then values (product order over
@@ -357,19 +326,14 @@ def _sweep_size(n: int, inputs: int, max_support: int, config: SolverConfig) -> 
     return total
 
 
-def _sweep(plan: Plan, inst: CsatInstance | CeqvInstance, params: SupernilpotentSolverParams,
+def _sweep(alg: FiniteAlgebra, inst: CsatInstance | CeqvInstance, zero: int, bound: int,
            config: SolverConfig) -> SolveResult:
-    """Normalize the two outputs to w = zero through the plan's Malcev term
-    and sweep by support size up to min(D, n) for the first assignment where
-    w = zero (CSAT) or w != zero (CEQV)."""
-    alg, zero = plan.alg, params.zero_element
-    steps, w = plan.zero_steps(zero)
-    c = inst.circuit
-    m = len(c.input_names)
-    max_support = min(params.d_bound, m)
+    """Sweep by support size off zero, up to min(bound, n), for the first
+    assignment where the two outputs agree (CSAT) or differ (CEQV)."""
+    m = len(inst.circuit.input_names)
+    max_support = min(bound, m)
     total = _sweep_size(alg.size, m, max_support, config)
-    program = BlockProgram(alg, c, _pairs(inst))
-    program.append(steps, c.outputs, [(w, 2)])
+    program = BlockProgram(alg, inst.circuit, _pairs(inst))
     ceqv = isinstance(inst, CeqvInstance)
     return _decide(alg, inst, program, (zero,) * m, _support_sweep(program, m, zero, max_support),
                    total, "ceqv-supernilpotent-experimental" if ceqv else "supernilpotent",
@@ -378,15 +342,17 @@ def _sweep(plan: Plan, inst: CsatInstance | CeqvInstance, params: Supernilpotent
 
 def solve_supernilpotent(plan: Plan, inst: Instance,
                          config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
-    """Normalize to w = zero and sweep assignments by support size up to
-    min(D, n), with the plan's parameters.  For n <= D the sweep is
-    exhaustive, hence unconditionally sound regardless of the quality of the
-    Ramsey bound.  CSAT looks for an assignment where the outputs agree.
-    CEQV looks for one where they differ; its result is marked experimental,
-    since no support bound for CEQV is proven here, and at desk scale
-    (n <= D) agreement with brute force is enforced rather than assumed."""
+    """Sweep assignments by support size off 0 up to min(D, n), with D the
+    plan's support bound.  The theorem's equation d(p, q, 0) = 0, for the
+    Malcev term d, has the same solutions as p = q, so the sweep compares
+    the outputs themselves.  For n <= D the sweep is exhaustive, hence
+    unconditionally sound regardless of the quality of the Ramsey bound.
+    CSAT looks for an assignment where the outputs agree.  CEQV looks for
+    one where they differ; its result is marked experimental, since no
+    support bound for CEQV is proven here, and at desk scale (n <= D)
+    agreement with brute force is enforced rather than assumed."""
     plan.require("supernilpotent", inst)
-    return _sweep(plan, inst, plan.params, config)
+    return _sweep(plan.alg, inst, 0, plan.support_bound, config)
 
 
 def minimal_support_profile(
@@ -761,7 +727,6 @@ class Plan:
     def __init__(self, alg: FiniteAlgebra, cap: int):
         self.alg = alg
         self.cap = cap
-        self._zero_steps: dict[int, tuple[list[tuple], int]] = {}
 
     @cached_property
     def report(self) -> ClassificationReport:
@@ -772,10 +737,10 @@ class Plan:
         """Route for each instance type: the first route of HYPOTHESES that
         decides the type and whose flag is YES, otherwise per-factor solves
         or brute force.  So DL-like CSAT/MCSAT go to the diagonal,
-        supernilpotent CSAT/CEQV to the support sweep (the flag needs a
-        Malcev term found under the cap, and the sweep normalizes through
-        it), and affine MCSAT/SCSAT to elimination; an affine algebra is
-        supernilpotent, so its CSAT instances sweep."""
+        supernilpotent CSAT/CEQV to the support sweep of the outputs (the
+        flag needs a Malcev term found under the cap, the hypothesis of the
+        sweep's theorem), and affine MCSAT/SCSAT to elimination; an affine
+        algebra is supernilpotent, so its CSAT instances sweep."""
         rep = self.report
         other = "brute" if self.split is None else "product"
         yes = [(route, kinds) for route, (flag, _, _, kinds) in HYPOTHESES.items()
@@ -798,25 +763,11 @@ class Plan:
         found = find_malcev_term(self.alg, self.cap)
         return found.value[0] if found.status is Tri.YES else None  # type: ignore[index]
 
-    def zero_steps(self, zero: int) -> tuple[list[tuple], int]:
-        """d(x, y, zero) for the Malcev term d, as BlockProgram steps over
-        local gates 0 (x) and 1 (y) with zero at local gate 2 (see
-        compile_term), and the local gate of d.  Built once per zero, after
-        d's identities and its characterization of x = y by
-        d(x, y, zero) = zero are checked pointwise."""
-        if self.malcev is None:
-            raise NotMalcev(f"no Malcev term found for {self.alg.name}")
-        if zero not in self._zero_steps:
-            _check_malcev(self.alg, self.malcev, zero)
-            steps, w = compile_term(self.alg, self.malcev, 3)
-            self._zero_steps[zero] = [(2, 1, zero)] + steps, w
-        return self._zero_steps[zero]
-
     @cached_property
-    def params(self) -> SupernilpotentSolverParams:
-        """Support-sweep parameters, with the nilpotency class as degree bound."""
-        return SupernilpotentSolverParams.for_algebra(
-            self.alg, k=max(self.report.nilpotency_class or 1, 1))
+    def support_bound(self) -> int:
+        """The support sweep's bound D, with the nilpotency class as degree
+        bound."""
+        return ramsey_support_bound(max(self.report.nilpotency_class or 1, 1), self.alg.size)
 
     @cached_property
     def group(self) -> _AbelianGroup:

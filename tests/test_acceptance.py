@@ -296,27 +296,23 @@ def test_criterion_11_reduction_soundness():
 def test_criterion_12_ramsey_parameters():
     t0 = time.time()
     from mvcirc.algebra import FiniteAlgebra, op_from_fn
-    from mvcirc.solvers import SupernilpotentSolverParams
+    from mvcirc.solvers import plan_for
 
-    algebras = {}
-    for n in range(1, 7):
-        algebras[n] = FiniteAlgebra(
-            f"C{n}", n,
-            (op_from_fn("mul", 2, n, lambda x, y, n=n: (x + y) % n),
-             op_from_fn("inv", 1, n, lambda x, n=n: (-x) % n)),
-        )
     for k in range(1, 6):
         for n in range(1, 7):
-            params = SupernilpotentSolverParams.for_algebra(algebras[n], k=k)
-            assert params.c_colors == n ** (k * n)
-            assert params.m == math.factorial(k - 1) * n
-            d = ramsey_support_bound(k, n)
-            assert params.d_bound == d
-            assert d >= min(params.m, RAMSEY_CEILING)
+            assert ramsey_support_bound(k, n) >= min(math.factorial(k - 1) * n, RAMSEY_CEILING)
     # monotone in both arguments
     for k in range(1, 6):
         for n in range(1, 6):
             assert ramsey_support_bound(k, n) <= ramsey_support_bound(k, n + 1)
             assert ramsey_support_bound(k, n) <= ramsey_support_bound(k + 1, n)
+    # the sweep's bound for C_n takes the nilpotency class, 1, as degree
+    for n in range(1, 7):
+        c_n = FiniteAlgebra(
+            f"C{n}", n,
+            (op_from_fn("mul", 2, n, lambda x, y, n=n: (x + y) % n),
+             op_from_fn("inv", 1, n, lambda x, n=n: (-x) % n)),
+        )
+        assert plan_for(c_n).support_bound == ramsey_support_bound(1, n) == n
     _report(12, "support-bound parameters match their formulas and are monotone",
             t0, 1)

@@ -14,7 +14,6 @@ from mvcirc.circuit import (
     McsatInstance,
     ScsatInstance,
     compile_circuit,
-    compile_term,
     eval_circuit,
     iterated_commutator_circuit,
     parse_circuit,
@@ -242,32 +241,3 @@ def test_block_program_checks_every_gate(z6):
     b.const(6)
     with pytest.raises(ElementOutOfRange):
         BlockProgram(z6, b.build([0]), [])
-
-
-def _shared_term(alg, rng, nvars, nodes):
-    """A random term over x0..x{nvars-1} whose nodes reuse earlier nodes
-    (the same objects), as witness terms of a clone closure do."""
-    pool = [Var(i) for i in range(nvars)] + [Const(rng.randrange(alg.size))]
-    for _ in range(nodes if alg.ops else 0):
-        op = rng.choice(alg.ops)
-        pool.append(App(op.name, tuple(rng.choice(pool) for _ in range(op.arity))))
-    return pool[-1]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(EDGE_ALGEBRAS), st.integers(0, 2 ** 32), st.integers(1, 40))
-def test_appended_term_matches_eval(alg, seed, count):
-    rng = random.Random(seed)
-    c = random_edge_circuit(alg, rng, rng.randrange(1, 4), rng.randrange(1, 10), 2)
-    t = _shared_term(alg, rng, 2, rng.randrange(1, 16))
-    steps, out = compile_term(alg, t, 2)
-    assert len(steps) <= 16        # one step per distinct node
-    prog = BlockProgram(alg, c, [c.outputs])
-    prog.append(steps, c.outputs, [(out, 0), (out, 1)])
-    assignments = [tuple(rng.randrange(alg.size) for _ in prog.names) for _ in range(count)]
-    columns = [prog.pack(a[i] for a in assignments) for i in range(len(prog.names))]
-    flags = prog.mismatches(columns, count)
-    for p, values in enumerate(assignments):
-        g1, g2 = eval_circuit(alg, c, dict(zip(prog.names, values)))
-        v = eval_term(alg, t, (g1, g2))
-        assert (flags[p] != 0) == prog.differs(values) == (v != g1 or v != g2)

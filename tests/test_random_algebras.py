@@ -11,6 +11,7 @@ from mvcirc.algebra import (
     FiniteAlgebra,
     Operation,
     direct_product,
+    eval_term,
     find_malcev_term,
     is_congruence,
     quotient,
@@ -26,9 +27,9 @@ from mvcirc.commutator import commutator, is_affine, is_nilpotent, is_supernilpo
 from mvcirc.congruence import congruence_lattice, factor_pairs, principal_congruence
 from mvcirc.errors import BudgetExceeded, Tri
 from mvcirc.partition import Partition
-from mvcirc.solvers import SolverConfig, dispatch, solve_bruteforce
+from mvcirc.solvers import SolverConfig, dispatch, plan_for, solve_bruteforce
 from mvcirc.structure import _decomposition_flags, is_dl_like
-from mvcirc.zoo import get
+from mvcirc.zoo import get, zoo
 
 from conftest import all_partitions
 
@@ -88,6 +89,24 @@ def malcev_algebras(draw):
             Operation(op.name, op.arity, tuple(draw(st.integers(0, 1)) for _ in range(2 ** op.arity)))
             for op in alg.ops))
         alg = direct_product(alg, two)
+    return alg
+
+
+@st.composite
+def lattice_algebras(draw):
+    """The k-th power of the 2-element lattice (k = 1..3), with coordinatewise
+    meet and join, expanded by one unary operation that sends each
+    coordinate to 0, to 1 or to itself.  Both lattice operations are
+    basic, so the plan's DL-like flag says YES and CSAT and MCSAT take the
+    usp route; CEQV and SCSAT go to the product route from k = 2 on."""
+    factors = [FiniteAlgebra("L2", 2, (
+        Operation("meet", 2, (0, 0, 0, 1)),
+        Operation("join", 2, (0, 1, 1, 1)),
+        Operation("u", 1, draw(st.sampled_from([(0, 0), (1, 1), (0, 1)])))))
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    alg = factors[0]
+    for factor in factors[1:]:
+        alg = direct_product(alg, factor)
     return alg
 
 
@@ -174,14 +193,16 @@ def test_quotients_are_well_defined(alg):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(small_algebras(max_size=3), malcev_algebras()), st.randoms(use_true_random=False))
+@given(st.one_of(small_algebras(max_size=3), malcev_algebras(), lattice_algebras()),
+       st.randoms(use_true_random=False))
 def test_dispatch_agrees_with_brute_force(alg, rng):
     """Whatever route the plan picks for an algebra (including one whose
     flags its Malcev search does not back up), dispatch decides every kind
     as brute force does and raises nothing but BudgetExceeded.  The small
     cap keeps each classification short, and sends the searches it cuts
     short down the fallback routes; the expansions of Z_n reach the affine,
-    supernilpotent and product routes."""
+    supernilpotent and product routes, and the lattice powers the usp
+    route."""
     config = SolverConfig(cap=500)
     for _ in range(2):
         c = random_circuit(alg, rng, rng.randint(1, 4), rng.randint(5, 9), 3)
@@ -205,6 +226,31 @@ def test_supernilpotent_flag_needs_a_malcev_term(alg, cap):
     and of prime order, and has none."""
     if is_supernilpotent(alg, cap) is Tri.YES:
         assert find_malcev_term(alg, cap).status is Tri.YES
+
+
+def _assert_malcev_slice_characterizes_equality(alg, cap=DEFAULT_CAP):
+    """The support sweep compares the outputs p and q themselves, where the
+    CSAT and CEQV theorems state the equation as d(p, q, 0) = 0 for the
+    Malcev term d.  Both forms have the same solutions when d(x, y, z) = z
+    holds exactly for x = y, as it does in a supernilpotent Malcev
+    algebra."""
+    plan = plan_for(alg, cap)
+    if plan.report.supernilpotent is not Tri.YES:
+        return
+    d = plan.malcev
+    for x, y, z in itertools.product(range(alg.size), repeat=3):
+        assert (eval_term(alg, d, (x, y, z)) == z) == (x == y), (alg.name, x, y, z)
+
+
+def test_the_sweep_equation_matches_the_theorem_on_the_zoo():
+    for entry in zoo():
+        _assert_malcev_slice_characterizes_equality(entry.algebra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(malcev_algebras())
+def test_the_sweep_equation_matches_the_theorem_on_random_expansions(alg):
+    _assert_malcev_slice_characterizes_equality(alg, cap=500)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvcirc import algebra, solvers
-from mvcirc.algebra import App, FactStore, Var, find_malcev_term
+from mvcirc.algebra import FactStore
 from mvcirc.circuit import (
     BLOCK,
     CeqvInstance,
@@ -18,11 +18,10 @@ from mvcirc.circuit import (
     eval_circuit,
     random_circuit,
 )
-from mvcirc.errors import BudgetExceeded, NotDlLike, NotMalcev, Tri
+from mvcirc.errors import BudgetExceeded, NotDlLike, Tri
 from mvcirc.solvers import (
     RAMSEY_CEILING,
     SolverConfig,
-    SupernilpotentSolverParams,
     dispatch,
     minimal_support_profile,
     plan_for,
@@ -42,18 +41,6 @@ def _meet_eq_one(lat2):
     g = b.op("meet", b.input("x"), b.input("y"))
     one = b.const(1)
     return CsatInstance(b.build([g, one]))
-
-
-def normalize_to_zero(alg, csat, d_term, zero):
-    """One-output circuit w = d(g1, g2, zero) with w = zero iff g1 = g2, the
-    reference for the sweep's compiled normalization.  Requires d to be a
-    Malcev polynomial whose slice x -> d(x, y, zero) hits zero only at
-    x = y; both are checked pointwise first."""
-    solvers._check_malcev(alg, d_term, zero)
-    b = CircuitBuilder(alg.name)
-    b.gates = list(csat.circuit.gates)
-    zgate = b.const(zero)
-    return b.build([b.inline_term(d_term, [*csat.circuit.outputs, zgate])])
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +187,14 @@ def test_support_sweeps_follow_reference_order(name, seed, ceqv, k, block):
     rng = random.Random(seed)
     inst = _edge_instance(alg, rng, "CEQV" if ceqv else "CSAT", max_assignments=1300)
     zero = rng.randrange(alg.size)
-    params = SupernilpotentSolverParams.for_algebra(alg, k, zero)
-    plan = plan_for(alg)
-    try:
-        w = normalize_to_zero(alg, CsatInstance(inst.circuit), plan.malcev, zero)
-    except NotMalcev:
-        with pytest.raises(NotMalcev):
-            solvers._sweep(plan, inst, params, SolverConfig())
-        return
+    bound = ramsey_support_bound(k, alg.size)
     names = sorted(inst.circuit.input_names)
-    order = _old_sweep_order(alg.size, len(names), zero, min(params.d_bound, len(names)))
-    asg, tried = _reference(names, order,
-                            lambda a: (eval_circuit(alg, w, a)[0] == zero) != ceqv)
+    order = _old_sweep_order(alg.size, len(names), zero, min(bound, len(names)))
+    asg, tried = _reference(names, order, lambda a: _holds(alg, inst, a))
     hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "BLOCK", block)
-        res = solvers._sweep(plan, inst, params, SolverConfig())
+        res = solvers._sweep(alg, inst, zero, bound, SolverConfig())
     assert _outcome(res) == (hit if asg is not None else miss, asg, tried)
 
 
@@ -240,13 +219,12 @@ def test_enumerations_cross_full_blocks(bool2, z4ring):
     for x, y in zip(xs[1:], xs[:-1]):
         acc = b.op("add", acc, b.op("mul", x, y))
     inst = CsatInstance(b.build([acc, b.op("add", acc, b.const(1))]))
-    params = SupernilpotentSolverParams.for_algebra(z4ring, 1)
-    assert params.d_bound == 4
-    res = solvers._sweep(plan_for(z4ring), inst, params, SolverConfig())
+    bound = ramsey_support_bound(1, z4ring.size)
+    assert bound == 4
+    res = solvers._sweep(z4ring, inst, 0, bound, SolverConfig())
     assert _outcome(res) == ("unsat", None, sum(math.comb(10, s) * 3 ** s for s in range(5)))
-    w = normalize_to_zero(z4ring, inst, solvers.plan_for(z4ring).malcev, 0)
-    assert not any(eval_circuit(z4ring, w, dict(zip(sorted(inst.circuit.input_names), a)))[0] == 0
-                   for a in _old_sweep_order(4, 10, 0, 4))
+    names = sorted(inst.circuit.input_names)
+    assert not any(_holds(z4ring, inst, dict(zip(names, a))) for a in _old_sweep_order(4, 10, 0, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +294,8 @@ def test_usp_property_exhaustive_small(majority, lat2):
 def test_ramsey_formulas_exact():
     for k in range(1, 6):
         for n in range(1, 7):
-            params = SupernilpotentSolverParams.for_algebra(get("Z2"), k=k) if n == 2 else None
-            c = n ** (k * n)
             m = math.factorial(k - 1) * n
-            if params is not None:
-                assert params.c_colors == c and params.m == m
-            d = ramsey_support_bound(k, n)
-            assert d >= min(m, RAMSEY_CEILING)
+            assert ramsey_support_bound(k, n) >= min(m, RAMSEY_CEILING)
 
 
 def test_ramsey_k1_collapses_to_m():
@@ -353,42 +326,6 @@ def test_ramsey_monotone():
 
 # ---------------------------------------------------------------------------
 # Supernilpotent solver
-
-
-def _malcev(alg):
-    res = find_malcev_term(alg)
-    assert res.status is Tri.YES
-    return res.value[0]
-
-
-def test_normalize_to_zero_z4(z4):
-    b = CircuitBuilder(z4.name)
-    t = b.op("mul", b.input("x"), b.input("y"))
-    s = b.const(1)
-    inst = CsatInstance(b.build([t, s]))
-    w = normalize_to_zero(z4, inst, _malcev(z4), 0)
-    assert len(w.outputs) == 1
-    # w = 0 exactly on the solution set of x + y = 1
-    for x in range(4):
-        for y in range(4):
-            out = eval_circuit(z4, w, {"x": x, "y": y})[0]
-            assert (out == 0) == ((x + y) % 4 == 1)
-
-
-def test_normalize_syntactically_equal_sides(z4):
-    b = CircuitBuilder(z4.name)
-    t = b.op("mul", b.input("x"), b.input("y"))
-    inst = CsatInstance(b.build([t, t]))
-    w = normalize_to_zero(z4, inst, _malcev(z4), 0)
-    for x in range(4):
-        for y in range(4):
-            assert eval_circuit(z4, w, {"x": x, "y": y})[0] == 0
-
-
-def test_normalize_rejects_non_malcev(lat2):
-    inst = _meet_eq_one(lat2)
-    with pytest.raises(NotMalcev):
-        normalize_to_zero(lat2, inst, App("meet", (Var(0), Var(1))), 0)
 
 
 def test_supernil_z2_support_one(z2):

@@ -47,7 +47,6 @@ def test_each_per_algebra_fact_is_computed_once(monkeypatch):
     count(congruence, "_factor_pairs")
     count(tct, "_typed_congruence_lattice")
     count(solvers, "_AbelianGroup")
-    count(solvers, "_check_malcev")
     monkeypatch.setattr(algebra, "STORE", FactStore())
 
     rng = random.Random(4)
@@ -62,7 +61,7 @@ def test_each_per_algebra_fact_is_computed_once(monkeypatch):
 
     ran = {name for name, _ in runs}
     assert ran == {"nilpotency_class", "_congruence_lattice", "_factor_pairs",
-                   "_typed_congruence_lattice", "_AbelianGroup", "_check_malcev"}
+                   "_typed_congruence_lattice", "_AbelianGroup"}
     assert [key for key, n in runs.items() if n > 1] == []
 
 
