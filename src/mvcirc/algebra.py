@@ -180,6 +180,23 @@ _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}   # width -> typec
 class _OpTables:
     width: int
     ops: dict[str, tuple[int, Sequence[int]]]   # name -> (arity, table; 256 bytes at width 1)
+    symmetric: frozenset[str]                   # ops of arity >= 2 unchanged by permuting arguments
+
+
+def _is_symmetric(op: Operation, size: int) -> bool:
+    """Whether op has arity >= 2 and its table is unchanged by every
+    permutation of its arguments, i.e. by the two that generate them all:
+    the rotation f(x1, .., xr) -> f(x2, .., xr, x1) and the swap of the
+    last two arguments.  Each permuted table is read off by slicing."""
+    t, r = op.table, op.arity
+    if r < 2:
+        return False
+    m, sq = size ** (r - 1), size * size
+    chain = itertools.chain.from_iterable
+    if tuple(chain(t[j::m] for j in range(m))) != t:
+        return False
+    return r == 2 or tuple(chain(t[b + y:b + sq:size] for b in range(0, len(t), sq)
+                                 for y in range(size))) == t
 
 
 def _op_tables(alg: FiniteAlgebra) -> _OpTables:
@@ -189,7 +206,7 @@ def _op_tables(alg: FiniteAlgebra) -> _OpTables:
         width = min(w for w in _TYPECODES if top <= 256 ** w)
         return _OpTables(width, {
             op.name: (op.arity, bytes(op.table).ljust(256, b"\0") if width == 1 else op.table)
-            for op in alg.ops})
+            for op in alg.ops}, frozenset(op.name for op in alg.ops if _is_symmetric(op, alg.size)))
 
     return stored(alg, "block_tables", build)
 
@@ -334,12 +351,22 @@ def _close_tables(
     end with some index at or above start, in itertools.product order: for
     each prefix of r-1 indices, the last index runs over [0, end) when the
     prefix holds a new table and over [start, end) otherwise (always for a
-    unary op); a nullary op yields its constant once per round.  Tables are
-    evaluated as byte columns, one digit per point as in the block kernel,
-    and deduplicated by their bytes; at width 1 the column is the kept
-    table.  The tables of one prefix are evaluated together, up to BLOCK at
-    a time, and then walked in order: a table kept in a round is an argument
-    only from the next round on, so evaluating ahead changes nothing.
+    unary op); a nullary op yields its constant once per round.  A symmetric
+    op (no permutation of its arguments changes its table; see _OpTables)
+    is applied only to nondecreasing tuples: the prefixes come from
+    itertools.combinations_with_replacement and the last index runs from
+    max(lo, prefix[-1]).  The kept tables, their order and witnesses, the
+    cap checks and the stop calls stay the same: a skipped tuple's sorted
+    permutation is lexicographically less, so it came earlier in the same
+    round and gave the same column, kept then if new, and the skipped tuple
+    would have found that column seen.
+
+    Tables are evaluated as byte columns, one digit per point as in the
+    block kernel, and deduplicated by their bytes; at width 1 the column is
+    the kept table.  The tables of one prefix are evaluated together, up to
+    BLOCK at a time, and then walked in order: a table kept in a round is an
+    argument only from the next round on, so evaluating ahead changes
+    nothing.
     """
     size, npts = alg.size, len(points)
     kernel = _op_tables(alg)
@@ -386,8 +413,15 @@ def _close_tables(
                 if (hit := keep(col, App(op.name, ()))) is not None:
                     return result(False, hit)
                 continue
-            for prefix in itertools.product(range(frontier_end), repeat=r - 1):
+            symmetric = op.name in kernel.symmetric
+            if symmetric:
+                prefixes = itertools.combinations_with_replacement(range(frontier_end), r - 1)
+            else:
+                prefixes = itertools.product(range(frontier_end), repeat=r - 1)
+            for prefix in prefixes:
                 lo = 0 if prefix and max(prefix) >= frontier_start else frontier_start
+                if symmetric:
+                    lo = max(lo, prefix[-1])
                 head = tuple(terms[i] for i in prefix)
                 for first in range(lo, frontier_end, BLOCK):
                     last = min(first + BLOCK, frontier_end)

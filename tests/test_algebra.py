@@ -25,6 +25,7 @@ from mvcirc.algebra import (
     is_congruence,
     is_poly_equiv_to_2lattice,
     kary_poly_clone,
+    op_from_fn,
     parse_algebra,
     poly_clone_on_points,
     quotient,
@@ -246,15 +247,34 @@ def _reference_close_tables(alg, points, generators, cap, stop=None):
     return result(True, None)
 
 
+def _random_table(draw, size, arity):
+    """A table of an op of the arity; about half are symmetric, drawn as one
+    value per sorted argument tuple."""
+    args = list(itertools.product(range(size), repeat=arity))
+    keys = [tuple(sorted(a)) for a in args] if draw(st.booleans()) else args
+    distinct = list(dict.fromkeys(keys))
+    values = draw(st.lists(st.integers(0, size - 1), min_size=len(distinct),
+                           max_size=len(distinct)))
+    return tuple(map(dict(zip(distinct, values)).__getitem__, keys))
+
+
 def _random_algebra(draw, size):
     arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     return FiniteAlgebra(f"R{size}", size, tuple(
-        Operation(f"f{i}", r, tuple(draw(st.lists(st.integers(0, size - 1),
-                                                  min_size=size ** r, max_size=size ** r))))
-        for i, r in enumerate(arities)))
+        Operation(f"f{i}", r, _random_table(draw, size, r)) for i, r in enumerate(arities)))
 
 
-WIDE = {alg.name: alg for alg in EDGE_ALGEBRAS if alg.name in ("W17", "T7")}
+def _symmetric_op(rng, name, size, arity):
+    """A random op with one value per sorted argument tuple."""
+    value = {a: rng.randrange(size)
+             for a in itertools.combinations_with_replacement(range(size), arity)}
+    return Operation(name, arity, tuple(value[tuple(sorted(a))]
+                                        for a in itertools.product(range(size), repeat=arity)))
+
+
+# 17^2 exceeds 256: a symmetric op on two-byte digits
+S17 = FiniteAlgebra("S17", 17, (_symmetric_op(random.Random(17), "s", 17, 2),))
+WIDE = {alg.name: alg for alg in EDGE_ALGEBRAS if alg.name in ("W17", "T7")} | {"S17": S17}
 
 
 def _closure_case(data, alg, max_points):
@@ -301,30 +321,37 @@ def test_closure_matches_pointwise_reference(data):
     _assert_same_closure(alg, *_closure_case(data, alg, max_points))
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=18, deadline=None)
 @given(st.sampled_from(sorted(WIDE)), st.data())
 def test_closure_matches_pointwise_reference_on_two_byte_digits(name, data):
     alg = WIDE[name]
     assert algebra_module._op_tables(alg).width == 2
-    _assert_same_closure(alg, *_closure_case(data, alg, 2 if name == "W17" else 1))
+    _assert_same_closure(alg, *_closure_case(data, alg, 1 if name == "T7" else 2))
 
 
-@pytest.mark.parametrize("name, width", [("Z4ring", 1), ("T7", 2)])
-def test_clone_looks_tables_up_by_tuple(name, width):
-    alg = WIDE.get(name) or get(name)
-    assert algebra_module._op_tables(alg).width == width
-    points = [(0,), (1,), (2,)]
-    clone, _ = poly_clone_on_points(alg, points, 1, cap=200)
-    kept = set()
-    for t in clone.tables:
-        tab = tuple(t)
-        assert tab in clone
-        assert tuple(eval_term(alg, clone.witness(tab), p) for p in points) == tab
-        kept.add(tab)
-    assert len(kept) == len(clone)
-    missing = next(t for t in itertools.product(range(alg.size), repeat=3) if t not in kept)
-    assert missing not in clone
-    assert (0, 0) not in clone
+def _permuted(op, size, perm):
+    """The table of (x_0, .., x_r-1) -> op(x_perm[0], .., x_perm[r-1])."""
+    return tuple(op.apply([a[i] for i in perm], size)
+                 for a in itertools.product(range(size), repeat=op.arity))
+
+
+def test_symmetric_ops_are_detected_from_the_table():
+    # every zoo op of arity >= 2 is symmetric (the commutative binary ops and
+    # majority's m), except S3's mul
+    for alg in [e.algebra for e in zoo()] + [S17]:
+        want = set() if alg.name == "S3" else {op.name for op in alg.ops if op.arity >= 2}
+        # independent oracle: the table under every permutation of the arguments
+        assert want == {op.name for op in alg.ops if op.arity >= 2 and all(
+            _permuted(op, alg.size, p) == op.table for p in itertools.permutations(range(op.arity)))}
+        assert algebra_module._op_tables(alg).symmetric == want
+    # x - y + z over Z3 is unchanged only by swapping x and z, (x - y)(y - z)(z - x)
+    # only by rotating the arguments, and the projection x only by swapping y and z
+    for fn, kept in [(lambda x, y, z: (x - y + z) % 3, (2, 1, 0)),
+                     (lambda x, y, z: (x - y) * (y - z) * (z - x) % 3, (1, 2, 0)),
+                     (lambda x, y, z: x, (0, 2, 1))]:
+        op = op_from_fn("d", 3, 3, fn)
+        assert _permuted(op, 3, kept) == op.table
+        assert algebra_module._op_tables(FiniteAlgebra("D", 3, (op,))).symmetric == frozenset()
 
 
 def _reference_translations(alg):

@@ -291,13 +291,6 @@ def test_usp_property_exhaustive_small(majority, lat2):
 # Ramsey parameters
 
 
-def test_ramsey_formulas_exact():
-    for k in range(1, 6):
-        for n in range(1, 7):
-            m = math.factorial(k - 1) * n
-            assert ramsey_support_bound(k, n) >= min(m, RAMSEY_CEILING)
-
-
 def test_ramsey_k1_collapses_to_m():
     for n in range(1, 7):
         assert ramsey_support_bound(1, n) == n
