@@ -329,6 +329,24 @@ def test_closure_matches_pointwise_reference_on_two_byte_digits(name, data):
     _assert_same_closure(alg, *_closure_case(data, alg, 1 if name == "T7" else 2))
 
 
+@pytest.mark.parametrize("name, width", [("Z4ring", 1), ("T7", 2)])
+def test_clone_looks_tables_up_by_tuple(name, width):
+    alg = WIDE.get(name) or get(name)
+    assert algebra_module._op_tables(alg).width == width
+    points = [(0,), (1,), (2,)]
+    clone, _ = poly_clone_on_points(alg, points, 1, cap=200)
+    kept = set()
+    for t in clone.tables:
+        tab = tuple(t)
+        assert tab in clone
+        assert tuple(eval_term(alg, clone.witness(tab), p) for p in points) == tab
+        kept.add(tab)
+    assert len(kept) == len(clone)
+    missing = next(t for t in itertools.product(range(alg.size), repeat=3) if t not in kept)
+    assert missing not in clone
+    assert (0, 0) not in clone
+
+
 def _permuted(op, size, perm):
     """The table of (x_0, .., x_r-1) -> op(x_perm[0], .., x_perm[r-1])."""
     return tuple(op.apply([a[i] for i in perm], size)
