@@ -9,6 +9,7 @@ integers 0..n-1; named elements in input files are renumbered on load.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from array import array
 from collections import OrderedDict
@@ -537,16 +538,43 @@ class Search:
     value: object = None
 
 
-def _is_malcev_table(tab: Sequence[int], size: int) -> bool:
-    # table indexed by (x, y, z) with z fastest
-    n2 = size * size
-    for x in range(size):
-        for y in range(size):
-            if tab[x * n2 + x * size + y] != y:
-                return False
-            if tab[y * n2 + x * size + x] != y:
-                return False
-    return True
+def _identity_points(n: int) -> tuple[tuple[int, ...], ...]:
+    """The points of A^3 with at most two distinct coordinates, in
+    lexicographic order: n(3n - 2) of the n^3.  Every Malcev and directed
+    Gumm identity reads only these, and restricting tables to a point set
+    commutes with the pointwise operations, so the term clone closed over
+    them holds exactly the restrictions of the ternary term operations."""
+    return tuple(p for p in itertools.product(range(n), repeat=3) if len(set(p)) <= 2)
+
+
+def _slices(n: int) -> tuple[Callable[[Sequence[int]], tuple[int, ...]], ...]:
+    """Readers of a table over _identity_points(n) giving, as tuples indexed
+    by (x, y) in product order, its values at (x,x,y), (x,y,y) and (x,y,x)."""
+    at = {p: i for i, p in enumerate(_identity_points(n))}
+    pairs = list(itertools.product(range(n), repeat=2))
+
+    def reader(point: Callable[[int, int], tuple[int, ...]]):
+        get = operator.itemgetter(*(at[point(x, y)] for x, y in pairs))
+        return get if len(pairs) > 1 else lambda tab: (get(tab),)
+
+    return (reader(lambda x, y: (x, x, y)), reader(lambda x, y: (x, y, y)),
+            reader(lambda x, y: (x, y, x)))
+
+
+def _simple_quotients(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
+    """A/theta for each coatom theta of Con(A) other than 0, fewest classes
+    first; none when the lattice outgrows LATTICE_CAP.  Each is simple, and
+    a Malcev term or a directed Gumm chain of A is one of A/theta."""
+    from .congruence import congruence_lattice  # congruence imports this module
+
+    try:
+        lattice = congruence_lattice(alg)
+    except CapExceeded:
+        return []
+    top = len(lattice) - 1
+    coatoms = [lattice.congruences[a] for a, b in lattice.covers if b == top]
+    return [quotient(alg, theta, check=False)
+            for theta in sorted(coatoms, key=lambda p: p.num_classes) if not theta.is_zero()]
 
 
 def check_malcev_term(alg: FiniteAlgebra, d: Term) -> None:
@@ -561,19 +589,29 @@ def check_malcev_term(alg: FiniteAlgebra, d: Term) -> None:
 def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
     """Search the ternary term clone for d with d(x,x,y) = y = d(y,x,x).
 
-    YES carries (term, table); NO means the closure completed without a
-    witness; UNKNOWN means the cap was hit first.  Every outcome is stored
-    under ("malcev", cap), without the clone's tables, so a capped search
-    answers the same whatever ran before it.
+    NO when the search says NO, at this cap, on some simple quotient (the
+    identities hold in every homomorphic image); otherwise the term clone
+    is closed over _identity_points.  YES carries (term, table), the table
+    over those points, once check_malcev_term has verified the term on all
+    of A; NO means a closure completed without a witness; UNKNOWN means
+    the cap was hit first.  Every outcome is stored under ("malcev", cap),
+    without the clone's tables, so a capped search answers the same
+    whatever ran before it.
     """
     def build() -> Search:
+        if any(find_malcev_term(q, cap).status is Tri.NO for q in _simple_quotients(alg)):
+            return Search(Tri.NO)
         n = alg.size
-        points = list(itertools.product(range(n), repeat=3))
+        xxy, xyy, _ = _slices(n)
+        sel_y = tuple(y for _ in range(n) for y in range(n))    # (x,y) -> y
+        sel_x = tuple(x for x in range(n) for _ in range(n))    # (x,y) -> x
         clone, hit = poly_clone_on_points(
-            alg, points, 3, cap, stop=lambda t: _is_malcev_table(t, n), constants=False
-        )
+            alg, _identity_points(n), 3, cap,
+            stop=lambda t: xxy(t) == sel_y and xyy(t) == sel_x, constants=False)
         if hit is not None:
-            return Search(Tri.YES, (clone.witness(hit), tuple(hit)))
+            term = clone.witness(hit)
+            check_malcev_term(alg, term)
+            return Search(Tri.YES, (term, tuple(hit)))
         return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
 
     return stored(alg, ("malcev", cap), build)
@@ -591,74 +629,96 @@ def find_directed_gumm_terms(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Sear
     Q(x,x,y)=y.  A chain is returned only once check_gumm_chain has verified
     it.
 
-    The search is complete: any chain can be spliced down to one visiting
-    each candidate table at most once, so exhausting the visited set decides
-    existence.  A Malcev term short-circuits the search:
-    (d_1, Q) = (first projection, d) satisfies all the displayed identities.
-    An UNKNOWN Malcev search at this cap does too: it ran this closure, and
-    the closure hit the cap before its stop matched.
+    A Malcev term short-circuits the search: (d_1, Q) = (first projection,
+    d) satisfies all the displayed identities.  A Malcev search that hit
+    the cap gives UNKNOWN, so that a capped clone is closed once, not again
+    under this search's stop; no simple quotient can say NO then, as each
+    one's Malcev search said YES or UNKNOWN.  Otherwise the answer is NO
+    when this search says NO, at this cap, on some simple quotient.  Else
+    the term clone is closed over _identity_points with _ChainReach as the
+    stop, so the closure stops at the first chain.  The search is
+    complete: any chain can be spliced down to one visiting each candidate
+    table at most once, so a complete closure without a chain decides NO.
     """
-    n = alg.size
-    n2 = n * n
-
     malcev = find_malcev_term(alg, cap)
     if malcev.status is Tri.YES:
         term, _ = malcev.value  # type: ignore[misc]
         return _verified(alg, GummChain([Var(0)], term))
     if malcev.status is Tri.UNKNOWN:
         return Search(Tri.UNKNOWN)
+    if any(find_directed_gumm_terms(q, cap).status is Tri.NO for q in _simple_quotients(alg)):
+        return Search(Tri.NO)
 
-    points = list(itertools.product(range(n), repeat=3))
-    clone, _ = poly_clone_on_points(alg, points, 3, cap, constants=False)
-    if not clone.complete:
-        return Search(Tri.UNKNOWN)
+    chains = _ChainReach(alg.size)
+    clone, hit = poly_clone_on_points(alg, _identity_points(alg.size), 3, cap, stop=chains,
+                                      constants=False)
+    if hit is None:
+        return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
+    ds, q = chains.chain()
+    return _verified(alg, GummChain([clone.witness(d) for d in ds], clone.witness(q)))
 
-    def slice_xyx_ok(tab: Sequence[int]) -> bool:
-        return all(tab[x * n2 + y * n + x] == x for x in range(n) for y in range(n))
 
-    def slice_xxy(tab: Sequence[int]) -> tuple[int, ...]:
-        return tuple(tab[x * n2 + x * n + y] for x in range(n) for y in range(n))
+class _ChainReach:
+    """Whether the tables seen so far, over _identity_points(n), hold a
+    directed Gumm chain, kept up to date as each table arrives (the stop of
+    the Gumm search's closure).  Nodes are the tables with d(x,y,x) = x; a
+    chain starts at a node with d(x,x,y) = x, steps from t to u when
+    u(x,x,y) = t(x,y,y), and ends at a node t with t(x,y,y) = Q(x,y,y) for
+    a table Q with Q(x,x,y) = y.  Called on each table in turn, it says
+    True once a chain exists, whatever order the tables come in."""
 
-    def slice_xyy(tab: Sequence[int]) -> tuple[int, ...]:
-        return tuple(tab[x * n2 + y * n + y] for x in range(n) for y in range(n))
+    def __init__(self, n: int) -> None:
+        self.xxy, self.xyy, self.xyx = _slices(n)
+        self.sel_x = tuple(x for x in range(n) for _ in range(n))    # (x,y) -> x
+        self.sel_y = tuple(y for _ in range(n) for y in range(n))    # (x,y) -> y
+        self.reached: dict[tuple[int, ...], Table] = {}   # (x,y,y) slice -> a reached node
+        self.prev: dict[Table, Optional[Table]] = {}      # reached node -> the node before it
+        self.waiting: dict[tuple[int, ...], list[Table]] = {}   # (x,x,y) slice -> unreached nodes
+        self.q_by_xyy: dict[tuple[int, ...], Table] = {}
+        self.ends: tuple[Table, Table] | None = None      # the chain's last node, and Q
 
-    id_xxy = tuple(x for x in range(n) for _ in range(n))          # (x,y) -> x
-    sel_y = tuple(y for _ in range(n) for y in range(n))           # (x,y) -> y
+    def __call__(self, tab: Table) -> bool:
+        if self.xxy(tab) == self.sel_y:
+            key = self.xyy(tab)
+            self.q_by_xyy.setdefault(key, tab)
+            if key in self.reached:
+                self.ends = (self.reached[key], tab)
+                return True
+        if self.xyx(tab) != self.sel_x:
+            return False
+        start = self.xxy(tab)
+        if start == self.sel_x:
+            return self._reach(tab, None)
+        if start in self.reached:
+            return self._reach(tab, self.reached[start])
+        self.waiting.setdefault(start, []).append(tab)
+        return False
 
-    nodes = [t for t in clone.tables if slice_xyx_ok(t)]
-    q_by_xyy: dict[tuple[int, ...], Table] = {}
-    for t in clone.tables:
-        if slice_xxy(t) == sel_y:
-            q_by_xyy.setdefault(slice_xyy(t), t)
+    def _reach(self, node: Table, before: Optional[Table]) -> bool:
+        """Mark node reached from before, and every waiting node it leads to."""
+        todo = [(node, before)]
+        while todo:
+            node, before = todo.pop()
+            self.prev[node] = before
+            key = self.xyy(node)
+            if key in self.q_by_xyy:
+                self.ends = (node, self.q_by_xyy[key])
+                return True
+            if key not in self.reached:
+                self.reached[key] = node
+                todo.extend((u, node) for u in self.waiting.pop(key, ()))
+        return False
 
-    # BFS over nodes: start where d(x,x,y)=x; step t -> u when u(x,x,y)=t(x,y,y)
-    by_xxy: dict[tuple[int, ...], list[Table]] = {}
-    for t in nodes:
-        by_xxy.setdefault(slice_xxy(t), []).append(t)
-
-    start = [t for t in nodes if slice_xxy(t) == id_xxy]
-    prev: dict[Table, Optional[Table]] = {t: None for t in start}
-    frontier = list(start)
-    while frontier:
-        for t in frontier:
-            q = q_by_xyy.get(slice_xyy(t))
-            if q is not None:
-                chain = []
-                cur: Optional[Table] = t
-                while cur is not None:
-                    chain.append(cur)
-                    cur = prev[cur]
-                chain.reverse()
-                return _verified(alg, GummChain([clone.witness(c) for c in chain],
-                                                clone.witness(q)))
-        nxt = []
-        for t in frontier:
-            for u in by_xxy.get(slice_xyy(t), []):
-                if u not in prev:
-                    prev[u] = t
-                    nxt.append(u)
-        frontier = nxt
-    return Search(Tri.NO)
+    def chain(self) -> tuple[list[Table], Table]:
+        """The chain's nodes d_1 .. d_n and Q, once a call has said True."""
+        assert self.ends is not None
+        last, q = self.ends
+        ds: list[Table] = []
+        cur: Optional[Table] = last
+        while cur is not None:
+            ds.append(cur)
+            cur = self.prev[cur]
+        return ds[::-1], q
 
 
 def _verified(alg: FiniteAlgebra, chain: GummChain) -> Search:

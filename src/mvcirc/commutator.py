@@ -49,11 +49,16 @@ def pair_algebra(alg: FiniteAlgebra, alpha: Partition) -> tuple[FiniteAlgebra, l
 
 def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
     """[alpha, beta] via the pair-algebra construction, kept in the
-    per-algebra store under ("commutator", alpha, beta)."""
-    for p in (alpha, beta):
-        if not is_congruence(alg, p):
-            raise NotACongruence(f"{p} is not a congruence of {alg.name}")
-    return stored(alg, ("commutator", alpha, beta), lambda: _commutator(alg, alpha, beta))
+    per-algebra store under ("commutator", alpha, beta).  Both partitions
+    are checked to be congruences when the key is missed; a stored key
+    passed that check when it was stored."""
+    def build() -> Partition:
+        for p in (alpha, beta):
+            if not is_congruence(alg, p):
+                raise NotACongruence(f"{p} is not a congruence of {alg.name}")
+        return _commutator(alg, alpha, beta)
+
+    return stored(alg, ("commutator", alpha, beta), build)
 
 
 def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:

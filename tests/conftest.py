@@ -204,3 +204,30 @@ def maj_table_eval(table, x, y, z):
         idx = (ex[i] << 2) | (ey[i] << 1) | ez[i]
         out.append((table[i] >> idx) & 1)
     return _MAJ_ELEMS.index(tuple(out))
+
+
+def gumm_chain_exists(tables, n, points):
+    """Whether a directed Gumm chain d_1..d_k, Q lies among tables, each
+    given by its values on the list points (which holds every point with
+    at most two distinct coordinates): breadth-first search over the whole
+    set, the way the Gumm search decided before it stopped at the first
+    chain.  Reference for the searches' tests."""
+    at = {p: i for i, p in enumerate(points)}
+
+    def cut(tab, point):
+        return tuple(tab[at[point(x, y)]] for x in range(n) for y in range(n))
+
+    sel_x = tuple(x for x in range(n) for _ in range(n))
+    sel_y = tuple(y for _ in range(n) for y in range(n))
+    nodes = [t for t in tables if cut(t, lambda x, y: (x, y, x)) == sel_x]
+    ends = {cut(t, lambda x, y: (x, y, y)) for t in tables
+            if cut(t, lambda x, y: (x, x, y)) == sel_y}
+    frontier = [t for t in nodes if cut(t, lambda x, y: (x, x, y)) == sel_x]
+    seen = set(frontier)
+    while frontier:
+        if any(cut(t, lambda x, y: (x, y, y)) in ends for t in frontier):
+            return True
+        steps = {cut(t, lambda x, y: (x, y, y)) for t in frontier}
+        frontier = [u for u in nodes if u not in seen and cut(u, lambda x, y: (x, x, y)) in steps]
+        seen.update(frontier)
+    return False

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvcirc import algebra as algebra_module
+from mvcirc import algebra as algebra_module, congruence
 from mvcirc.algebra import (
     BLOCK,
     DEFAULT_CAP,
@@ -35,11 +35,11 @@ from mvcirc.algebra import (
 )
 from mvcirc.commutator import pair_algebra
 from mvcirc.congruence import congruence_from_pairs
-from mvcirc.errors import CapExceeded, NotACongruence, SizeNot2, Tri, UnknownOp
+from mvcirc.errors import CapExceeded, NotACongruence, NotMalcev, SizeNot2, Tri, UnknownOp
 from mvcirc.partition import Partition
 from mvcirc.zoo import get, zoo
 
-from conftest import EDGE_ALGEBRAS, mod_congruence
+from conftest import EDGE_ALGEBRAS, gumm_chain_exists, mod_congruence
 
 MEET = App("meet", (Var(0), Var(1)))
 
@@ -459,6 +459,28 @@ def test_malcev_all_malcev_zoo_members(name):
             assert eval_term(alg, term, (y, x, x)) == y
 
 
+def test_malcev_yes_needs_a_verified_term(z2, monkeypatch):
+    def refuse(alg, d):
+        raise NotMalcev("refused")
+
+    monkeypatch.setattr(algebra_module, "STORE", FactStore())
+    monkeypatch.setattr(algebra_module, "check_malcev_term", refuse)
+    with pytest.raises(NotMalcev, match="refused"):
+        find_malcev_term(z2)
+
+
+def test_a_lattice_past_its_cap_skips_the_quotient_step(z2xl2, monkeypatch):
+    # with no simple quotient to read, Z2xL2's own closure decides NO
+    def past_cap(alg):
+        raise CapExceeded(congruence.LATTICE_CAP, "congruence lattice")
+
+    monkeypatch.setattr(algebra_module, "STORE", FactStore())
+    monkeypatch.setattr(congruence, "congruence_lattice", past_cap)
+    assert algebra_module._simple_quotients(z2xl2) == []
+    assert find_malcev_term(z2xl2).status is Tri.NO
+    assert find_directed_gumm_terms(z2xl2).status is Tri.YES
+
+
 def test_gumm_z2_chain_length_one(z2):
     res = find_directed_gumm_terms(z2)
     assert res.status is Tri.YES
@@ -480,6 +502,41 @@ def test_gumm_majority_found(majority):
     res = find_directed_gumm_terms(majority)
     assert res.status is Tri.YES
     assert check_gumm_chain(majority, res.value)
+
+
+def _chain_exists(tables, n):
+    points = [p for p in itertools.product(range(n), repeat=3) if len(set(p)) <= 2]
+    return gumm_chain_exists(tables, n, points)
+
+
+@st.composite
+def _conservative_tables(draw):
+    """n in {2, 3} and distinct tables over the points with at most two
+    distinct coordinates, each value one of its point's coordinates, so
+    that chain nodes and links are common."""
+    n = draw(st.integers(2, 3))
+    points = [p for p in itertools.product(range(n), repeat=3) if len(set(p)) <= 2]
+    table = st.tuples(*(st.sampled_from(sorted(set(p))) for p in points))
+    return n, draw(st.lists(table, min_size=1, max_size=14, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_conservative_tables(), st.randoms(use_true_random=False))
+def test_chain_reach_decides_as_a_search_over_the_whole_set(drawn, rng):
+    """_ChainReach sees the tables one at a time, in any order, and says
+    True at the first table that completes a chain; its chain links
+    tables it saw."""
+    n, tables = drawn
+    rng.shuffle(tables)
+    reach = algebra_module._ChainReach(n)
+    hits = [i for i, tab in enumerate(tables) if reach(tab)]
+    assert bool(hits) == _chain_exists(tables, n)
+    if hits:
+        assert _chain_exists(tables[:hits[0] + 1], n)
+        assert not _chain_exists(tables[:hits[0]], n)
+        ds, q = reach.chain()
+        assert set(ds) | {q} <= set(tables[:hits[0] + 1])
+        assert _chain_exists(ds + [q], n)
 
 
 def test_gumm_yes_needs_a_verified_chain(lat2, z2, monkeypatch):

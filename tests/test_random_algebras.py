@@ -10,8 +10,12 @@ from mvcirc.algebra import (
     DEFAULT_CAP,
     FiniteAlgebra,
     Operation,
+    _close_tables,
+    _proj_generators,
+    _simple_quotients,
     direct_product,
     eval_term,
+    find_directed_gumm_terms,
     find_malcev_term,
     is_congruence,
     quotient,
@@ -31,7 +35,7 @@ from mvcirc.solvers import SolverConfig, dispatch, plan_for, solve_bruteforce
 from mvcirc.structure import _decomposition_flags, is_dl_like
 from mvcirc.zoo import get, zoo
 
-from conftest import all_partitions
+from conftest import all_partitions, gumm_chain_exists
 
 
 @st.composite
@@ -226,6 +230,54 @@ def test_supernilpotent_flag_needs_a_malcev_term(alg, cap):
     and of prime order, and has none."""
     if is_supernilpotent(alg, cap) is Tri.YES:
         assert find_malcev_term(alg, cap).status is Tri.YES
+
+
+def _all_points_search(alg, cap):
+    """The Malcev and directed-Gumm statuses as decided from one ternary
+    term closure over all of A^3, with no quotient step: the searches'
+    former method, kept here as the reference."""
+    n, n2 = alg.size, alg.size ** 2
+    points = list(itertools.product(range(n), repeat=3))
+
+    def is_malcev(tab):
+        return all(tab[x * n2 + x * n + y] == y and tab[y * n2 + x * n + x] == y
+                   for x in range(n) for y in range(n))
+
+    clone, hit = _close_tables(alg, points, _proj_generators(alg, points, 3, False), cap,
+                               is_malcev)
+    if hit is not None:
+        return Tri.YES, Tri.YES
+    if not clone.complete:
+        return Tri.UNKNOWN, Tri.UNKNOWN
+    return Tri.NO, Tri.YES if gumm_chain_exists(clone.tables, n, points) else Tri.NO
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_algebras(), malcev_algebras(), lattice_algebras()),
+       st.sampled_from([50, 500, 5000]))
+@example(get("Z2xL2"), 50)
+@example(get("Z6"), 3)          # its simple quotients' searches hit cap 3
+def test_malcev_and_gumm_searches_match_the_all_points_reference(alg, cap):
+    """Both searches close over the points with at most two distinct
+    coordinates and take NO from a simple quotient; wherever they and the
+    all-points reference both decide, they agree.  A decided status is
+    exact whatever the cap, so a NO is checked against the reference run
+    to 20,000 tables when this cap cuts the reference short.  Every NO a
+    simple quotient says is the algebra's NO; not every algebra's own
+    search completes within 20,000 tables (some 4-element draws outgrow
+    it), and where it does, it agrees."""
+    got = (find_malcev_term(alg, cap).status, find_directed_gumm_terms(alg, cap).status)
+    want = _all_points_search(alg, cap)
+    if Tri.NO in got and Tri.UNKNOWN in want:
+        want = _all_points_search(alg, 20_000)
+    for status, reference in zip(got, want):
+        if Tri.UNKNOWN not in (status, reference):
+            assert status is reference
+    quotients = _simple_quotients(alg)
+    assert got[0] is Tri.NO or all(find_malcev_term(q, cap).status is not Tri.NO
+                                   for q in quotients)
+    assert got[1] is Tri.NO or all(find_directed_gumm_terms(q, cap).status is not Tri.NO
+                                   for q in quotients)
 
 
 def _assert_malcev_slice_characterizes_equality(alg, cap=DEFAULT_CAP):

@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 from mvcirc import algebra
-from mvcirc.algebra import FactStore, direct_product
+from mvcirc.algebra import FactStore, FiniteAlgebra, Operation, direct_product, find_malcev_term
 from mvcirc.errors import Tri
 from mvcirc.partition import Partition
 from mvcirc.structure import (
@@ -211,6 +212,33 @@ def test_classify_report_depends_on_cap(z6, monkeypatch):
     full = classify(alg)
     assert (full.cm, full.affine, full.typeset) == (Tri.YES, Tri.YES, [2])
     assert full.as_dict()["flags"] == classify(z6).as_dict()["flags"]
+
+
+def test_malcev_and_cm_no_come_from_a_simple_quotient(monkeypatch):
+    # Z3 (add, neg, u) times a 2-element algebra of the same signature, one
+    # seeded random draw.  Its ternary term clone outgrows the default cap:
+    # a search closing over all of A^3 ends UNKNOWN after about 20 s.  The
+    # 2-element factor, a simple quotient, has neither a Malcev term nor a
+    # directed Gumm chain.
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    z3 = FiniteAlgebra("Z3u", 3, (
+        Operation("add", 2, tuple((x + y) % 3 for x in range(3) for y in range(3))),
+        Operation("neg", 1, (0, 2, 1)),
+        Operation("u", 1, (0, 1, 0))))
+    two = FiniteAlgebra("F2", 2, (
+        Operation("add", 2, (1, 1, 0, 0)), Operation("neg", 1, (0, 0)), Operation("u", 1, (1, 1))))
+    alg = direct_product(z3, two)
+    start = time.perf_counter()
+    rep = classify(alg)
+    assert time.perf_counter() - start < 1.0
+    assert find_malcev_term(alg).status is Tri.NO
+    assert rep.cm is Tri.NO
+
+
+def test_ad2_is_not_cm_under_a_small_cap():
+    # a simple quotient of AD2 decides NO where its own closure outgrows
+    # cap 10, so the report matches the default cap's
+    assert classify(get("AD2"), cap=10).cm is Tri.NO is classify(get("AD2")).cm
 
 
 def test_dl_like_unknown_when_quotient_check_caps_out(bool2):
