@@ -678,6 +678,8 @@ class _ChainReach:
         self.ends: tuple[Table, Table] | None = None      # the chain's last node, and Q
 
     def __call__(self, tab: Table) -> bool:
+        if self.ends is not None:    # keep the first chain found
+            return True
         if self.xxy(tab) == self.sel_y:
             key = self.xyy(tab)
             self.q_by_xyy.setdefault(key, tab)
