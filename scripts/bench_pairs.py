@@ -15,6 +15,11 @@ again alternating.  The output of each run is kept in DIR as
 <workload>_<side>_<seed>_<tag>.txt; a run whose file is already there is not
 repeated, so an interrupted comparison resumes where it stopped.
 
+Both sides start from source alone: before the first run the __pycache__
+directories under each tree's src/ and perfbench/ are deleted, and every
+run.py (with the workers it starts) runs with PYTHONDONTWRITEBYTECODE=1,
+so neither side's set-up reads bytecode cached by an earlier run.
+
 The JSON holds, per workload and side, the median and quartiles of every
 end-to-end metric over the ten seed-1 runs, the number of pairs in which the
 change is better, the held-out runs, the failure counts, and per side the
@@ -27,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,12 +54,20 @@ def run(tree: Path, logs: Path, workload: str, side: str, seed: int, tag: str,
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(SECONDS), "--trace", str(trace)],
-            cwd=tree, capture_output=True, text=True)
+            cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True)
         log.write_text(proc.stdout + proc.stderr + f"exit {proc.returncode}\n")
     lines = [ln for ln in log.read_text().splitlines() if ln.startswith("{")]
     if not lines:
         raise SystemExit(f"{log}: the run printed no result")
     return json.loads(lines[-1])
+
+
+def clear_bytecode(tree: Path) -> None:
+    """Delete the cached bytecode under tree's src/ and perfbench/."""
+    for top in ("src", "perfbench"):
+        for cache in sorted((tree / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def summary(values: list[float]) -> dict:
@@ -117,8 +132,10 @@ def main() -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
     args.logs.mkdir(parents=True, exist_ok=True)
-    result = compare({"parent": args.parent.resolve(), "change": args.change.resolve()},
-                     args.logs)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        clear_bytecode(tree)
+    result = compare(trees, args.logs)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

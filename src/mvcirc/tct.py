@@ -10,11 +10,15 @@ Without a Malcev term found under the cap, the label comes from a ladder of
 clone searches.  For a quotient alpha < beta, the candidate sets are ranges
 f(A) of unary polynomials with f(beta) not inside alpha and at least two
 elements; the inclusion-minimal ones are the minimal sets.  The local label
-is decided by what the polynomial clone realizes on a trace: a pseudo-Malcev
-operation (vector-space behavior, label 2), lattice operations with or
-without a complement (labels 4 / 3), just a semilattice operation (label 5),
-or nothing (label 1).  Searches are cap-bounded: a positive witness exits
-early, a negative answer needs the restricted clone to close.
+is decided by what the polynomial clone realizes on a trace N.  When beta is
+abelian over alpha, the minimal algebra A|_N/alpha is either essentially
+unary (label 1) or a vector space (label 2) (Palfy, Unary polynomials in
+algebras I, Algebra Universalis 1984; Hobby and McKenzie, Ch. 4), so the
+label is 2 exactly when a binary polynomial p with p(N^2) inside N depends
+on both arguments modulo alpha.  Otherwise lattice operations with or
+without a complement give labels 4 / 3, and just a semilattice operation
+label 5.  Searches are cap-bounded: a positive witness exits early, a
+negative answer needs the restricted clone to close.
 """
 
 from __future__ import annotations
@@ -107,44 +111,24 @@ def _traces(alpha: Partition, beta: Partition, u: Sequence[int]) -> list[tuple[i
 # Restricted clone searches
 
 
-def _find_pseudo_malcev(
-    alg: FiniteAlgebra, u: Sequence[int], body: Sequence[int], cap: int
+def _binary_on_trace(
+    alg: FiniteAlgebra, alpha: Partition, trace: Sequence[int], cap: int
 ) -> Tri:
-    """Ternary polynomial behaving like a Malcev operation on the body:
-    d(x,x,x)=x on U, d(x,x,y)=y=d(y,x,x) for x in body, y in U, the three
-    one-variable slices at body pairs permute U, and the body is closed."""
-    u = tuple(u)
-    bset = set(body)
-    uset = set(u)
-    pts = list(itertools.product(u, repeat=3))
-    pos = {p: i for i, p in enumerate(pts)}
+    """Binary polynomial p with p(N^2) inside the trace N that depends on
+    both arguments modulo alpha: the first such table in the closure of the
+    binary polynomial clone over N x N, in product order."""
+    m = len(trace)
+    nset = set(trace)
 
-    def ok(tab: Table) -> bool:
-        if any(v not in uset for v in tab):
+    def both(tab: Table) -> bool:
+        if any(v not in nset for v in tab):
             return False
-        for x in u:
-            if tab[pos[(x, x, x)]] != x:
-                return False
-        for x in bset:
-            for y in u:
-                if tab[pos[(x, x, y)]] != y or tab[pos[(y, x, x)]] != y:
-                    return False
-        for a in bset:
-            for b in bset:
-                for slicer in (
-                    lambda x: (x, a, b),
-                    lambda x: (a, x, b),
-                    lambda x: (a, b, x),
-                ):
-                    vals = {tab[pos[slicer(x)]] for x in u}
-                    if vals != uset:
-                        return False
-        if any(tab[pos[(a, b, c)]] not in bset
-               for a in bset for b in bset for c in bset):
-            return False
-        return True
+        rows = [[alpha.class_of(v) for v in tab[i * m:(i + 1) * m]] for i in range(m)]
+        return (any(len(set(row)) > 1 for row in rows)
+                and any(len(set(col)) > 1 for col in zip(*rows)))
 
-    clone, hit = poly_clone_on_points(alg, pts, 3, cap, stop=ok)
+    pts = list(itertools.product(trace, repeat=2))
+    clone, hit = poly_clone_on_points(alg, pts, 2, cap, stop=both)
     if hit is not None:
         return Tri.YES
     return Tri.NO if clone.complete else Tri.UNKNOWN
@@ -228,11 +212,16 @@ def _type_by_search(
 ) -> Optional[int]:
     """The label from restricted clone searches on minimal sets.
 
-    Ladder: beta abelian over alpha splits 2 (pseudo-Malcev on a minimal-set
-    body) from 1; otherwise lattice operations on a trace give 4, plus a
-    polynomial complement 3, and a lone semilattice operation gives 5.  The
-    first minimal set and trace decide, or with all_traces every one of
-    them, and they must agree.
+    Ladder: beta abelian over alpha splits 2 from 1 on a trace N: the binary
+    polynomial clone closed over N x N holds a table with values in N that
+    depends on both arguments modulo alpha (label 2), holds none (label 1),
+    or outgrows the cap (undecided).  A minimal algebra on a trace that is
+    abelian is a vector space or essentially unary (Palfy 1984; Hobby and
+    McKenzie, The Structure of Finite Algebras, Ch. 4), and only a vector
+    space has a binary polynomial depending on both arguments.  Otherwise
+    lattice operations on a trace give 4, plus a polynomial complement 3,
+    and a lone semilattice operation gives 5.  The first minimal set and
+    trace decide, or with all_traces every one of them, and they must agree.
     """
     try:
         msets = minimal_sets(alg, alpha, beta, cap)
@@ -243,14 +232,14 @@ def _type_by_search(
     abelian_over = commutator(alg, beta, beta).leq(alpha)
     labels = set()
     for ms in msets[: None if all_traces else 1]:
-        if abelian_over:
-            pm = _find_pseudo_malcev(alg, ms.elements, ms.body or ms.elements, cap)
-            if pm is Tri.UNKNOWN:
-                return TYPE_UNKNOWN
-            labels.add(2 if pm is Tri.YES else 1)
-            continue
         traces = ms.traces or [ms.elements]
         for tr in traces if all_traces else traces[:1]:
+            if abelian_over:
+                vs = _binary_on_trace(alg, alpha, tr, cap)
+                if vs is Tri.UNKNOWN:
+                    return TYPE_UNKNOWN
+                labels.add(2 if vs is Tri.YES else 1)
+                continue
             if len(tr) != 2:
                 return TYPE_UNKNOWN
             both, semi = _lattice_ops_on_trace(alg, ms.elements, tr, cap)

@@ -78,6 +78,28 @@ def test_bench_pairs_takes_the_median_of_three_traced_runs(tmp_path, monkeypatch
     assert traced["metrics"]["new.s"]["parent"] is None
 
 
+def test_bench_pairs_runs_both_sides_without_cached_bytecode(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    for top in ("src/mvcirc", "perfbench", "tests"):
+        (tmp_path / top / "__pycache__").mkdir(parents=True)
+        (tmp_path / top / "__pycache__" / "m.cpython.pyc").write_bytes(b"")
+    bench_pairs.clear_bytecode(tmp_path)
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("__pycache__")) == [
+        "tests/__pycache__"]
+
+    envs = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(argv, 0, '{"metrics": {}}\n', "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.run(tmp_path, tmp_path, "classify-cold", "parent", 1, "1")
+    assert envs[0]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
 def test_traced_dispatch_records_the_fast_solvers(monkeypatch):
     """perfbench/spans.py rebinds module attributes to wrappers; dispatch
     must reach the solvers through those names, or the traced per-layer

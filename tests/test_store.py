@@ -132,6 +132,24 @@ def test_cold_ad2_classify_closes_each_point_list_once(monkeypatch):
     assert runs and max(runs.values()) == 1
 
 
+def test_cold_ad2_classify_closes_no_ternary_polynomial_clone(monkeypatch):
+    # the TCT labels of AD2's abelian covers come from binary polynomials on
+    # a trace; only the Malcev and Gumm searches close over 3-tuples, and
+    # they close the term clone, which has no constants
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    close = algebra._close_tables
+    ternary = []
+
+    def counted(alg, points, generators, *args, **kwargs):
+        if len(points[0]) == 3:
+            ternary.append(any(isinstance(wit, algebra.Const) for _, wit in generators))
+        return close(alg, points, generators, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_close_tables", counted)
+    classify(get("AD2"))
+    assert ternary and not any(ternary)
+
+
 def test_cold_zoo_classify_computes_each_commutator_once(monkeypatch):
     monkeypatch.setattr(algebra, "STORE", FactStore())
     build = commutator._commutator

@@ -3,10 +3,18 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvcirc.algebra import DEFAULT_CAP, FiniteAlgebra, Operation, find_malcev_term
+from mvcirc.algebra import (
+    DEFAULT_CAP,
+    FiniteAlgebra,
+    Operation,
+    find_malcev_term,
+    poly_clone_on_points,
+)
+from mvcirc.commutator import commutator
 from mvcirc.congruence import congruence_lattice
-from mvcirc.errors import Tri
+from mvcirc.errors import CapExceeded, Tri
 from mvcirc.partition import Partition
 from mvcirc.structure import classify
 from mvcirc.tct import (
@@ -20,9 +28,10 @@ from mvcirc.tct import (
     typed_congruence_lattice,
     typeset,
 )
-from mvcirc.zoo import _cyclic_group, get
+from mvcirc.zoo import _cyclic_group, get, zoo
 
 from conftest import mod_congruence
+from test_random_algebras import malcev_algebras, small_algebras
 
 
 def zero(alg):
@@ -105,7 +114,8 @@ def test_type_quotient_invariance_z4(z4, z2):
 
 
 def test_type_stable_across_traces_and_minimal_sets(z4, s3, z2xl2):
-    for alg in (z4, s3, z2xl2):
+    # AD2 has four type-1 covers, with traces of two, three and four elements
+    for alg in (z4, s3, z2xl2, get("AD2")):
         lat = congruence_lattice(alg)
         for lo, hi in lat.cover_pairs():
             by_all = _type_by_search(alg, lo, hi, DEFAULT_CAP, all_traces=True)
@@ -149,6 +159,83 @@ def test_cm_typeset_restriction_and_empty_tails():
         for lo, hi in lat.cover_pairs():
             for ms in minimal_sets(alg, lo, hi):
                 assert ms.tail == ()
+
+
+# ---------------------------------------------------------------------------
+# Abelian covers: binary polynomials on a trace, against a pseudo-Malcev search
+
+
+def _find_pseudo_malcev(alg, u, body, cap):
+    """Ternary polynomial behaving like a Malcev operation on the body:
+    d(x,x,x)=x on U, d(x,x,y)=y=d(y,x,x) for x in body, y in U, the three
+    one-variable slices at body pairs permute U, and the body is closed.
+    The abelian branch's former criterion, kept here as the reference."""
+    u = tuple(u)
+    bset = set(body)
+    uset = set(u)
+    pts = list(itertools.product(u, repeat=3))
+    pos = {p: i for i, p in enumerate(pts)}
+
+    def ok(tab):
+        if any(v not in uset for v in tab):
+            return False
+        for x in u:
+            if tab[pos[(x, x, x)]] != x:
+                return False
+        for x in bset:
+            for y in u:
+                if tab[pos[(x, x, y)]] != y or tab[pos[(y, x, x)]] != y:
+                    return False
+        for a in bset:
+            for b in bset:
+                for slicer in (
+                    lambda x: (x, a, b),
+                    lambda x: (a, x, b),
+                    lambda x: (a, b, x),
+                ):
+                    vals = {tab[pos[slicer(x)]] for x in u}
+                    if vals != uset:
+                        return False
+        if any(tab[pos[(a, b, c)]] not in bset
+               for a in bset for b in bset for c in bset):
+            return False
+        return True
+
+    clone, hit = poly_clone_on_points(alg, pts, 3, cap, stop=ok)
+    if hit is not None:
+        return Tri.YES
+    return Tri.NO if clone.complete else Tri.UNKNOWN
+
+
+def _abelian_labels_match_the_reference(alg, cap):
+    """On every abelian cover whose first minimal set the reference decides,
+    the ladder's label is 2 exactly when the reference finds a
+    pseudo-Malcev operation; the number of covers compared."""
+    compared = 0
+    for lo, hi in congruence_lattice(alg).cover_pairs():
+        if not commutator(alg, hi, hi).leq(lo):
+            continue
+        try:
+            ms = minimal_sets(alg, lo, hi, cap)[0]
+        except CapExceeded:
+            continue
+        want = _find_pseudo_malcev(alg, ms.elements, ms.body or ms.elements, cap)
+        if want is Tri.UNKNOWN:
+            continue
+        assert _type_by_search(alg, lo, hi, cap) == (2 if want is Tri.YES else 1), (alg, lo, hi)
+        compared += 1
+    return compared
+
+
+def test_abelian_labels_match_the_reference_on_the_zoo():
+    assert sum(_abelian_labels_match_the_reference(e.algebra, DEFAULT_CAP) for e in zoo()) >= 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_algebras(), malcev_algebras()))
+def test_abelian_labels_match_the_reference_on_random_algebras(alg):
+    # a small cap keeps the reference's ternary closure short
+    _abelian_labels_match_the_reference(alg, 2000)
 
 
 # ---------------------------------------------------------------------------
