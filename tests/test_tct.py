@@ -228,7 +228,7 @@ def _abelian_labels_match_the_reference(alg, cap):
 
 
 def test_abelian_labels_match_the_reference_on_the_zoo():
-    assert sum(_abelian_labels_match_the_reference(e.algebra, DEFAULT_CAP) for e in zoo()) >= 20
+    assert sum(_abelian_labels_match_the_reference(e.algebra, DEFAULT_CAP) for e in zoo()) == 26
 
 
 @settings(max_examples=200, deadline=None)
