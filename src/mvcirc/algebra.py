@@ -23,7 +23,6 @@ from .errors import (
     NotACongruence,
     NotMalcev,
     ParseError,
-    SizeNot2,
     Tri,
     UnboundVariable,
     UnknownOp,
@@ -513,13 +512,18 @@ def kary_poly_clone(alg: FiniteAlgebra, k: int, cap: int = DEFAULT_CAP) -> Clone
     the closure of poly_clone_on_points over A^k in lexicographic order, kept
     in the per-algebra STORE under ("closure", k, points, True) once complete
     and shared by every later call whose cap admits it (callers must not
-    mutate it).
+    mutate it).  A closure that capped is remembered under
+    ("capped_clone", k, cap), with its size, so it is not closed again.
     """
-    points = list(itertools.product(range(alg.size), repeat=k))
-    clone, _ = poly_clone_on_points(alg, points, k, cap)
-    if not clone.complete:
-        raise CapExceeded(len(clone), f"{k}-ary polynomial clone of {alg.name}")
-    return clone
+    facts = STORE.facts(alg)
+    capped = ("capped_clone", k, cap)
+    if capped not in facts:
+        points = list(itertools.product(range(alg.size), repeat=k))
+        clone, _ = poly_clone_on_points(alg, points, k, cap)
+        if clone.complete:
+            return clone
+        facts[capped] = len(clone)
+    raise CapExceeded(facts[capped], f"{k}-ary polynomial clone of {alg.name}")
 
 
 def unary_poly_clone(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Clone:
@@ -835,19 +839,6 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) 
             table.append(opa.apply(ai, na) * nb + opb.apply(bi, nb))
         ops.append(Operation(opa.name, r, tuple(table)))
     return FiniteAlgebra(name or f"{a.name}x{b.name}", size, tuple(ops))
-
-
-def is_poly_equiv_to_2lattice(alg2: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
-    """A 2-element algebra is polynomially equivalent to the 2-element lattice
-    iff its binary polynomials include meet and join for one of the two
-    orderings and no unary polynomial is the negation."""
-    if alg2.size != 2:
-        raise SizeNot2(f"algebra {alg2.name} has size {alg2.size}")
-    # meet for one ordering is join for the other, so the orientation-free
-    # condition is: both lattice tables present and no negation.
-    binary = kary_poly_clone(alg2, 2, cap)
-    return ((0, 0, 0, 1) in binary and (0, 1, 1, 1) in binary
-            and (1, 0) not in kary_poly_clone(alg2, 1, cap))
 
 
 # ---------------------------------------------------------------------------

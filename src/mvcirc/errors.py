@@ -29,10 +29,6 @@ class CapExceeded(MvcircError):
         self.count = count
 
 
-class SizeNot2(MvcircError):
-    pass
-
-
 class NotACongruence(MvcircError):
     pass
 

@@ -22,8 +22,6 @@ from .algebra import (
     Var,
     check_malcev_term,
     eval_term,
-    poly_clone_on_points,
-    unary_poly_clone,
 )
 from .circuit import (
     Circuit,
@@ -39,7 +37,7 @@ from .errors import (
     NotPermutationWarning,
     ParseError,
 )
-from .tct import minimal_sets, type_of
+from .tct import minimal_sets, pair_ops, type_of
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +179,10 @@ def derive_type3_witness(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Optional
             continue
         if len(ms.elements) != 2 or ms.idempotent_witness is None:
             continue
-        z, o = ms.elements
-        pts = [(z, z), (z, o), (o, z), (o, o)]
-        clone2, _ = poly_clone_on_points(alg, pts, 2, cap)
-        uset = {z, o}
-        meet = clone2.witness((z, z, z, o)) if (z, z, z, o) in clone2 else None
-        join = clone2.witness((z, o, o, o)) if (z, o, o, o) in clone2 else None
-        clone1 = unary_poly_clone(alg, cap)
-        neg = None
-        for tab in clone1.tables:
-            if set(tab) == uset and tab[z] == o and tab[o] == z:
-                neg = clone1.witness(tab)
-                break
-        if meet is not None and join is not None and neg is not None:
-            w = Type3Witness(z, o, meet, join, neg, ms.idempotent_witness)
+        ops = pair_ops(alg, ms.elements, cap)
+        if None not in (ops.meet, ops.join, ops.swap):
+            w = Type3Witness(*ms.elements, ops.meet, ops.join, ops.swap,
+                             ms.idempotent_witness)
             w.validate(alg)
             return w
     return None

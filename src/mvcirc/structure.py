@@ -23,7 +23,6 @@ from .algebra import (
     DEFAULT_CAP,
     FiniteAlgebra,
     find_directed_gumm_terms,
-    is_poly_equiv_to_2lattice,
     kary_poly_clone,
     quotient,
     stored,
@@ -37,9 +36,9 @@ from .commutator import (
     nilpotency_class,
 )
 from .congruence import congruence_lattice, factor_pairs
-from .errors import CapExceeded, Tri, UntypedLattice
+from .errors import Tri, UntypedLattice
 from .partition import Partition
-from .tct import TypedLattice, typed_congruence_lattice
+from .tct import TypedLattice, pair_ops, typed_congruence_lattice
 
 
 def radical(alg: FiniteAlgebra, typed: TypedLattice, i: int) -> Partition:
@@ -106,15 +105,23 @@ def is_dl_like(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> tuple[Tri, list[Pa
 
 
 def _is_dl_like(alg: FiniteAlgebra, cap: int) -> tuple[Tri, list[Partition]]:
+    """A 2-element quotient is polynomially equivalent to the 2-element
+    lattice iff its polynomials realize meet and join on {0, 1} for one
+    ordering (a meet for one is a join for the other) and not the swap:
+    tct.pair_ops on the quotient.  The swap alone rules a quotient out, as
+    does a completed binary closure without both; a capped closure that
+    rules nothing out leaves the quotient undecided."""
     witnesses = []
     capped = False
     for theta in congruence_lattice(alg).congruences:
         if theta.num_classes != 2:
             continue
-        try:
-            if is_poly_equiv_to_2lattice(quotient(alg, theta, check=False), cap):
-                witnesses.append(theta)
-        except CapExceeded:
+        ops = pair_ops(quotient(alg, theta, check=False), (0, 1), cap)
+        if ops.lattice is Tri.NO or ops.complement is Tri.YES:
+            continue
+        if ops.lattice is Tri.YES and ops.complement is Tri.NO:
+            witnesses.append(theta)
+        else:
             capped = True
     meet = Partition.one(alg.size)
     for w in witnesses:

@@ -15,10 +15,14 @@ abelian over alpha, the minimal algebra A|_N/alpha is either essentially
 unary (label 1) or a vector space (label 2) (Palfy, Unary polynomials in
 algebras I, Algebra Universalis 1984; Hobby and McKenzie, Ch. 4), so the
 label is 2 exactly when a binary polynomial p with p(N^2) inside N depends
-on both arguments modulo alpha.  Otherwise lattice operations with or
-without a complement give labels 4 / 3, and just a semilattice operation
-label 5.  Searches are cap-bounded: a positive witness exits early, a
-negative answer needs the restricted clone to close.
+on both arguments modulo alpha.  Otherwise the trace has two elements
+{a, b} and pair_ops asks which of meet, join and the swap a <-> b the
+polynomials realize on it: meet and join with the swap give label 3,
+without it 4, and just one of meet and join label 5.  The same question
+decides DL-likeness on 2-element quotients (structure) and yields the
+Boolean terms of the 3-SAT reduction (reductions).  Searches are
+cap-bounded: a positive witness exits early, a negative answer needs the
+restricted clone to close.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Optional, Sequence
 
 from .algebra import (
     DEFAULT_CAP,
+    Clone,
     FiniteAlgebra,
     Table,
     Term,
@@ -39,7 +44,7 @@ from .algebra import (
 )
 from .commutator import commutator
 from .congruence import CongruenceLattice, congruence_lattice
-from .errors import CapExceeded, Tri, UntypedLattice
+from .errors import CapExceeded, Tri
 from .partition import Partition
 
 
@@ -52,9 +57,6 @@ class MinimalSet:
     traces: list[tuple[int, ...]]
     body: tuple[int, ...]
     tail: tuple[int, ...]
-
-
-TYPE_UNKNOWN = None  # a cap-bounded search came back undecided
 
 
 def minimal_sets(
@@ -128,57 +130,54 @@ def _binary_on_trace(
                 and any(len(set(col)) > 1 for col in zip(*rows)))
 
     pts = list(itertools.product(trace, repeat=2))
-    clone, hit = poly_clone_on_points(alg, pts, 2, cap, stop=both)
+    return _outcome(*poly_clone_on_points(alg, pts, 2, cap, stop=both))
+
+
+def _outcome(clone: Clone, hit: Optional[Table]) -> Tri:
+    """YES when a closure's stop matched, NO when it completed without."""
     if hit is not None:
         return Tri.YES
     return Tri.NO if clone.complete else Tri.UNKNOWN
 
 
-def _lattice_ops_on_trace(
-    alg: FiniteAlgebra, u: Sequence[int], trace: Sequence[int], cap: int
-) -> tuple[Tri, Tri]:
-    """(meet-and-join present, exactly-a-semilattice-op present) on the trace,
-    orientation-free: a meet for one ordering is a join for the other, so the
-    pair condition is that both lattice tables appear with range inside U."""
-    n0, n1 = sorted(trace)
-    uset = set(u)
-    pts = [(n0, n0), (n0, n1), (n1, n0), (n1, n1)]
-    meet_pat = (n0, n0, n0, n1)
-    join_pat = (n0, n1, n1, n1)
+@dataclass(frozen=True)
+class PairOps:
+    """The first witness terms, or None, of meet, join (for a < b) and the
+    swap a <-> b among the polynomials of an algebra on {a, b}; lattice is
+    YES with both meet and join and complement YES with the swap, and
+    either is NO only when its closure completed."""
 
-    found = {"meet": False, "join": False}
-
-    def check(tab: Table) -> bool:
-        if any(v not in uset for v in tab):
-            return False
-        tab = tuple(tab)
-        if tab == meet_pat:
-            found["meet"] = True
-        elif tab == join_pat:
-            found["join"] = True
-        return found["meet"] and found["join"]
-
-    clone, hit = poly_clone_on_points(alg, pts, 2, cap, stop=check)
-    if hit is not None:
-        return Tri.YES, Tri.NO
-    both = Tri.NO if clone.complete else Tri.UNKNOWN
-    one = found["meet"] or found["join"]
-    if clone.complete:
-        semi = Tri.YES if one else Tri.NO
-    else:
-        semi = Tri.YES if one else Tri.UNKNOWN
-    return both, semi
+    meet: Optional[Term]
+    join: Optional[Term]
+    swap: Optional[Term]
+    lattice: Tri
+    complement: Tri
 
 
-def _has_complement(alg: FiniteAlgebra, u: Sequence[int], trace: Sequence[int], cap: int) -> Tri:
-    """Unary polynomial with range exactly U swapping the trace elements."""
-    n0, n1 = sorted(trace)
-    uset = set(u)
-    clone = unary_poly_clone(alg, cap)
-    for tab in clone.tables:
-        if set(tab) == uset and tab[n0] == n1 and tab[n1] == n0:
-            return Tri.YES
-    return Tri.NO
+def pair_ops(alg: FiniteAlgebra, pair: Sequence[int], cap: int = DEFAULT_CAP) -> PairOps:
+    """The binary polynomial clone closed over {a, b}^2 with a stop once it
+    holds meet and join, and the unary one over {a, b} with a stop at the
+    swap.  The 2-point swap is the ladder's complement test: on a 2-element
+    trace {a, b} of a minimal set U, any unary polynomial f with f(a) = b
+    and f(b) = a gives e_U o f, which swaps a and b, so does not collapse
+    beta into alpha, and has range inside U, hence exactly U by minimality;
+    conversely such a polynomial restricts to the swap on {a, b}."""
+    a, b = sorted(pair)
+    meet_tab, join_tab = (a, a, a, b), (a, b, b, b)
+    found = set()
+
+    def both_found(tab: Table) -> bool:
+        if tuple(tab) in (meet_tab, join_tab):
+            found.add(tuple(tab))
+        return len(found) == 2
+
+    binary, both = poly_clone_on_points(alg, list(itertools.product((a, b), repeat=2)), 2, cap,
+                                        stop=both_found)
+    unary, swap = poly_clone_on_points(alg, [(a,), (b,)], 1, cap,
+                                       stop=lambda tab: tab[0] == b and tab[1] == a)
+    return PairOps(*(binary.witness(t) if t in found else None for t in (meet_tab, join_tab)),
+                   unary.witness(swap) if swap is not None else None,
+                   _outcome(binary, both), _outcome(unary, swap))
 
 
 def type_of(
@@ -219,16 +218,17 @@ def _type_by_search(
     abelian is a vector space or essentially unary (Palfy 1984; Hobby and
     McKenzie, The Structure of Finite Algebras, Ch. 4), and only a vector
     space has a binary polynomial depending on both arguments.  Otherwise
-    lattice operations on a trace give 4, plus a polynomial complement 3,
-    and a lone semilattice operation gives 5.  The first minimal set and
-    trace decide, or with all_traces every one of them, and they must agree.
+    pair_ops on a 2-element trace decides: meet and join give 4, plus the
+    swap 3, and just one of meet and join gives 5.  The first minimal set
+    and trace decide, or with all_traces every one of them, and they must
+    agree.
     """
     try:
         msets = minimal_sets(alg, alpha, beta, cap)
     except CapExceeded:
-        return TYPE_UNKNOWN
+        return None
     if not msets:
-        return TYPE_UNKNOWN
+        return None
     abelian_over = commutator(alg, beta, beta).leq(alpha)
     labels = set()
     for ms in msets[: None if all_traces else 1]:
@@ -237,23 +237,20 @@ def _type_by_search(
             if abelian_over:
                 vs = _binary_on_trace(alg, alpha, tr, cap)
                 if vs is Tri.UNKNOWN:
-                    return TYPE_UNKNOWN
+                    return None
                 labels.add(2 if vs is Tri.YES else 1)
                 continue
             if len(tr) != 2:
-                return TYPE_UNKNOWN
-            both, semi = _lattice_ops_on_trace(alg, ms.elements, tr, cap)
-            if both is Tri.YES:
-                comp = _has_complement(alg, ms.elements, tr, cap)
-                if comp is Tri.UNKNOWN:
-                    return TYPE_UNKNOWN
-                labels.add(3 if comp is Tri.YES else 4)
-            elif both is Tri.NO and semi is Tri.YES:
+                return None
+            ops = pair_ops(alg, tr, cap)
+            if ops.lattice is Tri.YES and ops.complement is not Tri.UNKNOWN:
+                labels.add(3 if ops.complement is Tri.YES else 4)
+            elif ops.lattice is Tri.NO and (ops.meet is not None or ops.join is not None):
                 labels.add(5)
             else:
-                return TYPE_UNKNOWN
+                return None
     if len(labels) != 1:
-        return TYPE_UNKNOWN
+        return None
     return labels.pop()
 
 
@@ -294,64 +291,3 @@ def typeset(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> set:
     """Union of cover-pair labels over Con(alg); may contain None when a
     label search capped out."""
     return typed_congruence_lattice(alg, cap).typeset()
-
-
-# ---------------------------------------------------------------------------
-# Transfer principles
-
-
-@dataclass
-class AbstractTypedLattice:
-    """A finite poset with labeled covers, for transfer checks on synthetic
-    data as well as on real congruence lattices."""
-
-    elements: list[str]
-    leq: dict[tuple[str, str], bool]
-    cover_labels: dict[tuple[str, str], int]
-
-    def covers_above(self, a: str) -> list[tuple[str, int]]:
-        return [(b, t) for (x, b), t in self.cover_labels.items() if x == a]
-
-
-def abstract_from_typed(tl: TypedLattice) -> AbstractTypedLattice:
-    lat = tl.lattice
-    names = [str(p) for p in lat.congruences]
-    leq = {}
-    for i, p in enumerate(lat.congruences):
-        for j, q in enumerate(lat.congruences):
-            leq[(names[i], names[j])] = p.leq(q)
-    labels = {}
-    for (i, j), t in tl.labels.items():
-        if t is None:
-            raise UntypedLattice("cover label unknown")
-        labels[(names[i], names[j])] = t
-    return AbstractTypedLattice(names, leq, labels)
-
-
-def transfer_check(
-    atl: AbstractTypedLattice, i: int, j: int
-) -> tuple[bool, Optional[tuple[str, str, str]]]:
-    """(i,j)-transfer: every chain a -<(i) b -<(j) c admits b' with
-    a -<(j) b' <= c.  Returns the first violating chain otherwise."""
-    for (a, b), t1 in atl.cover_labels.items():
-        if t1 != i:
-            continue
-        for (b2, c), t2 in atl.cover_labels.items():
-            if b2 != b or t2 != j:
-                continue
-            ok = any(
-                t == j and atl.leq[(bp, c)]
-                for bp, t in atl.covers_above(a)
-            )
-            if not ok:
-                return False, (a, b, c)
-    return True, None
-
-
-def transfer_principle_holds(
-    alg: FiniteAlgebra, i: int, j: int, cap: int = DEFAULT_CAP
-) -> tuple[bool, Optional[tuple[str, str, str]]]:
-    tl = typed_congruence_lattice(alg, cap)
-    if not tl.fully_typed:
-        raise UntypedLattice(f"could not label every cover of Con({alg.name})")
-    return transfer_check(abstract_from_typed(tl), i, j)

@@ -23,7 +23,6 @@ from mvcirc.algebra import (
     find_directed_gumm_terms,
     find_malcev_term,
     is_congruence,
-    is_poly_equiv_to_2lattice,
     kary_poly_clone,
     op_from_fn,
     parse_algebra,
@@ -35,7 +34,7 @@ from mvcirc.algebra import (
 )
 from mvcirc.commutator import pair_algebra
 from mvcirc.congruence import congruence_from_pairs
-from mvcirc.errors import CapExceeded, NotACongruence, NotMalcev, SizeNot2, Tri, UnknownOp
+from mvcirc.errors import CapExceeded, NotACongruence, NotMalcev, Tri, UnknownOp
 from mvcirc.partition import Partition
 from mvcirc.zoo import get, zoo
 
@@ -619,14 +618,6 @@ def test_direct_product_of_lattices(lat2):
 def test_direct_product_signature_mismatch(lat2, z2):
     with pytest.raises(ValueError):
         direct_product(lat2, z2)
-
-
-def test_poly_equiv_to_2lattice(lat2, bool2, semi2):
-    assert is_poly_equiv_to_2lattice(lat2) is True
-    assert is_poly_equiv_to_2lattice(bool2) is False   # negation present
-    assert is_poly_equiv_to_2lattice(semi2) is False   # no join
-    with pytest.raises(SizeNot2):
-        is_poly_equiv_to_2lattice(get("Z4"))
 
 
 # ---------------------------------------------------------------------------

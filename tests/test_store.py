@@ -195,6 +195,26 @@ def test_capped_malcev_closure_runs_once(monkeypatch):
     assert capped == [21]       # the 3(3*3 - 2) points with at most two distinct coordinates
 
 
+def test_capped_unary_clone_closes_once(monkeypatch):
+    # majority's unary polynomial clone outgrows cap 6: minimal_sets asks
+    # for it on each of the 12 covers, and the capped outcome is remembered
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    close = algebra._close_tables
+    alg = get("majority")
+    whole = tuple((x,) for x in range(alg.size))
+    runs = []
+
+    def counted(alg_, points, generators, *args, **kwargs):
+        if tuple(points) == whole and any(isinstance(w, algebra.Const) for _, w in generators):
+            runs.append(_content(alg_))
+        return close(alg_, points, generators, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_close_tables", counted)
+    typed = tct.typed_congruence_lattice(alg, cap=6)
+    assert len(typed.labels) == 12 and typed.typeset() == {None}
+    assert runs == [_content(alg)]
+
+
 def test_capped_classification_does_not_depend_on_earlier_caps(monkeypatch):
     # a Malcev term found at the default cap must not answer a search at a
     # cap under which it is not found

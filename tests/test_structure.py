@@ -242,10 +242,14 @@ def test_ad2_is_not_cm_under_a_small_cap():
 
 
 def test_dl_like_unknown_when_quotient_check_caps_out(bool2):
-    # the 2-element quotient checks need more than 10 clone tables
-    assert is_dl_like(bool2, cap=10)[0] is Tri.UNKNOWN
-    rep = classify(bool2, cap=10)
+    # at cap 3 the 2-element quotient's closures stop before meet, join or
+    # the swap turns up
+    assert is_dl_like(bool2, cap=3)[0] is Tri.UNKNOWN
+    rep = classify(bool2, cap=3)
     assert rep.dl_like is Tri.UNKNOWN
+    # the swap is among the first four unary tables, and rules 2boolean out
+    # at cap 10 as at the default cap
+    assert is_dl_like(bool2, cap=10) == is_dl_like(bool2)
     assert is_dl_like(bool2)[0] is Tri.NO
 
 

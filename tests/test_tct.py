@@ -9,8 +9,10 @@ from mvcirc.algebra import (
     DEFAULT_CAP,
     FiniteAlgebra,
     Operation,
+    eval_term,
     find_malcev_term,
     poly_clone_on_points,
+    unary_poly_clone,
 )
 from mvcirc.commutator import commutator
 from mvcirc.congruence import congruence_lattice
@@ -18,20 +20,16 @@ from mvcirc.errors import CapExceeded, Tri
 from mvcirc.partition import Partition
 from mvcirc.structure import classify
 from mvcirc.tct import (
-    AbstractTypedLattice,
     _type_by_search,
-    abstract_from_typed,
     minimal_sets,
-    transfer_check,
-    transfer_principle_holds,
+    pair_ops,
     type_of,
-    typed_congruence_lattice,
     typeset,
 )
 from mvcirc.zoo import _cyclic_group, get, zoo
 
 from conftest import mod_congruence
-from test_random_algebras import malcev_algebras, small_algebras
+from test_random_algebras import malcev_algebras, small_algebras, small_products
 
 
 def zero(alg):
@@ -159,6 +157,65 @@ def test_cm_typeset_restriction_and_empty_tails():
         for lo, hi in lat.cover_pairs():
             for ms in minimal_sets(alg, lo, hi):
                 assert ms.tail == ()
+
+
+# ---------------------------------------------------------------------------
+# Meet, join and swap on a pair
+
+
+def test_pair_ops_on_two_element_algebras(lat2, bool2, semi2):
+    ops = pair_ops(lat2, (0, 1))
+    assert ops.lattice is Tri.YES and ops.complement is Tri.NO
+    for term, want in ((ops.meet, [0, 0, 0, 1]), (ops.join, [0, 1, 1, 1])):
+        assert [eval_term(lat2, term, p) for p in itertools.product((0, 1), repeat=2)] == want
+    ops = pair_ops(bool2, (0, 1))
+    assert ops.lattice is Tri.YES and ops.complement is Tri.YES      # negation present
+    assert [eval_term(bool2, ops.swap, (x,)) for x in (0, 1)] == [1, 0]
+    ops = pair_ops(semi2, (0, 1))
+    assert ops.lattice is Tri.NO and ops.complement is Tri.NO        # no join
+    assert ops.meet is not None and ops.join is None
+
+
+def _has_complement(alg, u, trace, cap):
+    """Unary polynomial with range exactly U swapping the trace elements,
+    found by a scan of the whole unary polynomial clone: the ladder's former
+    complement test, kept here as the reference for pair_ops' swap."""
+    n0, n1 = sorted(trace)
+    uset = set(u)
+    return any(set(tab) == uset and tab[n0] == n1 and tab[n1] == n0
+               for tab in unary_poly_clone(alg, cap).tables)
+
+
+def _swaps_match_the_reference(alg, cap):
+    """On every minimal set of every non-abelian cover, each 2-element
+    trace has the swap among pair_ops' tables exactly when the reference
+    finds a complement; the number of traces compared."""
+    compared = 0
+    for lo, hi in congruence_lattice(alg).cover_pairs():
+        if commutator(alg, hi, hi).leq(lo):
+            continue
+        try:
+            msets = minimal_sets(alg, lo, hi, cap)
+        except CapExceeded:
+            continue
+        for ms in msets:
+            for tr in ms.traces:
+                if len(tr) != 2:
+                    continue
+                want = Tri.YES if _has_complement(alg, ms.elements, tr, cap) else Tri.NO
+                assert pair_ops(alg, tr, cap).complement is want, (alg, lo, hi, tr)
+                compared += 1
+    return compared
+
+
+def test_swap_matches_the_reference_on_the_zoo():
+    assert sum(_swaps_match_the_reference(e.algebra, DEFAULT_CAP) for e in zoo()) == 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_algebras(), small_products()))
+def test_swap_matches_the_reference_on_random_algebras(alg):
+    _swaps_match_the_reference(alg, 2000)
 
 
 # ---------------------------------------------------------------------------
@@ -294,59 +351,3 @@ def test_theorem_labels_match_the_ladder_on_random_malcev_algebras():
 def test_malcev_typeset_needs_no_search_under_a_small_cap(z6):
     # the ladder's unary clone of Z6 does not close within 50 tables
     assert classify(z6, 50).typeset == [2]
-
-
-# ---------------------------------------------------------------------------
-# Transfer principles
-
-
-def test_transfer_single_type_vacuous(z6, bool2):
-    for alg in (z6, bool2):
-        for i in range(1, 6):
-            for j in range(1, 6):
-                if i != j:
-                    ok, chain = transfer_principle_holds(alg, i, j)
-                    assert ok and chain is None
-
-
-def test_transfer_z2xl2_both_directions(z2xl2):
-    for (i, j) in [(2, 4), (4, 2)]:
-        ok, chain = transfer_principle_holds(z2xl2, i, j)
-        assert ok, f"({i},{j})-transfer violated at {chain}"
-
-
-def test_transfer_fails_on_synthetic_chain():
-    # hand-labeled three-element chain a < b < c with types (2, 4): the only
-    # cover above a has type 2, so no b' with a -<(4) b' <= c exists
-    atl = AbstractTypedLattice(
-        elements=["a", "b", "c"],
-        leq={
-            ("a", "a"): True, ("a", "b"): True, ("a", "c"): True,
-            ("b", "a"): False, ("b", "b"): True, ("b", "c"): True,
-            ("c", "a"): False, ("c", "b"): False, ("c", "c"): True,
-        },
-        cover_labels={("a", "b"): 2, ("b", "c"): 4},
-    )
-    ok, chain = transfer_check(atl, 2, 4)
-    assert not ok
-    assert chain == ("a", "b", "c")
-    # and the (4,2)-transfer is vacuous on this lattice
-    ok, _ = transfer_check(atl, 4, 2)
-    assert ok
-
-
-def test_transfer_holds_on_synthetic_grid():
-    # 2x2 grid 0 < {b1, b2} < 1 with types 2 and 4 on opposite sides
-    leq = {}
-    order = {"0": 0, "b1": 1, "b2": 1, "1": 2}
-    for x in order:
-        for y in order:
-            leq[(x, y)] = (x == y) or (order[x] < order[y] and not (x, y) in [("b1", "b2"), ("b2", "b1")])
-    atl = AbstractTypedLattice(
-        elements=["0", "b1", "b2", "1"],
-        leq=leq,
-        cover_labels={("0", "b1"): 2, ("0", "b2"): 4, ("b1", "1"): 4, ("b2", "1"): 2},
-    )
-    for (i, j) in [(2, 4), (4, 2)]:
-        ok, chain = transfer_check(atl, i, j)
-        assert ok, chain
