@@ -10,6 +10,7 @@ circuit over blocks of assignments at once, for the solvers' enumerations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
@@ -77,13 +78,11 @@ class Circuit:
             if not 0 <= o < len(self.gates):
                 raise ValueError(f"output gate g{o} out of range")
 
-    @property
-    def input_names(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for g in self.gates:
-            if g.kind == "input":
-                seen.setdefault(g.name, None)
-        return list(seen)
+    @cached_property
+    def input_names(self) -> tuple[str, ...]:
+        """The input names in order of first appearance, read once per
+        circuit."""
+        return tuple(dict.fromkeys(g.name for g in self.gates if g.kind == "input"))
 
     @property
     def size(self) -> int:
@@ -103,37 +102,52 @@ def eval_circuit(
     hook: Optional[Callable[[int, int], None]] = None,
 ) -> tuple[int, ...]:
     """Single forward pass; each gate evaluates exactly once (hook observes)."""
+    vals = gate_values(alg, c, asg, hook)
+    return tuple(vals[o] for o in c.outputs)
+
+
+def gate_values(
+    alg: FiniteAlgebra,
+    c: Circuit,
+    asg: Assignment,
+    hook: Optional[Callable[[int, int], None]] = None,
+) -> list[int]:
+    """The value of every gate at one assignment, in gate order, with the op
+    tables read from the algebra's column form; hook, when given, sees each
+    (gate, value) as it is computed."""
     n = alg.size
+    ops = _op_tables(alg).ops
     vals = [0] * len(c.gates)
-    ops = {op.name: op for op in alg.ops}
     for i, g in enumerate(c.gates):
-        if g.kind == "input":
+        kind = g.kind
+        if kind == "op":
+            entry = ops.get(g.name)
+            if entry is None:
+                raise UnknownOp(f"algebra {alg.name} has no operation {g.name!r}")
+            arity, table = entry
+            if len(g.args) != arity:
+                raise ArityMismatch(
+                    f"gate g{i}: op {g.name} expects {arity} args, got {len(g.args)}"
+                )
+            idx = 0
+            for a in g.args:
+                idx = idx * n + vals[a]
+            v = table[idx]
+        elif kind == "input":
             try:
                 v = asg[g.name]
             except KeyError:
                 raise UnboundInput(f"input {g.name!r} not assigned") from None
             if not 0 <= v < n:
                 raise ElementOutOfRange(f"input {g.name}={v} out of range")
-        elif g.kind == "const":
-            if not 0 <= g.value < n:
-                raise ElementOutOfRange(f"const {g.value} out of range")
-            v = g.value
         else:
-            op = ops.get(g.name)
-            if op is None:
-                raise UnknownOp(f"algebra {alg.name} has no operation {g.name!r}")
-            if len(g.args) != op.arity:
-                raise ArityMismatch(
-                    f"gate g{i}: op {g.name} expects {op.arity} args, got {len(g.args)}"
-                )
-            idx = 0
-            for a in g.args:
-                idx = idx * n + vals[a]
-            v = op.table[idx]
+            v = g.value
+            if not 0 <= v < n:
+                raise ElementOutOfRange(f"const {v} out of range")
         vals[i] = v
         if hook is not None:
             hook(i, v)
-    return tuple(vals[o] for o in c.outputs)
+    return vals
 
 
 def compile_circuit(alg: FiniteAlgebra, c: Circuit) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -200,7 +214,7 @@ class BlockProgram:
 
     def __init__(self, alg: FiniteAlgebra, c: Circuit, pairs: Iterable[tuple[int, int]]):
         tables = _op_tables(alg)
-        self.size = alg.size
+        size = self.size = alg.size
         self.width = tables.width
         self.names = sorted(c.input_names)
         self.pairs = tuple(pairs)
@@ -209,34 +223,37 @@ class BlockProgram:
         live = [False] * len(gates)
         for a, b in self.pairs:
             live[a] = live[b] = True
-        for i in range(len(gates) - 1, -1, -1):
-            if live[i]:
-                for a in gates[i].args:
-                    live[a] = True
         slot = {nm: i for i, nm in enumerate(self.names)}
         ops = tables.ops
+        # one backward pass checks every gate, marks what the live gates
+        # read, and collects the live gates' steps, last gate first:
         # (gate, 0, input slot) | (gate, 1, value) | (gate, 2, table, args)
         steps: list[tuple] = []
         append = steps.append
-        for i, g in enumerate(gates):
+        for i in range(len(gates) - 1, -1, -1):
+            g = gates[i]
             kind = g.kind
             if kind == "op":
                 entry = ops.get(g.name)
                 if entry is None:
                     raise UnknownOp(f"algebra {alg.name} has no operation {g.name!r}")
                 arity, table = entry
-                if len(g.args) != arity:
+                args = g.args
+                if len(args) != arity:
                     raise ArityMismatch(f"gate g{i}: op {g.name} arity mismatch")
                 if live[i]:
-                    append((i, 2, table, g.args) if arity else (i, 1, table[0]))
+                    for a in args:
+                        live[a] = True
+                    append((i, 2, table, args) if arity else (i, 1, table[0]))
             elif kind == "input":
                 if live[i]:
                     append((i, 0, slot[g.name]))
             else:
-                if not 0 <= g.value < alg.size:
+                if not 0 <= g.value < size:
                     raise ElementOutOfRange(f"const {g.value} out of range")
                 if live[i]:
                     append((i, 1, g.value))
+        steps.reverse()
         self.steps = steps
 
     def pack(self, values: Iterable[int]) -> bytes:

@@ -5,8 +5,9 @@ subdirect products of lattice-like 2-element algebras, a bounded-support
 sweep for supernilpotent algebras that compares the instance's own output
 pairs (the bound comes from an iterated Ramsey argument, so it saturates
 quickly and the sweep degenerates to exhaustive search at desk scale, where
-it is unconditionally sound), and elimination over the underlying module for
-affine algebras.  Each fast solver is a function of (plan, instance, config):
+it is unconditionally sound; over affine algebras proven bounds keep the
+sweep polynomial), and elimination over the underlying module for affine
+algebras.  Each fast solver is a function of (plan, instance, config):
 the per-algebra Plan, built once per (algebra, cap) and kept in the
 per-algebra store, holds the classification whose flags the solver's
 hypothesis reads (Plan.require) and the facts it uses.  The dispatcher runs
@@ -42,7 +43,7 @@ from .circuit import (
     ScsatInstance,
     compile_circuit,
     const_gate,
-    eval_circuit,
+    gate_values,
 )
 from .commutator import is_prime_power
 from .congruence import FactorPair, factor_pairs
@@ -92,19 +93,20 @@ class SolveResult:
         }
 
 
-def _verify_witness(alg: FiniteAlgebra, inst: Instance, witness: dict[str, int]) -> bool:
+def _verify_witness(alg: FiniteAlgebra, inst: Instance, witness: dict[str, int],
+                    pairs: Optional[Sequence[tuple[int, int]]] = None) -> bool:
     """Whether witness, evaluated anew, makes every pair agree (for CEQV:
-    some pair differ)."""
-    vals: list[int] = []
-    eval_circuit(alg, inst.circuit, witness, hook=lambda i, v: vals.append(v))
-    agree = all(vals[g] == vals[h] for g, h in _pairs(inst))
+    some pair differ); pairs are inst's _pairs, passed when the solve has
+    them already."""
+    vals = gate_values(alg, inst.circuit, witness)
+    agree = all(vals[g] == vals[h] for g, h in (_pairs(inst) if pairs is None else pairs))
     return agree is not isinstance(inst, CeqvInstance)
 
 
-def _result(alg, inst, answer, witness, solver, tried, experimental=False, diagnostic=None):
+def _result(alg, inst, answer, witness, solver, tried, experimental=False, pairs=None):
     if witness is not None:
-        assert _verify_witness(alg, inst, witness), "witness failed re-verification"
-    return SolveResult(answer, witness, solver, tried, experimental, diagnostic)
+        assert _verify_witness(alg, inst, witness, pairs), "witness failed re-verification"
+    return SolveResult(answer, witness, solver, tried, experimental)
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +160,26 @@ class _Digits:
         while j < k and span * r <= BLOCK:
             j, span = j + 1, span * r
         self.width, self.r, self.k, self.j, self.span = program.width, r, k, j, span
-        self.consts = [program.pack((v,)) for v in values]
+        self.values = program.pack(values)          # the digit of each value, in order
         self.patterns: dict[int, bytes] = {}     # digit -> its column over one span
 
     def columns(self, lo: int, count: int) -> list[bytes]:
         """The k columns of [lo, lo + count), a range inside one aligned
         span; a digit constant on the range costs no pattern."""
-        w, r = self.width, self.r
+        w, r, values = self.width, self.r, self.values
         start = lo % self.span
         out = []
         for d in range(self.k - 1, -1, -1):     # digit d belongs to position k-1-d
             step = r ** d
             if start // step == (start + count - 1) // step:
-                out.append(self.consts[lo // step % r] * count)
+                v = lo // step % r * w
+                out.append(values[v:v + w] * count)
                 continue
             pattern = self.patterns.get(d)
-            if pattern is None:
-                pattern = self.patterns[d] = (b"".join(c * step for c in self.consts)
-                                              * r ** (self.j - 1 - d))
+            if pattern is None:     # each value step times, r^(j-1-d) times over
+                runs = values if step == 1 else b"".join(
+                    values[v:v + w] * step for v in range(0, r * w, w))
+                pattern = self.patterns[d] = runs * r ** (self.j - 1 - d)
             out.append(pattern[start * w:(start + count) * w])
         return out
 
@@ -206,7 +210,8 @@ def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tu
     hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
     if values is None:
         return SolveResult(miss, None, solver, tried, experimental)
-    return _result(alg, inst, hit, dict(zip(program.names, values)), solver, tried, experimental)
+    return _result(alg, inst, hit, dict(zip(program.names, values)), solver, tried, experimental,
+                   program.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,32 +332,68 @@ def _sweep_size(n: int, inputs: int, max_support: int, config: SolverConfig) -> 
 
 
 def _sweep(alg: FiniteAlgebra, inst: CsatInstance | CeqvInstance, zero: int, bound: int,
-           config: SolverConfig) -> SolveResult:
+           config: SolverConfig, affine: bool = False) -> SolveResult:
     """Sweep by support size off zero, up to min(bound, n), for the first
-    assignment where the two outputs agree (CSAT) or differ (CEQV)."""
+    assignment where the two outputs agree (CSAT) or differ (CEQV).  A CEQV
+    answer is experimental unless affine says that bound is proven."""
     m = len(inst.circuit.input_names)
     max_support = min(bound, m)
     total = _sweep_size(alg.size, m, max_support, config)
     program = BlockProgram(alg, inst.circuit, _pairs(inst))
     ceqv = isinstance(inst, CeqvInstance)
+    solver = ("supernilpotent" if not ceqv else "ceqv-affine" if affine
+              else "ceqv-supernilpotent-experimental")
     return _decide(alg, inst, program, (zero,) * m, _support_sweep(program, m, zero, max_support),
-                   total, "ceqv-supernilpotent-experimental" if ceqv else "supernilpotent",
-                   experimental=ceqv)
+                   total, solver, experimental=ceqv and not affine)
+
+
+def composition_length(n: int) -> int:
+    """The number of prime factors of n counted with multiplicity: the
+    length of a composition series of an abelian group of order n, so the
+    most steps a strictly increasing chain of its subgroups can take."""
+    count, p = 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count + (n > 1)
 
 
 def solve_supernilpotent(plan: Plan, inst: Instance,
                          config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
-    """Sweep assignments by support size off 0 up to min(D, n), with D the
-    plan's support bound.  The theorem's equation d(p, q, 0) = 0, for the
-    Malcev term d, has the same solutions as p = q, so the sweep compares
-    the outputs themselves.  For n <= D the sweep is exhaustive, hence
-    unconditionally sound regardless of the quality of the Ramsey bound.
-    CSAT looks for an assignment where the outputs agree.  CEQV looks for
-    one where they differ; its result is marked experimental, since no
-    support bound for CEQV is proven here, and at desk scale (n <= D)
-    agreement with brute force is enforced rather than assumed."""
+    """Sweep assignments by support size off 0 up to min(D, n).  The
+    theorem's equation d(p, q, 0) = 0, for the Malcev term d, has the same
+    solutions as p = q, so the sweep compares the outputs themselves.  CSAT
+    looks for an assignment where the outputs agree, CEQV for one where they
+    differ.
+
+    Over an affine algebra D is proven small.  (A, +) with x + y = d(x, 0, y)
+    is an abelian group with neutral element 0, and every circuit is an
+    affine map of the module (Herrmann's theorem), so
+    p - q = c + t_1(x_1) + ... + t_n(x_n) with each t_i an endomorphism of
+    (A, +).  The all-zero assignment reads c, and x_i = a with every other
+    input 0 reads c + t_i(a).
+    - CEQV, D = 1: p and q agree everywhere iff c = 0 and every t_i is 0,
+      which the 1 + n(|A| - 1) assignments of support at most 1 read off.
+    - CSAT, D = l, the composition length of (A, +): p = q reads
+      t_1(x_1) + ... + t_n(x_n) = -c.  Adding the subgroups t_i(A) one at a
+      time, each either strictly enlarges the sum so far or is redundant.
+      The enlarging ones form a strictly increasing chain of at most l
+      subgroups whose sum is the whole sum, so when -c lies in it some
+      solution sets every other input to 0 (t_i(0) = 0).
+
+    Otherwise D is the plan's Ramsey support bound.  For n <= D the sweep is
+    exhaustive, hence unconditionally sound regardless of the quality of
+    the bound.  A CEQV result is then marked experimental, since no support
+    bound for CEQV is proven here for non-abelian algebras, and at desk
+    scale (n <= D) agreement with brute force is enforced rather than
+    assumed."""
     plan.require("supernilpotent", inst)
-    return _sweep(plan.alg, inst, 0, plan.support_bound, config)
+    alg = plan.alg
+    if plan.report.affine is not Tri.YES:
+        return _sweep(alg, inst, 0, plan.support_bound, config)
+    bound = 1 if isinstance(inst, CeqvInstance) else composition_length(alg.size)
+    return _sweep(alg, inst, 0, bound, config, affine=True)
 
 
 def minimal_support_profile(
@@ -680,7 +721,7 @@ def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONF
         for nm in names:
             combo = tuple(sol[var_cols[(nm, j)]] % orders[j] for j in range(len(orders)))
             witness[nm] = group.uncoords[combo]
-    if not _verify_witness(alg, inst, witness):
+    if not _verify_witness(alg, inst, witness, equations):
         res = solve_bruteforce(alg, inst, config)
         res.solver_used = "affine->brute"
         res.diagnostic = "linear solution failed re-verification"
@@ -831,23 +872,25 @@ def _run(plan: Plan, inst: Instance, config: SolverConfig,
 
 def _solve_split(plan: Plan, inst: Instance, config: SolverConfig) -> SolveResult:
     """Solve the projections on both factors by their own routes and
-    combine the answers; witnesses are glued through the element map."""
+    combine the answers; witnesses are glued through the element map.  The
+    answer is experimental when either factor's is."""
     split, alg = plan.split, plan.alg
     fp = split.pair
     r1 = _run(split.left, _project(inst, fp.alpha1), config)
     r2 = _run(split.right, _project(inst, fp.alpha2), config)
     solver = f"product({r1.solver_used},{r2.solver_used})"
     tried = r1.assignments_tried + r2.assignments_tried
+    experimental = r1.experimental or r2.experimental
     if isinstance(inst, CeqvInstance):
         if r1.answer == "equiv" and r2.answer == "equiv":
-            return SolveResult("equiv", None, solver, tried)
+            return SolveResult("equiv", None, solver, tried, experimental)
         # the outputs already differ in one factor, so any class works in
         # the other; take the least element
         side, bad = (0, r1) if r1.answer == "nequiv" else (1, r2)
         witness = {nm: min(x for pair, x in split.element.items() if pair[side] == v)
                    for nm, v in bad.witness.items()}
-        return _result(alg, inst, "nequiv", witness, solver, tried)
+        return _result(alg, inst, "nequiv", witness, solver, tried, experimental)
     if r1.answer == "sat" and r2.answer == "sat":
         witness = {nm: split.element[(v, r2.witness[nm])] for nm, v in r1.witness.items()}
-        return _result(alg, inst, "sat", witness, solver, tried)
-    return SolveResult("unsat", None, solver, tried)
+        return _result(alg, inst, "sat", witness, solver, tried, experimental)
+    return SolveResult("unsat", None, solver, tried, experimental)

@@ -15,12 +15,14 @@ from mvcirc.circuit import (
     ScsatInstance,
     compile_circuit,
     eval_circuit,
+    gate_values as circuit_gate_values,
     iterated_commutator_circuit,
     parse_circuit,
     random_circuit,
     serialize_circuit,
 )
 from mvcirc.errors import (
+    ArityMismatch,
     ElementOutOfRange,
     ForwardReference,
     ParseError,
@@ -231,6 +233,15 @@ def test_block_kernel_uses_two_byte_digits_for_wide_tables():
     assert widths["Z6"] == widths["majority"] == widths["one"] == 1
 
 
+def test_hook_sees_every_gate_in_order(z6):
+    c = random_circuit(z6, random.Random(5), 3, 12, 2)
+    seen = []
+    outputs = eval_circuit(z6, c, {"x0": 1, "x1": 4, "x2": 5}, hook=lambda i, v: seen.append((i, v)))
+    assert [i for i, _ in seen] == list(range(len(c.gates)))
+    assert outputs == tuple(seen[o][1] for o in c.outputs)
+    assert [v for _, v in seen] == circuit_gate_values(z6, c, {"x0": 1, "x1": 4, "x2": 5})
+
+
 def test_block_program_checks_every_gate(z6):
     b = CircuitBuilder(z6.name)
     x = b.input("x")
@@ -241,3 +252,18 @@ def test_block_program_checks_every_gate(z6):
     b.const(6)
     with pytest.raises(ElementOutOfRange):
         BlockProgram(z6, b.build([0]), [])
+    # a bad gate that the compared pair does not read, before or after it
+    bad_gates = ((lambda b, x: b.op("nope", x), UnknownOp),
+                 (lambda b, x: b.op("mul", x), ArityMismatch),
+                 (lambda b, x: b.const(6), ElementOutOfRange))
+    for add_bad, error in bad_gates:
+        for bad_first in (True, False):
+            b = CircuitBuilder(z6.name)
+            x = b.input("x")
+            if bad_first:
+                add_bad(b, x)
+            compared = b.op("inv", x)
+            if not bad_first:
+                add_bad(b, x)
+            with pytest.raises(error):
+                BlockProgram(z6, b.build([compared]), [(compared, x)])

@@ -126,7 +126,7 @@ def test_traced_dispatch_records_the_fast_solvers(monkeypatch):
               *(solvers.dispatch(z4, inst).solver_used
                 for inst in (CsatInstance(pair), CeqvInstance(pair)))]
     tracer.on = False
-    assert routes == ["affine", "supernilpotent", "ceqv-supernilpotent-experimental"]
+    assert routes == ["affine", "supernilpotent", "ceqv-affine"]
     view = spans.SpanView(tracer, None)
     assert view.top_total({"solvers.solve_affine"}) > 0
     assert view.count_total("solvers.solve_supernilpotent") > 0

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvcirc import algebra, solvers
-from mvcirc.algebra import FactStore
+from mvcirc.algebra import FactStore, FiniteAlgebra, direct_product, op_from_fn
 from mvcirc.circuit import (
     BLOCK,
     CeqvInstance,
@@ -15,13 +16,16 @@ from mvcirc.circuit import (
     CsatInstance,
     McsatInstance,
     ScsatInstance,
+    const_gate,
     eval_circuit,
+    op_gate,
     random_circuit,
 )
 from mvcirc.errors import BudgetExceeded, NotDlLike, Tri
 from mvcirc.solvers import (
     RAMSEY_CEILING,
     SolverConfig,
+    composition_length,
     dispatch,
     minimal_support_profile,
     plan_for,
@@ -462,12 +466,17 @@ def test_affine_mcsat(z4):
 # Experimental CEQV
 
 
-def test_ceqv_commutativity(z4):
-    b = CircuitBuilder(z4.name)
-    x, y = b.input("x"), b.input("y")
-    inst = CeqvInstance(b.build([b.op("mul", x, y), b.op("mul", y, x)]))
-    res = solve_supernilpotent(plan_for(z4), inst)
-    assert res.answer == "equiv" and res.experimental
+def test_ceqv_commutativity(z4, z4ring):
+    # Z4 is affine, so its support-1 sweep is proven; the nilpotent ring
+    # Z4ring is not abelian and keeps the experimental sweep
+    for alg, solver, experimental in ((z4, "ceqv-affine", False),
+                                      (z4ring, "ceqv-supernilpotent-experimental", True)):
+        b = CircuitBuilder(alg.name)
+        x, y = b.input("x"), b.input("y")
+        inst = CeqvInstance(b.build([b.op("mul", x, y), b.op("mul", y, x)]))
+        res = solve_supernilpotent(plan_for(alg), inst)
+        assert res.answer == "equiv"
+        assert (res.solver_used, res.experimental) == (solver, experimental)
 
 
 def test_ceqv_2x_vs_zero(z4):
@@ -516,7 +525,7 @@ def test_sweep_routes_build_no_circuit(z6, monkeypatch):
     monkeypatch.setattr(Circuit, "__post_init__", lambda c: built.append(c) or post_init(c))
     results = [dispatch(z6, inst) for inst in insts]
     assert built == []
-    assert {r.solver_used for r in results} == {"supernilpotent", "ceqv-supernilpotent-experimental"}
+    assert {r.solver_used for r in results} == {"supernilpotent", "ceqv-affine"}
     assert [r.answer for r in results] == want
 
 
@@ -670,6 +679,118 @@ def test_a_non_witness_fails_re_verification(z4):
         assert solvers._result(z4, inst, hit, good, "brute", 1).witness == good
 
 
+def _commuted_pair(alg, rng, inputs, gates):
+    """A random circuit's output against a copy of it with the arguments of
+    every binary gate swapped: equivalent when every binary op commutes."""
+    c = random_circuit(alg, rng, inputs, gates, 1)
+    b = CircuitBuilder(alg.name)
+    outs = []
+    for swap in (False, True):
+        ids = []
+        for g in c.gates:
+            if g.kind == "input":
+                ids.append(b.input(g.name))
+            elif g.kind == "const":
+                ids.append(b.const(g.value))
+            else:
+                args = [ids[a] for a in g.args]
+                ids.append(b.op(g.name, *(args[::-1] if swap else args)))
+        outs.append(ids[c.outputs[0]])
+    return b.build(outs)
+
+
+def _shifted(alg, rng, inputs, gates):
+    """CSAT g = f(g, c) for a binary op f and a constant c with f(x, c) != x
+    for every x: unsatisfiable."""
+    f, c = next((op.name, c) for op in alg.ops if op.arity == 2 for c in range(alg.size)
+                if all(op.apply((x, c), alg.size) != x for x in range(alg.size)))
+    circ = random_circuit(alg, rng, inputs, gates, 1)
+    g, n = circ.outputs[0], len(circ.gates)
+    shifted = circ.gates + (const_gate(c), op_gate(f, (g, n)))
+    return CsatInstance(Circuit(shifted, (g, n + 1), alg.name))
+
+
+@pytest.mark.parametrize("name", ["Z6", "Z4", "Z2xZ2", "Z2xL2"])
+def test_affine_sweeps_agree_with_brute(name):
+    # CSAT sweeps to support l and CEQV to support 1 over the affine
+    # algebras and Z2xL2's affine factor; both answers of each kind occur
+    alg = get(name)
+    rng = random.Random(f"affine-sweeps:{name}")
+    answers, solvers_used = set(), set()
+    for j in range(60):
+        inputs, gates = 1 + j % 6, 8 + j % 7
+        c = random_circuit(alg, rng, inputs, gates, 2)
+        for inst in (CsatInstance(c), CeqvInstance(c), _shifted(alg, rng, inputs, gates),
+                     CeqvInstance(_commuted_pair(alg, rng, inputs, gates))):
+            res = dispatch(alg, inst)
+            assert res.answer == solve_bruteforce(alg, inst).answer
+            answers.add(res.answer)
+            solvers_used.add(res.solver_used)
+    assert answers == {"sat", "unsat", "equiv", "nequiv"}
+    if name == "Z2xL2":
+        assert solvers_used == {"product(supernilpotent,usp)", "product(ceqv-affine,brute)"}
+    else:
+        assert solvers_used == {"supernilpotent", "ceqv-affine"}
+
+
+def test_affine_sweeps_decide_forty_inputs(z6):
+    # the unsat chain sweeps the 1 + 40*5 + C(40, 2)*5^2 assignments of
+    # support at most l = 2, the equivalent folds the 1 + 40*5 of support
+    # at most 1; exhaustive search would need 6^40
+    rng = random.Random(40)
+    b = CircuitBuilder(z6.name)
+    xs = [b.input(f"x{i}") for i in range(40)]
+    lits = [b.op("inv", x) if rng.random() < 0.5 else x for x in xs]
+    acc = lits[0]
+    for lit in lits[1:]:
+        acc = b.op("mul", acc, b.op("mul", lit, rng.choice(xs)))
+    chain = CsatInstance(b.build([acc, b.op("mul", acc, b.const(1))]))
+    left, right = lits[0], lits[-1]
+    for lit in lits[1:]:
+        left = b.op("mul", left, lit)
+    for lit in reversed(lits[:-1]):
+        right = b.op("mul", lit, right)
+    fold = CeqvInstance(b.build([left, right]))
+    assert composition_length(z6.size) == 2
+    for inst, answer, tried in ((chain, "unsat", 1 + 40 * 5 + 780 * 25),
+                                (fold, "equiv", 1 + 40 * 5)):
+        t0 = time.perf_counter()
+        res = dispatch(z6, inst)
+        assert time.perf_counter() - t0 < 1.0
+        assert (res.answer, res.assignments_tried, res.experimental) == (answer, tried, False)
+
+
+def test_affine_csat_sweeps_to_the_composition_length(z6):
+    # 3x + 2y = 1 over Z6: the images {0, 3} and {0, 2, 4} each miss 1, so
+    # every solution has two nonzero inputs, and l = 2 finds the least one
+    b = CircuitBuilder(z6.name)
+    x, y = b.input("x"), b.input("y")
+    p = b.op("mul", b.op("mul", b.op("mul", x, x), x), b.op("mul", y, y))
+    res = dispatch(z6, CsatInstance(b.build([p, b.const(1)])))
+    assert (res.solver_used, res.answer, res.witness) == ("supernilpotent", "sat", {"x": 1, "y": 2})
+
+
+def test_product_keeps_a_factor_experimental(z4ring, z2xl2):
+    # Z4ring x (Z2 as a ring) splits into a factor whose CEQV sweep is
+    # experimental and one that brute force decides; Z2xL2's affine factor
+    # sweeps a proven bound
+    b2 = FiniteAlgebra("B2", 2, (op_from_fn("add", 2, 2, lambda x, y: x ^ y),
+                                 op_from_fn("neg", 1, 2, lambda x: x),
+                                 op_from_fn("mul", 2, 2, lambda x, y: x & y)))
+    for alg, op, experimental in ((direct_product(z4ring, b2), "add", True),
+                                  (z2xl2, "f", False)):
+        b = CircuitBuilder(alg.name)
+        x, y = b.input("x"), b.input("y")
+        res = dispatch(alg, CeqvInstance(b.build([b.op(op, x, y), b.op(op, y, x)])))
+        assert res.solver_used.startswith("product(ceqv-")
+        assert (res.answer, res.experimental) == ("equiv", experimental)
+
+
+def test_composition_length():
+    assert [composition_length(n) for n in (1, 2, 4, 6, 8, 12, 30, 49, 97)] == [
+        0, 1, 2, 2, 3, 3, 3, 2, 1]
+
+
 def test_dispatch_small_cap_agrees_with_brute(monkeypatch):
     # classification under cap 10 leaves DL-likeness undecided for
     # 2boolean, and for the supernilpotent Z3, Z4, Z6 and Z4ring the Malcev
@@ -690,17 +811,17 @@ def test_dispatch_small_cap_agrees_with_brute(monkeypatch):
                         == solve_bruteforce(alg, inst, config).answer)
 
 
-def test_ceqv_sweep_respects_the_budget(z6):
+def test_ceqv_sweep_respects_the_budget(z4ring):
     # left fold against right fold of 9 inputs: equivalent, and the support
-    # sweep over it has 1,796,446 assignments
-    b = CircuitBuilder(z6.name)
+    # sweep of the non-abelian Z4ring over it is exhaustive, 4^9 assignments
+    b = CircuitBuilder(z4ring.name)
     xs = [b.input(f"x{i}") for i in range(9)]
     left, right = xs[0], xs[-1]
     for x in xs[1:]:
-        left = b.op("mul", left, x)
+        left = b.op("add", left, x)
     for x in reversed(xs[:-1]):
-        right = b.op("mul", x, right)
+        right = b.op("add", x, right)
     inst = CeqvInstance(b.build([left, right]))
     with pytest.raises(BudgetExceeded) as exc:
-        dispatch(z6, inst, SolverConfig(budget=1000))
-    assert exc.value.needed == 1_796_446
+        dispatch(z4ring, inst, SolverConfig(budget=1000))
+    assert exc.value.needed == 4 ** 9
