@@ -29,7 +29,9 @@ from .errors import (
 )
 from .partition import Partition
 
-DEFAULT_CAP = 200_000
+# Every clone closure keeps at most this many tables (poly_clone_on_points
+# reads it at each call); a search whose closure outgrows it is undecided.
+CLONE_CAP = 200_000
 
 # Classifying the whole zoo fills 59 entries (quotients and pair algebras
 # included), and classifying and dispatching the benchmark's dispatch mix 46;
@@ -128,7 +130,7 @@ class FactStore:
     """Least-recently-used map from an algebra's content (size, signature,
     tables) to a dict of facts about it, holding at most STORE_BOUND
     algebras.  A fact whose value depends on more than the content carries
-    that in its key, e.g. ("typed", cap)."""
+    that in its key, e.g. ("quotient", theta)."""
 
     def __init__(self) -> None:
         self._entries: OrderedDict[Content, dict] = OrderedDict()
@@ -460,74 +462,65 @@ def poly_clone_on_points(
     alg: FiniteAlgebra,
     points: Sequence[tuple[int, ...]],
     k: int,
-    cap: int = DEFAULT_CAP,
     stop: Optional[Callable[[Table], bool]] = None,
     constants: bool = True,
 ) -> tuple[Clone, Optional[Table]]:
     """Polynomial (or term, with constants=False) clone restricted to a point list.
 
-    The one entry point to clone closure.  A closure that runs to completion
-    is kept in the per-algebra STORE under ("closure", k, points, constants);
-    a later call with that key replays it under its own cap and stop, with
-    the same result as closing afresh.  Callers must not mutate the clone.
+    The one entry point to clone closure, which keeps at most CLONE_CAP
+    tables.  A closure that runs to completion is kept in the per-algebra
+    STORE under ("closure", k, points, constants); a later call with that
+    key replays it under its stop, with the same result as closing afresh.
+    Callers must not mutate the clone.
     """
     points = tuple(points)
     key = ("closure", k, points, constants)
-    generators = _proj_generators(alg, points, k, constants)
     facts = STORE.facts(alg)
     if key in facts:
-        return _replay(facts[key], len({tab for tab, _ in generators}), cap, stop)
-    clone, hit = _close_tables(alg, points, generators, cap, stop)
+        return _replay(facts[key], stop)
+    clone, hit = _close_tables(alg, points, _proj_generators(alg, points, k, constants),
+                               CLONE_CAP, stop)
     if clone.complete:
         facts[key] = clone
     return clone, hit
 
 
-def _replay(
-    full: Clone, distinct_generators: int, cap: int,
-    stop: Optional[Callable[[Table], bool]],
-) -> tuple[Clone, Optional[Table]]:
-    """What _close_tables returns under cap and stop for the closure whose
-    complete run is full: its tables come in generation order, and table i
-    is kept iff i < max(cap, distinct_generators)."""
-    limit = max(cap, distinct_generators)
+def _replay(full: Clone, stop: Optional[Callable[[Table], bool]]) -> tuple[Clone, Optional[Table]]:
+    """What _close_tables returns under stop for the closure whose complete
+    run is full: its tables come in generation order, up to the first that
+    stop matches."""
     if stop is not None:
-        for i, tab in enumerate(itertools.islice(full.tables, limit)):
+        for i, tab in enumerate(full.tables):
             if stop(tab):
-                return _prefix(full, i + 1), tab
-    if len(full) <= limit:
-        return full, None
-    return _prefix(full, limit), None
+                return Clone(full.arity, full.points,
+                             dict(itertools.islice(full.witnesses.items(), i + 1)),
+                             False, full.width), tab
+    return full, None
 
 
-def _prefix(full: Clone, length: int) -> Clone:
-    return Clone(full.arity, full.points, dict(itertools.islice(full.witnesses.items(), length)),
-                 False, full.width)
-
-
-def kary_poly_clone(alg: FiniteAlgebra, k: int, cap: int = DEFAULT_CAP) -> Clone:
+def kary_poly_clone(alg: FiniteAlgebra, k: int) -> Clone:
     """All k-ary polynomial tables of alg, with first-witness terms.
 
-    Raises CapExceeded when the closure would grow past cap.  The clone is
-    the closure of poly_clone_on_points over A^k in lexicographic order, kept
-    in the per-algebra STORE under ("closure", k, points, True) once complete
-    and shared by every later call whose cap admits it (callers must not
-    mutate it).  A closure that capped is remembered under
-    ("capped_clone", k, cap), with its size, so it is not closed again.
+    Raises CapExceeded when the closure would grow past CLONE_CAP.  The
+    clone is the closure of poly_clone_on_points over A^k in lexicographic
+    order, kept in the per-algebra STORE under ("closure", k, points, True)
+    once complete and shared by every later call (callers must not mutate
+    it).  A closure that capped is remembered under ("capped_clone", k),
+    with its size, so it is not closed again.
     """
     facts = STORE.facts(alg)
-    capped = ("capped_clone", k, cap)
+    capped = ("capped_clone", k)
     if capped not in facts:
         points = list(itertools.product(range(alg.size), repeat=k))
-        clone, _ = poly_clone_on_points(alg, points, k, cap)
+        clone, _ = poly_clone_on_points(alg, points, k)
         if clone.complete:
             return clone
         facts[capped] = len(clone)
     raise CapExceeded(facts[capped], f"{k}-ary polynomial clone of {alg.name}")
 
 
-def unary_poly_clone(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Clone:
-    return kary_poly_clone(alg, 1, cap)
+def unary_poly_clone(alg: FiniteAlgebra) -> Clone:
+    return kary_poly_clone(alg, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +570,8 @@ def _simple_quotients(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
         return []
     top = len(lattice) - 1
     coatoms = [lattice.congruences[a] for a, b in lattice.covers if b == top]
-    return [quotient(alg, theta, check=False)
-            for theta in sorted(coatoms, key=lambda p: p.num_classes) if not theta.is_zero()]
+    return [quotient(alg, theta) for theta in sorted(coatoms, key=lambda p: p.num_classes)
+            if not theta.is_zero()]
 
 
 def check_malcev_term(alg: FiniteAlgebra, d: Term) -> None:
@@ -590,27 +583,26 @@ def check_malcev_term(alg: FiniteAlgebra, d: Term) -> None:
                 raise NotMalcev(f"Malcev identities fail at ({x},{y})")
 
 
-def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
+def find_malcev_term(alg: FiniteAlgebra) -> Search:
     """Search the ternary term clone for d with d(x,x,y) = y = d(y,x,x).
 
-    NO when the search says NO, at this cap, on some simple quotient (the
-    identities hold in every homomorphic image); otherwise the term clone
-    is closed over _identity_points.  YES carries (term, table), the table
-    over those points, once check_malcev_term has verified the term on all
-    of A; NO means a closure completed without a witness; UNKNOWN means
-    the cap was hit first.  Every outcome is stored under ("malcev", cap),
-    without the clone's tables, so a capped search answers the same
-    whatever ran before it.
+    NO when the search says NO on some simple quotient (the identities hold
+    in every homomorphic image); otherwise the term clone is closed over
+    _identity_points.  YES carries (term, table), the table over those
+    points, once check_malcev_term has verified the term on all of A; NO
+    means a closure completed without a witness; UNKNOWN means the closure
+    outgrew CLONE_CAP first.  Every outcome is stored under "malcev",
+    without the clone's tables.
     """
     def build() -> Search:
-        if any(find_malcev_term(q, cap).status is Tri.NO for q in _simple_quotients(alg)):
+        if any(find_malcev_term(q).status is Tri.NO for q in _simple_quotients(alg)):
             return Search(Tri.NO)
         n = alg.size
         xxy, xyy, _ = _slices(n)
         sel_y = tuple(y for _ in range(n) for y in range(n))    # (x,y) -> y
         sel_x = tuple(x for x in range(n) for _ in range(n))    # (x,y) -> x
         clone, hit = poly_clone_on_points(
-            alg, _identity_points(n), 3, cap,
+            alg, _identity_points(n), 3,
             stop=lambda t: xxy(t) == sel_y and xyy(t) == sel_x, constants=False)
         if hit is not None:
             term = clone.witness(hit)
@@ -618,7 +610,7 @@ def find_malcev_term(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
             return Search(Tri.YES, (term, tuple(hit)))
         return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
 
-    return stored(alg, ("malcev", cap), build)
+    return stored(alg, "malcev", build)
 
 
 @dataclass
@@ -627,7 +619,7 @@ class GummChain:
     q: Term
 
 
-def find_directed_gumm_terms(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Search:
+def find_directed_gumm_terms(alg: FiniteAlgebra) -> Search:
     """Search ternary terms for a directed chain d_1..d_n, Q with
     d_i(x,y,x)=x, d_1(x,x,y)=x, d_i(x,y,y)=d_{i+1}(x,x,y), d_n(x,y,y)=Q(x,y,y),
     Q(x,x,y)=y.  A chain is returned only once check_gumm_chain has verified
@@ -638,23 +630,23 @@ def find_directed_gumm_terms(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Sear
     the cap gives UNKNOWN, so that a capped clone is closed once, not again
     under this search's stop; no simple quotient can say NO then, as each
     one's Malcev search said YES or UNKNOWN.  Otherwise the answer is NO
-    when this search says NO, at this cap, on some simple quotient.  Else
+    when this search says NO on some simple quotient.  Else
     the term clone is closed over _identity_points with _ChainReach as the
     stop, so the closure stops at the first chain.  The search is
     complete: any chain can be spliced down to one visiting each candidate
     table at most once, so a complete closure without a chain decides NO.
     """
-    malcev = find_malcev_term(alg, cap)
+    malcev = find_malcev_term(alg)
     if malcev.status is Tri.YES:
         term, _ = malcev.value  # type: ignore[misc]
         return _verified(alg, GummChain([Var(0)], term))
     if malcev.status is Tri.UNKNOWN:
         return Search(Tri.UNKNOWN)
-    if any(find_directed_gumm_terms(q, cap).status is Tri.NO for q in _simple_quotients(alg)):
+    if any(find_directed_gumm_terms(q).status is Tri.NO for q in _simple_quotients(alg)):
         return Search(Tri.NO)
 
     chains = _ChainReach(alg.size)
-    clone, hit = poly_clone_on_points(alg, _identity_points(alg.size), 3, cap, stop=chains,
+    clone, hit = poly_clone_on_points(alg, _identity_points(alg.size), 3, stop=chains,
                                       constants=False)
     if hit is None:
         return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
@@ -797,14 +789,18 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
     return True
 
 
-def quotient(alg: FiniteAlgebra, theta: Partition, check: bool = True) -> FiniteAlgebra:
+def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
     """Quotient algebra; classes are numbered in canonical (first occurrence)
     order.  It is stored per algebra under ("quotient", theta), so it is
-    built once; the congruence check runs on every call, before the lookup,
-    and the result is named after the calling algebra."""
-    if check and not is_congruence(alg, theta):
-        raise NotACongruence(f"partition {theta} is not a congruence of {alg.name}")
-    q = stored(alg, ("quotient", theta), lambda: _quotient(alg, theta))
+    built once; theta is checked to be a congruence when the key is missed,
+    so a stored key passed that check, and the result is named after the
+    calling algebra."""
+    def build() -> FiniteAlgebra:
+        if not is_congruence(alg, theta):
+            raise NotACongruence(f"partition {theta} is not a congruence of {alg.name}")
+        return _quotient(alg, theta)
+
+    q = stored(alg, ("quotient", theta), build)
     name = f"{alg.name}/{theta}"
     return q if q.name == name else q.rename(name)
 

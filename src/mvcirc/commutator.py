@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
-    DEFAULT_CAP,
     FiniteAlgebra,
     Operation,
     find_malcev_term,
@@ -135,11 +134,11 @@ def nilpotency_class(alg: FiniteAlgebra) -> Optional[int]:
     return len(rep.congruences) - 1
 
 
-def is_affine(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Tri:
+def is_affine(alg: FiniteAlgebra) -> Tri:
     """Abelian with a Malcev term; UNKNOWN only when the term search caps out."""
     if not is_abelian(alg):
         return Tri.NO
-    return find_malcev_term(alg, cap).status
+    return find_malcev_term(alg).status
 
 
 def is_prime_power(n: int) -> bool:
@@ -164,11 +163,11 @@ def indecomposable_factorization(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     return [alg]
 
 
-def is_supernilpotent(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Tri:
+def is_supernilpotent(alg: FiniteAlgebra) -> Tri:
     """Whether alg is a supernilpotent Malcev algebra, the hypothesis of the
     CSAT and CEQV theorems that read this flag.  A finite nilpotent Malcev
     algebra is supernilpotent iff it is a direct product of algebras of
-    prime power order, so YES needs a Malcev term found under the cap and a
+    prime power order, so YES needs a Malcev term found by the search and a
     factorization into directly indecomposable factors of prime power
     order.  UNKNOWN when the Malcev search caps out, NO when it completes
     without a term."""
@@ -176,4 +175,4 @@ def is_supernilpotent(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Tri:
         return Tri.NO
     if not all(is_prime_power(f.size) for f in indecomposable_factorization(alg)):
         return Tri.NO
-    return find_malcev_term(alg, cap).status
+    return find_malcev_term(alg).status

@@ -133,6 +133,5 @@ def _factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
             if a1.num_classes * a2.num_classes != n or not a1.meet(a2).is_zero():
                 continue
             iso = [(a1.class_of(x), a2.class_of(x)) for x in range(n)]
-            out.append(FactorPair(a1, a2, iso, quotient(alg, a1, check=False),
-                                  quotient(alg, a2, check=False)))
+            out.append(FactorPair(a1, a2, iso, quotient(alg, a1), quotient(alg, a2)))
     return out

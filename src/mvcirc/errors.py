@@ -22,7 +22,8 @@ class ElementOutOfRange(MvcircError):
 
 
 class CapExceeded(MvcircError):
-    """A closure or enumeration grew past its configured cap."""
+    """A closure grew past its cap: algebra.CLONE_CAP polynomial tables or
+    congruence.LATTICE_CAP congruences."""
 
     def __init__(self, count: int, what: str = "closure"):
         super().__init__(f"{what} exceeded cap at {count} entries")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import (
-    DEFAULT_CAP,
     App,
     FiniteAlgebra,
     Operation,
@@ -167,19 +166,19 @@ def boolean_host_witness(alg: FiniteAlgebra) -> Type3Witness:
     return w
 
 
-def derive_type3_witness(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Optional[Type3Witness]:
+def derive_type3_witness(alg: FiniteAlgebra) -> Optional[Type3Witness]:
     """Auto-derive a witness from a type-3 labeled cover, if one exists."""
     lat = congruence_lattice(alg)
     for lo, hi in lat.cover_pairs():
-        if type_of(alg, lo, hi, cap) != 3:
+        if type_of(alg, lo, hi) != 3:
             continue
         try:
-            ms = minimal_sets(alg, lo, hi, cap)[0]
+            ms = minimal_sets(alg, lo, hi)[0]
         except CapExceeded:
             continue
         if len(ms.elements) != 2 or ms.idempotent_witness is None:
             continue
-        ops = pair_ops(alg, ms.elements, cap)
+        ops = pair_ops(alg, ms.elements)
         if None not in (ops.meet, ops.join, ops.swap):
             w = Type3Witness(*ms.elements, ops.meet, ops.join, ops.swap,
                              ms.idempotent_witness)

@@ -8,9 +8,9 @@ quickly and the sweep degenerates to exhaustive search at desk scale, where
 it is unconditionally sound; over affine algebras proven bounds keep the
 sweep polynomial), and elimination over the underlying module for affine
 algebras.  Each fast solver is a function of (plan, instance, config):
-the per-algebra Plan, built once per (algebra, cap) and kept in the
-per-algebra store, holds the classification whose flags the solver's
-hypothesis reads (Plan.require) and the facts it uses.  The dispatcher runs
+the per-algebra Plan, built once per algebra and kept in the per-algebra
+store, holds the classification whose flags the solver's hypothesis reads
+(Plan.require) and the facts it uses.  The dispatcher runs
 the plan's route for the instance's kind, or a route the caller names; every
 satisfying witness re-verifies by evaluation before it is returned.
 """
@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
-    DEFAULT_CAP,
     FiniteAlgebra,
     Term,
     eval_term,
@@ -66,7 +65,6 @@ RAMSEY_CEILING = 10 ** 18
 @dataclass
 class SolverConfig:
     budget: int = 10 ** 8      # max assignment evaluations for exhaustive sweeps
-    cap: int = DEFAULT_CAP     # clone/search cap
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -257,16 +255,16 @@ def _diagonal(alg: FiniteAlgebra, inst: CsatInstance | McsatInstance) -> SolveRe
 # Supernilpotent solver
 
 
-def ramsey_support_bound(k: int, card_a: int, ceiling: int = RAMSEY_CEILING) -> int:
+def ramsey_support_bound(k: int, card_a: int) -> int:
     """Upper bound d: any d-element set, with all <=(k-1)-subsets colored by
     C = |A|^(k|A|) colors, contains an m = (k-1)!|A| subset homogeneous per
     cardinality.  Iterated hypergraph Ramsey numbers, pigeonhole at size 1,
-    a crude-but-safe exponential step above, saturating at the ceiling."""
+    a crude-but-safe exponential step above, saturating at RAMSEY_CEILING."""
     if k < 1 or card_a < 1:
         raise ValueError("need k >= 1 and |A| >= 1")
     m = math.factorial(k - 1) * card_a
     if k == 1:
-        return min(m, ceiling)
+        return min(m, RAMSEY_CEILING)
     c = card_a ** (k * card_a)
 
     def rq(q: int, colors: int, target: int) -> int:
@@ -277,21 +275,21 @@ def ramsey_support_bound(k: int, card_a: int, ceiling: int = RAMSEY_CEILING) -> 
         if q == 1:
             return colors * (target - 1) + 1  # exact pigeonhole
         prev = rq(q - 1, colors, target)
-        if prev >= ceiling:
-            return ceiling
+        if prev >= RAMSEY_CEILING:
+            return RAMSEY_CEILING
         expo = (prev + q) ** q
         if expo * math.log2(colors) > 64:
-            return ceiling
-        return min(colors ** expo + q, ceiling)
+            return RAMSEY_CEILING
+        return min(colors ** expo + q, RAMSEY_CEILING)
 
     # homogenize subset sizes k-1 down to 1; each extraction preserves the
     # homogeneity already obtained on larger sizes
     t = m
     for q in range(k - 1, 0, -1):
         t = rq(q, c, t)
-        if t >= ceiling:
-            return ceiling
-    return min(max(t, m), ceiling)
+        if t >= RAMSEY_CEILING:
+            return RAMSEY_CEILING
+    return min(max(t, m), RAMSEY_CEILING)
 
 
 def _support_sweep(program: BlockProgram, m: int, zero: int, max_support: int) -> Iterator[Block]:
@@ -758,20 +756,19 @@ SOLVERS = ("brute", *HYPOTHESES)     # the routes a caller may name
 
 
 class Plan:
-    """What the solvers need to know about one algebra under one cap: its
-    classification, the route for each problem kind, and the per-algebra
-    facts those routes use.  Every field is computed on first use, so a
-    forced brute-force route classifies nothing; plan_for keeps one plan
-    per (algebra content, cap) in the per-algebra store.  The plan's algebra
-    and report carry the name of the algebra it was first built for."""
+    """What the solvers need to know about one algebra: its classification,
+    the route for each problem kind, and the per-algebra facts those routes
+    use.  Every field is computed on first use, so a forced brute-force
+    route classifies nothing; plan_for keeps one plan per algebra content in
+    the per-algebra store.  The plan's algebra and report carry the name of
+    the algebra it was first built for."""
 
-    def __init__(self, alg: FiniteAlgebra, cap: int):
+    def __init__(self, alg: FiniteAlgebra):
         self.alg = alg
-        self.cap = cap
 
     @cached_property
     def report(self) -> ClassificationReport:
-        return classify(self.alg, self.cap)
+        return classify(self.alg)
 
     @cached_property
     def routes(self) -> dict[type, str]:
@@ -779,9 +776,9 @@ class Plan:
         decides the type and whose flag is YES, otherwise per-factor solves
         or brute force.  So DL-like CSAT/MCSAT go to the diagonal,
         supernilpotent CSAT/CEQV to the support sweep of the outputs (the
-        flag needs a Malcev term found under the cap, the hypothesis of the
-        sweep's theorem), and affine MCSAT/SCSAT to elimination; an affine
-        algebra is supernilpotent, so its CSAT instances sweep."""
+        flag needs a Malcev term, the hypothesis of the sweep's theorem),
+        and affine MCSAT/SCSAT to elimination; an affine algebra is
+        supernilpotent, so its CSAT instances sweep."""
         rep = self.report
         other = "brute" if self.split is None else "product"
         yes = [(route, kinds) for route, (flag, _, _, kinds) in HYPOTHESES.items()
@@ -801,7 +798,7 @@ class Plan:
 
     @cached_property
     def malcev(self) -> Optional[Term]:
-        found = find_malcev_term(self.alg, self.cap)
+        found = find_malcev_term(self.alg)
         return found.value[0] if found.status is Tri.YES else None  # type: ignore[index]
 
     @cached_property
@@ -822,14 +819,14 @@ class Plan:
         """The first nontrivial factor pair, with the plans of its quotients."""
         for fp in factor_pairs(self.alg):
             if not (fp.alpha1.is_zero() or fp.alpha1.is_one()):
-                return _Split(fp, plan_for(fp.left, self.cap), plan_for(fp.right, self.cap),
+                return _Split(fp, plan_for(fp.left), plan_for(fp.right),
                               {pair: x for x, pair in enumerate(fp.iso)})
         return None
 
 
-def plan_for(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Plan:
-    """The plan of alg under cap, from the per-algebra store."""
-    return stored(alg, ("plan", cap), lambda: Plan(alg, cap))
+def plan_for(alg: FiniteAlgebra) -> Plan:
+    """The plan of alg, from the per-algebra store."""
+    return stored(alg, "plan", lambda: Plan(alg))
 
 
 def _project(inst: Instance, theta: Partition) -> Instance:
@@ -850,7 +847,7 @@ def dispatch(
     required of the plan."""
     if solver not in (None, *SOLVERS):
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    return _run(plan_for(alg, config.cap), inst, config, solver)
+    return _run(plan_for(alg), inst, config, solver)
 
 
 def _run(plan: Plan, inst: Instance, config: SolverConfig,

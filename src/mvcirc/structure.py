@@ -11,7 +11,8 @@ The per-problem verdicts are a pure function of structural flags:
 "Regime" verdicts assert membership in a hardness class, not a certificate.
 They are only meaningful when the algebra generates a congruence modular
 variety: with that refuted the verdicts degrade to Unknown, and with the
-(cap-bounded) check undecided they carry a CM-assumed caveat.
+check undecided (its closure outgrew algebra.CLONE_CAP) they carry a
+CM-assumed caveat.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
-    DEFAULT_CAP,
     FiniteAlgebra,
     find_directed_gumm_terms,
     kary_poly_clone,
@@ -77,10 +77,10 @@ class Decomposition:
     iso: list[tuple[int, int]]   # a -> (a/rho4, a/rho2)
 
 
-def decompose_nd(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Optional[Decomposition]:
+def decompose_nd(alg: FiniteAlgebra) -> Optional[Decomposition]:
     """A = N x D along the type radicals, when the typeset is inside {2,4}
     and (rho4, rho2) is a factor congruence pair."""
-    typed = typed_congruence_lattice(alg, cap)
+    typed = typed_congruence_lattice(alg)
     if not typed.fully_typed:
         raise UntypedLattice(f"Con({alg.name}) has unlabeled covers")
     if not typed.typeset() <= {2, 4}:
@@ -94,17 +94,16 @@ def decompose_nd(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> Optional[Decompo
     return None
 
 
-def is_dl_like(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> tuple[Tri, list[Partition]]:
+def is_dl_like(alg: FiniteAlgebra) -> tuple[Tri, list[Partition]]:
     """Subdirect product of 2-element lattice-like algebras: the meet of all
     congruences with a 2-element lattice-like quotient must be the diagonal.
     The witness is the list of those congruences.  UNKNOWN when a quotient's
     check hit the cap and the witnesses found do not meet to the diagonal.
-    The answer is stored per algebra under ("dl_like", cap), since a smaller
-    cap can leave it undecided."""
-    return stored(alg, ("dl_like", cap), lambda: _is_dl_like(alg, cap))
+    The answer is stored per algebra under "dl_like"."""
+    return stored(alg, "dl_like", lambda: _is_dl_like(alg))
 
 
-def _is_dl_like(alg: FiniteAlgebra, cap: int) -> tuple[Tri, list[Partition]]:
+def _is_dl_like(alg: FiniteAlgebra) -> tuple[Tri, list[Partition]]:
     """A 2-element quotient is polynomially equivalent to the 2-element
     lattice iff its polynomials realize meet and join on {0, 1} for one
     ordering (a meet for one is a join for the other) and not the swap:
@@ -116,7 +115,7 @@ def _is_dl_like(alg: FiniteAlgebra, cap: int) -> tuple[Tri, list[Partition]]:
     for theta in congruence_lattice(alg).congruences:
         if theta.num_classes != 2:
             continue
-        ops = pair_ops(quotient(alg, theta, check=False), (0, 1), cap)
+        ops = pair_ops(quotient(alg, theta), (0, 1))
         if ops.lattice is Tri.NO or ops.complement is Tri.YES:
             continue
         if ops.lattice is Tri.YES and ops.complement is Tri.NO:
@@ -131,11 +130,11 @@ def _is_dl_like(alg: FiniteAlgebra, cap: int) -> tuple[Tri, list[Partition]]:
     return (Tri.UNKNOWN if capped else Tri.NO), witnesses
 
 
-def is_poly_equiv_to_some_lattice(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> bool:
+def is_poly_equiv_to_some_lattice(alg: FiniteAlgebra) -> bool:
     """Whether some pair of binary polynomials turns the whole universe into a
     lattice with every unary polynomial monotone for its order."""
-    clone2 = kary_poly_clone(alg, 2, cap)
-    clone1 = kary_poly_clone(alg, 1, cap)
+    clone2 = kary_poly_clone(alg, 2)
+    clone1 = kary_poly_clone(alg, 1)
     n = alg.size
 
     def at(tab, x, y):
@@ -238,7 +237,7 @@ def _tri_or(a: Tri, b: Tri) -> Tri:
     return Tri.NO
 
 
-def _decomposition_flags(alg: FiniteAlgebra, cap: int) -> tuple[Tri, Tri, Tri]:
+def _decomposition_flags(alg: FiniteAlgebra) -> tuple[Tri, Tri, Tri]:
     """Whether some factor-congruence pair splits alg as N x D with D
     DL-like and N supernilpotent, nilpotent or affine, in that order: YES if
     some pair says YES, else UNKNOWN if some pair says UNKNOWN, else NO.
@@ -248,38 +247,37 @@ def _decomposition_flags(alg: FiniteAlgebra, cap: int) -> tuple[Tri, Tri, Tri]:
     for fp in factor_pairs(alg):
         if sn is nil is aff is Tri.YES:
             break
-        dl = is_dl_like(fp.right, cap)[0]
+        dl = is_dl_like(fp.right)[0]
         if sn is not Tri.YES:
-            sn = _tri_or(sn, _tri_and(is_supernilpotent(fp.left, cap), dl))
+            sn = _tri_or(sn, _tri_and(is_supernilpotent(fp.left), dl))
         if nil is not Tri.YES:
             nil = _tri_or(nil, _tri_and(Tri.YES if is_nilpotent(fp.left) else Tri.NO, dl))
         if aff is not Tri.YES:
-            aff = _tri_or(aff, _tri_and(is_affine(fp.left, cap), dl))
+            aff = _tri_or(aff, _tri_and(is_affine(fp.left), dl))
     return sn, nil, aff
 
 
-def classify(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> ClassificationReport:
-    """Structural flags and per-problem verdicts, stored per (algebra, name,
-    cap): the report carries the name, and a smaller cap can leave flags
-    undecided."""
-    return stored(alg, ("classify", alg.name, cap), lambda: _classify(alg, cap))
+def classify(alg: FiniteAlgebra) -> ClassificationReport:
+    """Structural flags and per-problem verdicts, stored per (algebra,
+    name), since the report carries the name."""
+    return stored(alg, ("classify", alg.name), lambda: _classify(alg))
 
 
-def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
-    gumm = find_directed_gumm_terms(alg, cap=cap)
+def _classify(alg: FiniteAlgebra) -> ClassificationReport:
+    gumm = find_directed_gumm_terms(alg)
     cm = gumm.status
 
     abelian = is_abelian(alg)
     solvable = is_solvable(alg)
     nilpotent = is_nilpotent(alg)
     nclass = nilpotency_class(alg)
-    supernil = is_supernilpotent(alg, cap)
-    affine = is_affine(alg, cap)
-    dl, dl_wit = is_dl_like(alg, cap)
+    supernil = is_supernilpotent(alg)
+    affine = is_affine(alg)
+    dl, dl_wit = is_dl_like(alg)
 
     decomposition = None
     try:
-        dec = decompose_nd(alg, cap)
+        dec = decompose_nd(alg)
     except UntypedLattice:
         dec = None
     if dec is not None:
@@ -291,7 +289,7 @@ def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
             "iso": [list(pair) for pair in dec.iso],
         }
 
-    sn_dl, nil_dl, aff_dl = _decomposition_flags(alg, cap)
+    sn_dl, nil_dl, aff_dl = _decomposition_flags(alg)
 
     caveats: list[str] = []
     if cm is Tri.NO:
@@ -348,7 +346,7 @@ def _classify(alg: FiniteAlgebra, cap: int) -> ClassificationReport:
         supernilpotent=supernil,
         affine=affine,
         dl_like=dl,
-        typeset=typed_congruence_lattice(alg, cap).typeset_list(),
+        typeset=typed_congruence_lattice(alg).typeset_list(),
         decomposition=decomposition,
         verdicts=verdicts,
         caveats=caveats,

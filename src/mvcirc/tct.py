@@ -6,10 +6,10 @@ quotient alpha < beta is abelian iff its type is 1 or 2 (Hobby and McKenzie,
 The Structure of Finite Algebras, 1988, Ch. 5 and 9).  So its label is 2
 when [beta, beta] <= alpha and 3 otherwise, read off the stored commutator.
 
-Without a Malcev term found under the cap, the label comes from a ladder of
-clone searches.  For a quotient alpha < beta, the candidate sets are ranges
-f(A) of unary polynomials with f(beta) not inside alpha and at least two
-elements; the inclusion-minimal ones are the minimal sets.  The local label
+Without a Malcev term, the label comes from a ladder of clone searches.
+For a quotient alpha < beta, the candidate sets are ranges f(A) of unary
+polynomials with f(beta) not inside alpha and at least two elements; the
+inclusion-minimal ones are the minimal sets.  The local label
 is decided by what the polynomial clone realizes on a trace N.  When beta is
 abelian over alpha, the minimal algebra A|_N/alpha is either essentially
 unary (label 1) or a vector space (label 2) (Palfy, Unary polynomials in
@@ -20,9 +20,9 @@ on both arguments modulo alpha.  Otherwise the trace has two elements
 polynomials realize on it: meet and join with the swap give label 3,
 without it 4, and just one of meet and join label 5.  The same question
 decides DL-likeness on 2-element quotients (structure) and yields the
-Boolean terms of the 3-SAT reduction (reductions).  Searches are
-cap-bounded: a positive witness exits early, a negative answer needs the
-restricted clone to close.
+Boolean terms of the 3-SAT reduction (reductions).  Every search is a
+clone closure bounded by algebra.CLONE_CAP: a positive witness exits
+early, a negative answer needs the restricted clone to close.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import (
-    DEFAULT_CAP,
     Clone,
     FiniteAlgebra,
     Table,
@@ -59,13 +58,11 @@ class MinimalSet:
     tail: tuple[int, ...]
 
 
-def minimal_sets(
-    alg: FiniteAlgebra, alpha: Partition, beta: Partition, cap: int = DEFAULT_CAP
-) -> list[MinimalSet]:
+def minimal_sets(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> list[MinimalSet]:
     """Inclusion-minimal ranges f(A), |f(A)| >= 2, f in Pol_1, f(beta) !<= alpha."""
     if not alpha.leq(beta) or alpha == beta:
         raise ValueError("need alpha < beta")
-    clone = unary_poly_clone(alg, cap)
+    clone = unary_poly_clone(alg)
     n = alg.size
     bpairs = [(a, b) for a in range(n) for b in range(a + 1, n) if beta.same(a, b)]
     qualifying: dict[frozenset, Table] = {}
@@ -113,9 +110,7 @@ def _traces(alpha: Partition, beta: Partition, u: Sequence[int]) -> list[tuple[i
 # Restricted clone searches
 
 
-def _binary_on_trace(
-    alg: FiniteAlgebra, alpha: Partition, trace: Sequence[int], cap: int
-) -> Tri:
+def _binary_on_trace(alg: FiniteAlgebra, alpha: Partition, trace: Sequence[int]) -> Tri:
     """Binary polynomial p with p(N^2) inside the trace N that depends on
     both arguments modulo alpha: the first such table in the closure of the
     binary polynomial clone over N x N, in product order."""
@@ -130,7 +125,7 @@ def _binary_on_trace(
                 and any(len(set(col)) > 1 for col in zip(*rows)))
 
     pts = list(itertools.product(trace, repeat=2))
-    return _outcome(*poly_clone_on_points(alg, pts, 2, cap, stop=both))
+    return _outcome(*poly_clone_on_points(alg, pts, 2, stop=both))
 
 
 def _outcome(clone: Clone, hit: Optional[Table]) -> Tri:
@@ -154,7 +149,7 @@ class PairOps:
     complement: Tri
 
 
-def pair_ops(alg: FiniteAlgebra, pair: Sequence[int], cap: int = DEFAULT_CAP) -> PairOps:
+def pair_ops(alg: FiniteAlgebra, pair: Sequence[int]) -> PairOps:
     """The binary polynomial clone closed over {a, b}^2 with a stop once it
     holds meet and join, and the unary one over {a, b} with a stop at the
     swap.  The 2-point swap is the ladder's complement test: on a 2-element
@@ -171,44 +166,33 @@ def pair_ops(alg: FiniteAlgebra, pair: Sequence[int], cap: int = DEFAULT_CAP) ->
             found.add(tuple(tab))
         return len(found) == 2
 
-    binary, both = poly_clone_on_points(alg, list(itertools.product((a, b), repeat=2)), 2, cap,
+    binary, both = poly_clone_on_points(alg, list(itertools.product((a, b), repeat=2)), 2,
                                         stop=both_found)
-    unary, swap = poly_clone_on_points(alg, [(a,), (b,)], 1, cap,
+    unary, swap = poly_clone_on_points(alg, [(a,), (b,)], 1,
                                        stop=lambda tab: tab[0] == b and tab[1] == a)
     return PairOps(*(binary.witness(t) if t in found else None for t in (meet_tab, join_tab)),
                    unary.witness(swap) if swap is not None else None,
                    _outcome(binary, both), _outcome(unary, swap))
 
 
-def type_of(
-    alg: FiniteAlgebra,
-    alpha: Partition,
-    beta: Partition,
-    cap: int = DEFAULT_CAP,
-) -> Optional[int]:
+def type_of(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Optional[int]:
     """Label in 1..5 for the quotient alpha < beta, or None when undecided.
 
-    With a Malcev term found under the cap the label is read off the
-    commutator: 2 when [beta, beta] <= alpha, else 3.  A Malcev algebra
-    generates a congruence-permutable variety, which omits types 1, 4 and
-    5, and a prime quotient is abelian iff its type is 1 or 2 (Hobby and
-    McKenzie, The Structure of Finite Algebras, 1988, Ch. 5 and 9).  Only
-    when the Malcev search says NO or UNKNOWN does _type_by_search run.
+    With a Malcev term the label is read off the commutator: 2 when
+    [beta, beta] <= alpha, else 3.  A Malcev algebra generates a
+    congruence-permutable variety, which omits types 1, 4 and 5, and a
+    prime quotient is abelian iff its type is 1 or 2 (Hobby and McKenzie,
+    The Structure of Finite Algebras, 1988, Ch. 5 and 9).  Only when the
+    Malcev search says NO or UNKNOWN does _type_by_search run.
     """
     if not alpha.leq(beta) or alpha == beta:
         raise ValueError("need alpha < beta")
-    if find_malcev_term(alg, cap).status is Tri.YES:
+    if find_malcev_term(alg).status is Tri.YES:
         return 2 if commutator(alg, beta, beta).leq(alpha) else 3
-    return _type_by_search(alg, alpha, beta, cap)
+    return _type_by_search(alg, alpha, beta)
 
 
-def _type_by_search(
-    alg: FiniteAlgebra,
-    alpha: Partition,
-    beta: Partition,
-    cap: int,
-    all_traces: bool = False,
-) -> Optional[int]:
+def _type_by_search(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Optional[int]:
     """The label from restricted clone searches on minimal sets.
 
     Ladder: beta abelian over alpha splits 2 from 1 on a trace N: the binary
@@ -219,39 +203,28 @@ def _type_by_search(
     McKenzie, The Structure of Finite Algebras, Ch. 4), and only a vector
     space has a binary polynomial depending on both arguments.  Otherwise
     pair_ops on a 2-element trace decides: meet and join give 4, plus the
-    swap 3, and just one of meet and join gives 5.  The first minimal set
-    and trace decide, or with all_traces every one of them, and they must
-    agree.
+    swap 3, and just one of meet and join gives 5.  All traces of a prime
+    quotient are polynomially isomorphic (Hobby and McKenzie, Ch. 2), so
+    the first trace of the first minimal set decides.
     """
     try:
-        msets = minimal_sets(alg, alpha, beta, cap)
+        msets = minimal_sets(alg, alpha, beta)
     except CapExceeded:
         return None
     if not msets:
         return None
-    abelian_over = commutator(alg, beta, beta).leq(alpha)
-    labels = set()
-    for ms in msets[: None if all_traces else 1]:
-        traces = ms.traces or [ms.elements]
-        for tr in traces if all_traces else traces[:1]:
-            if abelian_over:
-                vs = _binary_on_trace(alg, alpha, tr, cap)
-                if vs is Tri.UNKNOWN:
-                    return None
-                labels.add(2 if vs is Tri.YES else 1)
-                continue
-            if len(tr) != 2:
-                return None
-            ops = pair_ops(alg, tr, cap)
-            if ops.lattice is Tri.YES and ops.complement is not Tri.UNKNOWN:
-                labels.add(3 if ops.complement is Tri.YES else 4)
-            elif ops.lattice is Tri.NO and (ops.meet is not None or ops.join is not None):
-                labels.add(5)
-            else:
-                return None
-    if len(labels) != 1:
+    tr = (msets[0].traces or [msets[0].elements])[0]
+    if commutator(alg, beta, beta).leq(alpha):
+        vs = _binary_on_trace(alg, alpha, tr)
+        return None if vs is Tri.UNKNOWN else 2 if vs is Tri.YES else 1
+    if len(tr) != 2:
         return None
-    return labels.pop()
+    ops = pair_ops(alg, tr)
+    if ops.lattice is Tri.YES and ops.complement is not Tri.UNKNOWN:
+        return 3 if ops.complement is Tri.YES else 4
+    if ops.lattice is Tri.NO and (ops.meet is not None or ops.join is not None):
+        return 5
+    return None
 
 
 @dataclass
@@ -273,21 +246,20 @@ class TypedLattice:
         return sorted(x for x in ts if x is not None) + (["unknown"] if None in ts else [])
 
 
-def typed_congruence_lattice(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> TypedLattice:
-    """Con(alg) with every cover labeled; stored per (algebra, cap), since an
-    undecided label depends on the cap."""
-    return stored(alg, ("typed", cap), lambda: _typed_congruence_lattice(alg, cap))
+def typed_congruence_lattice(alg: FiniteAlgebra) -> TypedLattice:
+    """Con(alg) with every cover labeled, stored per algebra under "typed"."""
+    return stored(alg, "typed", lambda: _typed_congruence_lattice(alg))
 
 
-def _typed_congruence_lattice(alg: FiniteAlgebra, cap: int) -> TypedLattice:
+def _typed_congruence_lattice(alg: FiniteAlgebra) -> TypedLattice:
     lat = congruence_lattice(alg)
     labels = {}
     for i, j in lat.covers:
-        labels[(i, j)] = type_of(alg, lat.congruences[i], lat.congruences[j], cap)
+        labels[(i, j)] = type_of(alg, lat.congruences[i], lat.congruences[j])
     return TypedLattice(lat, labels)
 
 
-def typeset(alg: FiniteAlgebra, cap: int = DEFAULT_CAP) -> set:
+def typeset(alg: FiniteAlgebra) -> set:
     """Union of cover-pair labels over Con(alg); may contain None when a
     label search capped out."""
-    return typed_congruence_lattice(alg, cap).typeset()
+    return typed_congruence_lattice(alg).typeset()

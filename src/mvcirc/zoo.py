@@ -115,8 +115,8 @@ def _z2_times_lattice() -> FiniteAlgebra:
 
 
 def _sample_csp_algebra() -> FiniteAlgebra:
-    # A[D] for the 2-element structure with the equality relation; built here
-    # directly so the zoo does not depend on the reductions module.
+    # A[D] for the 2-element structure with the equality relation, built by
+    # the reductions module (imported here, at first use).
     from .reductions import RelStructure, build_csp_algebra
 
     d = RelStructure("D2eq", 2, {"eq": (2, frozenset({(0, 0), (1, 1)}))})

@@ -1,8 +1,11 @@
+import collections
+import contextlib
 import random
 
 import pytest
 
-from mvcirc.algebra import FiniteAlgebra, Operation
+from mvcirc import algebra
+from mvcirc.algebra import FactStore, FiniteAlgebra, Operation
 from mvcirc.circuit import CircuitBuilder, eval_circuit
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
@@ -71,6 +74,24 @@ def z2xl2():
 @pytest.fixture(scope="session")
 def trivial():
     return get("trivial")
+
+
+_SHARED_STORES = collections.defaultdict(FactStore)    # cap -> its shared store
+
+
+@contextlib.contextmanager
+def clone_cap(cap, shared=False):
+    """Close every clone under cap tables, on a fresh fact store or, with
+    shared, on the one store kept for that cap, so that property tests whose
+    examples repeat algebras find their facts again; both are restored on
+    exit.  Facts do not record the cap they were found under, so one store
+    must never see two caps."""
+    saved = algebra.CLONE_CAP, algebra.STORE
+    algebra.CLONE_CAP, algebra.STORE = cap, _SHARED_STORES[cap] if shared else FactStore()
+    try:
+        yield
+    finally:
+        algebra.CLONE_CAP, algebra.STORE = saved
 
 
 def all_partitions(n):

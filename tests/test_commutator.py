@@ -22,7 +22,7 @@ from mvcirc.errors import CapExceeded, NotACongruence, Tri
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
-from conftest import mod_congruence
+from conftest import clone_cap, mod_congruence
 
 A3 = Partition.from_ids([0, 1, 1, 0, 0, 1])  # rotations vs reflections in the S3 numbering
 
@@ -179,15 +179,18 @@ def test_group_commutator_equals_group_theoretic_derived():
 # Brute-force term-condition oracle: the pair-algebra commutator must agree
 # with the definitional condition wherever the bounded search can see
 
+ORACLE_CAP = 50_000
 
-def term_condition_violation(alg, alpha, beta, gamma, extra_vars=1, cap=50_000):
+
+def term_condition_violation(alg, alpha, beta, gamma, extra_vars=1):
     """Search the (1+extra_vars)-ary polynomial clone for a witness against
     C(alpha, beta; gamma).  Returns (table, a, b, cs, ds) or None.
 
     Independent of the pair-algebra route: this is the definitional condition
     checked over an explicitly generated polynomial clone.  Tables are probed
     as the closure grows, so a violation exits early; the None answer needs
-    the closure to complete and raises CapExceeded otherwise.
+    the closure to complete under the clone cap and raises CapExceeded
+    otherwise.
     """
     n = alg.size
     k = 1 + extra_vars
@@ -216,11 +219,11 @@ def term_condition_violation(alg, alpha, beta, gamma, extra_vars=1, cap=50_000):
         return False
 
     try:
-        clone = kary_poly_clone(alg, k, cap)  # cached across triples
+        clone = kary_poly_clone(alg, k)  # cached across triples
     except CapExceeded:
         # big clone: probe incrementally and exit on the first violation
         points = list(itertools.product(range(n), repeat=k))
-        partial, hit = poly_clone_on_points(alg, points, k, cap, stop=probe)
+        partial, hit = poly_clone_on_points(alg, points, k, stop=probe)
         if hit is not None:
             return found[0]
         raise
@@ -236,19 +239,21 @@ def test_term_condition_oracle_never_contradicts(name):
     alg = get(name)
     cons = congruence_lattice(alg).congruences
     extra = 2 if alg.size <= 2 else 1
-    for alpha in cons:
-        for beta in cons:
-            gamma = commutator(alg, alpha, beta)
-            # commutator <= gamma trivially here, so C(alpha,beta;gamma) holds:
-            # the oracle must not find a violating polynomial
-            assert term_condition_violation(alg, alpha, beta, gamma, extra) is None
+    with clone_cap(ORACLE_CAP):
+        for alpha in cons:
+            for beta in cons:
+                gamma = commutator(alg, alpha, beta)
+                # commutator <= gamma trivially here, so C(alpha,beta;gamma)
+                # holds: the oracle must not find a violating polynomial
+                assert term_condition_violation(alg, alpha, beta, gamma, extra) is None
 
 
 def test_term_condition_oracle_detects_nonabelian(s3, lat2):
     # sanity in the other direction: C(1,1;0) fails for these
-    for alg in (s3, lat2):
-        v = term_condition_violation(
-            alg, Partition.one(alg.size), Partition.one(alg.size),
-            Partition.zero(alg.size), extra_vars=1,
-        )
-        assert v is not None
+    with clone_cap(ORACLE_CAP):
+        for alg in (s3, lat2):
+            v = term_condition_violation(
+                alg, Partition.one(alg.size), Partition.one(alg.size),
+                Partition.zero(alg.size), extra_vars=1,
+            )
+            assert v is not None

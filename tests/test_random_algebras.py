@@ -7,7 +7,7 @@ import itertools
 from hypothesis import example, given, settings, strategies as st
 
 from mvcirc.algebra import (
-    DEFAULT_CAP,
+    CLONE_CAP,
     FiniteAlgebra,
     Operation,
     _close_tables,
@@ -31,11 +31,11 @@ from mvcirc.commutator import commutator, is_affine, is_nilpotent, is_supernilpo
 from mvcirc.congruence import congruence_lattice, factor_pairs, principal_congruence
 from mvcirc.errors import BudgetExceeded, Tri
 from mvcirc.partition import Partition
-from mvcirc.solvers import SolverConfig, dispatch, plan_for, solve_bruteforce
+from mvcirc.solvers import dispatch, plan_for, solve_bruteforce
 from mvcirc.structure import _decomposition_flags, is_dl_like
 from mvcirc.zoo import get, zoo
 
-from conftest import all_partitions, gumm_chain_exists
+from conftest import all_partitions, clone_cap, gumm_chain_exists
 
 
 @st.composite
@@ -207,17 +207,17 @@ def test_dispatch_agrees_with_brute_force(alg, rng):
     short down the fallback routes; the expansions of Z_n reach the affine,
     supernilpotent and product routes, and the lattice powers the usp
     route."""
-    config = SolverConfig(cap=500)
-    for _ in range(2):
-        c = random_circuit(alg, rng, rng.randint(1, 4), rng.randint(5, 9), 3)
-        pair = c.with_outputs(c.outputs[:2])
-        for inst in (CsatInstance(pair), McsatInstance(c), CeqvInstance(pair),
-                     ScsatInstance(c, ((c.outputs[0], c.outputs[2]),))):
-            try:
-                got = dispatch(alg, inst, config)
-            except BudgetExceeded:
-                continue
-            assert got.answer == solve_bruteforce(alg, inst).answer, got.solver_used
+    with clone_cap(500, shared=True):
+        for _ in range(2):
+            c = random_circuit(alg, rng, rng.randint(1, 4), rng.randint(5, 9), 3)
+            pair = c.with_outputs(c.outputs[:2])
+            for inst in (CsatInstance(pair), McsatInstance(c), CeqvInstance(pair),
+                         ScsatInstance(c, ((c.outputs[0], c.outputs[2]),))):
+                try:
+                    got = dispatch(alg, inst)
+                except BudgetExceeded:
+                    continue
+                assert got.answer == solve_bruteforce(alg, inst).answer, got.solver_used
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,8 +228,9 @@ def test_supernilpotent_flag_needs_a_malcev_term(alg, cap):
     supernilpotent Malcev algebra, so YES needs a Malcev term found under
     the same cap.  The 2-element algebra with one projection is nilpotent
     and of prime order, and has none."""
-    if is_supernilpotent(alg, cap) is Tri.YES:
-        assert find_malcev_term(alg, cap).status is Tri.YES
+    with clone_cap(cap, shared=True):
+        if is_supernilpotent(alg) is Tri.YES:
+            assert find_malcev_term(alg).status is Tri.YES
 
 
 def _all_points_search(alg, cap):
@@ -266,27 +267,28 @@ def test_malcev_and_gumm_searches_match_the_all_points_reference(alg, cap):
     simple quotient says is the algebra's NO; not every algebra's own
     search completes within 20,000 tables (some 4-element draws outgrow
     it), and where it does, it agrees."""
-    got = (find_malcev_term(alg, cap).status, find_directed_gumm_terms(alg, cap).status)
+    with clone_cap(cap, shared=True):
+        got = (find_malcev_term(alg).status, find_directed_gumm_terms(alg).status)
+        quotients = _simple_quotients(alg)
+        assert got[0] is Tri.NO or all(find_malcev_term(q).status is not Tri.NO
+                                       for q in quotients)
+        assert got[1] is Tri.NO or all(find_directed_gumm_terms(q).status is not Tri.NO
+                                       for q in quotients)
     want = _all_points_search(alg, cap)
     if Tri.NO in got and Tri.UNKNOWN in want:
         want = _all_points_search(alg, 20_000)
     for status, reference in zip(got, want):
         if Tri.UNKNOWN not in (status, reference):
             assert status is reference
-    quotients = _simple_quotients(alg)
-    assert got[0] is Tri.NO or all(find_malcev_term(q, cap).status is not Tri.NO
-                                   for q in quotients)
-    assert got[1] is Tri.NO or all(find_directed_gumm_terms(q, cap).status is not Tri.NO
-                                   for q in quotients)
 
 
-def _assert_malcev_slice_characterizes_equality(alg, cap=DEFAULT_CAP):
+def _assert_malcev_slice_characterizes_equality(alg):
     """The support sweep compares the outputs p and q themselves, where the
     CSAT and CEQV theorems state the equation as d(p, q, 0) = 0 for the
     Malcev term d.  Both forms have the same solutions when d(x, y, z) = z
     holds exactly for x = y, as it does in a supernilpotent Malcev
     algebra."""
-    plan = plan_for(alg, cap)
+    plan = plan_for(alg)
     if plan.report.supernilpotent is not Tri.YES:
         return
     d = plan.malcev
@@ -302,7 +304,8 @@ def test_the_sweep_equation_matches_the_theorem_on_the_zoo():
 @settings(max_examples=60, deadline=None)
 @given(malcev_algebras())
 def test_the_sweep_equation_matches_the_theorem_on_random_expansions(alg):
-    _assert_malcev_slice_characterizes_equality(alg, cap=500)
+    with clone_cap(500, shared=True):
+        _assert_malcev_slice_characterizes_equality(alg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,16 +316,17 @@ def test_an_affine_algebra_is_supernilpotent(alg, cap):
     instances still take the support sweep, because an abelian Malcev
     algebra is 1-supernilpotent and both flags read the same Malcev
     search."""
-    if is_affine(alg, cap) is Tri.YES:
-        assert is_supernilpotent(alg, cap) is Tri.YES
+    with clone_cap(cap, shared=True):
+        if is_affine(alg) is Tri.YES:
+            assert is_supernilpotent(alg) is Tri.YES
 
 
-def _exists_decomposition(alg, left_flag, cap):
+def _exists_decomposition(alg, left_flag):
     """Reference: one scan of the factor pairs per flag, stopping at the
     first pair that says YES."""
     best = Tri.NO
     for fp in factor_pairs(alg):
-        left, right = left_flag(fp.left), is_dl_like(fp.right, cap)[0]
+        left, right = left_flag(fp.left), is_dl_like(fp.right)[0]
         if left is Tri.YES and right is Tri.YES:
             return Tri.YES
         if Tri.NO not in (left, right):
@@ -332,17 +336,18 @@ def _exists_decomposition(alg, left_flag, cap):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(small_algebras(), small_products(), malcev_algebras()),
-       st.sampled_from([3, 10, DEFAULT_CAP]))
+       st.sampled_from([3, 10, CLONE_CAP]))
 @example(get("Z2xL2"), 10)
 @example(get("Z4ring"), 10)
-@example(get("Z6"), DEFAULT_CAP)
+@example(get("Z6"), CLONE_CAP)
 def test_decomposition_flags_match_one_scan_per_flag(alg, cap):
     """The single pass folds each flag as its own scan does: YES if some
     pair says YES, else UNKNOWN if some pair says UNKNOWN, else NO.  Random
     tables seldom have a Malcev term; the expansions of Z_n reach YES
     through the trivial pair, and zoo algebras cover the mixed cases."""
-    assert _decomposition_flags(alg, cap) == (
-        _exists_decomposition(alg, lambda a: is_supernilpotent(a, cap), cap),
-        _exists_decomposition(alg, lambda a: Tri.YES if is_nilpotent(a) else Tri.NO, cap),
-        _exists_decomposition(alg, lambda a: is_affine(a, cap), cap),
-    )
+    with clone_cap(cap, shared=True):
+        assert _decomposition_flags(alg) == (
+            _exists_decomposition(alg, is_supernilpotent),
+            _exists_decomposition(alg, lambda a: Tri.YES if is_nilpotent(a) else Tri.NO),
+            _exists_decomposition(alg, is_affine),
+        )

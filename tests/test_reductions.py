@@ -27,6 +27,8 @@ from mvcirc.solvers import solve_bruteforce
 from mvcirc.algebra import find_malcev_term
 from mvcirc.zoo import get
 
+from conftest import clone_cap
+
 
 # ---------------------------------------------------------------------------
 # 3-SAT -> CSAT
@@ -86,7 +88,8 @@ def test_derive_type3_witness(bool2, lat2):
 def test_derive_type3_witness_under_a_small_cap(bool2):
     # the Malcev term types the cover 3, but its minimal sets need more than
     # two unary tables: no witness, and no CapExceeded
-    assert derive_type3_witness(bool2, cap=2) is None
+    with clone_cap(2):
+        assert derive_type3_witness(bool2) is None
 
 
 # ---------------------------------------------------------------------------

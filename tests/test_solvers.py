@@ -6,8 +6,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvcirc import algebra, solvers
-from mvcirc.algebra import FactStore, FiniteAlgebra, direct_product, op_from_fn
+from mvcirc import solvers
+from mvcirc.algebra import FiniteAlgebra, direct_product, op_from_fn
 from mvcirc.circuit import (
     BLOCK,
     CeqvInstance,
@@ -37,7 +37,7 @@ from mvcirc.solvers import (
 )
 from mvcirc.zoo import get, zoo
 
-from conftest import EDGE_ALGEBRAS, gate_values, random_edge_circuit
+from conftest import EDGE_ALGEBRAS, clone_cap, gate_values, random_edge_circuit
 
 
 def _meet_eq_one(lat2):
@@ -791,24 +791,21 @@ def test_composition_length():
         0, 1, 2, 2, 3, 3, 3, 2, 1]
 
 
-def test_dispatch_small_cap_agrees_with_brute(monkeypatch):
+def test_dispatch_small_cap_agrees_with_brute():
     # classification under cap 10 leaves DL-likeness undecided for
     # 2boolean, and for the supernilpotent Z3, Z4, Z6 and Z4ring the Malcev
     # term that the support sweep normalizes through; dispatch must still
-    # decide every kind, by a sound route.  A fresh store keeps the test
-    # independent of what earlier tests stored.
-    monkeypatch.setattr(algebra, "STORE", FactStore())
-    config = SolverConfig(cap=10)
+    # decide every kind, by a sound route.
     rng = random.Random(12)
-    for name in ("2boolean", "Z3", "Z4", "Z6", "Z4ring"):
-        alg = get(name)
-        for _ in range(10):
-            c = random_circuit(alg, rng, 3, 8, 3)
-            for inst in (CsatInstance(c.with_outputs(c.outputs[:2])), McsatInstance(c),
-                         CeqvInstance(c.with_outputs(c.outputs[:2])),
-                         ScsatInstance(c, ((c.outputs[0], c.outputs[1]),))):
-                assert (dispatch(alg, inst, config).answer
-                        == solve_bruteforce(alg, inst, config).answer)
+    with clone_cap(10):
+        for name in ("2boolean", "Z3", "Z4", "Z6", "Z4ring"):
+            alg = get(name)
+            for _ in range(10):
+                c = random_circuit(alg, rng, 3, 8, 3)
+                for inst in (CsatInstance(c.with_outputs(c.outputs[:2])), McsatInstance(c),
+                             CeqvInstance(c.with_outputs(c.outputs[:2])),
+                             ScsatInstance(c, ((c.outputs[0], c.outputs[1]),))):
+                    assert dispatch(alg, inst).answer == solve_bruteforce(alg, inst).answer
 
 
 def test_ceqv_sweep_respects_the_budget(z4ring):

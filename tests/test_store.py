@@ -1,7 +1,9 @@
 """The per-algebra store and the solver plan: one bounded store, and each
-per-algebra fact computed at most once per (algebra, cap)."""
+per-algebra fact computed at most once per algebra."""
 
+import dataclasses
 import importlib
+import inspect
 import itertools
 import pkgutil
 import random
@@ -21,6 +23,8 @@ from mvcirc.circuit import (
 )
 from mvcirc.structure import classify
 from mvcirc.zoo import get, zoo
+
+from conftest import clone_cap
 
 
 def _content(alg):
@@ -72,9 +76,9 @@ def test_cold_classify_decides_dl_likeness_and_builds_quotients_once(monkeypatch
     runs = Counter()
     dl_like, build = structure._is_dl_like, algebra._quotient
 
-    def counted_dl_like(alg, cap):
-        runs[("dl_like", _content(alg), cap)] += 1
-        return dl_like(alg, cap)
+    def counted_dl_like(alg):
+        runs[("dl_like", _content(alg))] += 1
+        return dl_like(alg)
 
     def counted_quotient(alg, theta):
         runs[("quotient", _content(alg), theta)] += 1
@@ -100,6 +104,54 @@ def test_no_module_level_cache_outside_the_store():
             if isinstance(value, FactStore):
                 stores.append(value)
     assert stores and all(s is algebra.STORE for s in stores)
+
+
+def _public_functions(module):
+    """The public functions of a module, and the public methods and
+    constructors of its public classes, defined in that module."""
+    for name, value in vars(module).items():
+        if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield name, value
+        elif inspect.isclass(value):
+            for attr, member in vars(value).items():
+                if inspect.isfunction(member) and (attr == "__init__" or not attr.startswith("_")):
+                    yield f"{name}.{attr}", member
+
+
+def test_one_clone_cap_and_no_cap_parameter():
+    """The clone cap is the module constant algebra.CLONE_CAP: no public
+    function takes a cap, and a solver is configured by its budget alone."""
+    with_cap = [f"{info.name}.{name}"
+                for info in pkgutil.iter_modules(mvcirc.__path__)
+                for name, fn in _public_functions(importlib.import_module(f"mvcirc.{info.name}"))
+                if "cap" in inspect.signature(fn).parameters]
+    assert with_cap == []
+    assert [f.name for f in dataclasses.fields(solvers.SolverConfig)] == ["budget"]
+
+
+def test_no_store_key_holds_the_cap():
+    """Facts are keyed on what affects them, and the cap is one constant,
+    so no key holds it: a cap no other key value can equal never shows up
+    in the keys a classification and a dispatch store."""
+    cap = 199_999
+
+    def atoms(key):
+        if isinstance(key, tuple):
+            for part in key:
+                yield from atoms(part)
+        else:
+            yield key
+
+    with clone_cap(cap):
+        for name in ("Z6", "Z2xL2", "majority"):
+            alg = get(name)
+            classify(alg)
+            c = random_circuit(alg, random.Random(name), 3, 6, 2)
+            solvers.dispatch(alg, CsatInstance(c))
+        keys = [key for entry in algebra.STORE._entries.values() for key in entry]
+    assert keys and cap not in {atom for key in keys for atom in atoms(key)}
 
 
 def test_store_stays_within_bound_and_evicted_algebras_reclassify(monkeypatch):
@@ -178,7 +230,6 @@ def test_equal_content_shares_one_entry_and_its_key_is_built_once(monkeypatch):
 def test_capped_malcev_closure_runs_once(monkeypatch):
     # the ternary term clone of this algebra outgrows the cap: classify's
     # Malcev and Gumm searches and the plan's Malcev term share one closure
-    monkeypatch.setattr(algebra, "STORE", FactStore())
     close = algebra._close_tables
     capped = []
 
@@ -190,15 +241,15 @@ def test_capped_malcev_closure_runs_once(monkeypatch):
 
     monkeypatch.setattr(algebra, "_close_tables", counted)
     alg = FiniteAlgebra("f3", 3, (Operation("f", 2, (1, 2, 0, 2, 0, 1, 0, 0, 0)),))
-    classify(alg, 2000)
-    assert solvers.plan_for(alg, 2000).malcev is None
+    with clone_cap(2000):
+        classify(alg)
+        assert solvers.plan_for(alg).malcev is None
     assert capped == [21]       # the 3(3*3 - 2) points with at most two distinct coordinates
 
 
 def test_capped_unary_clone_closes_once(monkeypatch):
     # majority's unary polynomial clone outgrows cap 6: minimal_sets asks
     # for it on each of the 12 covers, and the capped outcome is remembered
-    monkeypatch.setattr(algebra, "STORE", FactStore())
     close = algebra._close_tables
     alg = get("majority")
     whole = tuple((x,) for x in range(alg.size))
@@ -210,19 +261,7 @@ def test_capped_unary_clone_closes_once(monkeypatch):
         return close(alg_, points, generators, *args, **kwargs)
 
     monkeypatch.setattr(algebra, "_close_tables", counted)
-    typed = tct.typed_congruence_lattice(alg, cap=6)
+    with clone_cap(6):
+        typed = tct.typed_congruence_lattice(alg)
     assert len(typed.labels) == 12 and typed.typeset() == {None}
     assert runs == [_content(alg)]
-
-
-def test_capped_classification_does_not_depend_on_earlier_caps(monkeypatch):
-    # a Malcev term found at the default cap must not answer a search at a
-    # cap under which it is not found
-    z2 = get("Z2")
-    twin = z2.rename("Z2b")
-    monkeypatch.setattr(algebra, "STORE", FactStore())
-    fresh = classify(twin, 3).as_dict()
-    monkeypatch.setattr(algebra, "STORE", FactStore())
-    classify(z2)
-    assert classify(twin, 3).as_dict() == fresh
-    assert fresh["flags"]["affine"] == "unknown"

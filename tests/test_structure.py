@@ -17,6 +17,8 @@ from mvcirc.structure import (
 from mvcirc.tct import typed_congruence_lattice, typeset
 from mvcirc.zoo import get, zoo
 
+from conftest import clone_cap
+
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +203,6 @@ def test_classify_deterministic_and_json_stable(z6):
     assert a["schema"] == 1
 
 
-def test_classify_report_depends_on_cap(z6, monkeypatch):
-    # a report computed under a small cap must not answer a later call
-    # with a larger one; an empty store, so that no complete fact found
-    # under a larger cap helps
-    monkeypatch.setattr(algebra, "STORE", FactStore())
-    alg = z6.rename("Z6-cap-key")
-    small = classify(alg, cap=20)
-    assert small.cm is Tri.UNKNOWN and small.typeset == ["unknown"]
-    full = classify(alg)
-    assert (full.cm, full.affine, full.typeset) == (Tri.YES, Tri.YES, [2])
-    assert full.as_dict()["flags"] == classify(z6).as_dict()["flags"]
-
-
 def test_malcev_and_cm_no_come_from_a_simple_quotient(monkeypatch):
     # Z3 (add, neg, u) times a 2-element algebra of the same signature, one
     # seeded random draw.  Its ternary term clone outgrows the default cap:
@@ -238,18 +227,23 @@ def test_malcev_and_cm_no_come_from_a_simple_quotient(monkeypatch):
 def test_ad2_is_not_cm_under_a_small_cap():
     # a simple quotient of AD2 decides NO where its own closure outgrows
     # cap 10, so the report matches the default cap's
-    assert classify(get("AD2"), cap=10).cm is Tri.NO is classify(get("AD2")).cm
+    with clone_cap(10):
+        small = classify(get("AD2")).cm
+    assert small is Tri.NO is classify(get("AD2")).cm
 
 
 def test_dl_like_unknown_when_quotient_check_caps_out(bool2):
     # at cap 3 the 2-element quotient's closures stop before meet, join or
     # the swap turns up
-    assert is_dl_like(bool2, cap=3)[0] is Tri.UNKNOWN
-    rep = classify(bool2, cap=3)
+    with clone_cap(3):
+        assert is_dl_like(bool2)[0] is Tri.UNKNOWN
+        rep = classify(bool2)
     assert rep.dl_like is Tri.UNKNOWN
     # the swap is among the first four unary tables, and rules 2boolean out
     # at cap 10 as at the default cap
-    assert is_dl_like(bool2, cap=10) == is_dl_like(bool2)
+    with clone_cap(10):
+        small = is_dl_like(bool2)
+    assert small == is_dl_like(bool2)
     assert is_dl_like(bool2)[0] is Tri.NO
 
 

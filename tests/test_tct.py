@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -5,8 +6,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvcirc import tct
 from mvcirc.algebra import (
-    DEFAULT_CAP,
     FiniteAlgebra,
     Operation,
     eval_term,
@@ -28,7 +29,7 @@ from mvcirc.tct import (
 )
 from mvcirc.zoo import _cyclic_group, get, zoo
 
-from conftest import mod_congruence
+from conftest import clone_cap, mod_congruence
 from test_random_algebras import malcev_algebras, small_algebras, small_products
 
 
@@ -111,13 +112,24 @@ def test_type_quotient_invariance_z4(z4, z2):
     assert type_of(z4, mod2, one(z4)) == type_of(z2, zero(z2), one(z2)) == 2
 
 
-def test_type_stable_across_traces_and_minimal_sets(z4, s3, z2xl2):
-    # AD2 has four type-1 covers, with traces of two, three and four elements
+def test_type_stable_across_traces_and_minimal_sets(z4, s3, z2xl2, monkeypatch):
+    # AD2 has four type-1 covers, with traces of two, three and four elements.
+    # The ladder reads the first trace of the first minimal set; the
+    # reference runs it on each trace of each minimal set in turn, and
+    # decides only when they all agree.
+    minimal = tct.minimal_sets
     for alg in (z4, s3, z2xl2, get("AD2")):
         lat = congruence_lattice(alg)
         for lo, hi in lat.cover_pairs():
-            by_all = _type_by_search(alg, lo, hi, DEFAULT_CAP, all_traces=True)
-            assert by_all == _type_by_search(alg, lo, hi, DEFAULT_CAP) == type_of(alg, lo, hi)
+            labels = set()
+            for ms in minimal(alg, lo, hi):
+                for tr in ms.traces or [ms.elements]:
+                    one_trace = [dataclasses.replace(ms, traces=[tr])]
+                    monkeypatch.setattr(tct, "minimal_sets", lambda *args: one_trace)
+                    labels.add(_type_by_search(alg, lo, hi))
+            monkeypatch.setattr(tct, "minimal_sets", minimal)
+            by_all = labels.pop() if len(labels) == 1 else None
+            assert by_all == _type_by_search(alg, lo, hi) == type_of(alg, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -176,17 +188,17 @@ def test_pair_ops_on_two_element_algebras(lat2, bool2, semi2):
     assert ops.meet is not None and ops.join is None
 
 
-def _has_complement(alg, u, trace, cap):
+def _has_complement(alg, u, trace):
     """Unary polynomial with range exactly U swapping the trace elements,
     found by a scan of the whole unary polynomial clone: the ladder's former
     complement test, kept here as the reference for pair_ops' swap."""
     n0, n1 = sorted(trace)
     uset = set(u)
     return any(set(tab) == uset and tab[n0] == n1 and tab[n1] == n0
-               for tab in unary_poly_clone(alg, cap).tables)
+               for tab in unary_poly_clone(alg).tables)
 
 
-def _swaps_match_the_reference(alg, cap):
+def _swaps_match_the_reference(alg):
     """On every minimal set of every non-abelian cover, each 2-element
     trace has the swap among pair_ops' tables exactly when the reference
     finds a complement; the number of traces compared."""
@@ -195,34 +207,35 @@ def _swaps_match_the_reference(alg, cap):
         if commutator(alg, hi, hi).leq(lo):
             continue
         try:
-            msets = minimal_sets(alg, lo, hi, cap)
+            msets = minimal_sets(alg, lo, hi)
         except CapExceeded:
             continue
         for ms in msets:
             for tr in ms.traces:
                 if len(tr) != 2:
                     continue
-                want = Tri.YES if _has_complement(alg, ms.elements, tr, cap) else Tri.NO
-                assert pair_ops(alg, tr, cap).complement is want, (alg, lo, hi, tr)
+                want = Tri.YES if _has_complement(alg, ms.elements, tr) else Tri.NO
+                assert pair_ops(alg, tr).complement is want, (alg, lo, hi, tr)
                 compared += 1
     return compared
 
 
 def test_swap_matches_the_reference_on_the_zoo():
-    assert sum(_swaps_match_the_reference(e.algebra, DEFAULT_CAP) for e in zoo()) == 20
+    assert sum(_swaps_match_the_reference(e.algebra) for e in zoo()) == 20
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(small_algebras(), small_products()))
 def test_swap_matches_the_reference_on_random_algebras(alg):
-    _swaps_match_the_reference(alg, 2000)
+    with clone_cap(2000, shared=True):
+        _swaps_match_the_reference(alg)
 
 
 # ---------------------------------------------------------------------------
 # Abelian covers: binary polynomials on a trace, against a pseudo-Malcev search
 
 
-def _find_pseudo_malcev(alg, u, body, cap):
+def _find_pseudo_malcev(alg, u, body):
     """Ternary polynomial behaving like a Malcev operation on the body:
     d(x,x,x)=x on U, d(x,x,y)=y=d(y,x,x) for x in body, y in U, the three
     one-variable slices at body pairs permute U, and the body is closed.
@@ -258,13 +271,13 @@ def _find_pseudo_malcev(alg, u, body, cap):
             return False
         return True
 
-    clone, hit = poly_clone_on_points(alg, pts, 3, cap, stop=ok)
+    clone, hit = poly_clone_on_points(alg, pts, 3, stop=ok)
     if hit is not None:
         return Tri.YES
     return Tri.NO if clone.complete else Tri.UNKNOWN
 
 
-def _abelian_labels_match_the_reference(alg, cap):
+def _abelian_labels_match_the_reference(alg):
     """On every abelian cover whose first minimal set the reference decides,
     the ladder's label is 2 exactly when the reference finds a
     pseudo-Malcev operation; the number of covers compared."""
@@ -273,26 +286,27 @@ def _abelian_labels_match_the_reference(alg, cap):
         if not commutator(alg, hi, hi).leq(lo):
             continue
         try:
-            ms = minimal_sets(alg, lo, hi, cap)[0]
+            ms = minimal_sets(alg, lo, hi)[0]
         except CapExceeded:
             continue
-        want = _find_pseudo_malcev(alg, ms.elements, ms.body or ms.elements, cap)
+        want = _find_pseudo_malcev(alg, ms.elements, ms.body or ms.elements)
         if want is Tri.UNKNOWN:
             continue
-        assert _type_by_search(alg, lo, hi, cap) == (2 if want is Tri.YES else 1), (alg, lo, hi)
+        assert _type_by_search(alg, lo, hi) == (2 if want is Tri.YES else 1), (alg, lo, hi)
         compared += 1
     return compared
 
 
 def test_abelian_labels_match_the_reference_on_the_zoo():
-    assert sum(_abelian_labels_match_the_reference(e.algebra, DEFAULT_CAP) for e in zoo()) == 26
+    assert sum(_abelian_labels_match_the_reference(e.algebra) for e in zoo()) == 26
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(small_algebras(), malcev_algebras()))
 def test_abelian_labels_match_the_reference_on_random_algebras(alg):
     # a small cap keeps the reference's ternary closure short
-    _abelian_labels_match_the_reference(alg, 2000)
+    with clone_cap(2000, shared=True):
+        _abelian_labels_match_the_reference(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +315,19 @@ def test_abelian_labels_match_the_reference_on_random_algebras(alg):
 MALCEV_ZOO = ["2boolean", "Z2", "Z3", "Z4", "Z2xZ2", "Z6", "S3", "Z4ring"]
 
 
-def _labels_against_ladder(alg, cap, decided):
-    # a Malcev term, once found, is kept for every cap
-    assert find_malcev_term(alg).status is Tri.YES
+def _labels_against_ladder(alg, decided):
     for lo, hi in congruence_lattice(alg).cover_pairs():
-        want = _type_by_search(alg, lo, hi, cap)
+        want = _type_by_search(alg, lo, hi)
         if want is not None:
-            assert type_of(alg, lo, hi, cap) == want, (alg, lo, hi)
+            assert type_of(alg, lo, hi) == want, (alg, lo, hi)
             decided[want] += 1
 
 
 @pytest.mark.parametrize("name", MALCEV_ZOO)
 def test_theorem_labels_match_the_ladder_on_the_zoo(name):
     decided = Counter()
-    _labels_against_ladder(get(name), DEFAULT_CAP, decided)
+    assert find_malcev_term(get(name)).status is Tri.YES
+    _labels_against_ladder(get(name), decided)
     assert sum(decided.values()) == len(congruence_lattice(get(name)).covers)
 
 
@@ -343,11 +356,15 @@ def test_theorem_labels_match_the_ladder_on_random_malcev_algebras():
     bases = [_cyclic_group(f"Z{n}", n) for n in range(2, 7)] + [get("S3")]
     decided = Counter()
     for _ in range(60):
+        alg = _with_random_op(rng.choice(bases), rng)
+        assert find_malcev_term(alg).status is Tri.YES
         # a small cap keeps the ladder short; covers it leaves open are skipped
-        _labels_against_ladder(_with_random_op(rng.choice(bases), rng), 1000, decided)
+        with clone_cap(1000):
+            _labels_against_ladder(alg, decided)
     assert decided[2] >= 10 and decided[3] >= 10, decided
 
 
 def test_malcev_typeset_needs_no_search_under_a_small_cap(z6):
     # the ladder's unary clone of Z6 does not close within 50 tables
-    assert classify(z6, 50).typeset == [2]
+    with clone_cap(50):
+        assert classify(z6).typeset == [2]
