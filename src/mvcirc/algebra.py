@@ -630,11 +630,11 @@ def find_directed_gumm_terms(alg: FiniteAlgebra) -> Search:
     the cap gives UNKNOWN, so that a capped clone is closed once, not again
     under this search's stop; no simple quotient can say NO then, as each
     one's Malcev search said YES or UNKNOWN.  Otherwise the answer is NO
-    when this search says NO on some simple quotient.  Else
-    the term clone is closed over _identity_points with _ChainReach as the
-    stop, so the closure stops at the first chain.  The search is
-    complete: any chain can be spliced down to one visiting each candidate
-    table at most once, so a complete closure without a chain decides NO.
+    when this search says NO on some simple quotient.  Else the term clone
+    is closed over _identity_points with _ChainReach as the stop, so the
+    closure stops at the first chain.  The search is complete: any chain
+    can be spliced down to one visiting each candidate table at most once,
+    so a complete closure without a chain decides NO.
     """
     malcev = find_malcev_term(alg)
     if malcev.status is Tri.YES:
