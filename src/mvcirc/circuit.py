@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
-    BLOCK,
     _ORDER,
     App,
     Const as TermConst,

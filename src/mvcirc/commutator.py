@@ -141,16 +141,21 @@ def is_affine(alg: FiniteAlgebra) -> Tri:
     return find_malcev_term(alg).status
 
 
+def prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 in ascending order, each as often as it
+    divides n."""
+    out, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out.append(p)
+        p += 1
+    return out + [n] * (n > 1)
+
+
 def is_prime_power(n: int) -> bool:
     """n = p^e for a prime p and e >= 0, so 1 counts (n >= 1)."""
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return n == 1
-        d += 1
-    return True
+    return len(set(prime_factors(n))) <= 1
 
 
 def indecomposable_factorization(alg: FiniteAlgebra) -> list[FiniteAlgebra]:

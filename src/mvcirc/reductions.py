@@ -23,7 +23,6 @@ from .algebra import (
     eval_term,
 )
 from .circuit import (
-    Circuit,
     CircuitBuilder,
     CsatInstance,
     McsatInstance,

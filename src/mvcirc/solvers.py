@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
+    BLOCK,
     FiniteAlgebra,
     Term,
     eval_term,
@@ -32,7 +33,6 @@ from .algebra import (
     stored,
 )
 from .circuit import (
-    BLOCK,
     BlockProgram,
     CeqvInstance,
     Circuit,
@@ -44,7 +44,7 @@ from .circuit import (
     const_gate,
     gate_values,
 )
-from .commutator import is_prime_power
+from .commutator import prime_factors
 from .congruence import FactorPair, factor_pairs
 from .errors import (
     BudgetExceeded,
@@ -157,28 +157,26 @@ class _Digits:
         r, j, span = len(values), 0, 1
         while j < k and span * r <= BLOCK:
             j, span = j + 1, span * r
-        self.width, self.r, self.k, self.j, self.span = program.width, r, k, j, span
+        self.width, self.r, self.k, self.span = program.width, r, k, span
         self.values = program.pack(values)          # the digit of each value, in order
-        self.patterns: dict[int, bytes] = {}     # digit -> its column over one span
 
     def columns(self, lo: int, count: int) -> list[bytes]:
         """The k columns of [lo, lo + count), a range inside one aligned
-        span; a digit constant on the range costs no pattern."""
+        span.  A digit constant on the range repeats one value; a varying
+        digit d repeats its period, each value r^d times, from the start of
+        the span and is cut to the range."""
         w, r, values = self.width, self.r, self.values
-        start = lo % self.span
+        start, end = lo % self.span, lo % self.span + count
         out = []
         for d in range(self.k - 1, -1, -1):     # digit d belongs to position k-1-d
             step = r ** d
-            if start // step == (start + count - 1) // step:
+            if start // step == (end - 1) // step:
                 v = lo // step % r * w
                 out.append(values[v:v + w] * count)
                 continue
-            pattern = self.patterns.get(d)
-            if pattern is None:     # each value step times, r^(j-1-d) times over
-                runs = values if step == 1 else b"".join(
-                    values[v:v + w] * step for v in range(0, r * w, w))
-                pattern = self.patterns[d] = runs * r ** (self.j - 1 - d)
-            out.append(pattern[start * w:(start + count) * w])
+            period = values if step == 1 else b"".join(
+                values[v:v + w] * step for v in range(0, r * w, w))
+            out.append((period * -(-end // (r * step)))[start * w:end * w])
         return out
 
 
@@ -349,12 +347,7 @@ def composition_length(n: int) -> int:
     """The number of prime factors of n counted with multiplicity: the
     length of a composition series of an abelian group of order n, so the
     most steps a strictly increasing chain of its subgroups can take."""
-    count, p = 0, 2
-    while p * p <= n:
-        while n % p == 0:
-            n, count = n // p, count + 1
-        p += 1
-    return count + (n > 1)
+    return len(prime_factors(n))
 
 
 def solve_supernilpotent(plan: Plan, inst: Instance,
@@ -415,12 +408,15 @@ def minimal_support_profile(
 
 
 class _AbelianGroup:
-    """The group (A, +) with x + y = d(x, 0, y), decomposed into primary
-    cyclic factors with explicit coordinates."""
+    """The group (A, +) with x + y = d(x, 0, y), split into cyclic factors by
+    the Smith form S = U R V of its presentation: generators e_x, one per
+    element, and the relations R, e_x + e_y - e_{x+y}.  The factors
+    |S[i][i]| > 1 are the orders, which need not be prime powers; x has the
+    coordinates V[x][i] mod |S[i][i]|, and basis[i] is the element whose
+    coordinates are the i-th unit vector."""
 
     def __init__(self, alg: FiniteAlgebra, d_term: Term, zero: int):
         n = alg.size
-        self.n = n
         self.zero = zero
         plus = [[eval_term(alg, d_term, (x, zero, y)) for y in range(n)] for x in range(n)]
         self.plus = plus
@@ -442,82 +438,22 @@ class _AbelianGroup:
         if any(v is None for v in neg):
             raise LinearityCheckFailed("addition lacks inverses")
         self.neg = neg
-        self.basis, self.orders = self._find_basis()
-        self.coords, self.uncoords = self._coordinatize()
+        _, s, v = _smith_diagonalize([[(z == x) + (z == y) - (z == plus[x][y]) for z in range(n)]
+                                      for x in range(n) for y in range(n)])
+        factors = [(i, abs(s[i][i])) for i in range(n) if abs(s[i][i]) != 1]
+        self.orders = [o for _, o in factors]
+        self.coords = {x: tuple(v[x][i] % o for i, o in factors) for x in range(n)}
+        self.uncoords = {c: x for x, c in self.coords.items()}
+        if len(self.uncoords) != n or math.prod(self.orders) != n:
+            raise LinearityCheckFailed("coordinates are not a bijection")
+        self.basis = [self.uncoords[tuple(int(i == j) for i in range(len(factors)))]
+                      for j in range(len(factors))]
 
     def add(self, x: int, y: int) -> int:
         return self.plus[x][y]
 
     def sub(self, x: int, y: int) -> int:
         return self.plus[x][self.neg[y]]
-
-    def smul(self, k: int, x: int) -> int:
-        acc = self.zero
-        for _ in range(k):
-            acc = self.plus[acc][x]
-        return acc
-
-    def order(self, x: int) -> int:
-        acc, k = x, 1
-        while acc != self.zero:
-            acc = self.plus[acc][x]
-            k += 1
-        return k
-
-    def _span(self, gens: list[int]) -> set[int]:
-        out = {self.zero}
-        frontier = [self.zero]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.plus[cur][g]
-                if nxt not in out:
-                    out.add(nxt)
-                    frontier.append(nxt)
-        return out
-
-    def _find_basis(self) -> tuple[list[int], list[int]]:
-        """Backtracking search for generators with |A| = prod(orders) and
-        direct-sum coordinates; orders are prime powers."""
-        elements = sorted(range(self.n), key=lambda x: -self.order(x))
-
-        def extend(basis: list[int], orders: list[int], span: set[int]):
-            if len(span) == self.n:
-                return basis, orders
-            for g in elements:
-                if g in span:
-                    continue
-                o = self.order(g)
-                if not is_prime_power(o):
-                    continue
-                # direct sum requirement: <g> meets the current span only at 0
-                cyc = {self.smul(k, g) for k in range(o)}
-                if len(cyc & span) != 1:
-                    continue
-                new_span = self._span(basis + [g])
-                if len(new_span) != len(span) * o:
-                    continue
-                res = extend(basis + [g], orders + [o], new_span)
-                if res is not None:
-                    return res
-            return None
-
-        res = extend([], [], {self.zero})
-        if res is None:
-            raise LinearityCheckFailed("could not decompose (A,+) into cyclic factors")
-        return res
-
-    def _coordinatize(self):
-        coords: dict[int, tuple[int, ...]] = {}
-        for combo in itertools.product(*(range(o) for o in self.orders)):
-            x = self.zero
-            for k, g in zip(combo, self.basis):
-                x = self.plus[x][self.smul(k, g)]
-            coords[x] = combo
-        if len(coords) != self.n:
-            raise LinearityCheckFailed("coordinates are not a bijection")
-        uncoords = {v: k for k, v in coords.items()}
-        return coords, uncoords
 
 
 def _smith_diagonalize(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -630,9 +566,11 @@ def _linear_form(alg: FiniteAlgebra, group: _AbelianGroup, circ: Circuit,
 def _verify_linear(alg: FiniteAlgebra, group: _AbelianGroup, circ: Circuit,
                    output: int, names: list[str], form: _LinearForm,
                    budget: int) -> Optional[str]:
+    """Why form is not the affine decomposition of the output, or None when
+    it is; BudgetExceeded when the |A|^n points it reads exceed budget."""
     total = alg.size ** len(names)
     if total > budget:
-        return f"linearity check needs {total} evaluations"
+        raise BudgetExceeded(total, budget)
     run = compile_circuit(alg, circ.with_outputs([output]))
     for values in itertools.product(range(alg.size), repeat=len(names)):
         acc = form.constant
@@ -653,9 +591,11 @@ def _verify_linear(alg: FiniteAlgebra, group: _AbelianGroup, circ: Circuit,
 def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
     """Decompose both sides of every equation as sum of unary endomorphisms
     plus a constant, verify the decomposition pointwise, and solve the linear
-    system by CRT across the primary components of (A, +) with elimination
-    modulo prime powers.  A failed linearity check downgrades to brute force
-    with a diagnostic."""
+    system over the cyclic factors of (A, +), which the Smith form of its
+    presentation splits off and which need not be prime powers, by one
+    Smith elimination modulo the lcm of their orders.  A failed linearity
+    check downgrades to brute force with a diagnostic; a found witness
+    re-verifies."""
     plan.require("affine", inst)
     alg, circ = plan.alg, inst.circuit
     equations = _pairs(inst)
@@ -677,10 +617,10 @@ def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONF
         res.diagnostic = str(exc)
         return res
 
-    # one congruence row per equation per primary coordinate of (A, +);
+    # one congruence row per equation per cyclic coordinate of (A, +);
     # rows of modulus q lift to the common modulus L by scaling with L/q
-    # (valid because the coefficient maps are additive, so entries are
-    # compatible homomorphisms between the cyclic factors)
+    # (valid because the coefficient maps t are additive, so orders[j],
+    # which kills basis[j], kills every coordinate of t(basis[j]))
     orders = group.orders
     lcm = 1
     for o in orders:
@@ -719,12 +659,7 @@ def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONF
         for nm in names:
             combo = tuple(sol[var_cols[(nm, j)]] % orders[j] for j in range(len(orders)))
             witness[nm] = group.uncoords[combo]
-    if not _verify_witness(alg, inst, witness, equations):
-        res = solve_bruteforce(alg, inst, config)
-        res.solver_used = "affine->brute"
-        res.diagnostic = "linear solution failed re-verification"
-        return res
-    return SolveResult("sat", witness, "affine", 0)
+    return _result(alg, inst, "sat", witness, "affine", 0, pairs=equations)
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,10 @@ from .partition import Partition
 
 @dataclass
 class MinimalSet:
-    quotient: tuple[Partition, Partition]
     elements: tuple[int, ...]
     idempotent: Optional[tuple[int, ...]]        # table of e_U, e_U(A) = U
     idempotent_witness: Optional[Term]
     traces: list[tuple[int, ...]]
-    body: tuple[int, ...]
-    tail: tuple[int, ...]
 
 
 def minimal_sets(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> list[MinimalSet]:
@@ -88,10 +85,7 @@ def minimal_sets(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> list[
                 e_tab = tuple(tab)
                 e_wit = clone.witness(tab)
                 break
-        traces = _traces(alpha, beta, u)
-        body = tuple(sorted(set().union(*traces))) if traces else ()
-        tail = tuple(x for x in u if x not in body)
-        out.append(MinimalSet((alpha, beta), u, e_tab, e_wit, traces, body, tail))
+        out.append(MinimalSet(u, e_tab, e_wit, _traces(alpha, beta, u)))
     return out
 
 

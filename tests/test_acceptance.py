@@ -8,8 +8,6 @@ import math
 import random
 import time
 
-import pytest
-
 from mvcirc.algebra import direct_product, find_malcev_term
 from mvcirc.circuit import (
     CircuitBuilder,
@@ -28,7 +26,6 @@ from mvcirc.reductions import (
     boolean_host_witness,
     csat_to_csp,
     csp_to_csat,
-    dl01_system,
     random_cnf3,
     scsat_to_mcsat,
     threesat_to_csat,

@@ -8,7 +8,6 @@ from mvcirc.algebra import App, Const, Var, eval_term
 from mvcirc.circuit import (
     BlockProgram,
     CeqvInstance,
-    Circuit,
     CircuitBuilder,
     CsatInstance,
     McsatInstance,

@@ -67,52 +67,54 @@ def test_linear_solver_sound_and_complete(mod):
             assert got is None
 
 
+def _cyclic_product(m, n):
+    """Z_m x Z_n as a group, the pair (a, b) encoded as a * n + b."""
+    size = m * n
+    return FiniteAlgebra(
+        f"Z{m}xZ{n}", size,
+        (op_from_fn("mul", 2, size, lambda x, y: (x // n + y // n) % m * n + (x + y) % n),
+         op_from_fn("inv", 1, size, lambda x: -(x // n) % m * n + -x % n)),
+    )
+
+
+def _additive_coordinates(alg):
+    """The group of alg, after checking that its coordinates are a bijection
+    onto the product of range(o) over its orders and add componentwise."""
+    g = _AbelianGroup(alg, find_malcev_term(alg).value[0], 0)
+    assert sorted(g.coords.values()) == list(itertools.product(*map(range, g.orders)))
+    for x in range(alg.size):
+        for y in range(alg.size):
+            want = tuple((a + b) % o for a, b, o in zip(g.coords[x], g.coords[y], g.orders))
+            assert g.coords[g.add(x, y)] == want, (alg.name, x, y)
+    return g
+
+
 def test_abelian_group_basis_on_zoo_groups():
     from mvcirc.zoo import get
 
     for name in ("Z2", "Z3", "Z4", "Z6", "Z2xZ2"):
-        alg = get(name)
-        d = find_malcev_term(alg).value[0]
-        g = _AbelianGroup(alg, d, 0)
-        prod = 1
-        for o in g.orders:
-            prod *= o
-        assert prod == alg.size
-        assert len(g.coords) == alg.size
+        _additive_coordinates(get(name))
 
 
 def test_abelian_group_basis_z4_x_z2():
     # a non-invariant-factor-friendly case: Z4 x Z2 needs a (4, 2) basis
-    def add(x, y):
-        return ((x // 2 + y // 2) % 4) * 2 + ((x % 2) ^ (y % 2))
-
-    alg = FiniteAlgebra(
-        "Z4xZ2", 8,
-        (op_from_fn("mul", 2, 8, add),
-         op_from_fn("inv", 1, 8, lambda x: ((-(x // 2)) % 4) * 2 + (x % 2))),
-    )
-    d = find_malcev_term(alg).value[0]
-    g = _AbelianGroup(alg, d, 0)
+    g = _additive_coordinates(_cyclic_product(4, 2))
     assert sorted(g.orders) == [2, 4]
-    assert len(g.coords) == 8
 
 
-def test_affine_solver_on_z4_x_z2_against_brute():
-    import random as _r
+def test_abelian_group_basis_z4_x_z4():
+    g = _additive_coordinates(_cyclic_product(4, 4))
+    assert g.orders == [4, 4]
 
+
+def _affine_agrees_with_brute(alg, seed, count):
+    """solve_affine and brute force answer alike on count seeded systems of
+    at most 3 inputs over the group alg."""
     from mvcirc.circuit import ScsatInstance, CircuitBuilder
     from mvcirc.solvers import plan_for, solve_affine, solve_bruteforce
 
-    def add(x, y):
-        return ((x // 2 + y // 2) % 4) * 2 + ((x % 2) ^ (y % 2))
-
-    alg = FiniteAlgebra(
-        "Z4xZ2", 8,
-        (op_from_fn("mul", 2, 8, add),
-         op_from_fn("inv", 1, 8, lambda x: ((-(x // 2)) % 4) * 2 + (x % 2))),
-    )
-    rng = _r.Random(55)
-    for _ in range(40):
+    rng = random.Random(seed)
+    for _ in range(count):
         nv = rng.randint(1, 3)
         b = CircuitBuilder(alg.name)
         for i in range(nv):
@@ -121,8 +123,16 @@ def test_affine_solver_on_z4_x_z2_against_brute():
             op = alg.ops[rng.randrange(2)]
             args = [rng.randrange(len(b.gates)) for _ in range(op.arity)]
             b.op(op.name, *args)
-        b.const(rng.randrange(8))
+        b.const(rng.randrange(alg.size))
         eqs = tuple((rng.randrange(len(b.gates)), rng.randrange(len(b.gates)))
                     for _ in range(rng.randint(1, 2)))
         inst = ScsatInstance(b.build([0]), eqs)
         assert solve_affine(plan_for(alg), inst).answer == solve_bruteforce(alg, inst).answer
+
+
+def test_affine_solver_on_z4_x_z2_against_brute():
+    _affine_agrees_with_brute(_cyclic_product(4, 2), 55, 40)
+
+
+def test_affine_solver_on_z4_x_z4_against_brute():
+    _affine_agrees_with_brute(_cyclic_product(4, 4), 56, 30)

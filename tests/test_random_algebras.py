@@ -30,7 +30,6 @@ from mvcirc.circuit import (
 from mvcirc.commutator import commutator, is_affine, is_nilpotent, is_supernilpotent
 from mvcirc.congruence import congruence_lattice, factor_pairs, principal_congruence
 from mvcirc.errors import BudgetExceeded, Tri
-from mvcirc.partition import Partition
 from mvcirc.solvers import dispatch, plan_for, solve_bruteforce
 from mvcirc.structure import _decomposition_flags, is_dl_like
 from mvcirc.zoo import get, zoo

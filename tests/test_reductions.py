@@ -25,7 +25,6 @@ from mvcirc.reductions import (
 )
 from mvcirc.solvers import solve_bruteforce
 from mvcirc.algebra import find_malcev_term
-from mvcirc.zoo import get
 
 from conftest import clone_cap
 

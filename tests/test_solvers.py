@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvcirc import solvers
-from mvcirc.algebra import FiniteAlgebra, direct_product, op_from_fn
+from mvcirc.algebra import BLOCK, FiniteAlgebra, direct_product, op_from_fn
 from mvcirc.circuit import (
-    BLOCK,
     CeqvInstance,
     Circuit,
     CircuitBuilder,
@@ -418,6 +417,22 @@ def test_affine_unsat(z4):
     inst = ScsatInstance(b.build([dbl, one]), ((dbl, one),))
     assert solve_affine(plan_for(z4), inst).answer == "unsat"
     assert solve_bruteforce(z4, inst).answer == "unsat"
+
+
+def test_affine_budget_is_raised_by_the_linearity_check(z6, monkeypatch):
+    # checking a sum of 8 inputs over Z6 reads 6^8 points; the affine route
+    # raises BudgetExceeded itself, with no brute-force fallback
+    b = CircuitBuilder(z6.name)
+    xs = [b.input(f"x{i}") for i in range(8)]
+    total = xs[0]
+    for x in xs[1:]:
+        total = b.op("mul", total, x)
+    one = b.const(1)
+    inst = ScsatInstance(b.build([total]), ((total, one),))
+    monkeypatch.setattr(solvers, "solve_bruteforce", None)
+    with pytest.raises(BudgetExceeded) as exc:
+        solve_affine(plan_for(z6), inst, SolverConfig(budget=1000))
+    assert (exc.value.needed, exc.value.budget) == (6 ** 8, 1000)
 
 
 def test_affine_agreement_batch():

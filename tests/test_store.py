@@ -9,8 +9,6 @@ import pkgutil
 import random
 from collections import Counter
 
-import pytest
-
 import mvcirc
 from mvcirc import algebra, commutator, congruence, solvers, structure, tct
 from mvcirc.algebra import STORE_BOUND, FactStore, FiniteAlgebra, Operation
