@@ -410,10 +410,12 @@ def minimal_support_profile(
 class _AbelianGroup:
     """The group (A, +) with x + y = d(x, 0, y), split into cyclic factors by
     the Smith form S = U R V of its presentation: generators e_x, one per
-    element, and the relations R, e_x + e_y - e_{x+y}.  The factors
-    |S[i][i]| > 1 are the orders, which need not be prime powers; x has the
-    coordinates V[x][i] mod |S[i][i]|, and basis[i] is the element whose
-    coordinates are the i-th unit vector."""
+    element, and the relations R, e_x + e_g - e_{x+g} for every x and every
+    g of a generating set (at most log2 |A| elements; they force
+    e_{x+y} = e_x + e_y for all x, y).  The factors |S[i][i]| > 1 are the
+    orders, which need not be prime powers; x has the coordinates
+    V[x][i] mod |S[i][i]|, and basis[i] is the element whose coordinates are
+    the i-th unit vector."""
 
     def __init__(self, alg: FiniteAlgebra, d_term: Term, zero: int):
         n = alg.size
@@ -438,8 +440,18 @@ class _AbelianGroup:
         if any(v is None for v in neg):
             raise LinearityCheckFailed("addition lacks inverses")
         self.neg = neg
-        _, s, v = _smith_diagonalize([[(z == x) + (z == y) - (z == plus[x][y]) for z in range(n)]
-                                      for x in range(n) for y in range(n)])
+        gens, span = [], {zero}
+        for g in range(n):      # each g outside the subgroup so far enlarges it
+            if g not in span:
+                gens.append(g)
+                frontier = list(span)
+                while frontier:
+                    y = plus[frontier.pop()][g]
+                    if y not in span:
+                        span.add(y)
+                        frontier.append(y)
+        _, s, v = _smith_diagonalize([[(z == x) + (z == g) - (z == plus[x][g]) for z in range(n)]
+                                      for x in range(n) for g in gens or [zero]])
         factors = [(i, abs(s[i][i])) for i in range(n) if abs(s[i][i]) != 1]
         self.orders = [o for _, o in factors]
         self.coords = {x: tuple(v[x][i] % o for i, o in factors) for x in range(n)}
