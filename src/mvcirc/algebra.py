@@ -588,8 +588,8 @@ def find_malcev_term(alg: FiniteAlgebra) -> Search:
 
     NO when the search says NO on some simple quotient (the identities hold
     in every homomorphic image); otherwise the term clone is closed over
-    _identity_points.  YES carries (term, table), the table over those
-    points, once check_malcev_term has verified the term on all of A; NO
+    _identity_points.  YES carries the term, once check_malcev_term has
+    verified it on all of A; NO
     means a closure completed without a witness; UNKNOWN means the closure
     outgrew CLONE_CAP first.  Every outcome is stored under "malcev",
     without the clone's tables.
@@ -607,7 +607,7 @@ def find_malcev_term(alg: FiniteAlgebra) -> Search:
         if hit is not None:
             term = clone.witness(hit)
             check_malcev_term(alg, term)
-            return Search(Tri.YES, (term, tuple(hit)))
+            return Search(Tri.YES, term)
         return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
 
     return stored(alg, "malcev", build)
@@ -638,8 +638,7 @@ def find_directed_gumm_terms(alg: FiniteAlgebra) -> Search:
     """
     malcev = find_malcev_term(alg)
     if malcev.status is Tri.YES:
-        term, _ = malcev.value  # type: ignore[misc]
-        return _verified(alg, GummChain([Var(0)], term))
+        return _verified(alg, GummChain([Var(0)], malcev.value))
     if malcev.status is Tri.UNKNOWN:
         return Search(Tri.UNKNOWN)
     if any(find_directed_gumm_terms(q).status is Tri.NO for q in _simple_quotients(alg)):

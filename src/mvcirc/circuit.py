@@ -151,9 +151,9 @@ def gate_values(
 
 def compile_circuit(alg: FiniteAlgebra, c: Circuit) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """Compile to an evaluator of one assignment, taking values for
-    sorted(input_names).  Its only callers are the affine solver's
-    linear-form extraction and linearity check; every enumeration runs on
-    BlockProgram."""
+    sorted(input_names).  Its one caller is solvers._affine_form, which
+    reads and checks the affine form of one output; every enumeration runs
+    on BlockProgram."""
     n = alg.size
     names = sorted(c.input_names)
     slot = {nm: i for i, nm in enumerate(names)}

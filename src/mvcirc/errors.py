@@ -88,9 +88,7 @@ class UnsupportedKind(MvcircError, TypeError):
 
 
 class LinearityCheckFailed(MvcircError):
-    def __init__(self, diagnostic: str):
-        super().__init__(diagnostic)
-        self.diagnostic = diagnostic
+    """A circuit output failed the affine route's check of its form."""
 
 
 class InvalidWitness(MvcircError):

@@ -151,7 +151,9 @@ class _Digits:
     position varies fastest).  A range aligned to `span` assignments varies
     only the last j positions, where span = r^j is the largest power of
     r = len(values) within BLOCK (j <= k); the other positions are constant
-    on it."""
+    on it.  The period of a digit d, each value r^d times in order, is
+    built once, when a range first varies d, so a first block that varies
+    only the low digits builds only their periods."""
 
     def __init__(self, program: BlockProgram, values: Sequence[int], k: int):
         r, j, span = len(values), 0, 1
@@ -159,12 +161,13 @@ class _Digits:
             j, span = j + 1, span * r
         self.width, self.r, self.k, self.span = program.width, r, k, span
         self.values = program.pack(values)          # the digit of each value, in order
+        self.periods = {0: self.values}             # digit -> its period
 
     def columns(self, lo: int, count: int) -> list[bytes]:
         """The k columns of [lo, lo + count), a range inside one aligned
         span.  A digit constant on the range repeats one value; a varying
-        digit d repeats its period, each value r^d times, from the start of
-        the span and is cut to the range."""
+        digit repeats its period from the start of the span, cut to the
+        range."""
         w, r, values = self.width, self.r, self.values
         start, end = lo % self.span, lo % self.span + count
         out = []
@@ -174,8 +177,10 @@ class _Digits:
                 v = lo // step % r * w
                 out.append(values[v:v + w] * count)
                 continue
-            period = values if step == 1 else b"".join(
-                values[v:v + w] * step for v in range(0, r * w, w))
+            period = self.periods.get(d)
+            if period is None:
+                period = self.periods[d] = b"".join(
+                    [values[v:v + w] * step for v in range(0, r * w, w)])
             out.append((period * -(-end // (r * step)))[start * w:end * w])
         return out
 
@@ -527,86 +532,68 @@ def _smith_diagonalize(a: list[list[int]]) -> tuple[list[list[int]], list[list[i
     return u, s, v
 
 
-def _solve_linear_mod(rows: list[list[int]], rhs: list[int], mod: int) -> Optional[list[int]]:
-    """One solution of rows * x = rhs (mod mod) over the integers mod `mod`,
-    via Smith diagonalization; None when inconsistent."""
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
-    u, s, v = _smith_diagonalize(rows)
-    c = [sum(u[i][j] * rhs[j] for j in range(m)) % mod for i in range(m)]
-    y = [0] * n
+def _solve_integer(rows: list[list[int]], rhs: list[int], moduli: list[int]) -> Optional[list[int]]:
+    """Integers y with rows[i] * y = rhs[i] (mod moduli[i]) for every i, or
+    None when there are none.  A slack column per row carries its modulus,
+    so the congruences become one integer system M z = rhs with
+    M = [rows | diag(moduli)], solved by one Smith form S = U M V: S w =
+    U rhs, z = V w, and y is z without its slack entries.  The slack
+    columns give M full row rank, so every S[i][i] is nonzero, and the
+    system is solvable iff each divides its entry of U rhs."""
+    m = len(rows)
+    u, s, v = _smith_diagonalize([row + [q * (i == k) for k in range(m)]
+                                  for i, (row, q) in enumerate(zip(rows, moduli))])
+    w = []
     for i in range(m):
-        d = s[i][i] if i < n else 0
-        if d == 0:
-            if c[i] % mod != 0:
-                return None
-            continue
-        g = math.gcd(d, mod)
-        if c[i] % g != 0:
+        c = sum(x * b for x, b in zip(u[i], rhs))
+        if c % s[i][i]:
             return None
-        y[i] = ((c[i] // g) * pow(d // g, -1, mod // g)) % (mod // g)
-    x = [sum(v[i][j] * y[j] for j in range(n)) % mod for i in range(n)]
-    for i in range(m):
-        if sum(rows[i][j] * x[j] for j in range(n)) % mod != rhs[i] % mod:
-            return None
-    return x
+        w.append(c // s[i][i])
+    return [sum(x * y for x, y in zip(v[j], w)) for j in range(len(v) - m)]
 
 
-@dataclass
-class _LinearForm:
-    constant: int
-    eps: dict[str, list[int]]   # input name -> value table of the unary part
-
-
-def _linear_form(alg: FiniteAlgebra, group: _AbelianGroup, circ: Circuit,
-                 output: int, names: list[str]) -> _LinearForm:
-    run = compile_circuit(alg, circ.with_outputs([output]))
-    zero_vec = [group.zero] * len(names)
-    c0 = run(zero_vec)[0]
-    eps: dict[str, list[int]] = {}
-    for i, nm in enumerate(names):
-        tab = []
-        for a in range(alg.size):
-            vec = list(zero_vec)
-            vec[i] = a
-            tab.append(group.sub(run(vec)[0], c0))
-        eps[nm] = tab
-    return _LinearForm(c0, eps)
-
-
-def _verify_linear(alg: FiniteAlgebra, group: _AbelianGroup, circ: Circuit,
-                   output: int, names: list[str], form: _LinearForm,
-                   budget: int) -> Optional[str]:
-    """Why form is not the affine decomposition of the output, or None when
-    it is; BudgetExceeded when the |A|^n points it reads exceed budget."""
+def _affine_form(alg: FiniteAlgebra, group: _AbelianGroup, circ: Circuit, output: int,
+                 names: list[str], budget: int) -> tuple[int, list[list[int]]]:
+    """The output as c + t_1(x_1) + ... + t_n(x_n) over (A, +): the constant
+    c, read at the all-zero point, and the coefficient tables t_i in names
+    order, read at the n(|A| - 1) points with one input off zero.  Then
+    every one of the |A|^n points is checked against the form and every t_i
+    for additivity, raising LinearityCheckFailed at the first failure;
+    BudgetExceeded, before anything runs, when those points exceed budget."""
     total = alg.size ** len(names)
     if total > budget:
         raise BudgetExceeded(total, budget)
     run = compile_circuit(alg, circ.with_outputs([output]))
+    zero = [group.zero] * len(names)
+    c = run(zero)[0]
+    tables = []
+    for i in range(len(names)):
+        tab = [group.zero] * alg.size
+        for a in range(alg.size):
+            if a != group.zero:
+                tab[a] = group.sub(run(zero[:i] + [a] + zero[i + 1:])[0], c)
+        tables.append(tab)
     for values in itertools.product(range(alg.size), repeat=len(names)):
-        acc = form.constant
-        for nm, v in zip(names, values):
-            acc = group.add(acc, form.eps[nm][v])
+        acc = c
+        for tab, v in zip(tables, values):
+            acc = group.add(acc, tab[v])
         if acc != run(values)[0]:
             asg = dict(zip(names, values))
-            return f"output g{output} is not affine at {asg}"
-    for nm in names:
-        tab = form.eps[nm]
+            raise LinearityCheckFailed(f"output g{output} is not affine at {asg}")
+    for nm, tab in zip(names, tables):
         for x in range(alg.size):
             for y in range(alg.size):
                 if tab[group.plus[x][y]] != group.add(tab[x], tab[y]):
-                    return f"coefficient of {nm} is not additive"
-    return None
+                    raise LinearityCheckFailed(f"coefficient of {nm} is not additive")
+    return c, tables
 
 
 def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
-    """Decompose both sides of every equation as sum of unary endomorphisms
-    plus a constant, verify the decomposition pointwise, and solve the linear
-    system over the cyclic factors of (A, +), which the Smith form of its
-    presentation splits off and which need not be prime powers, by one
-    Smith elimination modulo the lcm of their orders.  A failed linearity
-    check downgrades to brute force with a diagnostic; a found witness
+    """Read and check the affine form of both sides of every equation, and
+    solve the linear system over the cyclic factors of (A, +), which the
+    Smith form of its presentation splits off and which need not be prime
+    powers, as one system over the integers.  A failed linearity check
+    downgrades to brute force with a diagnostic; a found witness
     re-verifies."""
     plan.require("affine", inst)
     alg, circ = plan.alg, inst.circuit
@@ -614,63 +601,33 @@ def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONF
     names = sorted(circ.input_names)
     try:
         group = plan.group
-        forms: dict[int, _LinearForm] = {}
-        for g, h in equations:
-            for out in (g, h):
-                if out not in forms:
-                    form = _linear_form(alg, group, circ, out, names)
-                    err = _verify_linear(alg, group, circ, out, names, form, config.budget)
-                    if err:
-                        raise LinearityCheckFailed(err)
-                    forms[out] = form
+        forms = {out: _affine_form(alg, group, circ, out, names, config.budget)
+                 for out in dict.fromkeys(out for pair in equations for out in pair)}
     except LinearityCheckFailed as exc:
         res = solve_bruteforce(alg, inst, config)
         res.solver_used = "affine->brute"
         res.diagnostic = str(exc)
         return res
 
-    # one congruence row per equation per cyclic coordinate of (A, +);
-    # rows of modulus q lift to the common modulus L by scaling with L/q
-    # (valid because the coefficient maps t are additive, so orders[j],
-    # which kills basis[j], kills every coordinate of t(basis[j]))
-    orders = group.orders
-    lcm = 1
-    for o in orders:
-        lcm = lcm * o // math.gcd(lcm, o)
-    var_cols = {(nm, j): idx for idx, (nm, j) in enumerate(
-        (nm, j) for nm in names for j in range(len(orders))
-    )}
-    rows: list[list[int]] = []
-    rhs: list[int] = []
+    # the unknowns are the coordinates y[i * r + j] of input i along
+    # basis[j]; an equation g = h reads t(x) = c_h - c_g with t = t_g - t_h,
+    # and its k-th coordinate is sum_j y[i * r + j] * t(basis[j])_k, as t
+    # is additive, modulo orders[k]
+    orders, coords, r = group.orders, group.coords, len(group.orders)
+    rows, rhs, moduli = [], [], []
     for g, h in equations:
-        fg, fh = forms[g], forms[h]
-        target = group.sub(fh.constant, fg.constant)
-        tcoords = group.coords[target]
-        diffs = {
-            nm: [group.sub(fg.eps[nm][a], fh.eps[nm][a]) for a in range(alg.size)]
-            for nm in names
-        }
-        for hcoord, q in enumerate(orders):
-            lift = lcm // q
-            row = [0] * len(var_cols)
-            for nm in names:
-                for j in range(len(orders)):
-                    entry = group.coords[diffs[nm][group.basis[j]]][hcoord]
-                    row[var_cols[(nm, j)]] = (entry * lift) % lcm
-            rows.append(row)
-            rhs.append((tcoords[hcoord] * lift) % lcm)
-
-    witness: dict[str, int]
-    if not rows:
-        witness = {nm: group.zero for nm in names}
-    else:
-        sol = _solve_linear_mod(rows, rhs, lcm)
-        if sol is None:
-            return SolveResult("unsat", None, "affine", 0)
-        witness = {}
-        for nm in names:
-            combo = tuple(sol[var_cols[(nm, j)]] % orders[j] for j in range(len(orders)))
-            witness[nm] = group.uncoords[combo]
+        (cg, tg), (ch, th) = forms[g], forms[h]
+        images = [coords[group.sub(eg[b], eh[b])] for eg, eh in zip(tg, th) for b in group.basis]
+        target = coords[group.sub(ch, cg)]
+        for k, q in enumerate(orders):
+            rows.append([image[k] for image in images])
+            rhs.append(target[k])
+            moduli.append(q)
+    y = _solve_integer(rows, rhs, moduli) if rows else [0] * (len(names) * r)
+    if y is None:
+        return SolveResult("unsat", None, "affine", 0)
+    witness = {nm: group.uncoords[tuple(y[i * r + j] % q for j, q in enumerate(orders))]
+               for i, nm in enumerate(names)}
     return _result(alg, inst, "sat", witness, "affine", 0, pairs=equations)
 
 
@@ -746,7 +703,7 @@ class Plan:
     @cached_property
     def malcev(self) -> Optional[Term]:
         found = find_malcev_term(self.alg)
-        return found.value[0] if found.status is Tri.YES else None  # type: ignore[index]
+        return found.value if found.status is Tri.YES else None  # type: ignore[return-value]
 
     @cached_property
     def support_bound(self) -> int:

@@ -435,7 +435,7 @@ def test_congruence_check_and_pair_algebra_match_pointwise_references(data):
 def test_malcev_z2_and_verify(z2):
     res = find_malcev_term(z2)
     assert res.status is Tri.YES
-    term, table = res.value
+    term = res.value
     for x in range(2):
         for y in range(2):
             assert eval_term(z2, term, (x, x, y)) == y
@@ -455,7 +455,7 @@ def test_malcev_all_malcev_zoo_members(name):
     alg = get(name)
     res = find_malcev_term(alg)
     assert res.status is Tri.YES
-    term, _ = res.value
+    term = res.value
     for x in range(alg.size):
         for y in range(alg.size):
             assert eval_term(alg, term, (x, x, y)) == y

@@ -1,6 +1,6 @@
-"""White-box checks of the modular linear-system core behind the affine
-solver: Smith diagonalization must be exact and the solver complete
-(never answering None when an assignment exists)."""
+"""White-box checks of the linear-system core behind the affine solver:
+Smith diagonalization must be exact and the integer solver of systems of
+congruences complete (never answering None when a solution exists)."""
 
 import itertools
 import random
@@ -8,7 +8,7 @@ import random
 import pytest
 
 from mvcirc.algebra import FiniteAlgebra, find_malcev_term, op_from_fn
-from mvcirc.solvers import _AbelianGroup, _smith_diagonalize, _solve_linear_mod
+from mvcirc.solvers import _AbelianGroup, _smith_diagonalize, _solve_integer
 
 
 def _matmul(a, b):
@@ -47,24 +47,29 @@ def _det(mat):
 
 @pytest.mark.parametrize("mod", [2, 3, 4, 6, 8, 9, 12])
 def test_linear_solver_sound_and_complete(mod):
+    # each congruence has its own modulus, a divisor > 1 of mod, so the
+    # systems mix moduli (2, 3, 4 and 6 at mod 12) and every solution set is
+    # periodic mod mod: enumerating range(mod)^n is the ground truth
     rng = random.Random(mod * 101)
+    divisors = [q for q in range(2, mod + 1) if mod % q == 0]
+    unsolvable = 0
     for _ in range(60):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
-        rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(m)]
-        rhs = [rng.randrange(mod) for _ in range(m)]
-        got = _solve_linear_mod(rows, rhs, mod)
-        # brute-force ground truth
-        solvable = any(
-            all(sum(r * x for r, x in zip(row, xs)) % mod == b % mod
-                for row, b in zip(rows, rhs))
-            for xs in itertools.product(range(mod), repeat=n)
-        )
-        if solvable:
-            assert got is not None, (rows, rhs, mod)
-            for row, b in zip(rows, rhs):
-                assert sum(r * x for r, x in zip(row, got)) % mod == b % mod
+        moduli = [rng.choice(divisors) for _ in range(m)]
+        rows = [[rng.randrange(q) for _ in range(n)] for q in moduli]
+        rhs = [rng.randrange(q) for q in moduli]
+
+        def solves(xs):
+            return all(sum(r * x for r, x in zip(row, xs)) % q == b % q
+                       for row, b, q in zip(rows, rhs, moduli))
+
+        got = _solve_integer(rows, rhs, moduli)
+        if any(solves(xs) for xs in itertools.product(range(mod), repeat=n)):
+            assert got is not None and len(got) == n and solves(got), (rows, rhs, moduli)
         else:
-            assert got is None
+            assert got is None, (rows, rhs, moduli)
+            unsolvable += 1
+    assert unsolvable > 0
 
 
 def _cyclic_product(m, n):
@@ -80,7 +85,7 @@ def _cyclic_product(m, n):
 def _additive_coordinates(alg):
     """The group of alg, after checking that its coordinates are a bijection
     onto the product of range(o) over its orders and add componentwise."""
-    g = _AbelianGroup(alg, find_malcev_term(alg).value[0], 0)
+    g = _AbelianGroup(alg, find_malcev_term(alg).value, 0)
     assert sorted(g.coords.values()) == list(itertools.product(*map(range, g.orders)))
     for x in range(alg.size):
         for y in range(alg.size):

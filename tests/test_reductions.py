@@ -242,7 +242,7 @@ def test_dl01_verifier_agrees_with_brute_force(lat2):
 
 
 def _malcev(alg):
-    return find_malcev_term(alg).value[0]
+    return find_malcev_term(alg).value
 
 
 def test_scsat_to_mcsat_z4(z4):

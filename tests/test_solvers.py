@@ -6,8 +6,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvcirc import solvers
-from mvcirc.algebra import BLOCK, FiniteAlgebra, direct_product, op_from_fn
+from mvcirc import algebra, solvers
+from mvcirc.algebra import BLOCK, FactStore, FiniteAlgebra, Operation, direct_product, op_from_fn
 from mvcirc.circuit import (
     CeqvInstance,
     Circuit,
@@ -433,6 +433,34 @@ def test_affine_budget_is_raised_by_the_linearity_check(z6, monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         solve_affine(plan_for(z6), inst, SolverConfig(budget=1000))
     assert (exc.value.needed, exc.value.budget) == (6 ** 8, 1000)
+
+
+def test_affine_falls_back_to_brute_force_when_a_form_check_fails(z6, monkeypatch):
+    # give a fresh Z6 plan the (A, +) of Z6 relabelled by the swap of 1 and
+    # 2, which fixes 0 and is no automorphism: x + y then reads 1 + 1 = 4,
+    # so the form check fails at x = y = 1 and the route takes brute force
+    swap = (0, 2, 1, 3, 4, 5)
+
+    def relabel(op):
+        points = list(itertools.product(range(6), repeat=op.arity))
+        index = {p: i for i, p in enumerate(points)}
+        return Operation(op.name, op.arity, tuple(
+            swap[op.table[index[tuple(swap[x] for x in p)]]] for p in points))
+
+    relabelled = FiniteAlgebra("Z6swap", 6, tuple(relabel(op) for op in z6.ops))
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    plan = plan_for(z6)
+    plan.group = solvers._AbelianGroup(relabelled, plan.malcev, 0)
+    b = CircuitBuilder(z6.name)
+    total = b.op("mul", b.input("x"), b.input("y"))
+    three = b.const(3)
+    inst = ScsatInstance(b.build([total]), ((total, three),))
+    res = solve_affine(plan, inst)
+    brute = solve_bruteforce(z6, inst)
+    assert (res.answer, res.witness, res.assignments_tried) == (
+        brute.answer, brute.witness, brute.assignments_tried)
+    assert res.solver_used == "affine->brute"
+    assert res.diagnostic == f"output g{total} is not affine at {{'x': 1, 'y': 1}}"
 
 
 def test_affine_agreement_batch():
