@@ -12,7 +12,6 @@ import itertools
 import operator
 import sys
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, KeysView, Optional, Sequence, TypeVar
@@ -126,24 +125,33 @@ class Content:
         return isinstance(other, Content) and self.value == other.value
 
 
+class _Facts(dict):
+    """The facts of one algebra, with the store's clock reading at its
+    last use."""
+
+    __slots__ = ("used",)
+
+
 class FactStore:
     """Least-recently-used map from an algebra's content (size, signature,
     tables) to a dict of facts about it, holding at most STORE_BOUND
     algebras.  A fact whose value depends on more than the content carries
-    that in its key, e.g. ("quotient", theta)."""
+    that in its key, e.g. ("quotient", theta).  A hit hashes the content
+    once: recency is a clock reading kept on the entry, and only a miss past
+    the bound scans the entries for the least recent one."""
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[Content, dict] = OrderedDict()
+        self._entries: dict[Content, _Facts] = {}
+        self._clock = itertools.count()
 
     def facts(self, alg: FiniteAlgebra) -> dict:
-        key = alg.content
-        entry = self._entries.get(key)
+        entry = self._entries.get(alg.content)
         if entry is None:
-            entry = self._entries[key] = {}
-            if len(self._entries) > STORE_BOUND:
-                self._entries.popitem(last=False)
-        else:
-            self._entries.move_to_end(key)
+            if len(self._entries) >= STORE_BOUND:
+                oldest, _ = min(self._entries.items(), key=lambda item: item[1].used)
+                del self._entries[oldest]
+            entry = self._entries[alg.content] = _Facts()
+        entry.used = next(self._clock)
         return entry
 
     def __len__(self) -> int:
@@ -153,12 +161,16 @@ class FactStore:
 STORE = FactStore()
 
 
+_MISSING = object()
+
+
 def stored(alg: FiniteAlgebra, fact: Hashable, build: Callable[[], T]) -> T:
     """The fact of alg from the store; on a miss, build it and store it."""
     facts = STORE.facts(alg)
-    if fact not in facts:
-        facts[fact] = build()
-    return facts[fact]
+    value = facts.get(fact, _MISSING)
+    if value is _MISSING:
+        value = facts[fact] = build()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +247,14 @@ def column_op(size: int, width: int, table: Sequence[int], columns: Sequence[byt
     acc = frm(columns[args[0]], _ORDER)
     for a in args[1:]:
         acc = acc * size + frm(columns[a], _ORDER)
-    raw = acc.to_bytes(length, _ORDER)
+    return map_digits(width, table, acc.to_bytes(length, _ORDER))
+
+
+def map_digits(width: int, table: Sequence[int], column: bytes) -> bytes:
+    """The column whose digits are table's entries at column's digits."""
     if width == 1:
-        return raw.translate(table)
-    return pack_column(width, map(table.__getitem__, column_digits(width, raw)))
+        return column.translate(table)
+    return pack_column(width, map(table.__getitem__, column_digits(width, column)))
 
 
 # ---------------------------------------------------------------------------

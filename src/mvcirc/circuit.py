@@ -22,7 +22,7 @@ from .algebra import (
     Var,
     _op_tables,
     column_digits,
-    column_op,
+    map_digits,
     pack_column,
 )
 from .errors import (
@@ -199,8 +199,12 @@ def compile_circuit(alg: FiniteAlgebra, c: Circuit) -> Callable[[Sequence[int]],
 # Block evaluation
 #
 # A block is `count` assignments.  Every input and gate holds a column with
-# one digit per assignment (see "Byte columns" in algebra.py); a gate is
-# evaluated over the whole block by one column_op.
+# one digit per assignment (see "Byte columns" in algebra.py).  A gate is
+# evaluated over the whole block at once, and each gate's column is read
+# as an integer at most once per block: a unary op at width 1 translates
+# its argument's bytes, any other op combines its arguments' integers by
+# Horner and maps the digits through its table, and the compared pairs
+# XOR as integers.  A gate keeps only the forms later steps read.
 
 
 class BlockProgram:
@@ -214,19 +218,23 @@ class BlockProgram:
     def __init__(self, alg: FiniteAlgebra, c: Circuit, pairs: Iterable[tuple[int, int]]):
         tables = _op_tables(alg)
         size = self.size = alg.size
-        self.width = tables.width
+        width = self.width = tables.width
         self.names = sorted(c.input_names)
         self.pairs = tuple(pairs)
         gates = c.gates
         self.gates = len(gates)
-        live = [False] * len(gates)
+        # how later steps read each gate's column: 1 as an integer, 2 as
+        # bytes; a gate nothing reads is dead
+        use = [0] * len(gates)
         for a, b in self.pairs:
-            live[a] = live[b] = True
+            use[a] = use[b] = 1
         slot = {nm: i for i, nm in enumerate(self.names)}
         ops = tables.ops
         # one backward pass checks every gate, marks what the live gates
-        # read, and collects the live gates' steps, last gate first:
-        # (gate, 0, input slot) | (gate, 1, value) | (gate, 2, table, args)
+        # read, and collects the live gates' steps, last gate first, each
+        # ending in its use:
+        # (gate, 0, input slot, use) | (gate, 1, value, use)
+        # | (gate, 2, table, arg, use) | (gate, 3, table, args, use)
         steps: list[tuple] = []
         append = steps.append
         for i in range(len(gates) - 1, -1, -1):
@@ -240,18 +248,25 @@ class BlockProgram:
                 args = g.args
                 if len(args) != arity:
                     raise ArityMismatch(f"gate g{i}: op {g.name} arity mismatch")
-                if live[i]:
+                if not use[i]:
+                    continue
+                if arity == 1 and width == 1:
+                    use[args[0]] |= 2
+                    append((i, 2, table, args[0], use[i]))
+                elif arity:
                     for a in args:
-                        live[a] = True
-                    append((i, 2, table, args) if arity else (i, 1, table[0]))
+                        use[a] |= 1
+                    append((i, 3, table, args, use[i]))
+                else:
+                    append((i, 1, table[0], use[i]))
             elif kind == "input":
-                if live[i]:
-                    append((i, 0, slot[g.name]))
+                if use[i]:
+                    append((i, 0, slot[g.name], use[i]))
             else:
                 if not 0 <= g.value < size:
                     raise ElementOutOfRange(f"const {g.value} out of range")
-                if live[i]:
-                    append((i, 1, g.value))
+                if use[i]:
+                    append((i, 1, g.value, use[i]))
         steps.reverse()
         self.steps = steps
 
@@ -271,11 +286,13 @@ class BlockProgram:
         vals = [0] * self.gates
         for step in self.steps:
             tag = step[1]
-            if tag == 2:
+            if tag == 3:
                 idx = 0
                 for a in step[3]:
                     idx = idx * n + vals[a]
                 vals[step[0]] = step[2][idx]
+            elif tag == 2:
+                vals[step[0]] = step[2][vals[step[3]]]
             else:
                 vals[step[0]] = values[step[2]] if tag == 0 else step[2]
         return any(vals[a] != vals[b] for a, b in self.pairs)
@@ -286,18 +303,28 @@ class BlockProgram:
         n, w, order = self.size, self.width, _ORDER
         length = count * w
         frm = int.from_bytes
-        vals: list = [b""] * self.gates
+        cols: list = [b""] * self.gates
+        ints = [0] * self.gates
         for step in self.steps:
             tag = step[1]
-            if tag == 2:
-                vals[step[0]] = column_op(n, w, step[2], vals, step[3], length)
+            if tag == 3:
+                acc = 0
+                for a in step[3]:
+                    acc = acc * n + ints[a]
+                col = map_digits(w, step[2], acc.to_bytes(length, order))
+            elif tag == 2:
+                col = cols[step[3]].translate(step[2])
             elif tag == 0:
-                vals[step[0]] = columns[step[2]]
+                col = columns[step[2]]
             else:
-                vals[step[0]] = self.pack((step[2],)) * count
+                col = self.pack((step[2],)) * count
+            if step[-1] & 1:
+                ints[step[0]] = frm(col, order)
+            if step[-1] & 2:
+                cols[step[0]] = col
         diff = 0
         for a, b in self.pairs:
-            diff |= frm(vals[a], order) ^ frm(vals[b], order)
+            diff |= ints[a] ^ ints[b]
         raw = diff.to_bytes(length, order)
         return raw if w == 1 else bytes(map(bool, column_digits(w, raw)))
 

@@ -28,8 +28,10 @@ from .algebra import (
     BLOCK,
     FiniteAlgebra,
     Term,
+    _op_tables,
     eval_term,
     find_malcev_term,
+    pack_column,
     stored,
 )
 from .circuit import (
@@ -153,14 +155,16 @@ class _Digits:
     r = len(values) within BLOCK (j <= k); the other positions are constant
     on it.  The period of a digit d, each value r^d times in order, is
     built once, when a range first varies d, so a first block that varies
-    only the low digits builds only their periods."""
+    only the low digits builds only their periods.  Kept per algebra by
+    _digits, so the periods and the lexicographic first block are built
+    once per (values, k, BLOCK)."""
 
-    def __init__(self, program: BlockProgram, values: Sequence[int], k: int):
+    def __init__(self, width: int, values: Sequence[int], k: int):
         r, j, span = len(values), 0, 1
         while j < k and span * r <= BLOCK:
             j, span = j + 1, span * r
-        self.width, self.r, self.k, self.span = program.width, r, k, span
-        self.values = program.pack(values)          # the digit of each value, in order
+        self.width, self.r, self.k, self.span = width, r, k, span
+        self.values = pack_column(width, values)    # the digit of each value, in order
         self.periods = {0: self.values}             # digit -> its period
 
     def columns(self, lo: int, count: int) -> list[bytes]:
@@ -184,16 +188,35 @@ class _Digits:
             out.append((period * -(-end // (r * step)))[start * w:end * w])
         return out
 
+    @cached_property
+    def first(self) -> Block:
+        """The lexicographic first block [1, min(16, span)), or [1, 2)
+        when the span is one assignment."""
+        end = max(2, min(16, self.span))
+        return self.columns(1, end - 1), end - 1
 
-def _lex_blocks(program: BlockProgram, m: int) -> Iterator[Block]:
+
+def _digits(alg: FiniteAlgebra, values: Sequence[int], k: int) -> _Digits:
+    """The _Digits of values^k from the per-algebra store; the key holds
+    BLOCK, which sets the spans."""
+    return stored(alg, ("digits", values, k, BLOCK),
+                  lambda: _Digits(_op_tables(alg).width, values, k))
+
+
+def _lex_blocks(alg: FiniteAlgebra, m: int) -> Iterator[Block]:
     """The n^m assignments after the first (all 0) in lexicographic order
     (sorted input names, last fastest), in blocks [1, 16), [16, 256), ...
     up to one aligned span of at most BLOCK, then aligned spans.  A block of
     up to 16 assignments costs little more than one, so an instance
-    satisfied early pays for about two evaluations."""
-    n = program.size
-    digits = _Digits(program, range(n), m)
-    span, total, lo = digits.span, n ** m, 1
+    satisfied early pays for about two evaluations; that first block is
+    kept with the digits."""
+    n = alg.size
+    total = n ** m
+    if total == 1:
+        return
+    digits = _digits(alg, range(n), m)
+    yield digits.first
+    span, lo = digits.span, 1 + digits.first[1]
     while lo < total:
         hi = lo + span if lo >= span else min(lo * 16, span)
         yield digits.columns(lo, hi - lo), hi - lo
@@ -229,7 +252,7 @@ def solve_bruteforce(
     if total > config.budget:
         raise BudgetExceeded(total, config.budget)
     program = BlockProgram(alg, inst.circuit, _pairs(inst))
-    return _decide(alg, inst, program, (0,) * m, _lex_blocks(program, m), total, "brute")
+    return _decide(alg, inst, program, (0,) * m, _lex_blocks(alg, m), total, "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -295,32 +318,49 @@ def ramsey_support_bound(k: int, card_a: int) -> int:
     return min(max(t, m), RAMSEY_CEILING)
 
 
-def _support_sweep(program: BlockProgram, m: int, zero: int, max_support: int) -> Iterator[Block]:
+def _support_sweep(alg: FiniteAlgebra, m: int, zero: int, max_support: int) -> Iterator[Block]:
     """The assignments after the first (all zero) ordered by support size,
     then positions (combinations order), then values (product order over
     the nonzero values), in blocks: consecutive position sets of one support
     size up to BLOCK assignments; a position set with more values than that
-    comes in aligned spans."""
-    nonzero = [v for v in range(program.size) if v != zero]
-    if not nonzero:         # |A| = 1: the first assignment is the only one
+    comes in aligned spans.  The first block, which holds support 1 only
+    whatever max_support is, is kept per (zero, m, BLOCK) in the store."""
+    if alg.size == 1 or max_support < 1:    # the first assignment is the only one
         return
-    fill, w = program.pack((zero,)), program.width
-    for s in range(1, max_support + 1):
-        digits = _Digits(program, nonzero, s)
-        span, size, per = digits.span, digits.span * w, len(nonzero) ** s
-        whole = digits.columns(0, span) if span == per else None   # one span per position set
-        pieces = ((positions, lo) for positions in itertools.combinations(range(m), s)
-                  for lo in range(0, per, span))
-        while True:
-            batch = list(itertools.islice(pieces, BLOCK // span))
-            if not batch:
-                break
-            count = len(batch) * span
-            columns = [bytearray(fill * count) for _ in range(m)]
-            for k, (positions, lo) in enumerate(batch):
-                for i, col in zip(positions, whole or digits.columns(lo, span)):
-                    columns[i][k * size:(k + 1) * size] = col
-            yield columns, count
+    nonzero = (*range(zero), *range(zero + 1, alg.size))
+
+    def start() -> tuple[Block, bytes]:
+        fill = pack_column(_op_tables(alg).width, (zero,))
+        return next(_support_blocks(_digits(alg, nonzero, 1), m, fill)), fill
+
+    first, fill = stored(alg, ("sweep", zero, m, BLOCK), start)
+    yield first
+    digits = _digits(alg, nonzero, 1)
+    yield from _support_blocks(digits, m, fill, first[1] // digits.span)
+    for s in range(2, max_support + 1):
+        yield from _support_blocks(_digits(alg, nonzero, s), m, fill)
+
+
+def _support_blocks(digits: _Digits, m: int, fill: bytes, skip: int = 0) -> Iterator[Block]:
+    """The blocks of one support size s = digits.k, past the first skip
+    pieces; a piece is one aligned span of values on one position set.
+    Each column of a block is one join of its pieces."""
+    s, span = digits.k, digits.span
+    per = digits.r ** s
+    whole = digits.columns(0, span) if span == per else None   # one span per position set
+    blank = fill * span
+    pieces = itertools.islice(((positions, lo)
+                               for positions in itertools.combinations(range(m), s)
+                               for lo in range(0, per, span)), skip, None)
+    while True:
+        batch = list(itertools.islice(pieces, BLOCK // span))
+        if not batch:
+            return
+        parts = [[blank] * len(batch) for _ in range(m)]
+        for k, (positions, lo) in enumerate(batch):
+            for i, col in zip(positions, whole or digits.columns(lo, span)):
+                parts[i][k] = col
+        yield [b"".join(column) for column in parts], len(batch) * span
 
 
 def _sweep_size(n: int, inputs: int, max_support: int, config: SolverConfig) -> int:
@@ -344,7 +384,7 @@ def _sweep(alg: FiniteAlgebra, inst: CsatInstance | CeqvInstance, zero: int, bou
     ceqv = isinstance(inst, CeqvInstance)
     solver = ("supernilpotent" if not ceqv else "ceqv-affine" if affine
               else "ceqv-supernilpotent-experimental")
-    return _decide(alg, inst, program, (zero,) * m, _support_sweep(program, m, zero, max_support),
+    return _decide(alg, inst, program, (zero,) * m, _support_sweep(alg, m, zero, max_support),
                    total, solver, experimental=ceqv and not affine)
 
 
@@ -403,7 +443,7 @@ def minimal_support_profile(
     if total > config.budget:
         raise BudgetExceeded(total, config.budget)
     program = BlockProgram(alg, csat.circuit, _pairs(csat))
-    hits = _hits(program, (0,) * m, _lex_blocks(program, m), agree=True)
+    hits = _hits(program, (0,) * m, _lex_blocks(alg, m), agree=True)
     hist = Counter(sum(1 for v in values if v != zero) for values, _ in hits)
     return dict(hist) or None
 

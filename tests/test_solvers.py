@@ -230,6 +230,96 @@ def test_enumerations_cross_full_blocks(bool2, z4ring):
     assert not any(_holds(z4ring, inst, dict(zip(names, a))) for a in _old_sweep_order(4, 10, 0, 4))
 
 
+# The enumeration columns are per-algebra facts: the store keeps the digit
+# periods and the lexicographic first block per (values, k, BLOCK), and the
+# support sweep's first block per (zero, m, BLOCK).
+
+
+def _blocks_in_order(alg, blocks):
+    """The assignments of blocks, in order, checking that none holds more
+    than BLOCK of them."""
+    width = algebra._op_tables(alg).width
+    out = []
+    for columns, count in blocks:
+        assert count <= solvers.BLOCK
+        digits = [algebra.column_digits(width, col) for col in columns]
+        out += [tuple(d[p] for d in digits) for p in range(count)]
+    return out
+
+
+def test_enumeration_columns_are_kept_per_block_size(monkeypatch):
+    # one store, the same (algebra, input count) under several block sizes:
+    # a cache that ignored BLOCK would hand a smaller BLOCK the spans of a
+    # larger one
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    rng = random.Random(21)
+    for name, m in (("Z4", 4), ("Z6", 3), ("Z2xZ2", 5)):
+        alg = get(name)
+        lex = list(itertools.product(range(alg.size), repeat=m))
+        zero = rng.randrange(alg.size)
+        sweep = list(_old_sweep_order(alg.size, m, zero, m))
+        insts = [CsatInstance(random_circuit(alg, rng, m, 12, 2)) for _ in range(3)]
+        insts += [CeqvInstance(random_circuit(alg, rng, m, 12, 2)) for _ in range(3)]
+        for block in (BLOCK, 2, 7, BLOCK, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "BLOCK", block)
+                assert _blocks_in_order(alg, solvers._lex_blocks(alg, m)) == lex[1:]
+                assert _blocks_in_order(alg, solvers._support_sweep(alg, m, zero, m)) == sweep[1:]
+                for inst in insts:
+                    ceqv = isinstance(inst, CeqvInstance)
+                    hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
+                    holds = lambda a, inst=inst: _holds(alg, inst, a)
+                    names = sorted(inst.circuit.input_names)
+                    asg, tried = _reference(names, lex, holds)
+                    assert _outcome(solve_bruteforce(alg, inst)) == (
+                        hit if asg is not None else miss, asg, tried)
+                    asg, tried = _reference(names, sweep, holds)
+                    assert _outcome(solvers._sweep(alg, inst, zero, m, SolverConfig())) == (
+                        hit if asg is not None else miss, asg, tried)
+
+
+def test_cached_enumeration_columns_are_bytes(monkeypatch):
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    alg = get("Z6")
+    assert len(list(solvers._lex_blocks(alg, 4))) > 1
+    assert len(list(solvers._support_sweep(alg, 4, 0, 2))) > 1
+    facts = algebra.STORE.facts(alg)
+    (sweep_first, _), fill = facts[("sweep", 0, 4, BLOCK)]
+    lex_first, _ = facts[("digits", range(6), 4, BLOCK)].first
+    periods = [p for key, d in facts.items() if key[0] == "digits" for p in d.periods.values()]
+    columns = [fill, *sweep_first, *lex_first, *periods]
+    assert len(periods) > 2 and all(type(c) is bytes for c in columns)
+
+
+def test_a_second_solve_builds_no_digits(monkeypatch):
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    built = []
+    digits = solvers._Digits
+
+    def counted(*args):
+        built.append(args)
+        return digits(*args)
+
+    monkeypatch.setattr(solvers, "_Digits", counted)
+    rng = random.Random(5)
+    for alg, m in ((get("S3"), 4), (get("Z4ring"), 5)):
+        # g = g + 1, with + the group operation and 1 not its identity, has
+        # no solution, so every solve walks every block
+        b = CircuitBuilder(alg.name)
+        xs = [b.input(f"x{i}") for i in range(m)]
+        acc = xs[0]
+        for x in xs[1:]:
+            acc = b.op("mul", acc, b.op("mul", x, xs[rng.randrange(m)]))
+        plus = "add" if alg.name == "Z4ring" else "mul"
+        inst = CsatInstance(b.build([acc, b.op(plus, acc, b.const(1))]))
+        first = dispatch(alg, inst)
+        assert first.answer == "unsat" and first.assignments_tried > 16
+        assert built
+        built.clear()
+        assert _outcome(dispatch(alg, inst)) == _outcome(first)
+        assert built == []
+
+
 # ---------------------------------------------------------------------------
 # Diagonal solver
 

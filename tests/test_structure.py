@@ -1,12 +1,22 @@
 import json
+import random
 import time
 
 import pytest
 
 from mvcirc import algebra
-from mvcirc.algebra import FactStore, FiniteAlgebra, Operation, direct_product, find_malcev_term
+from mvcirc.algebra import (
+    FactStore,
+    FiniteAlgebra,
+    Operation,
+    direct_product,
+    find_malcev_term,
+    op_from_fn,
+)
+from mvcirc.circuit import CeqvInstance, CsatInstance, random_circuit
 from mvcirc.errors import Tri
 from mvcirc.partition import Partition
+from mvcirc.solvers import dispatch, solve_bruteforce
 from mvcirc.structure import (
     classify,
     decompose_nd,
@@ -188,6 +198,36 @@ def test_classify_z4ring(z4ring):
     assert rep.verdicts["CSAT"].kind == "PolyTime"
     assert rep.verdicts["SCSAT"].kind == "NPComplete-regime"
     assert rep.verdicts["CEQV"].kind == "PolyTime"
+
+
+def _twisted_z2xz3():
+    """Z2 x Z3, x = 3a + b, with add, neg and the unary g(a, b) = (0, a),
+    a read in Z3.  g is not a homomorphism, so the algebra is nilpotent of
+    class 2 and directly indecomposable of order 6, hence not
+    supernilpotent (a finite nilpotent Malcev algebra is supernilpotent iff
+    it is a product of algebras of prime power order; Kearnes, Algebra
+    Universalis 1999)."""
+    return FiniteAlgebra("Z2xZ3+g", 6, (
+        op_from_fn("add", 2, 6, lambda x, y: 3 * ((x // 3 + y // 3) % 2) + (x + y) % 3),
+        op_from_fn("neg", 1, 6, lambda x: 3 * (x // 3) + (-x) % 3),
+        op_from_fn("g", 1, 6, lambda x: x // 3),
+    ))
+
+
+def test_open_gap_verdicts_go_to_brute_force():
+    alg = _twisted_z2xz3()
+    rep = classify(alg)
+    assert rep.nilpotent and rep.nilpotency_class == 2
+    assert rep.supernilpotent is Tri.NO and rep.affine is Tri.NO
+    assert rep.verdicts["CSAT"].kind == "OpenGap"
+    assert rep.verdicts["CEQV"].kind == "OpenGap"
+    rng = random.Random(9)
+    for _ in range(40):
+        c = random_circuit(alg, rng, rng.randrange(1, 5), rng.randrange(4, 14), 2)
+        for inst in (CsatInstance(c), CeqvInstance(c)):
+            res, want = dispatch(alg, inst), solve_bruteforce(alg, inst)
+            assert res.solver_used == "brute"
+            assert (res.answer, res.witness) == (want.answer, want.witness)
 
 
 def test_classify_non_cm_unknown(semi2):
