@@ -193,7 +193,12 @@ _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}   # width -> typec
 @dataclass(frozen=True)
 class _OpTables:
     width: int
-    ops: dict[str, tuple[int, Sequence[int]]]   # name -> (arity, table; 256 bytes at width 1)
+    # name -> (arity, step, table; 256 bytes at width 1), where step is the
+    # tag of the op's step in circuit.BlockProgram: 1 for a nullary op, its
+    # one value; 2 for a unary op at width 1, a translate of its argument's
+    # bytes; 3 for any other, Horner on its arguments' integers and a map of
+    # the digits through its table
+    ops: dict[str, tuple[int, int, Sequence[int]]]
     symmetric: frozenset[str]                   # ops of arity >= 2 unchanged by permuting arguments
 
 
@@ -214,12 +219,14 @@ def _is_symmetric(op: Operation, size: int) -> bool:
 
 
 def _op_tables(alg: FiniteAlgebra) -> _OpTables:
-    """The algebra's op tables in the column form, built once per algebra."""
+    """The algebra's op tables in the column form, each with its block
+    step, built once per algebra."""
     def build() -> _OpTables:
         top = max([alg.size] + [alg.size ** op.arity for op in alg.ops])
         width = min(w for w in _TYPECODES if top <= 256 ** w)
         return _OpTables(width, {
-            op.name: (op.arity, bytes(op.table).ljust(256, b"\0") if width == 1 else op.table)
+            op.name: (op.arity, 1 if op.arity == 0 else 2 if op.arity == 1 and width == 1 else 3,
+                      bytes(op.table).ljust(256, b"\0") if width == 1 else op.table)
             for op in alg.ops}, frozenset(op.name for op in alg.ops if _is_symmetric(op, alg.size)))
 
     return stored(alg, "block_tables", build)
@@ -421,7 +428,7 @@ def _close_tables(
         cuts += [slice(j * length, (j + 1) * length)
                  for j in range(len(cuts), min(frontier_end, BLOCK))]
         for op in alg.ops:
-            r, table = kernel.ops[op.name]
+            r, _, table = kernel.ops[op.name]
             if r == 0:
                 col = pack_column(width, table[:1]) * npts
                 if col in seen:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
@@ -116,22 +117,29 @@ def gate_values(
     (gate, value) as it is computed."""
     n = alg.size
     ops = _op_tables(alg).ops
-    vals = [0] * len(c.gates)
+    vals: list[int] = []
+    append = vals.append
     for i, g in enumerate(c.gates):
         kind = g.kind
         if kind == "op":
-            entry = ops.get(g.name)
-            if entry is None:
-                raise UnknownOp(f"algebra {alg.name} has no operation {g.name!r}")
-            arity, table = entry
-            if len(g.args) != arity:
+            try:
+                arity, _, table = ops[g.name]
+            except KeyError:
+                raise UnknownOp(f"algebra {alg.name} has no operation {g.name!r}") from None
+            args = g.args
+            if len(args) != arity:
                 raise ArityMismatch(
-                    f"gate g{i}: op {g.name} expects {arity} args, got {len(g.args)}"
+                    f"gate g{i}: op {g.name} expects {arity} args, got {len(args)}"
                 )
-            idx = 0
-            for a in g.args:
-                idx = idx * n + vals[a]
-            v = table[idx]
+            if arity == 2:
+                v = table[vals[args[0]] * n + vals[args[1]]]
+            elif arity == 1:
+                v = table[vals[args[0]]]
+            else:
+                idx = 0
+                for a in args:
+                    idx = idx * n + vals[a]
+                v = table[idx]
         elif kind == "input":
             try:
                 v = asg[g.name]
@@ -143,7 +151,7 @@ def gate_values(
             v = g.value
             if not 0 <= v < n:
                 raise ElementOutOfRange(f"const {v} out of range")
-        vals[i] = v
+        append(v)
         if hook is not None:
             hook(i, v)
     return vals
@@ -215,58 +223,62 @@ class BlockProgram:
     the algebra, but only gates that some compared gate depends on are
     evaluated."""
 
+    __slots__ = ("size", "width", "names", "pairs", "gates", "steps")
+
     def __init__(self, alg: FiniteAlgebra, c: Circuit, pairs: Iterable[tuple[int, int]]):
         tables = _op_tables(alg)
         size = self.size = alg.size
-        width = self.width = tables.width
-        self.names = sorted(c.input_names)
-        self.pairs = tuple(pairs)
+        self.width = tables.width
+        names = self.names = sorted(c.input_names)
+        pairs = self.pairs = tuple(pairs)
         gates = c.gates
-        self.gates = len(gates)
+        count = self.gates = len(gates)
         # how later steps read each gate's column: 1 as an integer, 2 as
         # bytes; a gate nothing reads is dead
-        use = [0] * len(gates)
-        for a, b in self.pairs:
+        use = [0] * count
+        for a, b in pairs:
             use[a] = use[b] = 1
-        slot = {nm: i for i, nm in enumerate(self.names)}
         ops = tables.ops
-        # one backward pass checks every gate, marks what the live gates
-        # read, and collects the live gates' steps, last gate first, each
-        # ending in its use:
-        # (gate, 0, input slot, use) | (gate, 1, value, use)
-        # | (gate, 2, table, arg, use) | (gate, 3, table, args, use)
+        # one backward pass checks every gate, with one op lookup and one
+        # arity check per op gate, marks what the live gates read, and
+        # collects the live gates' steps, last gate first, each ending in
+        # its use: (gate, 0, input slot, use) | (gate, 1, value, use)
+        # | (gate, 2, table, arg, use) | (gate, 3, table, args, use), an op
+        # gate taking its step tag from the op tables.  An input's slot is
+        # found by a scan of names, which costs less than one assignment of
+        # the enumeration that follows.
         steps: list[tuple] = []
         append = steps.append
-        for i in range(len(gates) - 1, -1, -1):
+        for i in range(count - 1, -1, -1):
             g = gates[i]
+            u = use[i]
             kind = g.kind
             if kind == "op":
-                entry = ops.get(g.name)
-                if entry is None:
-                    raise UnknownOp(f"algebra {alg.name} has no operation {g.name!r}")
-                arity, table = entry
+                try:
+                    arity, tag, table = ops[g.name]
+                except KeyError:
+                    raise UnknownOp(f"algebra {alg.name} has no operation {g.name!r}") from None
                 args = g.args
                 if len(args) != arity:
                     raise ArityMismatch(f"gate g{i}: op {g.name} arity mismatch")
-                if not use[i]:
+                if not u:
                     continue
-                if arity == 1 and width == 1:
-                    use[args[0]] |= 2
-                    append((i, 2, table, args[0], use[i]))
-                elif arity:
+                if tag == 3:
                     for a in args:
                         use[a] |= 1
-                    append((i, 3, table, args, use[i]))
+                    append((i, 3, table, args, u))
+                elif tag == 2:
+                    use[args[0]] |= 2
+                    append((i, 2, table, args[0], u))
                 else:
-                    append((i, 1, table[0], use[i]))
+                    append((i, 1, table[0], u))
             elif kind == "input":
-                if use[i]:
-                    append((i, 0, slot[g.name], use[i]))
-            else:
-                if not 0 <= g.value < size:
-                    raise ElementOutOfRange(f"const {g.value} out of range")
-                if use[i]:
-                    append((i, 1, g.value, use[i]))
+                if u:
+                    append((i, 0, names.index(g.name), u))
+            elif not 0 <= g.value < size:
+                raise ElementOutOfRange(f"const {g.value} out of range")
+            elif u:
+                append((i, 1, g.value, u))
         steps.reverse()
         self.steps = steps
 
@@ -276,7 +288,10 @@ class BlockProgram:
 
     def assignment(self, columns: Sequence[bytes], p: int) -> tuple[int, ...]:
         """The input values of assignment p of a block."""
-        return tuple(column_digits(self.width, col)[p] for col in columns)
+        w = self.width
+        if w == 1:
+            return tuple(map(itemgetter(p), columns))
+        return tuple([column_digits(w, col)[p] for col in columns])
 
     def differs(self, values: Sequence[int]) -> bool:
         """Whether some pair of gates differs at one assignment, given its
@@ -295,7 +310,10 @@ class BlockProgram:
                 vals[step[0]] = step[2][vals[step[3]]]
             else:
                 vals[step[0]] = values[step[2]] if tag == 0 else step[2]
-        return any(vals[a] != vals[b] for a, b in self.pairs)
+        for a, b in self.pairs:
+            if vals[a] != vals[b]:
+                return True
+        return False
 
     def mismatches(self, columns: Sequence[bytes], count: int) -> bytes:
         """Evaluate the block whose input columns are given: one byte per
@@ -311,13 +329,14 @@ class BlockProgram:
                 acc = 0
                 for a in step[3]:
                     acc = acc * n + ints[a]
-                col = map_digits(w, step[2], acc.to_bytes(length, order))
+                col = acc.to_bytes(length, order)
+                col = col.translate(step[2]) if w == 1 else map_digits(w, step[2], col)
             elif tag == 2:
                 col = cols[step[3]].translate(step[2])
             elif tag == 0:
                 col = columns[step[2]]
             else:
-                col = self.pack((step[2],)) * count
+                col = pack_column(w, (step[2],)) * count
             if step[-1] & 1:
                 ints[step[0]] = frm(col, order)
             if step[-1] & 2:

@@ -99,8 +99,11 @@ def _verify_witness(alg: FiniteAlgebra, inst: Instance, witness: dict[str, int],
     some pair differ); pairs are inst's _pairs, passed when the solve has
     them already."""
     vals = gate_values(alg, inst.circuit, witness)
-    agree = all(vals[g] == vals[h] for g, h in (_pairs(inst) if pairs is None else pairs))
-    return agree is not isinstance(inst, CeqvInstance)
+    ceqv = isinstance(inst, CeqvInstance)
+    for g, h in _pairs(inst) if pairs is None else pairs:
+        if vals[g] != vals[h]:
+            return ceqv
+    return not ceqv
 
 
 def _result(alg, inst, answer, witness, solver, tried, experimental=False, pairs=None):
@@ -115,37 +118,30 @@ def _result(alg, inst, answer, witness, solver, tried, experimental=False, pairs
 Block = tuple[Sequence[bytes], int]   # input columns, number of assignments
 
 
-def _pairs(inst: Instance) -> list[tuple[int, int]]:
+def _pairs(inst: Instance) -> tuple[tuple[int, int], ...]:
     """The gate pairs that must all agree: the equations of a system, else
     the consecutive outputs.  A hit proves the instance, except for CEQV,
     where a hit (some pair differs) refutes it."""
     if isinstance(inst, ScsatInstance):
-        return list(inst.equations)
+        return inst.equations
     outs = inst.circuit.outputs
-    return list(zip(outs, outs[1:]))
+    if len(outs) == 2:      # the two outputs are the one pair
+        return (outs,)
+    return tuple(zip(outs, outs[1:]))
 
 
-_FLIP = b"\1" + bytes(255)     # translate table: 0 to 1, anything else to 0
-
-
-def _hits(program: BlockProgram, first: tuple[int, ...], blocks: Iterable[Block],
-          agree: bool) -> Iterator[tuple[tuple[int, ...], int]]:
+def _hits(program: BlockProgram, first: tuple[int, ...],
+          blocks: Iterable[Block]) -> Iterator[tuple[int, ...]]:
     """Every assignment, in the order first then the blocks, at which every
-    compared pair agrees (agree) or some pair differs (not agree), with the
-    number of assignments up to and including it.  The first assignment is
-    evaluated alone, so an instance it decides builds no block."""
-    if program.differs(first) is not agree:
-        yield first, 1
-    tried = 1
+    compared pair agrees."""
+    if not program.differs(first):
+        yield first
     for columns, count in blocks:
         flags = program.mismatches(columns, count)
-        if not agree:
-            flags = flags.translate(_FLIP)      # now zero where some pair differs
         p = flags.find(0)
         while p >= 0:
-            yield program.assignment(columns, p), tried + p + 1
+            yield program.assignment(columns, p)
             p = flags.find(0, p + 1)
-        tried += count
 
 
 class _Digits:
@@ -226,16 +222,29 @@ def _lex_blocks(alg: FiniteAlgebra, m: int) -> Iterator[Block]:
 def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tuple[int, ...],
             blocks: Iterable[Block], total: int, solver: str,
             experimental: bool = False) -> SolveResult:
-    """The answer from the first hit of an enumeration of total assignments
-    (first, then the blocks): sat, or nequiv for CEQV, with the hit as
-    witness; unsat, or equiv, when there is none."""
+    """The answer from the first hit of an enumeration of total assignments,
+    an assignment at which every compared pair agrees, or for CEQV some
+    pair differs: sat, or nequiv, with the hit as witness; unsat, or equiv,
+    when there is none.  The first assignment is evaluated alone, so an
+    instance it decides builds no block; then the blocks are walked in
+    order."""
     ceqv = isinstance(inst, CeqvInstance)
-    values, tried = next(_hits(program, first, blocks, agree=not ceqv), (None, total))
-    hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
-    if values is None:
-        return SolveResult(miss, None, solver, tried, experimental)
-    return _result(alg, inst, hit, dict(zip(program.names, values)), solver, tried, experimental,
-                   program.pairs)
+    if program.differs(first) is ceqv:
+        values, tried = first, 1
+    else:
+        tried = 1
+        for columns, count in blocks:
+            flags = program.mismatches(columns, count)
+            # the first flag that is zero, or for CEQV nonzero
+            p = count - len(flags.lstrip(b"\0")) if ceqv else flags.find(0)
+            if 0 <= p < count:
+                values, tried = program.assignment(columns, p), tried + p + 1
+                break
+            tried += count
+        else:
+            return SolveResult("equiv" if ceqv else "unsat", None, solver, total, experimental)
+    return _result(alg, inst, "nequiv" if ceqv else "sat", dict(zip(program.names, values)),
+                   solver, tried, experimental, program.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +336,20 @@ def _support_sweep(alg: FiniteAlgebra, m: int, zero: int, max_support: int) -> I
     whatever max_support is, is kept per (zero, m, BLOCK) in the store."""
     if alg.size == 1 or max_support < 1:    # the first assignment is the only one
         return
-    nonzero = (*range(zero), *range(zero + 1, alg.size))
+
+    def nonzero(s: int) -> _Digits:
+        return _digits(alg, (*range(zero), *range(zero + 1, alg.size)), s)
 
     def start() -> tuple[Block, bytes]:
         fill = pack_column(_op_tables(alg).width, (zero,))
-        return next(_support_blocks(_digits(alg, nonzero, 1), m, fill)), fill
+        return next(_support_blocks(nonzero(1), m, fill)), fill
 
     first, fill = stored(alg, ("sweep", zero, m, BLOCK), start)
     yield first
-    digits = _digits(alg, nonzero, 1)
+    digits = nonzero(1)
     yield from _support_blocks(digits, m, fill, first[1] // digits.span)
     for s in range(2, max_support + 1):
-        yield from _support_blocks(_digits(alg, nonzero, s), m, fill)
+        yield from _support_blocks(nonzero(s), m, fill)
 
 
 def _support_blocks(digits: _Digits, m: int, fill: bytes, skip: int = 0) -> Iterator[Block]:
@@ -366,7 +377,9 @@ def _support_blocks(digits: _Digits, m: int, fill: bytes, skip: int = 0) -> Iter
 def _sweep_size(n: int, inputs: int, max_support: int, config: SolverConfig) -> int:
     """The number of assignments in the support sweep; BudgetExceeded when
     that is more than the budget allows."""
-    total = sum(math.comb(inputs, s) * (n - 1) ** s for s in range(max_support + 1))
+    total = 0
+    for s in range(max_support + 1):
+        total += math.comb(inputs, s) * (n - 1) ** s
     if total > config.budget:
         raise BudgetExceeded(total, config.budget)
     return total
@@ -425,11 +438,10 @@ def solve_supernilpotent(plan: Plan, inst: Instance,
     scale (n <= D) agreement with brute force is enforced rather than
     assumed."""
     plan.require("supernilpotent", inst)
-    alg = plan.alg
     if plan.report.affine is not Tri.YES:
-        return _sweep(alg, inst, 0, plan.support_bound, config)
-    bound = 1 if isinstance(inst, CeqvInstance) else composition_length(alg.size)
-    return _sweep(alg, inst, 0, bound, config, affine=True)
+        return _sweep(plan.alg, inst, 0, plan.support_bound, config)
+    bound = 1 if isinstance(inst, CeqvInstance) else plan.affine_csat_bound
+    return _sweep(plan.alg, inst, 0, bound, config, affine=True)
 
 
 def minimal_support_profile(
@@ -443,8 +455,8 @@ def minimal_support_profile(
     if total > config.budget:
         raise BudgetExceeded(total, config.budget)
     program = BlockProgram(alg, csat.circuit, _pairs(csat))
-    hits = _hits(program, (0,) * m, _lex_blocks(alg, m), agree=True)
-    hist = Counter(sum(1 for v in values if v != zero) for values, _ in hits)
+    hits = _hits(program, (0,) * m, _lex_blocks(alg, m))
+    hist = Counter(sum(1 for v in values if v != zero) for values in hits)
     return dict(hist) or None
 
 
@@ -752,6 +764,12 @@ class Plan:
         return ramsey_support_bound(max(self.report.nilpotency_class or 1, 1), self.alg.size)
 
     @cached_property
+    def affine_csat_bound(self) -> int:
+        """The support sweep's proven bound for CSAT over an affine algebra:
+        the composition length of (A, +), a group of order |A|."""
+        return composition_length(self.alg.size)
+
+    @cached_property
     def group(self) -> _AbelianGroup:
         """(A, +) with x + y = d(x, 0, y) for the Malcev term d."""
         if self.malcev is None:
@@ -789,7 +807,7 @@ def dispatch(
     computed once) and run the route it gives for the instance's kind, or
     the route named by solver (one of SOLVERS), whose hypothesis is then
     required of the plan."""
-    if solver not in (None, *SOLVERS):
+    if solver is not None and solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     return _run(plan_for(alg), inst, config, solver)
 

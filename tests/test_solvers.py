@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvcirc import algebra, solvers
+from mvcirc import algebra, commutator, solvers
 from mvcirc.algebra import BLOCK, FactStore, FiniteAlgebra, Operation, direct_product, op_from_fn
 from mvcirc.circuit import (
     CeqvInstance,
@@ -320,8 +320,61 @@ def test_a_second_solve_builds_no_digits(monkeypatch):
         assert built == []
 
 
+def test_a_second_affine_csat_solve_computes_no_composition_length(monkeypatch):
+    # the affine CSAT sweep's bound is a per-algebra fact kept on the plan
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    calls = []
+    factor = commutator.prime_factors
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    # solvers imports the name, so the wrapper goes under both
+    monkeypatch.setattr(commutator, "prime_factors", counted)
+    monkeypatch.setattr(solvers, "prime_factors", counted)
+    z6 = get("Z6")
+    b = CircuitBuilder(z6.name)
+    x, y = b.input("x"), b.input("y")
+    inst = CsatInstance(b.build([b.op("mul", x, b.op("mul", y, y)), b.const(3)]))
+    first = dispatch(z6, inst)
+    assert first.solver_used == "supernilpotent" and 6 in calls
+    calls.clear()
+    assert _outcome(dispatch(z6, inst)) == _outcome(first)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Diagonal solver
+
+
+@pytest.mark.parametrize("name", ["2lattice", "majority"])
+def test_diagonal_follows_its_reference(name):
+    # (answer, witness, assignments_tried) of the diagonal against the first
+    # hit among the constant diagonals 0, 1, ..., |A| - 1, for CSAT and
+    # MCSAT: a hit at diagonal 0, at the last diagonal, and none
+    alg = get(name)
+    top = alg.size - 1
+    op = alg.ops[0]
+    b = CircuitBuilder(alg.name)
+    xy = (b.input("x"), b.input("y"))
+    g = b.op(op.name, *(xy[i % 2] for i in range(op.arity)))    # a on diagonal a
+    zero, last = b.const(0), b.const(top)
+    circ = b.build([g])
+    names = sorted(circ.input_names)
+    diagonals = [(a,) * len(names) for a in range(alg.size)]
+    cases = ((CsatInstance, (g, xy[0]), 1), (CsatInstance, (g, last), alg.size),
+             (CsatInstance, (zero, last), None),
+             (McsatInstance, (xy[1], g, xy[0]), 1), (McsatInstance, (xy[0], g, last), alg.size),
+             (McsatInstance, (g, zero, last), None))
+    for kind, outputs, hit_at in cases:
+        inst = kind(circ.with_outputs(outputs))
+        asg, tried = _reference(names, diagonals, lambda a: _holds(alg, inst, a))
+        assert (asg is None, tried) == (hit_at is None, hit_at or alg.size)
+        res = solve_usp(plan_for(alg), inst)
+        assert res.solver_used == "usp"
+        assert _outcome(res) == ("sat" if asg is not None else "unsat", asg, tried)
+
 
 
 def test_usp_distributivity_instance(lat2):

@@ -230,6 +230,37 @@ def test_open_gap_verdicts_go_to_brute_force():
             assert (res.answer, res.witness) == (want.answer, want.witness)
 
 
+# One fixture for each (kind, verdict) cell of the classification table:
+# every verdict each kind can get, OpenGap included.  "Z2xZ3+g" is
+# _twisted_z2xz3, kept out of the zoo.
+VERDICT_FIXTURES = {
+    ("CSAT", "PolyTime"): "Z2",
+    ("CSAT", "NPComplete-regime"): "2boolean",
+    ("CSAT", "OpenGap"): "Z2xZ3+g",
+    ("CSAT", "Unknown"): "2semilattice",
+    ("MCSAT", "PolyTime"): "2lattice",
+    ("MCSAT", "NPComplete-regime"): "2boolean",
+    ("MCSAT", "Unknown"): "2semilattice",
+    ("SCSAT", "PolyTime"): "Z2",
+    ("SCSAT", "NPComplete-regime"): "2lattice",
+    ("SCSAT", "Unknown"): "2semilattice",
+    ("CEQV", "PolyTime"): "Z2",
+    ("CEQV", "CoNPComplete-regime"): "2boolean",
+    ("CEQV", "OpenGap"): "Z2xZ3+g",
+    ("CEQV", "Unknown"): "2semilattice",
+}
+
+
+def test_every_reachable_verdict_cell_has_a_fixture():
+    fixtures = {e.name: e.algebra for e in zoo()}
+    fixtures["Z2xZ3+g"] = _twisted_z2xz3()
+    for (kind, verdict), name in VERDICT_FIXTURES.items():
+        assert classify(fixtures[name]).verdicts[kind].kind == verdict, (kind, verdict, name)
+    reached = {(kind, v.kind) for alg in fixtures.values()
+               for kind, v in classify(alg).verdicts.items()}
+    assert reached == set(VERDICT_FIXTURES)
+
+
 def test_classify_non_cm_unknown(semi2):
     rep = classify(semi2)
     assert rep.cm is Tri.NO
