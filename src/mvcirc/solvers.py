@@ -229,10 +229,8 @@ def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tu
     instance it decides builds no block; then the blocks are walked in
     order."""
     ceqv = isinstance(inst, CeqvInstance)
-    if program.differs(first) is ceqv:
-        values, tried = first, 1
-    else:
-        tried = 1
+    values, tried = first, 1
+    if program.differs(first) is not ceqv:      # the first assignment is no hit
         for columns, count in blocks:
             flags = program.mismatches(columns, count)
             # the first flag that is zero, or for CEQV nonzero
