@@ -9,8 +9,8 @@ it is unconditionally sound; over affine algebras proven bounds keep the
 sweep polynomial), and elimination over the underlying module for affine
 algebras.  Each fast solver is a function of (plan, instance, config):
 the per-algebra Plan, built once per algebra and kept in the per-algebra
-store, holds the classification whose flags the solver's hypothesis reads
-(Plan.require) and the facts it uses.  The dispatcher runs
+store, holds the flag of each solver's hypothesis, read from the one
+predicate behind it (Plan.require), and the facts it uses.  The dispatcher runs
 the plan's route for the instance's kind, or a route the caller names; every
 satisfying witness re-verifies by evaluation before it is returned.
 """
@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
     BLOCK,
@@ -46,7 +46,7 @@ from .circuit import (
     const_gate,
     gate_values,
 )
-from .commutator import prime_factors
+from .commutator import is_affine, is_supernilpotent, nilpotency_class, prime_factors
 from .congruence import FactorPair, factor_pairs
 from .errors import (
     BudgetExceeded,
@@ -59,7 +59,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .partition import Partition
-from .structure import ClassificationReport, classify
+from .structure import is_dl_like
 
 RAMSEY_CEILING = 10 ** 18
 
@@ -78,8 +78,12 @@ class SolveResult:
     witness: Optional[dict[str, int]]
     solver_used: str
     assignments_tried: int = 0
-    experimental: bool = False
     diagnostic: Optional[str] = None
+
+    @property
+    def experimental(self) -> bool:
+        """Whether the route, or a factor's route, is the experimental sweep."""
+        return "ceqv-supernilpotent-experimental" in self.solver_used
 
     def as_dict(self) -> dict:
         return {
@@ -106,10 +110,10 @@ def _verify_witness(alg: FiniteAlgebra, inst: Instance, witness: dict[str, int],
     return not ceqv
 
 
-def _result(alg, inst, answer, witness, solver, tried, experimental=False, pairs=None):
+def _result(alg, inst, answer, witness, solver, tried, pairs=None):
     if witness is not None:
         assert _verify_witness(alg, inst, witness, pairs), "witness failed re-verification"
-    return SolveResult(answer, witness, solver, tried, experimental)
+    return SolveResult(answer, witness, solver, tried)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +224,7 @@ def _lex_blocks(alg: FiniteAlgebra, m: int) -> Iterator[Block]:
 
 
 def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tuple[int, ...],
-            blocks: Iterable[Block], total: int, solver: str,
-            experimental: bool = False) -> SolveResult:
+            blocks: Iterable[Block], total: int, solver: str) -> SolveResult:
     """The answer from the first hit of an enumeration of total assignments,
     an assignment at which every compared pair agrees, or for CEQV some
     pair differs: sat, or nequiv, with the hit as witness; unsat, or equiv,
@@ -240,9 +243,9 @@ def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tu
                 break
             tried += count
         else:
-            return SolveResult("equiv" if ceqv else "unsat", None, solver, total, experimental)
+            return SolveResult("equiv" if ceqv else "unsat", None, solver, total)
     return _result(alg, inst, "nequiv" if ceqv else "sat", dict(zip(program.names, values)),
-                   solver, tried, experimental, program.pairs)
+                   solver, tried, program.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +399,7 @@ def _sweep(alg: FiniteAlgebra, inst: CsatInstance | CeqvInstance, zero: int, bou
     solver = ("supernilpotent" if not ceqv else "ceqv-affine" if affine
               else "ceqv-supernilpotent-experimental")
     return _decide(alg, inst, program, (zero,) * m, _support_sweep(alg, m, zero, max_support),
-                   total, solver, experimental=ceqv and not affine)
+                   total, solver)
 
 
 def composition_length(n: int) -> int:
@@ -436,7 +439,7 @@ def solve_supernilpotent(plan: Plan, inst: Instance,
     scale (n <= D) agreement with brute force is enforced rather than
     assumed."""
     plan.require("supernilpotent", inst)
-    if plan.report.affine is not Tri.YES:
+    if plan.flags["affine"] is not Tri.YES:
         return _sweep(plan.alg, inst, 0, plan.support_bound, config)
     bound = 1 if isinstance(inst, CeqvInstance) else plan.affine_csat_bound
     return _sweep(plan.alg, inst, 0, bound, config, affine=True)
@@ -695,34 +698,34 @@ class _Split:
     element: dict[tuple[int, int], int]   # (class mod alpha1, class mod alpha2) -> element
 
 
-# The hypothesis of each fast route: the classification flag that must be
-# YES, the error raised when it is not, what the flag asserts, and the
+# The hypothesis of each fast route: the predicate that must say YES, the
+# error raised when it does not, what the predicate asserts, and the
 # instance kinds the route decides.
-HYPOTHESES: dict[str, tuple[str, type[Exception], str, tuple[type, ...]]] = {
-    "usp": ("dl_like", NotDlLike, "a verified subdirect product of lattice-like algebras",
-            (CsatInstance, McsatInstance)),
-    "supernilpotent": ("supernilpotent", NotSupernilpotent, "verified supernilpotent",
+HYPOTHESES: dict[str, tuple[Callable[..., Tri], type[Exception], str, tuple[type, ...]]] = {
+    "usp": (lambda alg: is_dl_like(alg)[0], NotDlLike,
+            "a verified subdirect product of lattice-like algebras", (CsatInstance, McsatInstance)),
+    "supernilpotent": (is_supernilpotent, NotSupernilpotent, "verified supernilpotent",
                        (CsatInstance, CeqvInstance)),
-    "affine": ("affine", NotAffine, "verified affine",
+    "affine": (is_affine, NotAffine, "verified affine",
                (CsatInstance, McsatInstance, ScsatInstance)),
 }
 SOLVERS = ("brute", *HYPOTHESES)     # the routes a caller may name
 
 
 class Plan:
-    """What the solvers need to know about one algebra: its classification,
-    the route for each problem kind, and the per-algebra facts those routes
-    use.  Every field is computed on first use, so a forced brute-force
-    route classifies nothing; plan_for keeps one plan per algebra content in
-    the per-algebra store.  The plan's algebra and report carry the name of
-    the algebra it was first built for."""
+    """What the solvers need to know about one algebra: the flag of each
+    fast route's hypothesis, the route for each problem kind, and the
+    per-algebra facts those routes use.  Every field is computed on first
+    use, so a forced brute-force route decides no hypothesis; plan_for keeps
+    one plan per algebra content in the per-algebra store."""
 
     def __init__(self, alg: FiniteAlgebra):
         self.alg = alg
 
     @cached_property
-    def report(self) -> ClassificationReport:
-        return classify(self.alg)
+    def flags(self) -> dict[str, Tri]:
+        """Each fast route's hypothesis, as its predicate decides it."""
+        return {route: hypothesis[0](self.alg) for route, hypothesis in HYPOTHESES.items()}
 
     @cached_property
     def routes(self) -> dict[type, str]:
@@ -733,21 +736,19 @@ class Plan:
         flag needs a Malcev term, the hypothesis of the sweep's theorem),
         and affine MCSAT/SCSAT to elimination; an affine algebra is
         supernilpotent, so its CSAT instances sweep."""
-        rep = self.report
         other = "brute" if self.split is None else "product"
-        yes = [(route, kinds) for route, (flag, _, _, kinds) in HYPOTHESES.items()
-               if getattr(rep, flag) is Tri.YES]
+        yes = [(route, kinds) for route, (_, _, _, kinds) in HYPOTHESES.items()
+               if self.flags[route] is Tri.YES]
         return {kind: next((route for route, kinds in yes if kind in kinds), other)
                 for kind in (CsatInstance, McsatInstance, CeqvInstance, ScsatInstance)}
 
     def require(self, route: str, inst: Instance) -> None:
         """Raise UnsupportedKind unless the fast route decides inst's kind, and
-        the route's error unless the classification says YES to its
-        hypothesis."""
-        flag, error, claim, kinds = HYPOTHESES[route]
+        the route's error unless its predicate says YES to its hypothesis."""
+        _, error, claim, kinds = HYPOTHESES[route]
         if not isinstance(inst, kinds):
             raise UnsupportedKind(f"the {route} route does not decide {type(inst).__name__}")
-        if getattr(self.report, flag) is not Tri.YES:
+        if self.flags[route] is not Tri.YES:
             raise error(f"{self.alg.name} is not {claim}")
 
     @cached_property
@@ -759,7 +760,7 @@ class Plan:
     def support_bound(self) -> int:
         """The support sweep's bound D, with the nilpotency class as degree
         bound."""
-        return ramsey_support_bound(max(self.report.nilpotency_class or 1, 1), self.alg.size)
+        return ramsey_support_bound(max(nilpotency_class(self.alg) or 1, 1), self.alg.size)
 
     @cached_property
     def affine_csat_bound(self) -> int:
@@ -801,7 +802,7 @@ def dispatch(
     alg: FiniteAlgebra, inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
     solver: Optional[str] = None,
 ) -> SolveResult:
-    """Look up the algebra's plan (classification and per-algebra facts,
+    """Look up the algebra's plan (hypothesis flags and per-algebra facts,
     computed once) and run the route it gives for the instance's kind, or
     the route named by solver (one of SOLVERS), whose hypothesis is then
     required of the plan."""
@@ -837,17 +838,16 @@ def _solve_split(plan: Plan, inst: Instance, config: SolverConfig) -> SolveResul
     r2 = _run(split.right, _project(inst, fp.alpha2), config)
     solver = f"product({r1.solver_used},{r2.solver_used})"
     tried = r1.assignments_tried + r2.assignments_tried
-    experimental = r1.experimental or r2.experimental
     if isinstance(inst, CeqvInstance):
         if r1.answer == "equiv" and r2.answer == "equiv":
-            return SolveResult("equiv", None, solver, tried, experimental)
+            return SolveResult("equiv", None, solver, tried)
         # the outputs already differ in one factor, so any class works in
         # the other; take the least element
         side, bad = (0, r1) if r1.answer == "nequiv" else (1, r2)
         witness = {nm: min(x for pair, x in split.element.items() if pair[side] == v)
                    for nm, v in bad.witness.items()}
-        return _result(alg, inst, "nequiv", witness, solver, tried, experimental)
+        return _result(alg, inst, "nequiv", witness, solver, tried)
     if r1.answer == "sat" and r2.answer == "sat":
         witness = {nm: split.element[(v, r2.witness[nm])] for nm, v in r1.witness.items()}
-        return _result(alg, inst, "sat", witness, solver, tried, experimental)
-    return SolveResult("unsat", None, solver, tried, experimental)
+        return _result(alg, inst, "sat", witness, solver, tried)
+    return SolveResult("unsat", None, solver, tried)

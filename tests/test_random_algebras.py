@@ -3,6 +3,7 @@ machinery and the dispatcher must agree with brute-force oracles on
 arbitrary operation tables, not just on the curated fixtures."""
 
 import itertools
+import random
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -67,27 +68,42 @@ def small_products(draw):
     return direct_product(left, right)
 
 
-@st.composite
-def malcev_algebras(draw):
-    """Z_n (n = 2..6) with + and -, expanded by one unary operation, either
-    x -> kx + c or an arbitrary table, and for n <= 3 half the time
-    multiplied by a random 2-element algebra of the same signature.  Each
-    expansion of Z_n has the Malcev term x - y + z, so the routes whose
-    flags need one come up: the affine and supernilpotent routes on the
-    expansions, the product route on the products.  Larger products are
-    left out because classifying one without a Malcev term can take
-    minutes: every cover of its congruence lattice is typed by search."""
-    n = draw(st.integers(min_value=2, max_value=6))
-    if draw(st.booleans()):
-        k, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        unary = tuple((k * x + c) % n for x in range(n))
-    else:
-        unary = tuple(draw(st.integers(0, n - 1)) for _ in range(n))
-    alg = FiniteAlgebra(f"Z{n}u", n, (
+def _expansion(n, unary):
+    """Z_n with + and -, expanded by the unary u."""
+    return FiniteAlgebra(f"Z{n}u", n, (
         Operation("add", 2, tuple((x + y) % n for x in range(n) for y in range(n))),
         Operation("neg", 1, tuple(-x % n for x in range(n))),
         Operation("u", 1, unary)))
-    if n <= 3 and draw(st.booleans()):
+
+
+# Z6 = Z2 x Z3 with x -> (x mod 2, x mod 3), and the unary (a, b) -> (0, a),
+# a read in Z3: not a homomorphism, so the expansion is nilpotent of class 2
+# and not supernilpotent, and its CSAT and CEQV verdicts are OpenGap
+TWISTED_Z6 = _expansion(6, tuple(4 * (x % 2) for x in range(6)))
+
+
+@st.composite
+def malcev_algebras(draw, max_product=3):
+    """Z_n (n = 2..6) with + and -, expanded by one unary operation, either
+    x -> kx + c, an arbitrary table, or for n = 6 the unary of TWISTED_Z6,
+    and for n <= max_product half the time multiplied by a random 2-element
+    algebra of the same signature.  Each expansion of Z_n has the Malcev
+    term x - y + z, so the routes whose flags need one come up: the affine
+    and supernilpotent routes on the expansions, the product route on the
+    products.  Products of order above 6 (max_product 4 or 5) are for
+    dispatch alone, which classifies nothing: classifying one without a
+    Malcev term can take minutes, since every cover of its congruence
+    lattice is typed by search."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    shape = draw(st.sampled_from(["linear", "table"] + ["twisted"] * (n == 6)))
+    if shape == "linear":
+        k, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        alg = _expansion(n, tuple((k * x + c) % n for x in range(n)))
+    elif shape == "table":
+        alg = _expansion(n, tuple(draw(st.integers(0, n - 1)) for _ in range(n)))
+    else:
+        alg = TWISTED_Z6
+    if n <= max_product and draw(st.booleans()):
         two = FiniteAlgebra("F2", 2, tuple(
             Operation(op.name, op.arity, tuple(draw(st.integers(0, 1)) for _ in range(2 ** op.arity)))
             for op in alg.ops))
@@ -196,16 +212,21 @@ def test_quotients_are_well_defined(alg):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(small_algebras(max_size=3), malcev_algebras(), lattice_algebras()),
+@given(st.one_of(small_algebras(max_size=3), malcev_algebras(max_product=5), lattice_algebras()),
        st.randoms(use_true_random=False))
+@example(TWISTED_Z6, random.Random(1))
+@example(direct_product(_expansion(5, (0, 2, 2, 4, 1)), FiniteAlgebra("F2", 2, (
+    Operation("add", 2, (0, 1, 1, 1)), Operation("neg", 1, (1, 0)), Operation("u", 1, (0, 0))))),
+    random.Random(2))
 def test_dispatch_agrees_with_brute_force(alg, rng):
     """Whatever route the plan picks for an algebra (including one whose
     flags its Malcev search does not back up), dispatch decides every kind
     as brute force does and raises nothing but BudgetExceeded.  The small
-    cap keeps each classification short, and sends the searches it cuts
+    cap keeps each plan's searches short, and sends the searches it cuts
     short down the fallback routes; the expansions of Z_n reach the affine,
-    supernilpotent and product routes, and the lattice powers the usp
-    route."""
+    supernilpotent and product routes, the products up to order 10
+    included, TWISTED_Z6 is nilpotent and not supernilpotent, and the
+    lattice powers reach the usp route."""
     with clone_cap(500, shared=True):
         for _ in range(2):
             c = random_circuit(alg, rng, rng.randint(1, 4), rng.randint(5, 9), 3)
@@ -288,7 +309,7 @@ def _assert_malcev_slice_characterizes_equality(alg):
     holds exactly for x = y, as it does in a supernilpotent Malcev
     algebra."""
     plan = plan_for(alg)
-    if plan.report.supernilpotent is not Tri.YES:
+    if plan.flags["supernilpotent"] is not Tri.YES:
         return
     d = plan.malcev
     for x, y, z in itertools.product(range(alg.size), repeat=3):

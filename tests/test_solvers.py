@@ -34,6 +34,7 @@ from mvcirc.solvers import (
     solve_supernilpotent,
     solve_usp,
 )
+from mvcirc.structure import classify
 from mvcirc.zoo import get, zoo
 
 from conftest import EDGE_ALGEBRAS, clone_cap, gate_values, random_edge_circuit
@@ -751,21 +752,25 @@ def _small_instances(alg, seed):
 
 @pytest.mark.parametrize("name", [e.name for e in zoo()])
 def test_forced_routes_follow_the_hypothesis_table(name):
-    """Naming the plan's own route gives the auto result; naming a fast route
-    raises TypeError for a kind it does not decide and its precondition
-    error when its flag is not YES, and otherwise agrees with brute force."""
+    """The plan's flags are the classification's.  Naming the plan's own
+    route gives the auto result; naming a fast route raises TypeError for a
+    kind it does not decide and its precondition error when its flag is not
+    YES, and otherwise agrees with brute force."""
     alg = get(name)
     plan = plan_for(alg)
+    rep = classify(alg)
+    assert plan.flags == {"usp": rep.dl_like, "supernilpotent": rep.supernilpotent,
+                          "affine": rep.affine}
     for inst in _small_instances(alg, 1) + _small_instances(alg, 2):
         own = plan.routes[type(inst)]
         if own in solvers.SOLVERS:
             assert dispatch(alg, inst, solver=own) == dispatch(alg, inst)
         assert dispatch(alg, inst, solver="brute") == solve_bruteforce(alg, inst)
-        for route, (flag, error, _, kinds) in solvers.HYPOTHESES.items():
+        for route, (_, error, _, kinds) in solvers.HYPOTHESES.items():
             if not isinstance(inst, kinds):
                 with pytest.raises(TypeError):
                     dispatch(alg, inst, solver=route)
-            elif getattr(plan.report, flag) is not Tri.YES:
+            elif plan.flags[route] is not Tri.YES:
                 with pytest.raises(error):
                     dispatch(alg, inst, solver=route)
             else:

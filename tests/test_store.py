@@ -52,7 +52,8 @@ def test_each_per_algebra_fact_is_computed_once(monkeypatch):
     monkeypatch.setattr(algebra, "STORE", FactStore())
 
     rng = random.Random(4)
-    for name in ("Z6", "Z2xL2", "S3"):
+    # Z4ring is supernilpotent and not affine, so its sweep reads the class
+    for name in ("Z6", "Z2xL2", "S3", "Z4ring"):
         alg = get(name)
         for _ in range(6):
             c = random_circuit(alg, rng, 3, 9, 3)
@@ -62,9 +63,44 @@ def test_each_per_algebra_fact_is_computed_once(monkeypatch):
                 solvers.dispatch(alg, inst)
 
     ran = {name for name, _ in runs}
-    assert ran == {"nilpotency_class", "_congruence_lattice", "_factor_pairs",
-                   "_typed_congruence_lattice", "_AbelianGroup"}
+    assert ran == {"nilpotency_class", "_congruence_lattice", "_factor_pairs", "_AbelianGroup"}
     assert [key for key, n in runs.items() if n > 1] == []
+
+
+def test_dispatch_builds_no_classification_report(monkeypatch):
+    """The plan reads its routes from the three hypothesis predicates
+    alone: dispatching every kind over the zoo on a fresh store builds no
+    report, types no cover and searches for no Gumm chain, and still
+    answers as brute force does."""
+    called = []
+
+    def record(module, name):
+        fn = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+
+        for holder in (algebra, commutator, congruence, solvers, structure, tct):
+            if getattr(holder, name, None) is fn:
+                monkeypatch.setattr(holder, name, recorded)
+
+    record(structure, "_classify")
+    record(tct, "_typed_congruence_lattice")
+    record(algebra, "find_directed_gumm_terms")
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+
+    rng = random.Random(23)
+    for entry in zoo():
+        alg = entry.algebra
+        for _ in range(3):
+            c = random_circuit(alg, rng, 3, 8, 3)
+            pair = c.with_outputs(c.outputs[:2])
+            for inst in (CsatInstance(pair), McsatInstance(c), CeqvInstance(pair),
+                         ScsatInstance(c, ((c.outputs[0], c.outputs[2]),))):
+                got, want = solvers.dispatch(alg, inst), solvers.solve_bruteforce(alg, inst)
+                assert got.answer == want.answer, (entry.name, got.solver_used)
+    assert called == []
 
 
 def test_cold_classify_decides_dl_likeness_and_builds_quotients_once(monkeypatch):
