@@ -29,26 +29,30 @@ def _content(alg):
     return (alg.size, alg.signature(), tuple(op.table for op in alg.ops))
 
 
+def _on_every_call(monkeypatch, module, name, note):
+    """Call note(name, *args) before each call of module.name, patched
+    wherever the function was imported to, so that every call is seen."""
+    fn = getattr(module, name)
+
+    def noted(*args, **kwargs):
+        note(name, *args)
+        return fn(*args, **kwargs)
+
+    for holder in (algebra, commutator, congruence, solvers, structure, tct):
+        if getattr(holder, name, None) is fn:
+            monkeypatch.setattr(holder, name, noted)
+
+
 def test_each_per_algebra_fact_is_computed_once(monkeypatch):
     runs = Counter()
 
-    def count(module, name):
-        fn = getattr(module, name)
+    def count(name, alg, *_):
+        runs[(name, _content(alg))] += 1
 
-        def counted(alg, *args, **kwargs):
-            runs[(name, _content(alg))] += 1
-            return fn(alg, *args, **kwargs)
-
-        # wherever the function was imported to, so that every call counts
-        for holder in (algebra, commutator, congruence, solvers, structure, tct):
-            if getattr(holder, name, None) is fn:
-                monkeypatch.setattr(holder, name, counted)
-
-    count(commutator, "nilpotency_class")
-    count(congruence, "_congruence_lattice")
-    count(congruence, "_factor_pairs")
-    count(tct, "_typed_congruence_lattice")
-    count(solvers, "_AbelianGroup")
+    for module, name in ((commutator, "nilpotency_class"), (congruence, "_congruence_lattice"),
+                         (congruence, "_factor_pairs"), (tct, "_typed_congruence_lattice"),
+                         (solvers, "_AbelianGroup")):
+        _on_every_call(monkeypatch, module, name, count)
     monkeypatch.setattr(algebra, "STORE", FactStore())
 
     rng = random.Random(4)
@@ -73,21 +77,9 @@ def test_dispatch_builds_no_classification_report(monkeypatch):
     report, types no cover and searches for no Gumm chain, and still
     answers as brute force does."""
     called = []
-
-    def record(module, name):
-        fn = getattr(module, name)
-
-        def recorded(*args, **kwargs):
-            called.append(name)
-            return fn(*args, **kwargs)
-
-        for holder in (algebra, commutator, congruence, solvers, structure, tct):
-            if getattr(holder, name, None) is fn:
-                monkeypatch.setattr(holder, name, recorded)
-
-    record(structure, "_classify")
-    record(tct, "_typed_congruence_lattice")
-    record(algebra, "find_directed_gumm_terms")
+    for module, name in ((structure, "_classify"), (tct, "_typed_congruence_lattice"),
+                         (algebra, "find_directed_gumm_terms")):
+        _on_every_call(monkeypatch, module, name, lambda name, *_: called.append(name))
     monkeypatch.setattr(algebra, "STORE", FactStore())
 
     rng = random.Random(23)
