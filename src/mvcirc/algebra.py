@@ -742,7 +742,8 @@ class _ChainReach:
 
 
 def _verified(alg: FiniteAlgebra, chain: GummChain) -> Search:
-    assert check_gumm_chain(alg, chain), "Gumm chain failed verification"
+    if not check_gumm_chain(alg, chain):
+        raise AssertionError("Gumm chain failed verification")
     return Search(Tri.YES, chain)
 
 

@@ -238,7 +238,7 @@ _SOLVERS = {"auto": None, "brute": "brute", "usp": "usp", "supernil": "supernilp
 
 
 def _cmd_solve(args) -> int:
-    from .solvers import SolverConfig, dispatch
+    from .solvers import BUDGET, dispatch
 
     alg = _load_algebra(args.algebra)
     text = _read_text(args.circuit)
@@ -247,9 +247,9 @@ def _cmd_solve(args) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    config = SolverConfig() if args.budget is None else SolverConfig(budget=args.budget)
+    budget = BUDGET if args.budget is None else args.budget
     try:
-        result = dispatch(alg, inst, config, solver=_SOLVERS[args.solver])
+        result = dispatch(alg, inst, budget, solver=_SOLVERS[args.solver])
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_BUDGET

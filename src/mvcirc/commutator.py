@@ -10,7 +10,6 @@ cross-checks the result against a brute-force term-condition oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
@@ -84,32 +83,23 @@ def centralizes(alg: FiniteAlgebra, alpha: Partition, beta: Partition, gamma: Pa
     return commutator(alg, alpha, beta).leq(gamma)
 
 
-@dataclass
-class SeriesReport:
-    congruences: list[Partition]    # descending, starting at 1_A
-
-    @property
-    def reaches_zero(self) -> bool:
-        return self.congruences[-1].is_zero()
-
-
-def _iterate_series(alg: FiniteAlgebra, step) -> SeriesReport:
+def _iterate_series(alg: FiniteAlgebra, step) -> list[Partition]:
+    """1_A, step(1_A), ... descending, up to 0_A or the first repeat."""
     seq = [Partition.one(alg.size)]
-    while True:
+    while not seq[-1].is_zero():
         nxt = step(seq[-1])
         if nxt == seq[-1]:
-            return SeriesReport(seq)
+            break
         seq.append(nxt)
-        if nxt.is_zero():
-            return SeriesReport(seq)
+    return seq
 
 
-def lower_central_series(alg: FiniteAlgebra) -> SeriesReport:
+def lower_central_series(alg: FiniteAlgebra) -> list[Partition]:
     one = Partition.one(alg.size)
     return _iterate_series(alg, lambda cur: commutator(alg, one, cur))
 
 
-def derived_series(alg: FiniteAlgebra) -> SeriesReport:
+def derived_series(alg: FiniteAlgebra) -> list[Partition]:
     return _iterate_series(alg, lambda cur: commutator(alg, cur, cur))
 
 
@@ -119,19 +109,17 @@ def is_abelian(alg: FiniteAlgebra) -> bool:
 
 
 def is_nilpotent(alg: FiniteAlgebra) -> bool:
-    return lower_central_series(alg).reaches_zero
+    return lower_central_series(alg)[-1].is_zero()
 
 
 def is_solvable(alg: FiniteAlgebra) -> bool:
-    return derived_series(alg).reaches_zero
+    return derived_series(alg)[-1].is_zero()
 
 
 def nilpotency_class(alg: FiniteAlgebra) -> Optional[int]:
     """k such that 1^(k+1) = 0, or None when the series stabilizes above 0."""
-    rep = lower_central_series(alg)
-    if not rep.reaches_zero:
-        return None
-    return len(rep.congruences) - 1
+    series = lower_central_series(alg)
+    return len(series) - 1 if series[-1].is_zero() else None
 
 
 def is_affine(alg: FiniteAlgebra) -> Tri:

@@ -7,11 +7,12 @@ pairs (the bound comes from an iterated Ramsey argument, so it saturates
 quickly and the sweep degenerates to exhaustive search at desk scale, where
 it is unconditionally sound; over affine algebras proven bounds keep the
 sweep polynomial), and elimination over the underlying module for affine
-algebras.  Each fast solver is a function of (plan, instance, config):
-the per-algebra Plan, built once per algebra and kept in the per-algebra
-store, holds the flag of each solver's hypothesis, read from the one
-predicate behind it (Plan.require), and the facts it uses.  The dispatcher runs
-the plan's route for the instance's kind, or a route the caller names; every
+algebras.  Each fast solver is a function of the per-algebra Plan and the
+instance, and all but the diagonal check also of the budget, the most
+assignments they may evaluate.  The Plan, kept in the per-algebra store,
+holds the flag of each solver's hypothesis, read from the one predicate
+behind it (Plan.require), and the facts it uses.  The dispatcher runs the
+plan's route for the instance's kind, or a route the caller names; every
 satisfying witness re-verifies by evaluation before it is returned.
 """
 
@@ -62,14 +63,7 @@ from .partition import Partition
 from .structure import is_dl_like
 
 RAMSEY_CEILING = 10 ** 18
-
-
-@dataclass
-class SolverConfig:
-    budget: int = 10 ** 8      # max assignment evaluations for exhaustive sweeps
-
-
-DEFAULT_CONFIG = SolverConfig()
+BUDGET = 10 ** 8        # the most assignments an enumeration may evaluate
 
 
 @dataclass
@@ -111,8 +105,8 @@ def _verify_witness(alg: FiniteAlgebra, inst: Instance, witness: dict[str, int],
 
 
 def _result(alg, inst, answer, witness, solver, tried, pairs=None):
-    if witness is not None:
-        assert _verify_witness(alg, inst, witness, pairs), "witness failed re-verification"
+    if witness is not None and not _verify_witness(alg, inst, witness, pairs):
+        raise AssertionError("witness failed re-verification")
     return SolveResult(answer, witness, solver, tried)
 
 
@@ -132,20 +126,6 @@ def _pairs(inst: Instance) -> tuple[tuple[int, int], ...]:
     if len(outs) == 2:      # the two outputs are the one pair
         return (outs,)
     return tuple(zip(outs, outs[1:]))
-
-
-def _hits(program: BlockProgram, first: tuple[int, ...],
-          blocks: Iterable[Block]) -> Iterator[tuple[int, ...]]:
-    """Every assignment, in the order first then the blocks, at which every
-    compared pair agrees."""
-    if not program.differs(first):
-        yield first
-    for columns, count in blocks:
-        flags = program.mismatches(columns, count)
-        p = flags.find(0)
-        while p >= 0:
-            yield program.assignment(columns, p)
-            p = flags.find(0, p + 1)
 
 
 class _Digits:
@@ -252,15 +232,13 @@ def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tu
 # Brute force
 
 
-def solve_bruteforce(
-    alg: FiniteAlgebra, inst: Instance, config: SolverConfig = DEFAULT_CONFIG
-) -> SolveResult:
+def solve_bruteforce(alg: FiniteAlgebra, inst: Instance, budget: int = BUDGET) -> SolveResult:
     """Lexicographic enumeration of all |A|^n assignments (sorted input names,
     values as base-|A| digits); the first hit is reported."""
     m = len(inst.circuit.input_names)
     total = alg.size ** m
-    if total > config.budget:
-        raise BudgetExceeded(total, config.budget)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     program = BlockProgram(alg, inst.circuit, _pairs(inst))
     return _decide(alg, inst, program, (0,) * m, _lex_blocks(alg, m), total, "brute")
 
@@ -269,7 +247,7 @@ def solve_bruteforce(
 # Diagonal solver for DL-like algebras
 
 
-def solve_usp(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+def solve_usp(plan: Plan, inst: Instance) -> SolveResult:
     """Test only the |A| constant diagonals.  Complete for algebras with the
     uniform solution property (value attained somewhere is attained on its
     own diagonal), which subdirect products of lattice-like 2-element
@@ -328,24 +306,24 @@ def ramsey_support_bound(k: int, card_a: int) -> int:
     return min(max(t, m), RAMSEY_CEILING)
 
 
-def _support_sweep(alg: FiniteAlgebra, m: int, zero: int, max_support: int) -> Iterator[Block]:
-    """The assignments after the first (all zero) ordered by support size,
+def _support_sweep(alg: FiniteAlgebra, m: int, max_support: int) -> Iterator[Block]:
+    """The assignments after the first (all 0) ordered by support size,
     then positions (combinations order), then values (product order over
     the nonzero values), in blocks: consecutive position sets of one support
     size up to BLOCK assignments; a position set with more values than that
     comes in aligned spans.  The first block, which holds support 1 only
-    whatever max_support is, is kept per (zero, m, BLOCK) in the store."""
+    whatever max_support is, is kept per (m, BLOCK) in the store."""
     if alg.size == 1 or max_support < 1:    # the first assignment is the only one
         return
 
     def nonzero(s: int) -> _Digits:
-        return _digits(alg, (*range(zero), *range(zero + 1, alg.size)), s)
+        return _digits(alg, range(1, alg.size), s)
 
     def start() -> tuple[Block, bytes]:
-        fill = pack_column(_op_tables(alg).width, (zero,))
+        fill = pack_column(_op_tables(alg).width, (0,))
         return next(_support_blocks(nonzero(1), m, fill)), fill
 
-    first, fill = stored(alg, ("sweep", zero, m, BLOCK), start)
+    first, fill = stored(alg, ("sweep", m, BLOCK), start)
     yield first
     digits = nonzero(1)
     yield from _support_blocks(digits, m, fill, first[1] // digits.span)
@@ -375,30 +353,30 @@ def _support_blocks(digits: _Digits, m: int, fill: bytes, skip: int = 0) -> Iter
         yield [b"".join(column) for column in parts], len(batch) * span
 
 
-def _sweep_size(n: int, inputs: int, max_support: int, config: SolverConfig) -> int:
+def _sweep_size(n: int, inputs: int, max_support: int, budget: int = BUDGET) -> int:
     """The number of assignments in the support sweep; BudgetExceeded when
     that is more than the budget allows."""
     total = 0
     for s in range(max_support + 1):
         total += math.comb(inputs, s) * (n - 1) ** s
-    if total > config.budget:
-        raise BudgetExceeded(total, config.budget)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     return total
 
 
-def _sweep(alg: FiniteAlgebra, inst: CsatInstance | CeqvInstance, zero: int, bound: int,
-           config: SolverConfig, affine: bool = False) -> SolveResult:
-    """Sweep by support size off zero, up to min(bound, n), for the first
+def _sweep(alg: FiniteAlgebra, inst: CsatInstance | CeqvInstance, bound: int,
+           budget: int = BUDGET, affine: bool = False) -> SolveResult:
+    """Sweep by support size off 0, up to min(bound, n), for the first
     assignment where the two outputs agree (CSAT) or differ (CEQV).  A CEQV
     answer is experimental unless affine says that bound is proven."""
     m = len(inst.circuit.input_names)
     max_support = min(bound, m)
-    total = _sweep_size(alg.size, m, max_support, config)
+    total = _sweep_size(alg.size, m, max_support, budget)
     program = BlockProgram(alg, inst.circuit, _pairs(inst))
     ceqv = isinstance(inst, CeqvInstance)
     solver = ("supernilpotent" if not ceqv else "ceqv-affine" if affine
               else "ceqv-supernilpotent-experimental")
-    return _decide(alg, inst, program, (zero,) * m, _support_sweep(alg, m, zero, max_support),
+    return _decide(alg, inst, program, (0,) * m, _support_sweep(alg, m, max_support),
                    total, solver)
 
 
@@ -409,8 +387,7 @@ def composition_length(n: int) -> int:
     return len(prime_factors(n))
 
 
-def solve_supernilpotent(plan: Plan, inst: Instance,
-                         config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+def solve_supernilpotent(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResult:
     """Sweep assignments by support size off 0 up to min(D, n).  The
     theorem's equation d(p, q, 0) = 0, for the Malcev term d, has the same
     solutions as p = q, so the sweep compares the outputs themselves.  CSAT
@@ -440,24 +417,29 @@ def solve_supernilpotent(plan: Plan, inst: Instance,
     assumed."""
     plan.require("supernilpotent", inst)
     if plan.flags["affine"] is not Tri.YES:
-        return _sweep(plan.alg, inst, 0, plan.support_bound, config)
+        return _sweep(plan.alg, inst, plan.support_bound, budget)
     bound = 1 if isinstance(inst, CeqvInstance) else plan.affine_csat_bound
-    return _sweep(plan.alg, inst, 0, bound, config, affine=True)
+    return _sweep(plan.alg, inst, bound, budget, affine=True)
 
 
-def minimal_support_profile(
-    alg: FiniteAlgebra, csat: CsatInstance, zero: int = 0,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> Optional[dict[int, int]]:
-    """For satisfiable instances, the histogram of support sizes over all
-    solutions (brute force); None when unsatisfiable."""
+def minimal_support_profile(alg: FiniteAlgebra, csat: CsatInstance,
+                            budget: int = BUDGET) -> Optional[dict[int, int]]:
+    """For satisfiable instances, the histogram of support sizes (inputs
+    off 0) over all solutions, by brute force; None when unsatisfiable."""
     m = len(csat.circuit.input_names)
     total = alg.size ** m
-    if total > config.budget:
-        raise BudgetExceeded(total, config.budget)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
     program = BlockProgram(alg, csat.circuit, _pairs(csat))
-    hits = _hits(program, (0,) * m, _lex_blocks(alg, m))
-    hist = Counter(sum(1 for v in values if v != zero) for values in hits)
+    hist = Counter()
+    if not program.differs((0,) * m):
+        hist[0] += 1
+    for columns, count in _lex_blocks(alg, m):
+        flags = program.mismatches(columns, count)
+        p = flags.find(0)
+        while p >= 0:
+            hist[m - program.assignment(columns, p).count(0)] += 1
+            p = flags.find(0, p + 1)
     return dict(hist) or None
 
 
@@ -641,7 +623,7 @@ def _affine_form(alg: FiniteAlgebra, group: _AbelianGroup, circ: Circuit, output
     return c, tables
 
 
-def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+def solve_affine(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResult:
     """Read and check the affine form of both sides of every equation, and
     solve the linear system over the cyclic factors of (A, +), which the
     Smith form of its presentation splits off and which need not be prime
@@ -654,10 +636,10 @@ def solve_affine(plan: Plan, inst: Instance, config: SolverConfig = DEFAULT_CONF
     names = sorted(circ.input_names)
     try:
         group = plan.group
-        forms = {out: _affine_form(alg, group, circ, out, names, config.budget)
+        forms = {out: _affine_form(alg, group, circ, out, names, budget)
                  for out in dict.fromkeys(out for pair in equations for out in pair)}
     except LinearityCheckFailed as exc:
-        res = solve_bruteforce(alg, inst, config)
+        res = solve_bruteforce(alg, inst, budget)
         res.solver_used = "affine->brute"
         res.diagnostic = str(exc)
         return res
@@ -717,7 +699,7 @@ class Plan:
     fast route's hypothesis, the route for each problem kind, and the
     per-algebra facts those routes use.  Every field is computed on first
     use, so a forced brute-force route decides no hypothesis; plan_for keeps
-    one plan per algebra content in the per-algebra store."""
+    one plan per algebra name and content in the per-algebra store."""
 
     def __init__(self, alg: FiniteAlgebra):
         self.alg = alg
@@ -786,8 +768,10 @@ class Plan:
 
 
 def plan_for(alg: FiniteAlgebra) -> Plan:
-    """The plan of alg, from the per-algebra store."""
-    return stored(alg, "plan", lambda: Plan(alg))
+    """The plan of alg, from the per-algebra store.  The key holds the
+    name, so a renamed twin's plan names it in its errors; the predicates
+    behind its flags are stored per content, so that plan costs little."""
+    return stored(alg, ("plan", alg.name), lambda: Plan(alg))
 
 
 def _project(inst: Instance, theta: Partition) -> Instance:
@@ -798,44 +782,42 @@ def _project(inst: Instance, theta: Partition) -> Instance:
     return replace(inst, circuit=Circuit(gates, c.outputs, c.algebra_name))
 
 
-def dispatch(
-    alg: FiniteAlgebra, inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
-    solver: Optional[str] = None,
-) -> SolveResult:
+def dispatch(alg: FiniteAlgebra, inst: Instance, budget: int = BUDGET,
+             solver: Optional[str] = None) -> SolveResult:
     """Look up the algebra's plan (hypothesis flags and per-algebra facts,
     computed once) and run the route it gives for the instance's kind, or
     the route named by solver (one of SOLVERS), whose hypothesis is then
     required of the plan."""
     if solver is not None and solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    return _run(plan_for(alg), inst, config, solver)
+    return _run(plan_for(alg), inst, budget, solver)
 
 
-def _run(plan: Plan, inst: Instance, config: SolverConfig,
+def _run(plan: Plan, inst: Instance, budget: int = BUDGET,
          route: Optional[str] = None) -> SolveResult:
     """Run route (by default the plan's) on inst.  Each solver is looked up
     by its module-level name at the call, so a rebinding of that name, as by
     a tracer, sees the call."""
     route = route or plan.routes[type(inst)]
     if route == "usp":
-        return solve_usp(plan, inst, config)
+        return solve_usp(plan, inst)
     if route == "supernilpotent":
-        return solve_supernilpotent(plan, inst, config)
+        return solve_supernilpotent(plan, inst, budget)
     if route == "affine":
-        return solve_affine(plan, inst, config)
+        return solve_affine(plan, inst, budget)
     if route == "product":
-        return _solve_split(plan, inst, config)
-    return solve_bruteforce(plan.alg, inst, config)
+        return _solve_split(plan, inst, budget)
+    return solve_bruteforce(plan.alg, inst, budget)
 
 
-def _solve_split(plan: Plan, inst: Instance, config: SolverConfig) -> SolveResult:
+def _solve_split(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResult:
     """Solve the projections on both factors by their own routes and
     combine the answers; witnesses are glued through the element map.  The
     answer is experimental when either factor's is."""
     split, alg = plan.split, plan.alg
     fp = split.pair
-    r1 = _run(split.left, _project(inst, fp.alpha1), config)
-    r2 = _run(split.right, _project(inst, fp.alpha2), config)
+    r1 = _run(split.left, _project(inst, fp.alpha1), budget)
+    r2 = _run(split.right, _project(inst, fp.alpha2), budget)
     solver = f"product({r1.solver_used},{r2.solver_used})"
     tried = r1.assignments_tried + r2.assignments_tried
     if isinstance(inst, CeqvInstance):

@@ -1,6 +1,10 @@
 import collections
 import contextlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,16 @@ def trivial():
 
 
 _SHARED_STORES = collections.defaultdict(FactStore)    # cap -> its shared store
+
+
+def run_optimised(source):
+    """Run source in a fresh `python -O`, which drops assert statements,
+    with the package on its path; the finished process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-O", "-c", source],
+                          capture_output=True, text=True, env=env)
 
 
 @contextlib.contextmanager

@@ -38,7 +38,7 @@ from mvcirc.errors import CapExceeded, NotACongruence, NotMalcev, Tri, UnknownOp
 from mvcirc.partition import Partition
 from mvcirc.zoo import get, zoo
 
-from conftest import EDGE_ALGEBRAS, clone_cap, gumm_chain_exists, mod_congruence
+from conftest import EDGE_ALGEBRAS, clone_cap, gumm_chain_exists, mod_congruence, run_optimised
 
 MEET = App("meet", (Var(0), Var(1)))
 
@@ -540,6 +540,15 @@ def test_chain_reach_decides_as_a_search_over_the_whole_set(drawn, rng):
         ds, q = reach.chain()
         assert set(ds) | {q} <= set(tables[:hits[0] + 1])
         assert _chain_exists(ds + [q], n)
+
+
+def test_gumm_chain_is_verified_under_optimisation():
+    proc = run_optimised(
+        "from mvcirc import algebra\n"
+        "from mvcirc.zoo import get\n"
+        "algebra.check_gumm_chain = lambda alg, chain: False\n"
+        "print(algebra.find_directed_gumm_terms(get('2lattice')).status)\n")
+    assert proc.returncode != 0 and "Gumm chain failed verification" in proc.stderr, proc.stdout
 
 
 def test_gumm_yes_needs_a_verified_chain(lat2, z2, monkeypatch):

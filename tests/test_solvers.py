@@ -20,10 +20,9 @@ from mvcirc.circuit import (
     op_gate,
     random_circuit,
 )
-from mvcirc.errors import BudgetExceeded, NotDlLike, Tri
+from mvcirc.errors import BudgetExceeded, NotDlLike, Tri, UnknownOp
 from mvcirc.solvers import (
     RAMSEY_CEILING,
-    SolverConfig,
     composition_length,
     dispatch,
     minimal_support_profile,
@@ -37,7 +36,7 @@ from mvcirc.solvers import (
 from mvcirc.structure import classify
 from mvcirc.zoo import get, zoo
 
-from conftest import EDGE_ALGEBRAS, clone_cap, gate_values, random_edge_circuit
+from conftest import EDGE_ALGEBRAS, clone_cap, gate_values, random_edge_circuit, run_optimised
 
 
 def _meet_eq_one(lat2):
@@ -76,7 +75,7 @@ def test_brute_budget(z6):
     gates = [b.input(f"x{i}") for i in range(8)]
     inst = CsatInstance(b.build([gates[0], gates[1]]))
     with pytest.raises(BudgetExceeded):
-        solve_bruteforce(z6, inst, SolverConfig(budget=1000))
+        solve_bruteforce(z6, inst, budget=1000)
 
 
 def test_brute_reports_lex_least_witness(z4):
@@ -134,15 +133,14 @@ def _reference(names, order, hit):
     return None, tried
 
 
-def _old_sweep_order(n, m, zero, max_support):
+def _old_sweep_order(n, m, max_support):
     """Support size, then positions in combinations order, then values in
     product order over the nonzero elements."""
-    nonzero = [v for v in range(n) if v != zero]
-    yield (zero,) * m
+    yield (0,) * m
     for s in range(1, max_support + 1):
         for positions in itertools.combinations(range(m), s):
-            for values in itertools.product(nonzero, repeat=s):
-                out = [zero] * m
+            for values in itertools.product(range(1, n), repeat=s):
+                out = [0] * m
                 for p, v in zip(positions, values):
                     out[p] = v
                 yield tuple(out)
@@ -171,13 +169,12 @@ def test_enumerations_follow_lexicographic_reference(alg, seed, kind, block):
             res = solvers._diagonal(alg, inst)
             assert _outcome(res) == ("sat" if asg is not None else "unsat", asg, tried)
         if kind == "CSAT":
-            zero = rng.randrange(alg.size)
             hist = {}
             for values in lex:
                 if _holds(alg, inst, dict(zip(names, values))):
-                    s = sum(1 for v in values if v != zero)
+                    s = sum(1 for v in values if v != 0)
                     hist[s] = hist.get(s, 0) + 1
-            assert minimal_support_profile(alg, inst, zero) == (hist or None)
+            assert minimal_support_profile(alg, inst) == (hist or None)
 
 
 SWEEP_ALGEBRAS = ("trivial", "Z2", "Z3", "Z4", "Z6", "Z2xZ2", "Z4ring", "S3")
@@ -190,15 +187,14 @@ def test_support_sweeps_follow_reference_order(name, seed, ceqv, k, block):
     alg = get(name)
     rng = random.Random(seed)
     inst = _edge_instance(alg, rng, "CEQV" if ceqv else "CSAT", max_assignments=1300)
-    zero = rng.randrange(alg.size)
     bound = ramsey_support_bound(k, alg.size)
     names = sorted(inst.circuit.input_names)
-    order = _old_sweep_order(alg.size, len(names), zero, min(bound, len(names)))
+    order = _old_sweep_order(alg.size, len(names), min(bound, len(names)))
     asg, tried = _reference(names, order, lambda a: _holds(alg, inst, a))
     hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "BLOCK", block)
-        res = solvers._sweep(alg, inst, zero, bound, SolverConfig())
+        res = solvers._sweep(alg, inst, bound)
     assert _outcome(res) == (hit if asg is not None else miss, asg, tried)
 
 
@@ -225,15 +221,15 @@ def test_enumerations_cross_full_blocks(bool2, z4ring):
     inst = CsatInstance(b.build([acc, b.op("add", acc, b.const(1))]))
     bound = ramsey_support_bound(1, z4ring.size)
     assert bound == 4
-    res = solvers._sweep(z4ring, inst, 0, bound, SolverConfig())
+    res = solvers._sweep(z4ring, inst, bound)
     assert _outcome(res) == ("unsat", None, sum(math.comb(10, s) * 3 ** s for s in range(5)))
     names = sorted(inst.circuit.input_names)
-    assert not any(_holds(z4ring, inst, dict(zip(names, a))) for a in _old_sweep_order(4, 10, 0, 4))
+    assert not any(_holds(z4ring, inst, dict(zip(names, a))) for a in _old_sweep_order(4, 10, 4))
 
 
 # The enumeration columns are per-algebra facts: the store keeps the digit
 # periods and the lexicographic first block per (values, k, BLOCK), and the
-# support sweep's first block per (zero, m, BLOCK).
+# support sweep's first block per (m, BLOCK).
 
 
 def _blocks_in_order(alg, blocks):
@@ -257,15 +253,14 @@ def test_enumeration_columns_are_kept_per_block_size(monkeypatch):
     for name, m in (("Z4", 4), ("Z6", 3), ("Z2xZ2", 5)):
         alg = get(name)
         lex = list(itertools.product(range(alg.size), repeat=m))
-        zero = rng.randrange(alg.size)
-        sweep = list(_old_sweep_order(alg.size, m, zero, m))
+        sweep = list(_old_sweep_order(alg.size, m, m))
         insts = [CsatInstance(random_circuit(alg, rng, m, 12, 2)) for _ in range(3)]
         insts += [CeqvInstance(random_circuit(alg, rng, m, 12, 2)) for _ in range(3)]
         for block in (BLOCK, 2, 7, BLOCK, 5):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(solvers, "BLOCK", block)
                 assert _blocks_in_order(alg, solvers._lex_blocks(alg, m)) == lex[1:]
-                assert _blocks_in_order(alg, solvers._support_sweep(alg, m, zero, m)) == sweep[1:]
+                assert _blocks_in_order(alg, solvers._support_sweep(alg, m, m)) == sweep[1:]
                 for inst in insts:
                     ceqv = isinstance(inst, CeqvInstance)
                     hit, miss = ("nequiv", "equiv") if ceqv else ("sat", "unsat")
@@ -275,7 +270,7 @@ def test_enumeration_columns_are_kept_per_block_size(monkeypatch):
                     assert _outcome(solve_bruteforce(alg, inst)) == (
                         hit if asg is not None else miss, asg, tried)
                     asg, tried = _reference(names, sweep, holds)
-                    assert _outcome(solvers._sweep(alg, inst, zero, m, SolverConfig())) == (
+                    assert _outcome(solvers._sweep(alg, inst, m)) == (
                         hit if asg is not None else miss, asg, tried)
 
 
@@ -283,9 +278,9 @@ def test_cached_enumeration_columns_are_bytes(monkeypatch):
     monkeypatch.setattr(algebra, "STORE", FactStore())
     alg = get("Z6")
     assert len(list(solvers._lex_blocks(alg, 4))) > 1
-    assert len(list(solvers._support_sweep(alg, 4, 0, 2))) > 1
+    assert len(list(solvers._support_sweep(alg, 4, 2))) > 1
     facts = algebra.STORE.facts(alg)
-    (sweep_first, _), fill = facts[("sweep", 0, 4, BLOCK)]
+    (sweep_first, _), fill = facts[("sweep", 4, BLOCK)]
     lex_first, _ = facts[("digits", range(6), 4, BLOCK)].first
     periods = [p for key, d in facts.items() if key[0] == "digits" for p in d.periods.values()]
     columns = [fill, *sweep_first, *lex_first, *periods]
@@ -403,6 +398,22 @@ def test_usp_rejects_non_dl_like(z2):
     inst = CsatInstance(b.build([x, x]))
     with pytest.raises(NotDlLike):
         solve_usp(plan_for(z2), inst)
+
+
+def test_a_renamed_twin_is_named_in_route_errors(z6):
+    """A plan is kept per algebra name, so the errors of a twin with the
+    same content and another name name the twin."""
+    b = CircuitBuilder(z6.name)
+    x = b.input("x")
+    inst = CsatInstance(b.build([x, x]))
+    dispatch(z6, inst)
+    twin = z6.rename("Z6 again")
+    with pytest.raises(NotDlLike, match="^Z6 again is not"):
+        dispatch(twin, inst, solver="usp")
+    b = CircuitBuilder(z6.name)
+    x = b.input("x")
+    with pytest.raises(UnknownOp, match="algebra Z6 again has no operation"):
+        dispatch(twin, CsatInstance(b.build([b.op("nope", x), x])), solver="brute")
 
 
 def test_usp_agreement_small_batch(lat2, majority):
@@ -575,7 +586,7 @@ def test_affine_budget_is_raised_by_the_linearity_check(z6, monkeypatch):
     inst = ScsatInstance(b.build([total]), ((total, one),))
     monkeypatch.setattr(solvers, "solve_bruteforce", None)
     with pytest.raises(BudgetExceeded) as exc:
-        solve_affine(plan_for(z6), inst, SolverConfig(budget=1000))
+        solve_affine(plan_for(z6), inst, budget=1000)
     assert (exc.value.needed, exc.value.budget) == (6 ** 8, 1000)
 
 
@@ -870,6 +881,18 @@ def test_a_non_witness_fails_re_verification(z4):
         assert solvers._result(z4, inst, hit, good, "brute", 1).witness == good
 
 
+def test_witnesses_are_re_verified_under_optimisation():
+    proc = run_optimised(
+        "from mvcirc import solvers\n"
+        "from mvcirc.circuit import CircuitBuilder, CsatInstance\n"
+        "from mvcirc.zoo import get\n"
+        "solvers._verify_witness = lambda *args: False\n"
+        "b = CircuitBuilder('Z6')\n"
+        "x = b.input('x')\n"
+        "print(solvers.dispatch(get('Z6'), CsatInstance(b.build([x, x]))))\n")
+    assert proc.returncode != 0 and "witness failed re-verification" in proc.stderr, proc.stdout
+
+
 def _commuted_pair(alg, rng, inputs, gates):
     """A random circuit's output against a copy of it with the arguments of
     every binary gate swapped: equivalent when every binary op commutes."""
@@ -1011,5 +1034,5 @@ def test_ceqv_sweep_respects_the_budget(z4ring):
         right = b.op("add", x, right)
     inst = CeqvInstance(b.build([left, right]))
     with pytest.raises(BudgetExceeded) as exc:
-        dispatch(z4ring, inst, SolverConfig(budget=1000))
+        dispatch(z4ring, inst, budget=1000)
     assert exc.value.needed == 4 ** 9

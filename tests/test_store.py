@@ -1,7 +1,6 @@
 """The per-algebra store and the solver plan: one bounded store, and each
 per-algebra fact computed at most once per algebra."""
 
-import dataclasses
 import importlib
 import inspect
 import itertools
@@ -147,14 +146,17 @@ def _public_functions(module):
 
 
 def test_one_clone_cap_and_no_cap_parameter():
-    """The clone cap is the module constant algebra.CLONE_CAP: no public
-    function takes a cap, and a solver is configured by its budget alone."""
-    with_cap = [f"{info.name}.{name}"
-                for info in pkgutil.iter_modules(mvcirc.__path__)
-                for name, fn in _public_functions(importlib.import_module(f"mvcirc.{info.name}"))
-                if "cap" in inspect.signature(fn).parameters]
-    assert with_cap == []
-    assert [f.name for f in dataclasses.fields(solvers.SolverConfig)] == ["budget"]
+    """The clone cap is the module constant algebra.CLONE_CAP and the
+    support sweep always runs off 0: no public function takes a cap, a
+    config or a zero, and a solver is configured by its budget alone."""
+    with_option = [f"{info.name}.{name}({option})"
+                   for info in pkgutil.iter_modules(mvcirc.__path__)
+                   for name, fn in _public_functions(importlib.import_module(f"mvcirc.{info.name}"))
+                   for option in ("cap", "config", "zero")
+                   if option in inspect.signature(fn).parameters]
+    # the one zero is a witness's datum, the element that plays 0 in it
+    assert with_option == ["reductions.Type3Witness.__init__(zero)"]
+    assert not hasattr(solvers, "SolverConfig")
 
 
 def test_no_store_key_holds_the_cap():
