@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     Tri,
     UnboundVariable,
+    parse_int,
     UnknownOp,
 )
 from .partition import Partition
@@ -45,14 +46,11 @@ class Operation:
     arity: int
     table: tuple[int, ...]
 
-    def index(self, args: Sequence[int], size: int) -> int:
+    def apply(self, args: Sequence[int], size: int) -> int:
         idx = 0
         for a in args:
             idx = idx * size + a
-        return idx
-
-    def apply(self, args: Sequence[int], size: int) -> int:
-        return self.table[self.index(args, size)]
+        return self.table[idx]
 
 
 @dataclass(frozen=True)
@@ -333,8 +331,6 @@ class Clone:
     sequence of elements.
     """
 
-    arity: int
-    points: tuple[tuple[int, ...], ...]
     witnesses: dict[Table, Term]
     complete: bool
     width: int
@@ -404,8 +400,7 @@ def _close_tables(
     cuts: list[slice] = []           # cut j: table j of a batch's result
 
     def result(complete: bool, hit: Optional[Table]) -> tuple[Clone, Optional[Table]]:
-        return Clone(len(points[0]) if points else 0, tuple(points), kept, complete,
-                     width), hit
+        return Clone(kept, complete, width), hit
 
     def keep(col: bytes, wit: Term) -> Optional[Table]:
         """Keep col's table; the table, if stop matches it."""
@@ -515,8 +510,7 @@ def _replay(full: Clone, stop: Optional[Callable[[Table], bool]]) -> tuple[Clone
     if stop is not None:
         for i, tab in enumerate(full.tables):
             if stop(tab):
-                return Clone(full.arity, full.points,
-                             dict(itertools.islice(full.witnesses.items(), i + 1)),
+                return Clone(dict(itertools.islice(full.witnesses.items(), i + 1)),
                              False, full.width), tab
     return full, None
 
@@ -540,10 +534,6 @@ def kary_poly_clone(alg: FiniteAlgebra, k: int) -> Clone:
             return clone
         facts[capped] = len(clone)
     raise CapExceeded(facts[capped], f"{k}-ary polynomial clone of {alg.name}")
-
-
-def unary_poly_clone(alg: FiniteAlgebra) -> Clone:
-    return kary_poly_clone(alg, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -905,10 +895,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     name, _ = take()
     take("size")
     stok, ln = take()
-    try:
-        size = int(stok)
-    except ValueError:
-        raise ParseError(f"bad size {stok!r}", ln) from None
+    size = parse_int(stok, "size", ln)
     if size < 1:
         raise ParseError(f"size {size} is not positive", ln)
     ops = []
@@ -917,20 +904,14 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         opname, _ = take()
         take("arity")
         atok, ln = take()
-        try:
-            arity = int(atok)
-        except ValueError:
-            raise ParseError(f"bad arity {atok!r}", ln) from None
+        arity = parse_int(atok, "arity", ln)
         if arity < 0:
             raise ParseError(f"op {opname}: negative arity {arity}", ln)
         count = size ** arity
         entries = []
         for _ in range(count):
             etok, eln = take()
-            try:
-                v = int(etok)
-            except ValueError:
-                raise ParseError(f"bad table entry {etok!r}", eln) from None
+            v = parse_int(etok, "table entry", eln)
             if not 0 <= v < size:
                 raise ParseError(f"table entry {v} out of range 0..{size - 1}", eln)
             entries.append(v)

@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     UnboundInput,
     UnknownOp,
+    parse_int,
 )
 
 _RESERVED = {"input", "const"}
@@ -83,10 +84,6 @@ class Circuit:
         """The input names in order of first appearance, read once per
         circuit."""
         return tuple(dict.fromkeys(g.name for g in self.gates if g.kind == "input"))
-
-    @property
-    def size(self) -> int:
-        return len(self.gates)
 
     def with_outputs(self, outputs: Sequence[int]) -> "Circuit":
         return Circuit(self.gates, tuple(outputs), self.algebra_name)
@@ -281,10 +278,6 @@ class BlockProgram:
                 append((i, 1, g.value, u))
         steps.reverse()
         self.steps = steps
-
-    def pack(self, values: Iterable[int]) -> bytes:
-        """A column holding values."""
-        return pack_column(self.width, values)
 
     def assignment(self, columns: Sequence[bytes], p: int) -> tuple[int, ...]:
         """The input values of assignment p of a block."""
@@ -481,10 +474,7 @@ def serialize_circuit(c: Circuit) -> str:
 def _parse_gate_ref(tok: str, current: int, ln: int) -> int:
     if not tok.startswith("g"):
         raise ParseError(f"expected gate reference, got {tok!r}", ln)
-    try:
-        idx = int(tok[1:])
-    except ValueError:
-        raise ParseError(f"bad gate reference {tok!r}", ln) from None
+    idx = parse_int(tok[1:], "gate number", ln)
     if idx >= current:
         raise ForwardReference(f"gate reference {tok} ahead of definition", ln)
     if idx < 0:
@@ -532,10 +522,7 @@ def parse_circuit(text: str, alg: Optional[FiniteAlgebra] = None,
         elif head == "const":
             if len(rest) != 1:
                 raise ParseError("const takes one element", ln)
-            try:
-                v = int(rest[0])
-            except ValueError:
-                raise ParseError(f"bad constant {rest[0]!r}", ln) from None
+            v = parse_int(rest[0], "constant", ln)
             if alg is not None and not 0 <= v < alg.size:
                 raise ParseError(f"constant {v} out of range 0..{alg.size - 1}", ln)
             gates.append(const_gate(v))

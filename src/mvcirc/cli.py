@@ -232,6 +232,14 @@ def _instance_from_text(kind: str, alg: FiniteAlgebra, text: str):
     raise ParseError(f"unknown problem kind {kind!r}")
 
 
+def _budget(text: str) -> int:
+    """--budget's type: a non-negative integer, else a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 # --solver choice -> the route dispatch runs (None: the plan's own)
 _SOLVERS = {"auto": None, "brute": "brute", "usp": "usp", "supernil": "supernilpotent",
             "affine": "affine"}
@@ -330,7 +338,7 @@ def build_parser() -> _Parser:
     ps.add_argument("circuit", help="circuit file, or - for stdin")
     ps.add_argument("--solver", default="auto",
                     choices=list(_SOLVERS))
-    ps.add_argument("--budget", type=int)
+    ps.add_argument("--budget", type=_budget)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(fn=_cmd_solve)
 

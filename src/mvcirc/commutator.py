@@ -78,11 +78,6 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
     return congruence_from_pairs(alg, related)
 
 
-def centralizes(alg: FiniteAlgebra, alpha: Partition, beta: Partition, gamma: Partition) -> bool:
-    """C(alpha, beta; gamma), decided as [alpha, beta] <= gamma."""
-    return commutator(alg, alpha, beta).leq(gamma)
-
-
 def _iterate_series(alg: FiniteAlgebra, step) -> list[Partition]:
     """1_A, step(1_A), ... descending, up to 0_A or the first repeat."""
     seq = [Partition.one(alg.size)]

@@ -50,10 +50,6 @@ def congruence_from_pairs(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) 
     return Partition.from_ids([find(i) for i in range(n)])
 
 
-def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
-    return congruence_from_pairs(alg, [(a, b)])
-
-
 @dataclass
 class CongruenceLattice:
     congruences: list[Partition]
@@ -80,7 +76,7 @@ def _congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     principals = []
     for a in range(n):
         for b in range(a + 1, n):
-            p = principal_congruence(alg, a, b)
+            p = congruence_from_pairs(alg, [(a, b)])
             if p not in found:
                 found[p] = None
                 principals.append(p)

@@ -1,4 +1,4 @@
-"""Exception types and the three-valued answer used by cap-bounded searches."""
+"""Exception types, the parsers' integer reader and the three-valued answer."""
 
 from __future__ import annotations
 
@@ -46,6 +46,14 @@ class ParseError(MvcircError):
         super().__init__(message + loc)
         self.line = line
         self.column = column
+
+
+def parse_int(tok: str, what: str, line: int) -> int:
+    """tok as an integer, else a ParseError naming what it should be."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"bad {what} {tok!r}", line) from None
 
 
 class ForwardReference(ParseError):

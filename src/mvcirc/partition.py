@@ -9,7 +9,7 @@ under an algebra's operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
@@ -73,13 +73,6 @@ class Partition:
         for x, c in enumerate(self.ids):
             out[c].append(x)
         return out
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """All related pairs (a, b) with a < b."""
-        for cls in self.classes():
-            for i, a in enumerate(cls):
-                for b in cls[i + 1:]:
-                    yield (a, b)
 
     def leq(self, other: "Partition") -> bool:
         """self refines other: every self-class sits inside an other-class."""

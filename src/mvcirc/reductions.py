@@ -34,6 +34,7 @@ from .errors import (
     InvalidWitness,
     NotPermutationWarning,
     ParseError,
+    parse_int,
 )
 from .tct import minimal_sets, pair_ops, type_of
 
@@ -85,10 +86,12 @@ def parse_dimacs(text: str) -> Cnf3:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("bad problem line", ln)
-            num_vars = int(parts[2])
+            num_vars = parse_int(parts[2], "variable count", ln)
             continue
         for tok in line.split():
-            v = int(tok)
+            v = parse_int(tok, "literal", ln)
+            if abs(v) > num_vars:
+                raise ParseError(f"literal {v} beyond the {num_vars} declared variables", ln)
             if v == 0:
                 if len(lits) != 3:
                     raise ParseError(f"clause with {len(lits)} literals; need 3", ln)
@@ -353,8 +356,8 @@ def parse_structure_file(text: str) -> RelStructure:
     """Format: `domain <n>`, then per relation `rel <name> arity <k>`
     followed by its tuples, one per line; `#` comments."""
     domain = None
-    relations: dict[str, tuple[int, frozenset]] = {}
-    current: Optional[tuple[str, int, set]] = None
+    relations: dict[str, tuple[int, set]] = {}
+    current: Optional[tuple[int, set]] = None     # the relation being read
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -363,25 +366,29 @@ def parse_structure_file(text: str) -> RelStructure:
         if toks[0] == "domain":
             if len(toks) != 2:
                 raise ParseError("domain takes one integer", ln)
-            domain = int(toks[1])
+            domain = parse_int(toks[1], "domain", ln)
+            if domain < 0:
+                raise ParseError(f"negative domain {domain}", ln)
         elif toks[0] == "rel":
             if len(toks) != 4 or toks[2] != "arity":
                 raise ParseError("expected: rel <name> arity <k>", ln)
-            if current is not None:
-                relations[current[0]] = (current[1], frozenset(current[2]))
-            current = (toks[1], int(toks[3]), set())
+            arity = parse_int(toks[3], "arity", ln)
+            if arity < 0:
+                raise ParseError(f"negative arity {arity}", ln)
+            current = relations[toks[1]] = (arity, set())
         else:
             if current is None:
                 raise ParseError("tuple before any rel header", ln)
-            tup = tuple(int(t) for t in toks)
-            if len(tup) != current[1]:
-                raise ParseError(f"tuple arity {len(tup)} != {current[1]}", ln)
-            current[2].add(tup)
-    if current is not None:
-        relations[current[0]] = (current[1], frozenset(current[2]))
+            tup = tuple(parse_int(t, "tuple entry", ln) for t in toks)
+            if len(tup) != current[0]:
+                raise ParseError(f"tuple arity {len(tup)} != {current[0]}", ln)
+            if domain is None or not all(0 <= x < domain for x in tup):
+                raise ParseError(f"tuple {tup} outside the declared domain", ln)
+            current[1].add(tup)
     if domain is None:
         raise ParseError("missing domain line")
-    return RelStructure("D", domain, relations)
+    return RelStructure("D", domain, {name: (k, frozenset(tuples))
+                                      for name, (k, tuples) in relations.items()})
 
 
 def parse_csp_instance(d: RelStructure, text: str) -> CspInstance:

@@ -261,7 +261,7 @@ def _diagonal(alg: FiniteAlgebra, inst: CsatInstance | McsatInstance) -> SolveRe
     agrees."""
     program = BlockProgram(alg, inst.circuit, _pairs(inst))
     m = len(program.names)
-    diagonals = [program.pack(range(1, alg.size))] * m
+    diagonals = [pack_column(program.width, range(1, alg.size))] * m
     return _decide(alg, inst, program, (0,) * m, [(diagonals, alg.size - 1)], alg.size, "usp")
 
 

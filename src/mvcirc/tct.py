@@ -37,9 +37,9 @@ from .algebra import (
     Table,
     Term,
     find_malcev_term,
+    kary_poly_clone,
     poly_clone_on_points,
     stored,
-    unary_poly_clone,
 )
 from .commutator import commutator
 from .congruence import CongruenceLattice, congruence_lattice
@@ -50,8 +50,7 @@ from .partition import Partition
 @dataclass
 class MinimalSet:
     elements: tuple[int, ...]
-    idempotent: Optional[tuple[int, ...]]        # table of e_U, e_U(A) = U
-    idempotent_witness: Optional[Term]
+    idempotent_witness: Optional[Term]           # a term for e_U, e_U(A) = U
     traces: list[tuple[int, ...]]
 
 
@@ -59,7 +58,7 @@ def minimal_sets(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> list[
     """Inclusion-minimal ranges f(A), |f(A)| >= 2, f in Pol_1, f(beta) !<= alpha."""
     if not alpha.leq(beta) or alpha == beta:
         raise ValueError("need alpha < beta")
-    clone = unary_poly_clone(alg)
+    clone = kary_poly_clone(alg, 1)
     n = alg.size
     bpairs = [(a, b) for a in range(n) for b in range(a + 1, n) if beta.same(a, b)]
     qualifying: dict[frozenset, Table] = {}
@@ -78,14 +77,12 @@ def minimal_sets(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> list[
     for rng in sorted(minimal, key=lambda r: (len(r), sorted(r))):
         u = tuple(sorted(rng))
         uset = set(u)
-        e_tab = None
         e_wit = None
         for tab in clone.tables:
             if set(tab) == uset and all(tab[tab[x]] == tab[x] for x in range(n)):
-                e_tab = tuple(tab)
                 e_wit = clone.witness(tab)
                 break
-        out.append(MinimalSet(u, e_tab, e_wit, _traces(alpha, beta, u)))
+        out.append(MinimalSet(u, e_wit, _traces(alpha, beta, u)))
     return out
 
 
@@ -251,9 +248,3 @@ def _typed_congruence_lattice(alg: FiniteAlgebra) -> TypedLattice:
     for i, j in lat.covers:
         labels[(i, j)] = type_of(alg, lat.congruences[i], lat.congruences[j])
     return TypedLattice(lat, labels)
-
-
-def typeset(alg: FiniteAlgebra) -> set:
-    """Union of cover-pair labels over Con(alg); may contain None when a
-    label search capped out."""
-    return typed_congruence_lattice(alg).typeset()

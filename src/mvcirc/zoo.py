@@ -7,6 +7,7 @@ fragments are regression data: `classify` must keep reproducing them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .algebra import FiniteAlgebra, direct_product, op_from_fn
@@ -128,13 +129,10 @@ class ZooEntry:
     name: str
     build: Callable[[], FiniteAlgebra]
     golden: dict = field(default_factory=dict)
-    _cache: Optional[FiniteAlgebra] = None
 
-    @property
+    @cached_property
     def algebra(self) -> FiniteAlgebra:
-        if self._cache is None:
-            self._cache = self.build()
-        return self._cache
+        return self.build()
 
 
 _P = "PolyTime"

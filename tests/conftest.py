@@ -10,7 +10,7 @@ import pytest
 
 from mvcirc import algebra
 from mvcirc.algebra import FactStore, FiniteAlgebra, Operation
-from mvcirc.circuit import CircuitBuilder, eval_circuit
+from mvcirc.circuit import CircuitBuilder, ScsatInstance, eval_circuit
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
@@ -156,11 +156,40 @@ def random_edge_circuit(alg, rng, n_inputs, n_gates, n_outputs):
     return b.build([rng.randrange(len(b.gates)) for _ in range(n_outputs)])
 
 
+def random_system(alg, rng, max_eq=3, max_vars=4):
+    """A random SCSAT system: up to max_vars inputs, gates of the non-nullary
+    ops, two constants and up to max_eq equations between any gates."""
+    nv = rng.randint(1, max_vars)
+    ne = rng.randint(1, max_eq)
+    b = CircuitBuilder(alg.name)
+    for i in range(nv):
+        b.input(f"x{i}")
+    usable = [op for op in alg.ops if op.arity >= 1]
+    while len(b.gates) < nv + 6:
+        op = usable[rng.randrange(len(usable))]
+        args = [rng.randrange(len(b.gates)) for _ in range(op.arity)]
+        b.op(op.name, *args)
+    for _ in range(2):
+        b.const(rng.randrange(alg.size))
+    eqs = tuple(
+        (rng.randrange(len(b.gates)), rng.randrange(len(b.gates))) for _ in range(ne)
+    )
+    return ScsatInstance(b.build([0]), eqs)
+
+
 def gate_values(alg, circuit, asg):
     """Every gate's value under asg, by eval_circuit."""
     vals = []
     eval_circuit(alg, circuit, asg, hook=lambda i, v: vals.append(v))
     return vals
+
+
+def one(alg):
+    return Partition.one(alg.size)
+
+
+def zero(alg):
+    return Partition.zero(alg.size)
 
 
 def mod_congruence(n, m):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvcirc.algebra import App, Const, Var, eval_term
+from mvcirc.algebra import App, Const, Var, eval_term, pack_column
 from mvcirc.circuit import (
     BlockProgram,
     CeqvInstance,
@@ -80,7 +80,7 @@ def test_unbound_input(lat2):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_iterated_commutator_gate_count(s3, n):
     c = iterated_commutator_circuit(s3, n)
-    assert c.size == 6 * n - 5
+    assert len(c.gates) == 6 * n - 5
 
 
 def _commutator_word(a, b):
@@ -212,7 +212,7 @@ def test_block_kernel_matches_eval(alg, seed, count):
     prog = BlockProgram(alg, c, pairs)
     assert prog.names == sorted(c.input_names)
     assignments = [tuple(rng.randrange(alg.size) for _ in prog.names) for _ in range(count)]
-    columns = [prog.pack(a[i] for a in assignments) for i in range(len(prog.names))]
+    columns = [pack_column(prog.width, (a[i] for a in assignments)) for i in range(len(prog.names))]
     flags = prog.mismatches(columns, count)
     assert len(flags) == count
     for p, values in enumerate(assignments):

@@ -153,6 +153,20 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("route", [[], ["--solver", "brute"]])
+def test_solve_negative_budget_is_a_usage_error(tmp_path, capsys, route):
+    circ = tmp_path / "c.txt"
+    circ.write_text("g0 = input x\ng1 = input y\ng2 = meet g0 g1\ng3 = const 1\noutputs: g2 g3\n")
+    argv = ["solve", "csat", "zoo:2lattice", str(circ), *route]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "-1"])
+    assert exc.value.code == 64
+    assert "--budget" in capsys.readouterr().err
+    # a zero budget is a budget: brute force needs 4 evaluations
+    code, _, _ = run_cli(argv + ["--solver", "brute", "--budget", "0"], capsys)
+    assert code == 2
+
+
 def test_solve_precondition_exit_code(tmp_path, capsys):
     circ = tmp_path / "c.txt"
     circ.write_text("g0 = input x\ng1 = mul g0 g0\noutputs: g0 g1\n")
@@ -218,6 +232,25 @@ def test_reduce_csp(tmp_path, capsys):
     code, out, _ = run_cli(["reduce", "csp", str(struct), str(inst)], capsys)
     assert code == 0
     assert "R_eq" in out
+
+
+@pytest.mark.parametrize("what, text, line", [
+    ("3sat", "p cnf x 1\n1 2 -1 0\n", 1),
+    ("3sat", "p cnf 2 1\n1 q 2 0\n", 2),
+    ("3sat", "p cnf 2 1\n1 3 2 0\n", 2),
+    ("csp", "domain two\nrel eq arity 2\n0 0\n", 1),
+    ("csp", "domain 2\nrel eq arity 2\n0 0\n0 5\n", 4),
+])
+def test_reduce_malformed_input_is_a_usage_error(tmp_path, capsys, what, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    inst = tmp_path / "i.txt"
+    inst.write_text("eq x y\n")
+    argv = ["reduce", "3sat", "zoo:2boolean", str(bad)] if what == "3sat" else [
+        "reduce", "csp", str(bad), str(inst)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 64
+    assert err.startswith("error: ") and f"at line {line}" in err
 
 
 def test_solve_mcsat(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from mvcirc import algebra
 from mvcirc.algebra import FactStore, kary_poly_clone, poly_clone_on_points
 from mvcirc.commutator import (
-    centralizes,
     commutator,
     derived_series,
     indecomposable_factorization,
@@ -22,17 +21,9 @@ from mvcirc.errors import CapExceeded, NotACongruence, Tri
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
-from conftest import clone_cap, mod_congruence
+from conftest import clone_cap, mod_congruence, one, zero
 
 A3 = Partition.from_ids([0, 1, 1, 0, 0, 1])  # rotations vs reflections in the S3 numbering
-
-
-def one(alg):
-    return Partition.one(alg.size)
-
-
-def zero(alg):
-    return Partition.zero(alg.size)
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +99,11 @@ def test_z4ring_commutator_value(z4ring):
 
 
 def test_centralizes_examples(z4, s3):
-    assert centralizes(z4, one(z4), one(z4), zero(z4))
-    assert not centralizes(s3, one(s3), one(s3), zero(s3))
+    assert commutator(z4, one(z4), one(z4)).leq(zero(z4))
+    assert not commutator(s3, one(s3), one(s3)).leq(zero(s3))
     for alg in (z4, s3):
         for a in congruence_lattice(alg).congruences:
-            assert centralizes(alg, a, a, one(alg))
+            assert commutator(alg, a, a).leq(one(alg))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@ import pytest
 
 from mvcirc.algebra import is_congruence
 from mvcirc.congruence import (
+    congruence_from_pairs,
     congruence_lattice,
     factor_pairs,
-    principal_congruence,
 )
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
@@ -22,19 +22,19 @@ def brute_force_congruences(alg):
 
 
 def test_principal_z4(z4):
-    assert principal_congruence(z4, 0, 2) == mod_congruence(4, 2)
-    assert principal_congruence(z4, 0, 1) == Partition.one(4)
+    assert congruence_from_pairs(z4, [(0, 2)]) == mod_congruence(4, 2)
+    assert congruence_from_pairs(z4, [(0, 1)]) == Partition.one(4)
 
 
 def test_principal_diagonal(z6):
     for a in range(6):
-        assert principal_congruence(z6, a, a) == Partition.zero(6)
+        assert congruence_from_pairs(z6, [(a, a)]) == Partition.zero(6)
 
 
 def test_principal_s3_three_cycle(s3):
     # Cg(e, rotation) = the partition {rotations | reflections}
     rotations = {0, 3, 4}
-    p = principal_congruence(s3, 0, 3)
+    p = congruence_from_pairs(s3, [(0, 3)])
     assert set(p.classes()[p.class_of(0)]) == rotations
 
 
@@ -44,7 +44,7 @@ def test_principal_is_least(z4, z6, s3, z2xz2, majority):
         cons = brute_force_congruences(alg)
         for a in range(alg.size):
             for b in range(alg.size):
-                cg = principal_congruence(alg, a, b)
+                cg = congruence_from_pairs(alg, [(a, b)])
                 for theta in cons:
                     assert theta.same(a, b) == cg.leq(theta)
 

@@ -29,7 +29,7 @@ from mvcirc.circuit import (
     random_circuit,
 )
 from mvcirc.commutator import commutator, is_affine, is_nilpotent, is_supernilpotent
-from mvcirc.congruence import congruence_lattice, factor_pairs, principal_congruence
+from mvcirc.congruence import congruence_from_pairs, congruence_lattice, factor_pairs
 from mvcirc.errors import BudgetExceeded, Tri
 from mvcirc.solvers import dispatch, plan_for, solve_bruteforce
 from mvcirc.structure import _decomposition_flags, is_dl_like
@@ -172,7 +172,7 @@ def test_principal_congruences_are_least(alg):
     oracle = [p for p in all_partitions(alg.size) if is_congruence(alg, p)]
     for a in range(alg.size):
         for b in range(alg.size):
-            cg = principal_congruence(alg, a, b)
+            cg = congruence_from_pairs(alg, [(a, b)])
             assert is_congruence(alg, cg)
             assert cg.same(a, b)
             for theta in oracle:

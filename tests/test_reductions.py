@@ -62,7 +62,7 @@ def test_threesat_size_linear(bool2):
     for m in (1, 3, 6, 10):
         phi = random_cnf3(rng, 4, m)
         inst = threesat_to_csat(bool2, w, phi)
-        sizes.append((m, inst.circuit.size))
+        sizes.append((m, len(inst.circuit.gates)))
     # gate count <= c * clauses + constant, with c = 7 comfortable for this gadget
     for m, s in sizes:
         assert s <= 7 * m + 10

@@ -36,7 +36,9 @@ from mvcirc.solvers import (
 from mvcirc.structure import classify
 from mvcirc.zoo import get, zoo
 
-from conftest import EDGE_ALGEBRAS, clone_cap, gate_values, random_edge_circuit, run_optimised
+from conftest import (
+    EDGE_ALGEBRAS, clone_cap, gate_values, random_edge_circuit, random_system, run_optimised,
+)
 
 
 def _meet_eq_one(lat2):
@@ -623,29 +625,10 @@ def test_affine_agreement_batch():
     for name in ("Z4", "Z6", "Z2xZ2"):
         alg = get(name)
         for _ in range(60):
-            inst = _random_system(alg, rng, max_eq=3, max_vars=3)
+            inst = random_system(alg, rng, max_eq=3, max_vars=3)
             a = solve_affine(plan_for(alg), inst)
             b = solve_bruteforce(alg, inst)
             assert a.answer == b.answer, f"{name}: {a.answer} vs {b.answer}"
-
-
-def _random_system(alg, rng, max_eq, max_vars):
-    nv = rng.randint(1, max_vars)
-    ne = rng.randint(1, max_eq)
-    b = CircuitBuilder(alg.name)
-    for i in range(nv):
-        b.input(f"x{i}")
-    usable = [op for op in alg.ops if op.arity >= 1]
-    while len(b.gates) < nv + 6:
-        op = usable[rng.randrange(len(usable))]
-        args = [rng.randrange(len(b.gates)) for _ in range(op.arity)]
-        b.op(op.name, *args)
-    consts = [b.const(rng.randrange(alg.size)) for _ in range(2)]
-    eqs = []
-    for _ in range(ne):
-        eqs.append((rng.randrange(len(b.gates)), rng.randrange(len(b.gates))))
-    circ = b.build([eqs[0][0], eqs[0][1]])
-    return ScsatInstance(circ, tuple(eqs))
 
 
 def test_affine_mcsat(z4):

@@ -7,19 +7,24 @@ import itertools
 import pkgutil
 import random
 from collections import Counter
+from dataclasses import fields
 
 import mvcirc
 from mvcirc import algebra, commutator, congruence, solvers, structure, tct
 from mvcirc.algebra import STORE_BOUND, FactStore, FiniteAlgebra, Operation
 from mvcirc.circuit import (
+    BlockProgram,
     CeqvInstance,
+    Circuit,
     CsatInstance,
     McsatInstance,
     ScsatInstance,
     random_circuit,
 )
+from mvcirc.partition import Partition
 from mvcirc.structure import classify
-from mvcirc.zoo import get, zoo
+from mvcirc.tct import MinimalSet
+from mvcirc.zoo import ZooEntry, get, zoo
 
 from conftest import clone_cap
 
@@ -157,6 +162,23 @@ def test_one_clone_cap_and_no_cap_parameter():
     # the one zero is a witness's datum, the element that plays 0 in it
     assert with_option == ["reductions.Type3Witness.__init__(zero)"]
     assert not hasattr(solvers, "SolverConfig")
+
+
+def test_unread_api_stays_deleted():
+    """Each layer computes a structure through one path: no one-line wrapper
+    beside the function it calls, and no field or method that nothing in the
+    program reads."""
+    assert [f"{m.__name__}.{name}" for m, name in (
+        (tct, "typeset"), (algebra, "unary_poly_clone"),
+        (congruence, "principal_congruence"), (commutator, "centralizes"))
+        if hasattr(m, name)] == []
+    assert [f"{c.__name__}.{name}" for c, name in (
+        (Partition, "pairs"), (BlockProgram, "pack"), (Operation, "index"), (Circuit, "size"))
+        if hasattr(c, name)] == []
+    assert [f"{c.__name__}.{f.name}" for c, gone in (
+        (algebra.Clone, {"arity", "points"}), (MinimalSet, {"idempotent"}),
+        (ZooEntry, {"_cache"}))
+        for f in fields(c) if f.name in gone] == []
 
 
 def test_no_store_key_holds_the_cap():

@@ -24,7 +24,7 @@ from mvcirc.structure import (
     is_poly_equiv_to_some_lattice,
     radical,
 )
-from mvcirc.tct import typed_congruence_lattice, typeset
+from mvcirc.tct import typed_congruence_lattice
 from mvcirc.zoo import get, zoo
 
 from conftest import clone_cap
@@ -65,8 +65,8 @@ def test_radical_quotients_have_pure_typesets(z2xl2):
     typed = typed_congruence_lattice(z2xl2)
     rho2 = radical(z2xl2, typed, 2)
     rho4 = radical(z2xl2, typed, 4)
-    assert typeset(quotient(z2xl2, rho4)) <= {2}
-    assert typeset(quotient(z2xl2, rho2)) <= {4}
+    assert typed_congruence_lattice(quotient(z2xl2, rho4)).typeset() <= {2}
+    assert typed_congruence_lattice(quotient(z2xl2, rho2)).typeset() <= {4}
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from mvcirc.algebra import (
     Operation,
     eval_term,
     find_malcev_term,
+    kary_poly_clone,
     poly_clone_on_points,
-    unary_poly_clone,
 )
 from mvcirc.commutator import commutator
 from mvcirc.congruence import congruence_lattice
@@ -25,20 +25,12 @@ from mvcirc.tct import (
     minimal_sets,
     pair_ops,
     type_of,
-    typeset,
+    typed_congruence_lattice,
 )
 from mvcirc.zoo import _cyclic_group, get, zoo
 
-from conftest import clone_cap, mod_congruence
+from conftest import clone_cap, mod_congruence, one, zero
 from test_random_algebras import malcev_algebras, small_algebras, small_products
-
-
-def zero(alg):
-    return Partition.zero(alg.size)
-
-
-def one(alg):
-    return Partition.one(alg.size)
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +76,13 @@ def test_minimal_sets_s3_top_cover(s3):
         assert len(m.elements) == 2
         x, y = m.elements
         assert not a3.same(x, y)
-        assert m.idempotent is not None
+        assert m.idempotent_witness is not None
 
 
 def test_minimal_sets_idempotent_witness(z4):
     ms = minimal_sets(z4, zero(z4), mod_congruence(4, 2))[0]
-    e = ms.idempotent
-    assert e is not None
+    assert ms.idempotent_witness is not None
+    e = tuple(eval_term(z4, ms.idempotent_witness, (x,)) for x in range(4))
     assert set(e) == set(ms.elements)
     assert all(e[e[x]] == e[x] for x in range(4))
 
@@ -159,11 +151,11 @@ def test_type_stable_across_traces_and_minimal_sets(z4, s3, z2xl2, monkeypatch):
     ],
 )
 def test_typesets(name, expected):
-    assert typeset(get(name)) == expected
+    assert typed_congruence_lattice(get(name)).typeset() == expected
 
 
 def test_typeset_trivial(trivial):
-    assert typeset(trivial) == set()
+    assert typed_congruence_lattice(trivial).typeset() == set()
 
 
 def test_cm_typeset_restriction_and_empty_tails():
@@ -175,7 +167,7 @@ def test_cm_typeset_restriction_and_empty_tails():
     for name in ["2boolean", "2lattice", "Z2", "Z4", "Z6", "S3", "Z4ring", "majority", "Z2xL2"]:
         alg = get(name)
         assert find_directed_gumm_terms(alg).status is Tri.YES
-        assert typeset(alg) <= {2, 3, 4}
+        assert typed_congruence_lattice(alg).typeset() <= {2, 3, 4}
         lat = congruence_lattice(alg)
         for lo, hi in lat.cover_pairs():
             for ms in minimal_sets(alg, lo, hi):
@@ -206,7 +198,7 @@ def _has_complement(alg, u, trace):
     n0, n1 = sorted(trace)
     uset = set(u)
     return any(set(tab) == uset and tab[n0] == n1 and tab[n1] == n0
-               for tab in unary_poly_clone(alg).tables)
+               for tab in kary_poly_clone(alg, 1).tables)
 
 
 def _swaps_match_the_reference(alg):
