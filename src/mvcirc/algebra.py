@@ -33,10 +33,10 @@ from .partition import Partition
 # reads it at each call); a search whose closure outgrows it is undecided.
 CLONE_CAP = 200_000
 
-# Classifying the whole zoo fills 59 entries (quotients and pair algebras
-# included), and classifying and dispatching the benchmark's dispatch mix 46;
-# stored quotients and DL-likeness answers are facts of existing entries and
-# add none.  256 holds either working set with no eviction.
+# Classifying the whole zoo fills 28 entries (quotients included), and
+# classifying and dispatching the benchmark's dispatch mix 21; stored
+# quotients and DL-likeness answers are facts of existing entries and add
+# none.  256 holds either working set with no eviction.
 STORE_BOUND = 256
 
 
@@ -169,6 +169,11 @@ def stored(alg: FiniteAlgebra, fact: Hashable, build: Callable[[], T]) -> T:
     if value is _MISSING:
         value = facts[fact] = build()
     return value
+
+
+def known(alg: FiniteAlgebra, fact: Hashable) -> object:
+    """The fact of alg if the store holds it, else None; builds nothing."""
+    return STORE.facts(alg).get(fact)
 
 
 # ---------------------------------------------------------------------------

@@ -213,11 +213,12 @@ def threesat_to_csat(alg: FiniteAlgebra, witness: Type3Witness, phi: Cnf3) -> Cs
         for g in lits[1:]:
             acc = b.inline_term(witness.join, [acc, g])
         clause_gates.append(acc)
-    acc = clause_gates[0]
+    acc = clause_gates[0] if clause_gates else None
     for g in clause_gates[1:]:
         acc = b.inline_term(witness.meet, [acc, g])
     one = b.const(witness.one)
-    return CsatInstance(b.build([acc, one]))
+    # an empty conjunction is true: with no clauses, one is compared with itself
+    return CsatInstance(b.build([one if acc is None else acc, one]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .algebra import (
     FiniteAlgebra,
     Term,
     _op_tables,
-    eval_term,
     find_malcev_term,
     pack_column,
     stored,
@@ -47,7 +46,14 @@ from .circuit import (
     const_gate,
     gate_values,
 )
-from .commutator import is_affine, is_supernilpotent, nilpotency_class, prime_factors
+from .commutator import (
+    AbelianGroup,
+    is_affine,
+    is_supernilpotent,
+    module_structure,
+    nilpotency_class,
+    prime_factors,
+)
 from .congruence import FactorPair, factor_pairs
 from .errors import (
     BudgetExceeded,
@@ -447,39 +453,18 @@ def minimal_support_profile(alg: FiniteAlgebra, csat: CsatInstance,
 # Affine solver: elimination over the underlying module
 
 
-class _AbelianGroup:
-    """The group (A, +) with x + y = d(x, 0, y), split into cyclic factors by
-    the Smith form S = U R V of its presentation: generators e_x, one per
-    element, and the relations R, e_x + e_g - e_{x+g} for every x and every
-    g of a generating set (at most log2 |A| elements; they force
-    e_{x+y} = e_x + e_y for all x, y).  The factors |S[i][i]| > 1 are the
-    orders, which need not be prime powers; x has the coordinates
-    V[x][i] mod |S[i][i]|, and basis[i] is the element whose coordinates are
-    the i-th unit vector."""
+class _Coordinates:
+    """(A, +) split into cyclic factors by the Smith form S = U R V of its
+    presentation: generators e_x, one per element, and the relations R,
+    e_x + e_g - e_{x+g} for every x and every g of a generating set (at most
+    log2 |A| elements; they force e_{x+y} = e_x + e_y for all x, y).  The
+    factors |S[i][i]| > 1 are the orders, which need not be prime powers; x
+    has the coordinates V[x][i] mod |S[i][i]|, and basis[i] is the element
+    whose coordinates are the i-th unit vector."""
 
-    def __init__(self, alg: FiniteAlgebra, d_term: Term, zero: int):
-        n = alg.size
-        self.zero = zero
-        plus = [[eval_term(alg, d_term, (x, zero, y)) for y in range(n)] for x in range(n)]
-        self.plus = plus
-        for x in range(n):
-            if plus[x][zero] != x or plus[zero][x] != x:
-                raise LinearityCheckFailed("zero is not neutral for d(x,0,y)")
-            if plus[x] != [plus[y][x] for y in range(n)]:
-                raise LinearityCheckFailed("addition is not commutative")
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if plus[plus[x][y]][z] != plus[x][plus[y][z]]:
-                        raise LinearityCheckFailed("addition is not associative")
-        neg = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if plus[x][y] == zero:
-                    neg[x] = y
-        if any(v is None for v in neg):
-            raise LinearityCheckFailed("addition lacks inverses")
-        self.neg = neg
+    def __init__(self, group: AbelianGroup):
+        plus, zero = group.plus, group.zero
+        n = len(plus)
         gens, span = [], {zero}
         for g in range(n):      # each g outside the subgroup so far enlarges it
             if g not in span:
@@ -500,12 +485,6 @@ class _AbelianGroup:
             raise LinearityCheckFailed("coordinates are not a bijection")
         self.basis = [self.uncoords[tuple(int(i == j) for i in range(len(factors)))]
                       for j in range(len(factors))]
-
-    def add(self, x: int, y: int) -> int:
-        return self.plus[x][y]
-
-    def sub(self, x: int, y: int) -> int:
-        return self.plus[x][self.neg[y]]
 
 
 def _smith_diagonalize(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -587,7 +566,7 @@ def _solve_integer(rows: list[list[int]], rhs: list[int], moduli: list[int]) -> 
     return [sum(x * y for x, y in zip(v[j], w)) for j in range(len(v) - m)]
 
 
-def _affine_form(alg: FiniteAlgebra, group: _AbelianGroup, circ: Circuit, output: int,
+def _affine_form(alg: FiniteAlgebra, group: AbelianGroup, circ: Circuit, output: int,
                  names: list[str], budget: int) -> tuple[int, list[list[int]]]:
     """The output as c + t_1(x_1) + ... + t_n(x_n) over (A, +): the constant
     c, read at the all-zero point, and the coefficient tables t_i in names
@@ -638,6 +617,7 @@ def solve_affine(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResul
         group = plan.group
         forms = {out: _affine_form(alg, group, circ, out, names, budget)
                  for out in dict.fromkeys(out for pair in equations for out in pair)}
+        axes = plan.coordinates
     except LinearityCheckFailed as exc:
         res = solve_bruteforce(alg, inst, budget)
         res.solver_used = "affine->brute"
@@ -648,11 +628,11 @@ def solve_affine(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResul
     # basis[j]; an equation g = h reads t(x) = c_h - c_g with t = t_g - t_h,
     # and its k-th coordinate is sum_j y[i * r + j] * t(basis[j])_k, as t
     # is additive, modulo orders[k]
-    orders, coords, r = group.orders, group.coords, len(group.orders)
+    orders, coords, r = axes.orders, axes.coords, len(axes.orders)
     rows, rhs, moduli = [], [], []
     for g, h in equations:
         (cg, tg), (ch, th) = forms[g], forms[h]
-        images = [coords[group.sub(eg[b], eh[b])] for eg, eh in zip(tg, th) for b in group.basis]
+        images = [coords[group.sub(eg[b], eh[b])] for eg, eh in zip(tg, th) for b in axes.basis]
         target = coords[group.sub(ch, cg)]
         for k, q in enumerate(orders):
             rows.append([image[k] for image in images])
@@ -661,7 +641,7 @@ def solve_affine(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResul
     y = _solve_integer(rows, rhs, moduli) if rows else [0] * (len(names) * r)
     if y is None:
         return SolveResult("unsat", None, "affine", 0)
-    witness = {nm: group.uncoords[tuple(y[i * r + j] % q for j, q in enumerate(orders))]
+    witness = {nm: axes.uncoords[tuple(y[i * r + j] % q for j, q in enumerate(orders))]
                for i, nm in enumerate(names)}
     return _result(alg, inst, "sat", witness, "affine", 0, pairs=equations)
 
@@ -751,11 +731,21 @@ class Plan:
         return composition_length(self.alg.size)
 
     @cached_property
-    def group(self) -> _AbelianGroup:
-        """(A, +) with x + y = d(x, 0, y) for the Malcev term d."""
+    def group(self) -> AbelianGroup:
+        """(A, +) with x + y = d(x, 0, y) for the Malcev term d, from the
+        algebra's module structure."""
         if self.malcev is None:
             raise NotMalcev(f"no Malcev term found for {self.alg.name}")
-        return _AbelianGroup(self.alg, self.malcev, 0)
+        module = module_structure(self.alg)
+        if module.group is None:
+            raise LinearityCheckFailed(module.failure)
+        return module.group
+
+    @cached_property
+    def coordinates(self) -> _Coordinates:
+        """The cyclic factors of group, built when the affine solve first
+        asks for them."""
+        return _Coordinates(self.group)
 
     @cached_property
     def split(self) -> Optional[_Split]:

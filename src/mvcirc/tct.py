@@ -4,7 +4,8 @@ An algebra with a Malcev term needs no search: it generates a
 congruence-permutable variety, which omits types 1, 4 and 5, and a prime
 quotient alpha < beta is abelian iff its type is 1 or 2 (Hobby and McKenzie,
 The Structure of Finite Algebras, 1988, Ch. 5 and 9).  So its label is 2
-when [beta, beta] <= alpha and 3 otherwise, read off the stored commutator.
+when [beta, beta] <= alpha and 3 otherwise, read off the stored commutator,
+or 2 outright when the module structure says the algebra is abelian.
 
 Without a Malcev term, the label comes from a ladder of clone searches.
 For a quotient alpha < beta, the candidate sets are ranges f(A) of unary
@@ -41,7 +42,7 @@ from .algebra import (
     poly_clone_on_points,
     stored,
 )
-from .commutator import commutator
+from .commutator import commutator, is_abelian
 from .congruence import CongruenceLattice, congruence_lattice
 from .errors import CapExceeded, Tri
 from .partition import Partition
@@ -170,16 +171,18 @@ def type_of(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Optional[i
     """Label in 1..5 for the quotient alpha < beta, or None when undecided.
 
     With a Malcev term the label is read off the commutator: 2 when
-    [beta, beta] <= alpha, else 3.  A Malcev algebra generates a
-    congruence-permutable variety, which omits types 1, 4 and 5, and a
-    prime quotient is abelian iff its type is 1 or 2 (Hobby and McKenzie,
-    The Structure of Finite Algebras, 1988, Ch. 5 and 9).  Only when the
-    Malcev search says NO or UNKNOWN does _type_by_search run.
+    [beta, beta] <= alpha, else 3; every label of an abelian algebra is 2,
+    as [beta, beta] <= [1, 1] = 0, so its module structure decides.  A
+    Malcev algebra generates a congruence-permutable variety, which omits
+    types 1, 4 and 5, and a prime quotient is abelian iff its type is 1 or
+    2 (Hobby and McKenzie, The Structure of Finite Algebras, 1988, Ch. 5
+    and 9).  Only when the Malcev search says NO or UNKNOWN does
+    _type_by_search run.
     """
     if not alpha.leq(beta) or alpha == beta:
         raise ValueError("need alpha < beta")
     if find_malcev_term(alg).status is Tri.YES:
-        return 2 if commutator(alg, beta, beta).leq(alpha) else 3
+        return 2 if is_abelian(alg) or commutator(alg, beta, beta).leq(alpha) else 3
     return _type_by_search(alg, alpha, beta)
 
 

@@ -198,6 +198,48 @@ def mod_congruence(n, m):
 
 
 # ---------------------------------------------------------------------------
+# The materialized pair algebra: the reference for the commutator kernel.
+
+
+def pair_algebra(alg, alpha):
+    """The subalgebra of A^2 with universe {(x,y) : x alpha y} (lex order),
+    with its pairs."""
+    n = alg.size
+    pairs = [(x, y) for x in range(n) for y in range(n) if alpha.same(x, y)]
+    code = [0] * (n * n)                 # x * n + y -> index of the pair (x, y)
+    for i, (x, y) in enumerate(pairs):
+        code[x * n + y] = i
+    # for each arity r, the table indices of the x- and y-components of
+    # every r-tuple of pairs, in product order
+    xs, ys = [[0]], [[0]]
+    for _ in range(max((op.arity for op in alg.ops), default=0)):
+        xs.append([i * n + x for i in xs[-1] for x, _ in pairs])
+        ys.append([i * n + y for i in ys[-1] for _, y in pairs])
+    ops = []
+    for op in alg.ops:
+        table, r = op.table, op.arity
+        ops.append(Operation(op.name, r, tuple(
+            code[table[i] * n + table[j]] for i, j in zip(xs[r], ys[r]))))
+    return FiniteAlgebra(f"{alg.name}(pairs)", len(pairs), tuple(ops)), pairs
+
+
+def pair_algebra_commutator(alg, alpha, beta):
+    """[alpha, beta] through the materialized pair algebra A(alpha): the
+    congruence D of A(alpha) generated by {((u,u),(v,v)) : u beta v}, and
+    the congruence of A generated by {(x,y) : (x,y) D (y,y)}."""
+    from mvcirc.congruence import congruence_from_pairs
+
+    sub, pairs = pair_algebra(alg, alpha)
+    idx = {p: i for i, p in enumerate(pairs)}
+    n = alg.size
+    gens = [(idx[(u, u)], idx[(v, v)])
+            for u in range(n) for v in range(u + 1, n) if beta.same(u, v)]
+    delta = congruence_from_pairs(sub, gens)
+    return congruence_from_pairs(alg, [(x, y) for (x, y) in pairs
+                                       if x != y and delta.same(idx[(x, y)], idx[(y, y)])])
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive small-circuit enumeration over the majority fixture.
 #
 # Independent of the package: the fixture is a subalgebra of ({0,1}, maj)^3,

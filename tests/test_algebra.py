@@ -31,13 +31,19 @@ from mvcirc.algebra import (
     serialize_algebra,
     translations,
 )
-from mvcirc.commutator import pair_algebra
 from mvcirc.congruence import congruence_from_pairs
 from mvcirc.errors import CapExceeded, NotACongruence, NotMalcev, Tri, UnknownOp
 from mvcirc.partition import Partition
 from mvcirc.zoo import get, zoo
 
-from conftest import EDGE_ALGEBRAS, clone_cap, gumm_chain_exists, mod_congruence, run_optimised
+from conftest import (
+    EDGE_ALGEBRAS,
+    clone_cap,
+    gumm_chain_exists,
+    mod_congruence,
+    pair_algebra,
+    run_optimised,
+)
 
 MEET = App("meet", (Var(0), Var(1)))
 

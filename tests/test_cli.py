@@ -224,6 +224,19 @@ def test_reduce_3sat(tmp_path, capsys):
     assert "outputs:" in out
 
 
+def test_reduce_3sat_of_a_cnf_without_clauses_is_satisfiable(tmp_path, capsys):
+    # an empty conjunction is true, so the circuit compares one with itself
+    dimacs = tmp_path / "f.cnf"
+    dimacs.write_text("p cnf 2 0\n")
+    code, out, _ = run_cli(["reduce", "3sat", "zoo:2boolean", str(dimacs)], capsys)
+    assert code == 0
+    circ = tmp_path / "c.txt"
+    circ.write_text(out)
+    code, out, _ = run_cli(["solve", "csat", "zoo:2boolean", str(circ)], capsys)
+    assert code == 0
+    assert out.split()[0] == "SAT"
+
+
 def test_reduce_csp(tmp_path, capsys):
     struct = tmp_path / "d.txt"
     struct.write_text("domain 2\nrel eq arity 2\n0 0\n1 1\n")

@@ -1,10 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mvcirc import algebra
-from mvcirc.algebra import FactStore, kary_poly_clone, poly_clone_on_points
+from mvcirc import commutator as commutator_module
+from mvcirc.algebra import FactStore, find_malcev_term, kary_poly_clone, poly_clone_on_points
 from mvcirc.commutator import (
+    _commutator,
     commutator,
     derived_series,
     indecomposable_factorization,
@@ -14,14 +17,16 @@ from mvcirc.commutator import (
     is_solvable,
     is_supernilpotent,
     lower_central_series,
+    module_structure,
     nilpotency_class,
 )
 from mvcirc.congruence import congruence_lattice
-from mvcirc.errors import CapExceeded, NotACongruence, Tri
+from mvcirc.errors import CapExceeded, NotACongruence, NotMalcev, Tri
 from mvcirc.partition import Partition
-from mvcirc.zoo import get
+from mvcirc.zoo import get, zoo
 
-from conftest import clone_cap, mod_congruence, one, zero
+from conftest import clone_cap, mod_congruence, one, pair_algebra_commutator, zero
+from test_random_algebras import TWISTED_Z6, malcev_algebras, small_algebras
 
 A3 = Partition.from_ids([0, 1, 1, 0, 0, 1])  # rotations vs reflections in the S3 numbering
 
@@ -245,3 +250,80 @@ def test_term_condition_oracle_detects_nonabelian(s3, lat2):
                 Partition.zero(alg.size), extra_vars=1,
             )
             assert v is not None
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the materialized pair algebra
+
+
+def _kernel_matches_the_pair_algebra(alg):
+    for a, b in itertools.product(congruence_lattice(alg).congruences, repeat=2):
+        assert _commutator(alg, a, b) == pair_algebra_commutator(alg, a, b), (alg.name, a, b)
+
+
+def test_kernel_matches_the_pair_algebra_on_every_zoo_pair():
+    for entry in zoo():
+        _kernel_matches_the_pair_algebra(entry.algebra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_algebras(), malcev_algebras()))
+def test_kernel_matches_the_pair_algebra_on_random_algebras(alg):
+    _kernel_matches_the_pair_algebra(alg)
+
+
+# ---------------------------------------------------------------------------
+# Abelianness from the module structure
+
+
+def _abelian_by_module_matches_the_pair_algebra(alg):
+    """Once the Malcev search has found a term, is_abelian reads the module
+    structure and runs no commutator; it must agree with [1, 1] = 0 over
+    the materialized pair algebra, and an abelian algebra's affine forms
+    must give back every op table."""
+    want = pair_algebra_commutator(alg, one(alg), one(alg)).is_zero()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "STORE", FactStore())
+        malcev = find_malcev_term(alg).status is Tri.YES
+        if malcev:
+            mp.setattr(commutator_module, "_commutator", None)
+        assert is_abelian(alg) is want, alg
+        if not malcev:
+            return
+        module = module_structure(alg)
+    assert module.abelian is want
+    if want:
+        group, n = module.group, alg.size
+        for op in alg.ops:
+            c, maps = module.forms[op.name]
+            for i, args in enumerate(itertools.product(range(n), repeat=op.arity)):
+                value = c
+                for e, x in zip(maps, args):
+                    value = group.add(value, e[x])
+                assert value == op.table[i], (alg.name, op.name, args)
+
+
+def test_is_abelian_from_the_module_structure_on_the_zoo():
+    for entry in zoo():
+        _abelian_by_module_matches_the_pair_algebra(entry.algebra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(malcev_algebras())
+@example(TWISTED_Z6)
+def test_is_abelian_from_the_module_structure_on_malcev_algebras(alg):
+    _abelian_by_module_matches_the_pair_algebra(alg)
+
+
+def test_twisted_z6_fails_its_module_structure():
+    # u(x) = 4 (x mod 2) sends 1 + 1 = 2 to 0 but u(1) + u(1) to 2
+    assert find_malcev_term(TWISTED_Z6).status is Tri.YES
+    module = module_structure(TWISTED_Z6)
+    assert module.failure == "op u: a coefficient is not additive"
+    assert not module.abelian and not is_abelian(TWISTED_Z6)
+    assert is_affine(TWISTED_Z6) is Tri.NO
+
+
+def test_module_structure_needs_a_malcev_term(lat2):
+    with pytest.raises(NotMalcev):
+        module_structure(lat2)

@@ -8,7 +8,8 @@ import random
 import pytest
 
 from mvcirc.algebra import FiniteAlgebra, find_malcev_term, op_from_fn
-from mvcirc.solvers import _AbelianGroup, _smith_diagonalize, _solve_integer
+from mvcirc.commutator import AbelianGroup
+from mvcirc.solvers import _Coordinates, _smith_diagonalize, _solve_integer
 
 
 def _matmul(a, b):
@@ -83,14 +84,16 @@ def _cyclic_product(m, n):
 
 
 def _additive_coordinates(alg):
-    """The group of alg, after checking that its coordinates are a bijection
-    onto the product of range(o) over its orders and add componentwise."""
-    g = _AbelianGroup(alg, find_malcev_term(alg).value, 0)
+    """The coordinates of the group of alg, after checking that they are a
+    bijection onto the product of range(o) over its orders and add
+    componentwise."""
+    group = AbelianGroup(alg, find_malcev_term(alg).value)
+    g = _Coordinates(group)
     assert sorted(g.coords.values()) == list(itertools.product(*map(range, g.orders)))
     for x in range(alg.size):
         for y in range(alg.size):
             want = tuple((a + b) % o for a, b, o in zip(g.coords[x], g.coords[y], g.orders))
-            assert g.coords[g.add(x, y)] == want, (alg.name, x, y)
+            assert g.coords[group.add(x, y)] == want, (alg.name, x, y)
     return g
 
 

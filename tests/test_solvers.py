@@ -607,7 +607,7 @@ def test_affine_falls_back_to_brute_force_when_a_form_check_fails(z6, monkeypatc
     relabelled = FiniteAlgebra("Z6swap", 6, tuple(relabel(op) for op in z6.ops))
     monkeypatch.setattr(algebra, "STORE", FactStore())
     plan = plan_for(z6)
-    plan.group = solvers._AbelianGroup(relabelled, plan.malcev, 0)
+    plan.group = commutator.AbelianGroup(relabelled, plan.malcev)
     b = CircuitBuilder(z6.name)
     total = b.op("mul", b.input("x"), b.input("y"))
     three = b.const(3)

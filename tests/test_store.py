@@ -51,11 +51,12 @@ def test_each_per_algebra_fact_is_computed_once(monkeypatch):
     runs = Counter()
 
     def count(name, alg, *_):
-        runs[(name, _content(alg))] += 1
+        # _Coordinates is built from the stored group of one algebra
+        runs[(name, id(alg) if name == "_Coordinates" else _content(alg))] += 1
 
     for module, name in ((commutator, "nilpotency_class"), (congruence, "_congruence_lattice"),
                          (congruence, "_factor_pairs"), (tct, "_typed_congruence_lattice"),
-                         (solvers, "_AbelianGroup")):
+                         (commutator, "_module_structure"), (solvers, "_Coordinates")):
         _on_every_call(monkeypatch, module, name, count)
     monkeypatch.setattr(algebra, "STORE", FactStore())
 
@@ -71,7 +72,8 @@ def test_each_per_algebra_fact_is_computed_once(monkeypatch):
                 solvers.dispatch(alg, inst)
 
     ran = {name for name, _ in runs}
-    assert ran == {"nilpotency_class", "_congruence_lattice", "_factor_pairs", "_AbelianGroup"}
+    assert ran == {"nilpotency_class", "_congruence_lattice", "_factor_pairs",
+                   "_module_structure", "_Coordinates"}
     assert [key for key, n in runs.items() if n > 1] == []
 
 
@@ -97,6 +99,34 @@ def test_dispatch_builds_no_classification_report(monkeypatch):
                 got, want = solvers.dispatch(alg, inst), solvers.solve_bruteforce(alg, inst)
                 assert got.answer == want.answer, (entry.name, got.solver_used)
     assert called == []
+
+
+# Malcev searches built (on the algebra and its quotients) by a cold
+# plan_for(alg).flags, as counted before abelianness was read from the module
+# structure: is_abelian reads it only once a search has answered, so it must
+# start none of its own.
+MALCEV_BUILDS = {"trivial": 1, "2lattice": 0, "2semilattice": 0, "2boolean": 0, "Z2": 1,
+                 "Z3": 1, "Z4": 2, "Z2xZ2": 2, "Z6": 3, "S3": 0, "Z4ring": 2, "majority": 0,
+                 "Z2xL2": 0, "AD2": 0}
+
+
+def test_plan_flags_start_no_further_malcev_search(monkeypatch):
+    builds = []
+    real = algebra.stored
+
+    def counting(alg, fact, build):
+        if fact == "malcev":
+            return real(alg, fact, lambda: builds.append(alg.name) or build())
+        return real(alg, fact, build)
+
+    monkeypatch.setattr(algebra, "stored", counting)
+    counts = {}
+    for entry in zoo():
+        monkeypatch.setattr(algebra, "STORE", FactStore())
+        builds.clear()
+        solvers.plan_for(entry.algebra).flags
+        counts[entry.name] = len(builds)
+    assert counts == MALCEV_BUILDS
 
 
 def test_cold_classify_decides_dl_likeness_and_builds_quotients_once(monkeypatch):

@@ -200,6 +200,21 @@ def test_classify_z4ring(z4ring):
     assert rep.verdicts["CEQV"].kind == "PolyTime"
 
 
+def test_cold_classify_of_z32_takes_under_a_second(monkeypatch):
+    # the cyclic group of order 32 is abelian by its module structure, so no
+    # commutator goes through a pair algebra of 1,024 elements, and every
+    # cover is labelled 2 without one
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    z32 = FiniteAlgebra("Z32", 32, (op_from_fn("mul", 2, 32, lambda x, y: (x + y) % 32),
+                                    op_from_fn("inv", 1, 32, lambda x: -x % 32)))
+    start = time.perf_counter()
+    rep = classify(z32)
+    assert time.perf_counter() - start < 1.0
+    assert rep.abelian and rep.affine is Tri.YES and rep.nilpotency_class == 1
+    assert rep.typeset == [2]
+    assert all(v.kind == "PolyTime" for v in rep.verdicts.values())
+
+
 def _twisted_z2xz3():
     """Z2 x Z3, x = 3a + b, with add, neg and the unary g(a, b) = (0, a),
     a read in Z3.  g is not a homomorphism, so the algebra is nilpotent of
