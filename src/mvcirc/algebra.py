@@ -809,18 +809,16 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
 
 def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
     """Quotient algebra; classes are numbered in canonical (first occurrence)
-    order.  It is stored per algebra under ("quotient", theta), so it is
-    built once; theta is checked to be a congruence when the key is missed,
-    so a stored key passed that check, and the result is named after the
-    calling algebra."""
+    order.  It is stored per algebra under ("quotient", name, theta), so it
+    is built and named once, after the calling algebra; theta is checked to
+    be a congruence when the key is missed, so a stored key passed that
+    check."""
     def build() -> FiniteAlgebra:
         if not is_congruence(alg, theta):
             raise NotACongruence(f"partition {theta} is not a congruence of {alg.name}")
         return _quotient(alg, theta)
 
-    q = stored(alg, ("quotient", theta), build)
-    name = f"{alg.name}/{theta}"
-    return q if q.name == name else q.rename(name)
+    return stored(alg, ("quotient", alg.name, theta), build)
 
 
 def _quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:

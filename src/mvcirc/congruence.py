@@ -52,7 +52,8 @@ def congruence_from_pairs(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) 
 
 @dataclass
 class CongruenceLattice:
-    congruences: list[Partition]
+    congruences: list[Partition]    # by class count, most first: 0 is the zero congruence
+    below: list[int]                # j -> bitmask of the i with congruences[i] <= congruences[j]
     covers: list[tuple[int, int]]   # (lower, upper) indices
 
     def __len__(self) -> int:
@@ -91,12 +92,15 @@ def _congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
                 found[j] = None
                 worklist.append(j)
     congruences = sorted(found.keys(), key=lambda p: (-p.num_classes, p.ids))
-    m = len(congruences)
-    leq = [[congruences[i].leq(congruences[j]) for j in range(m)] for i in range(m)]
-    covers = [(i, j) for i in range(m) for j in range(m)
-              if i != j and leq[i][j]
-              and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(m))]
-    return CongruenceLattice(congruences, covers)
+    # a congruence strictly below another has more classes, so a lower index
+    below = [sum(1 << i for i in range(j) if congruences[i].leq(theta)) | 1 << j
+             for j, theta in enumerate(congruences)]
+    above = [sum(1 << j for j, down in enumerate(below) if down >> i & 1)
+             for i in range(len(below))]
+    # j covers i when the interval [i, j] holds nothing else
+    covers = [(i, j) for i, up in enumerate(above) for j, down in enumerate(below)
+              if i < j and up & down == 1 << i | 1 << j]
+    return CongruenceLattice(congruences, below, covers)
 
 
 @dataclass
@@ -105,9 +109,13 @@ class FactorPair:
 
     alpha1: Partition
     alpha2: Partition
-    iso: list[tuple[int, int]]  # element -> (class in A/alpha1, class in A/alpha2)
     left: FiniteAlgebra         # A/alpha1
     right: FiniteAlgebra        # A/alpha2
+
+    @property
+    def iso(self) -> list[tuple[int, int]]:
+        """element -> (class in A/alpha1, class in A/alpha2)"""
+        return list(zip(self.alpha1.ids, self.alpha2.ids))
 
 
 def factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
@@ -116,18 +124,14 @@ def factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
     meet makes the map one-to-one, and the class count makes it onto, which
     holds exactly when a1 v a2 = 1 and the pair permutes: these are the
     factor congruence pairs (Burris and Sankappanavar, II.7), and the map is
-    then an isomorphism onto A/a1 x A/a2."""
+    then an isomorphism onto A/a1 x A/a2.  The meet is 0 when only index 0
+    lies below both."""
     return stored(alg, "factor_pairs", lambda: _factor_pairs(alg))
 
 
 def _factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
-    out = []
-    n = alg.size
-    congruences = congruence_lattice(alg).congruences
-    for a1 in congruences:
-        for a2 in congruences:
-            if a1.num_classes * a2.num_classes != n or not a1.meet(a2).is_zero():
-                continue
-            iso = [(a1.class_of(x), a2.class_of(x)) for x in range(n)]
-            out.append(FactorPair(a1, a2, iso, quotient(alg, a1), quotient(alg, a2)))
-    return out
+    lat = congruence_lattice(alg)
+    return [FactorPair(a1, a2, quotient(alg, a1), quotient(alg, a2))
+            for a1, below1 in zip(lat.congruences, lat.below)
+            for a2, below2 in zip(lat.congruences, lat.below)
+            if a1.num_classes * a2.num_classes == alg.size and below1 & below2 == 1]

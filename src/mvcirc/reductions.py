@@ -87,6 +87,8 @@ def parse_dimacs(text: str) -> Cnf3:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("bad problem line", ln)
             num_vars = parse_int(parts[2], "variable count", ln)
+            if num_vars < 0 or parse_int(parts[3], "clause count", ln) < 0:
+                raise ParseError("negative count in problem line", ln)
             continue
         for tok in line.split():
             v = parse_int(tok, "literal", ln)

@@ -42,30 +42,24 @@ from .tct import TypedLattice, pair_ops, typed_congruence_lattice
 
 
 def radical(alg: FiniteAlgebra, typed: TypedLattice, i: int) -> Partition:
-    """Largest congruence rho with every cover pair inside [0, rho] labeled i."""
+    """Largest congruence rho with every cover pair inside [0, rho] labeled
+    i: the join of the rho below no cover labeled another type, checked to
+    hold only covers labeled i (UntypedLattice otherwise)."""
     if i not in (2, 4):
         raise ValueError("radical index must be 2 or 4")
     lat = typed.lattice
-    candidates = []
-    for rho in lat.congruences:
-        ok = True
-        for (a, b), label in typed.labels.items():
-            if lat.congruences[b].leq(rho):
-                if label is None:
-                    raise UntypedLattice(f"cover below {rho} has unknown label")
-                if label != i:
-                    ok = False
-                    break
-        if ok:
-            candidates.append(rho)
-    result = Partition.zero(alg.size)
-    for c in candidates:
-        result = result.join(c)
-    # re-scan: the join of qualifying congruences must itself qualify
+    other = impure = 0      # the upper ends of the covers labeled another type, or not i
     for (a, b), label in typed.labels.items():
-        if lat.congruences[b].leq(result) and label != i:
-            raise UntypedLattice(f"interval [0,{result}] is not pure type {i}")
-    return result
+        if label != i:
+            impure |= 1 << b
+            if label is not None:
+                other |= 1 << b
+    pure = sum(1 << r for r, below in enumerate(lat.below) if not below & other)
+    # the join: the upper bound of pure with the most classes, so the least index
+    top = next(r for r, below in enumerate(lat.below) if below & pure == pure)
+    if lat.below[top] & impure:
+        raise UntypedLattice(f"interval [0,{lat.congruences[top]}] is not pure type {i}")
+    return lat.congruences[top]
 
 
 @dataclass

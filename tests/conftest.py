@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from mvcirc import algebra
-from mvcirc.algebra import FactStore, FiniteAlgebra, Operation
+from mvcirc.algebra import FactStore, FiniteAlgebra, Operation, direct_product
 from mvcirc.circuit import CircuitBuilder, ScsatInstance, eval_circuit
+from mvcirc.errors import UntypedLattice
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
@@ -197,6 +198,14 @@ def mod_congruence(n, m):
     return Partition.from_ids(tuple(x % m for x in range(n)))
 
 
+def e2_power(k):
+    """E2^k, the elementary abelian group of order 2^k, as the k-th power of Z2."""
+    alg = get("Z2")
+    for _ in range(k - 1):
+        alg = direct_product(alg, get("Z2"))
+    return alg.rename(f"E2^{k}")
+
+
 # ---------------------------------------------------------------------------
 # The materialized pair algebra: the reference for the commutator kernel.
 
@@ -237,6 +246,37 @@ def pair_algebra_commutator(alg, alpha, beta):
     delta = congruence_from_pairs(sub, gens)
     return congruence_from_pairs(alg, [(x, y) for (x, y) in pairs
                                        if x != y and delta.same(idx[(x, y)], idx[(y, y)])])
+
+
+# ---------------------------------------------------------------------------
+# The radical by comparing partitions: the reference for structure.radical,
+# which reads the lattice's order masks instead.
+
+
+def partition_radical(alg, typed, i):
+    """Largest congruence rho with every cover pair inside [0, rho] labeled
+    i, with one Partition.leq per (congruence, cover)."""
+    lat = typed.lattice
+    candidates = []
+    for rho in lat.congruences:
+        ok = True
+        for (a, b), label in typed.labels.items():
+            if lat.congruences[b].leq(rho):
+                if label is None:
+                    raise UntypedLattice(f"cover below {rho} has unknown label")
+                if label != i:
+                    ok = False
+                    break
+        if ok:
+            candidates.append(rho)
+    result = Partition.zero(alg.size)
+    for c in candidates:
+        result = result.join(c)
+    # re-scan: the join of qualifying congruences must itself qualify
+    for (a, b), label in typed.labels.items():
+        if lat.congruences[b].leq(result) and label != i:
+            raise UntypedLattice(f"interval [0,{result}] is not pure type {i}")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,8 @@ def test_reduce_csp(tmp_path, capsys):
 
 @pytest.mark.parametrize("what, text, line", [
     ("3sat", "p cnf x 1\n1 2 -1 0\n", 1),
+    ("3sat", "p cnf -2 0\n", 1),
+    ("3sat", "p cnf 2 banana\n", 1),
     ("3sat", "p cnf 2 1\n1 q 2 0\n", 2),
     ("3sat", "p cnf 2 1\n1 3 2 0\n", 2),
     ("csp", "domain two\nrel eq arity 2\n0 0\n", 1),

@@ -9,7 +9,7 @@ from mvcirc.congruence import (
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
-from conftest import all_partitions, mod_congruence
+from conftest import all_partitions, e2_power, mod_congruence
 
 
 def brute_force_congruences(alg):
@@ -88,7 +88,8 @@ def test_z4_lattice_is_chain(z4):
 
 
 def test_covers_acyclic_and_transitive_closure(z6, z2xz2, majority):
-    for alg in (z6, z2xz2, majority):
+    # E2^4 has 67 congruences and 240 covers
+    for alg in (z6, z2xz2, majority, e2_power(4)):
         lat = congruence_lattice(alg)
         m = len(lat.congruences)
         # transitive closure of covers == strict containment
@@ -104,6 +105,7 @@ def test_covers_acyclic_and_transitive_closure(z6, z2xz2, majority):
             for j in range(m):
                 strict = lat.congruences[i].leq(lat.congruences[j]) and i != j
                 assert reach[i][j] == strict
+                assert lat.below[j] >> i & 1 == (strict or i == j)
 
 
 def test_every_lattice_member_is_operation_closed(z6, s3, majority, z4ring):

@@ -5,7 +5,7 @@ arbitrary operation tables, not just on the curated fixtures."""
 import itertools
 import random
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mvcirc.algebra import (
     CLONE_CAP,
@@ -30,12 +30,13 @@ from mvcirc.circuit import (
 )
 from mvcirc.commutator import commutator, is_affine, is_nilpotent, is_supernilpotent
 from mvcirc.congruence import congruence_from_pairs, congruence_lattice, factor_pairs
-from mvcirc.errors import BudgetExceeded, Tri
+from mvcirc.errors import BudgetExceeded, Tri, UntypedLattice
 from mvcirc.solvers import dispatch, plan_for, solve_bruteforce
-from mvcirc.structure import _decomposition_flags, is_dl_like
+from mvcirc.structure import _decomposition_flags, decompose_nd, is_dl_like, radical
+from mvcirc.tct import typed_congruence_lattice
 from mvcirc.zoo import get, zoo
 
-from conftest import all_partitions, clone_cap, gumm_chain_exists
+from conftest import all_partitions, clone_cap, gumm_chain_exists, partition_radical
 
 
 @st.composite
@@ -156,6 +157,44 @@ def test_factor_pairs_match_the_definition(alg):
             for args in itertools.product(range(alg.size), repeat=op.arity):
                 mapped = [flat[x] for x in args]
                 assert flat[op.apply(args, alg.size)] == prod_op.apply(mapped, prod.size)
+
+
+def _outcome(fn):
+    """fn's value, or UntypedLattice if it raises that."""
+    try:
+        return fn()
+    except UntypedLattice:
+        return UntypedLattice
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(malcev_algebras(), small_algebras(), small_products()))
+@example(get("Z2xL2"))
+def test_radicals_and_nd_pair_match_the_partition_reference(alg):
+    """radical reads the lattice's order masks; the reference compares
+    partitions.  decompose_nd's pair is (rho4, rho2) when the typeset lies
+    in {2, 4} and the pair meets to 0 with class counts multiplying to |A|.
+    The small cap keeps the typing searches short; a lattice they leave
+    partly untyped is skipped."""
+    with clone_cap(500, shared=True):
+        typed = typed_congruence_lattice(alg)
+        assume(typed.fully_typed)
+        for i in (2, 4):
+            assert _outcome(lambda: radical(alg, typed, i)) == \
+                _outcome(lambda: partition_radical(alg, typed, i))
+
+        def reference_pair():
+            if not typed.typeset() <= {2, 4}:
+                return None
+            rho2, rho4 = partition_radical(alg, typed, 2), partition_radical(alg, typed, 4)
+            split = rho4.meet(rho2).is_zero() and rho4.num_classes * rho2.num_classes == alg.size
+            return (rho4, rho2) if split else None
+
+        def pair():
+            dec = decompose_nd(alg)
+            return None if dec is None else (dec.rho4, dec.rho2)
+
+        assert _outcome(pair) == _outcome(reference_pair)
 
 
 @settings(max_examples=120, deadline=None)

@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["support_profile.py", "Z4", "20", "0"],
     ["solver_shootout.py", "Z6", "20", "0"],    # exits 1 on any disagreement
     ["polytime_scaling.py", "10", "3", "5"],    # exits 1 on an answer against its plant
-    ["malcev_scaling.py", "Z16"],               # exits 1 if its child fails
+    ["malcev_scaling.py", "Z16", "E2^4"],       # exits 1 if a child fails
 ], ids=lambda argv: argv[0])
 def test_script_exits_cleanly(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -154,6 +154,22 @@ def test_cold_classify_decides_dl_likeness_and_builds_quotients_once(monkeypatch
     assert [key for key, n in runs.items() if n > 1] == []
 
 
+def test_warm_quotient_formats_no_name(monkeypatch):
+    """The quotient is stored under a key holding the caller's name, so it
+    is built and named once; a renamed twin gets a quotient of its own name."""
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    z6 = get("Z6")
+    theta = congruence.congruence_lattice(z6).congruences[1]
+    cold = algebra.quotient(z6, theta)
+    formatted = []
+    real = Partition.__str__
+    monkeypatch.setattr(Partition, "__str__", lambda p: formatted.append(p) or real(p))
+    assert algebra.quotient(z6, theta) is cold
+    assert formatted == []
+    assert algebra.quotient(z6.rename("twin"), theta).name == f"twin/{theta}"
+    assert cold.name == f"Z6/{theta}"
+
+
 def test_no_module_level_cache_outside_the_store():
     stores = []
     for info in pkgutil.iter_modules(mvcirc.__path__):

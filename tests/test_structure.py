@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,7 +16,8 @@ from mvcirc.algebra import (
     op_from_fn,
 )
 from mvcirc.circuit import CeqvInstance, CsatInstance, random_circuit
-from mvcirc.errors import Tri
+from mvcirc.congruence import congruence_lattice, factor_pairs
+from mvcirc.errors import Tri, UntypedLattice
 from mvcirc.partition import Partition
 from mvcirc.solvers import dispatch, solve_bruteforce
 from mvcirc.structure import (
@@ -27,7 +30,7 @@ from mvcirc.structure import (
 from mvcirc.tct import typed_congruence_lattice
 from mvcirc.zoo import get, zoo
 
-from conftest import clone_cap
+from conftest import clone_cap, e2_power, partition_radical
 
 
 
@@ -57,6 +60,23 @@ def test_radicals_2boolean(bool2):
     typed = typed_congruence_lattice(bool2)
     assert radical(bool2, typed, 2) == Partition.zero(2)
     assert radical(bool2, typed, 4) == Partition.zero(2)
+
+
+def test_radical_raises_on_an_impure_join_or_an_unknown_label(z2xz2):
+    """Con(Z2 x Z2) is 0 < three atoms < 1.  Relabeled so that one atom's
+    upper cover is 3, every atom is pure for 2 and their join is not.  An
+    unlabeled lower cover of the first atom leaves the radical undecided,
+    whether every other cover is 2 or only the second atom's lower one."""
+    typed = typed_congruence_lattice(z2xz2)
+    top = len(typed.lattice) - 1
+    impure = {cover: 3 if cover == (1, top) else 2 for cover in typed.labels}
+    unknown = {cover: None if cover == (0, 1) else 2 for cover in typed.labels}
+    undecided = {cover: {(0, 1): None, (0, 2): 2}.get(cover, 3) for cover in typed.labels}
+    for labels in (impure, unknown, undecided):
+        relabeled = dataclasses.replace(typed, labels=labels)
+        for radical_of in (radical, partition_radical):
+            with pytest.raises(UntypedLattice):
+                radical_of(z2xz2, relabeled, 2)
 
 
 def test_radical_quotients_have_pure_typesets(z2xl2):
@@ -213,6 +233,24 @@ def test_cold_classify_of_z32_takes_under_a_second(monkeypatch):
     assert rep.abelian and rep.affine is Tri.YES and rep.nilpotency_class == 1
     assert rep.typeset == [2]
     assert all(v.kind == "PolyTime" for v in rep.verdicts.values())
+
+
+def test_cold_classify_of_e2_4_compares_congruences_only_to_order_them(monkeypatch):
+    """Con(E2^4) has 67 congruences, 240 covers and 802 factor pairs; the
+    radicals and the factor pairs read the lattice's order masks, so a
+    cold classify meets no partitions and makes fewer than 2 * 67^2 leq
+    calls (tens of thousands when each reader compared partitions)."""
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    calls = Counter()
+    for name in ("leq", "meet"):
+        real = getattr(Partition, name)
+        monkeypatch.setattr(Partition, name, lambda *args, real=real, name=name:
+                            calls.update([name]) or real(*args))
+    e2_4 = e2_power(4)
+    classify(e2_4)
+    assert calls["meet"] == 0 and calls["leq"] < 2 * 67 ** 2
+    lat = congruence_lattice(e2_4)
+    assert (len(lat), len(lat.covers), len(factor_pairs(e2_4))) == (67, 240, 802)
 
 
 def _twisted_z2xz3():
