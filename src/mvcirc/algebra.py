@@ -291,24 +291,60 @@ class App(Term):
     args: tuple[Term, ...]
 
 
+def term_values(alg: FiniteAlgebra, terms: Sequence[Term],
+                points: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Each term's values at every point (a binding indexed by Var.index).
+
+    Each distinct node of the terms' DAG is evaluated once, over the whole
+    point list, by indexing into its op's table.  The errors are those of
+    evaluating at one point bottom-up, met in the same order: UnknownOp for
+    an op the algebra lacks or a wrong argument count, checked before the
+    arguments, UnboundVariable for an index past a point, and
+    ElementOutOfRange for a constant or a bound value outside the universe.
+    """
+    n = alg.size
+    bound = min(map(len, points), default=sys.maxsize)   # every point binds the indices below
+    done: dict[int, list[int]] = {}      # id of a node -> its values
+
+    def out_of_range(values: list[int]) -> None:
+        if values and not 0 <= min(values) <= max(values) < n:
+            v = next(v for v in values if not 0 <= v < n)
+            raise ElementOutOfRange(f"element {v} out of range for size {n}")
+
+    def values_of(t: Term) -> list[int]:
+        values = done.get(id(t))
+        if values is not None:
+            return values
+        if isinstance(t, Var):
+            if t.index >= bound:
+                raise UnboundVariable(f"variable x{t.index} not bound")
+            values = list(map(operator.itemgetter(t.index), points))
+            out_of_range(values)
+        elif isinstance(t, Const):
+            values = [t.value] * len(points)
+            out_of_range(values)
+        else:
+            assert isinstance(t, App)
+            op = alg.op(t.op)
+            if len(t.args) != op.arity:
+                raise UnknownOp(f"op {t.op} expects {op.arity} arguments, got {len(t.args)}")
+            args = [values_of(a) for a in t.args]
+            if not args:
+                values = [op.table[0]] * len(points)
+            else:
+                index = args[0]
+                for arg in args[1:]:
+                    index = [i * n + v for i, v in zip(index, arg)]
+                values = list(map(op.table.__getitem__, index))
+        done[id(t)] = values
+        return values
+
+    return [values_of(t) for t in terms]
+
+
 def eval_term(alg: FiniteAlgebra, t: Term, asg: Sequence[int]) -> int:
-    """Evaluate t bottom-up under the variable binding asg (indexed by Var.index)."""
-    if isinstance(t, Var):
-        if t.index >= len(asg):
-            raise UnboundVariable(f"variable x{t.index} not bound")
-        v = asg[t.index]
-    elif isinstance(t, Const):
-        v = t.value
-    else:
-        assert isinstance(t, App)
-        op = alg.op(t.op)
-        if len(t.args) != op.arity:
-            raise UnknownOp(f"op {t.op} expects {op.arity} arguments, got {len(t.args)}")
-        args = [eval_term(alg, a, asg) for a in t.args]
-        return op.apply(args, alg.size)
-    if not 0 <= v < alg.size:
-        raise ElementOutOfRange(f"element {v} out of range for size {alg.size}")
-    return v
+    """Evaluate t under the variable binding asg (indexed by Var.index)."""
+    return term_values(alg, (t,), (asg,))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +630,11 @@ def _simple_quotients(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
 
 def check_malcev_term(alg: FiniteAlgebra, d: Term) -> None:
     """Raise NotMalcev unless d(x,x,y) = y = d(y,x,x) for all x, y of alg."""
-    n = alg.size
-    for x in range(n):
-        for y in range(n):
-            if eval_term(alg, d, (x, x, y)) != y or eval_term(alg, d, (y, x, x)) != y:
-                raise NotMalcev(f"Malcev identities fail at ({x},{y})")
+    pairs = list(itertools.product(range(alg.size), repeat=2))
+    values, = term_values(alg, (d,), [p for x, y in pairs for p in ((x, x, y), (y, x, x))])
+    for (x, y), xxy, yxx in zip(pairs, values[::2], values[1::2]):
+        if xxy != y or yxx != y:
+            raise NotMalcev(f"Malcev identities fail at ({x},{y})")
 
 
 def find_malcev_term(alg: FiniteAlgebra) -> Search:
@@ -744,27 +780,16 @@ def _verified(alg: FiniteAlgebra, chain: GummChain) -> Search:
 
 def check_gumm_chain(alg: FiniteAlgebra, chain: GummChain) -> bool:
     """Pointwise verification of every chain identity on the full universe."""
-    n = alg.size
-
-    def ev(t: Term, x: int, y: int, z: int) -> int:
-        return eval_term(alg, t, (x, y, z))
-
-    ds, q = chain.terms, chain.q
-    for x in range(n):
-        for y in range(n):
-            if ev(ds[0], x, x, y) != x:
-                return False
-            if ev(q, x, x, y) != y:
-                return False
-            if ev(ds[-1], x, y, y) != ev(q, x, y, y):
-                return False
-            for d in ds:
-                if ev(d, x, y, x) != x:
-                    return False
-            for d1, d2 in zip(ds, ds[1:]):
-                if ev(d1, x, y, y) != ev(d2, x, x, y):
-                    return False
-    return True
+    pairs = list(itertools.product(range(alg.size), repeat=2))
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    points = ([(x, x, y) for x, y in pairs] + [(x, y, y) for x, y in pairs]
+              + [(x, y, x) for x, y in pairs])
+    *ds, q = term_values(alg, (*chain.terms, chain.q), points)
+    m = len(pairs)
+    xxy, xyy, xyx = slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)
+    return (ds[0][xxy] == xs and q[xxy] == ys and ds[-1][xyy] == q[xyy]
+            and all(d[xyx] == xs for d in ds)
+            and all(d1[xyy] == d2[xxy] for d1, d2 in zip(ds, ds[1:])))
 
 
 # ---------------------------------------------------------------------------

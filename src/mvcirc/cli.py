@@ -166,7 +166,7 @@ def _cmd_commutator(args) -> int:
     try:
         alpha = Partition.parse(args.alpha, alg.size)
         beta = Partition.parse(args.beta, alg.size)
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     try:

@@ -22,11 +22,11 @@ from typing import Optional
 from .algebra import (
     FiniteAlgebra,
     Term,
-    eval_term,
     find_malcev_term,
     is_congruence,
     known,
     stored,
+    term_values,
 )
 from .congruence import congruence_from_pairs, factor_pairs
 from .errors import LinearityCheckFailed, NotACongruence, NotMalcev, Tri
@@ -155,7 +155,8 @@ class AbelianGroup:
 
     def __init__(self, alg: FiniteAlgebra, d_term: Term):
         n = alg.size
-        plus = [[eval_term(alg, d_term, (x, 0, y)) for y in range(n)] for x in range(n)]
+        values, = term_values(alg, (d_term,), [(x, 0, y) for x in range(n) for y in range(n)])
+        plus = [values[x * n:(x + 1) * n] for x in range(n)]
         self.plus = plus
         for x in range(n):
             if plus[x][0] != x or plus[0][x] != x:

@@ -3,14 +3,21 @@
 Congruence generation closes a union-find structure under all elementary
 translations x -> f(c_1, .., x, .., c_r); one position at a time is enough
 for congruences (swap arguments one coordinate per step).  The full lattice
-is the join-closure of the n^2 principal congruences, which scales with the
-lattice rather than the Bell number of the universe.
+is the join-closure of the distinct principal congruences, which scales
+with the lattice rather than the Bell number of the universe.  Each
+principal is kept as its spanning edges, and a join relabels the class ids
+of the congruence at hand along them.  Every congruence is the join of the
+principal congruences it contains (Burris and Sankappanavar, II), so the
+order is read off one bitmask per congruence of the principals under it,
+with no partition compared.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .algebra import FiniteAlgebra, quotient, stored, translations
 from .errors import CapExceeded, ElementOutOfRange
@@ -72,35 +79,80 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
 
 def _congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     n = alg.size
-    zero = Partition.zero(n)
-    found: dict[Partition, None] = {zero: None}
-    principals = []
+    # each distinct principal congruence as its spanning edges (u, v), the
+    # first member u of a class with each other member v; p <= theta iff
+    # theta holds every edge, and the two ends read as one itemgetter each
+    principals: dict[tuple[int, ...], tuple[Callable, Callable, list[tuple[int, int]]]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            p = congruence_from_pairs(alg, [(a, b)])
-            if p not in found:
-                found[p] = None
-                principals.append(p)
-    worklist = list(found.keys())
+            ids = congruence_from_pairs(alg, [(a, b)]).ids
+            if ids not in principals:
+                first: dict[int, int] = {}
+                edges = [(first[c], v) for v, c in enumerate(ids) if first.setdefault(c, v) != v]
+                us, vs = zip(*edges)
+                principals[ids] = (operator.itemgetter(*us), operator.itemgetter(*vs), edges)
+    zero = tuple(range(n))
+    found: dict[tuple[int, ...], None] = dict.fromkeys((zero, *principals))
+    holds: dict[tuple[int, ...], int] = {}   # congruence -> bitmask of the principals under it
+    worklist = list(found)
     while worklist:
         cur = worklist.pop()
-        for p in principals:
-            j = cur.join(p)
+        mask = 0
+        for bit, (us, vs, edges) in enumerate(principals.values()):
+            if us(cur) == vs(cur):
+                mask |= 1 << bit
+                continue
+            j = _join(cur, edges)
             if j not in found:
                 if len(found) >= LATTICE_CAP:
                     raise CapExceeded(len(found), "congruence lattice")
                 found[j] = None
                 worklist.append(j)
-    congruences = sorted(found.keys(), key=lambda p: (-p.num_classes, p.ids))
-    # a congruence strictly below another has more classes, so a lower index
-    below = [sum(1 << i for i in range(j) if congruences[i].leq(theta)) | 1 << j
-             for j, theta in enumerate(congruences)]
-    above = [sum(1 << j for j, down in enumerate(below) if down >> i & 1)
-             for i in range(len(below))]
+        holds[cur] = mask
+    order = sorted(found, key=lambda ids: (-max(ids), ids))
+    congruences = [Partition(ids) for ids in order]
+    # every congruence is the join of the principals under it, so
+    # theta_i <= theta_j iff mask_i is a subset of mask_j
+    masks = [holds[ids] for ids in order]
+    over = [0] * len(principals)    # principal -> bitmask of the congruences above it
+    for j, mask in enumerate(masks):
+        for bit in _bits(mask):
+            over[bit] |= 1 << j
+    full, everyone = (1 << len(order)) - 1, (1 << len(principals)) - 1
+    # i is under j unless some principal under i is not under j; a congruence
+    # strictly below another has more classes, so a lower index
+    pick = over.__getitem__
+    below = [full & ~functools.reduce(operator.or_, map(pick, _bits(everyone ^ mask)), 0)
+             for mask in masks]
+    above = [functools.reduce(operator.and_, map(pick, _bits(mask)), full) for mask in masks]
     # j covers i when the interval [i, j] holds nothing else
-    covers = [(i, j) for i, up in enumerate(above) for j, down in enumerate(below)
-              if i < j and up & down == 1 << i | 1 << j]
+    covers = [(i, j) for i, up in enumerate(above) for j in _bits(up ^ 1 << i)
+              if up & below[j] == 1 << i | 1 << j]
     return CongruenceLattice(congruences, below, covers)
+
+
+def _join(ids: tuple[int, ...], edges: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The canonical ids of the join of the partition ids with the one whose
+    spanning edges are edges: the classes an edge links are relabelled to
+    the least of their ids, then the ids left are numbered in order."""
+    root = list(range(max(ids) + 1))
+    for u, v in edges:
+        a, b = root[ids[u]], root[ids[v]]
+        if a != b:
+            low, high = min(a, b), max(a, b)
+            root = [low if r == high else r for r in root]
+    # a root is the least id of its class, so the roots come in order
+    rank = {r: i for i, r in enumerate(dict.fromkeys(root))}
+    label = [rank[r] for r in root]
+    return tuple(map(label.__getitem__, ids))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -131,7 +183,16 @@ def factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
 
 def _factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
     lat = congruence_lattice(alg)
-    return [FactorPair(a1, a2, quotient(alg, a1), quotient(alg, a2))
-            for a1, below1 in zip(lat.congruences, lat.below)
-            for a2, below2 in zip(lat.congruences, lat.below)
-            if a1.num_classes * a2.num_classes == alg.size and below1 & below2 == 1]
+    by_classes: dict[int, list[int]] = {}     # class count -> the indices with it
+    for j, theta in enumerate(lat.congruences):
+        by_classes.setdefault(theta.num_classes, []).append(j)
+    # one quotient per index, built for the indices that appear in some pair
+    quotient_at = functools.cache(lambda i: quotient(alg, lat.congruences[i]))
+    pairs = []
+    for i, (a1, below1) in enumerate(zip(lat.congruences, lat.below)):
+        count, rest = divmod(alg.size, a1.num_classes)
+        if rest:
+            continue
+        pairs += [FactorPair(a1, lat.congruences[j], quotient_at(i), quotient_at(j))
+                  for j in by_classes.get(count, ()) if below1 & lat.below[j] == 1]
+    return pairs

@@ -48,7 +48,7 @@ class ParseError(MvcircError):
         self.column = column
 
 
-def parse_int(tok: str, what: str, line: int) -> int:
+def parse_int(tok: str, what: str, line: int | None) -> int:
     """tok as an integer, else a ParseError naming what it should be."""
     try:
         return int(tok)

@@ -9,7 +9,10 @@ under an algebra's operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+from .errors import parse_int
 
 
 def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
@@ -58,8 +61,9 @@ class Partition:
     def n(self) -> int:
         return len(self.ids)
 
-    @property
+    @cached_property
     def num_classes(self) -> int:
+        """Read off the ids once per partition; not a compared field."""
         return max(self.ids) + 1 if self.ids else 0
 
     def same(self, a: int, b: int) -> bool:
@@ -88,13 +92,6 @@ class Partition:
                 seen[c] = other.ids[x]
         return True
 
-    def join(self, other: "Partition") -> "Partition":
-        """Least upper bound in the partition lattice (transitive closure of the union)."""
-        if self.n != other.n:
-            raise ValueError("partitions over different universes")
-        return Partition.from_pairs(self.n, ((cls[0], x) for p in (self, other)
-                                             for cls in p.classes() for x in cls[1:]))
-
     def meet(self, other: "Partition") -> "Partition":
         if self.n != other.n:
             raise ValueError("partitions over different universes")
@@ -111,13 +108,15 @@ class Partition:
 
     @staticmethod
     def parse(text: str, n: int) -> "Partition":
-        """Parse the {0 2|1 3} display form; singleton classes may be omitted."""
+        """Parse the {0 2|1 3} display form; singleton classes may be omitted.
+        A token that is no integer raises ParseError, an element out of
+        range ValueError."""
         body = text.strip()
         if body.startswith("{") and body.endswith("}"):
             body = body[1:-1]
         pairs: list[tuple[int, int]] = []
         for chunk in body.split("|"):
-            elems = [int(tok) for tok in chunk.split()]
+            elems = [parse_int(tok, "element", None) for tok in chunk.split()]
             for x in elems:
                 if not 0 <= x < n:
                     raise ValueError(f"element {x} out of range for size {n}")

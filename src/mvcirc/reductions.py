@@ -20,7 +20,7 @@ from .algebra import (
     Term,
     Var,
     check_malcev_term,
-    eval_term,
+    term_values,
 )
 from .circuit import (
     CircuitBuilder,
@@ -141,18 +141,17 @@ class Type3Witness:
         want_meet = [z, z, z, o]
         want_join = [z, o, o, o]
         for t, want in ((self.meet, want_meet), (self.join, want_join)):
-            got = [eval_term(alg, t, p) for p in pairs]
+            got, = term_values(alg, (t,), pairs)
             if got != want:
                 raise InvalidWitness(f"lattice term restriction is {got}, want {want}")
-        if [eval_term(alg, self.neg, (z,)), eval_term(alg, self.neg, (o,))] != [o, z]:
+        neg, = term_values(alg, (self.neg,), [(z,), (o,)])
+        if neg != [o, z]:
             raise InvalidWitness("negation term does not swap the pair")
-        rng = {eval_term(alg, self.e, (x,)) for x in range(n)}
-        if rng != {z, o}:
-            raise InvalidWitness(f"projection range is {sorted(rng)}, want {{{z},{o}}}")
-        for x in range(n):
-            ex = eval_term(alg, self.e, (x,))
-            if eval_term(alg, self.e, (ex,)) != ex:
-                raise InvalidWitness("projection term is not idempotent")
+        e, = term_values(alg, (self.e,), [(x,) for x in range(n)])
+        if set(e) != {z, o}:
+            raise InvalidWitness(f"projection range is {sorted(set(e))}, want {{{z},{o}}}")
+        if any(e[ex] != ex for ex in e):
+            raise InvalidWitness("projection term is not idempotent")
 
 
 def boolean_host_witness(alg: FiniteAlgebra) -> Type3Witness:
@@ -478,8 +477,9 @@ def scsat_to_mcsat(
     warning is raised otherwise (the construction then loses equivalence)."""
     check_malcev_term(alg, d)
     n = alg.size
+    values, = term_values(alg, (d,), [(x, y, a) for y in range(n) for x in range(n)])
     for y in range(n):
-        hits = [x for x in range(n) if eval_term(alg, d, (x, y, a)) == a]
+        hits = [x for x in range(n) if values[y * n + x] == a]
         if hits != [y]:
             warnings.warn(
                 f"x -> d(x,{y},{a}) hits {a} at {hits}; instance may not be equivalent",

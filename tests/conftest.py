@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from mvcirc import algebra
-from mvcirc.algebra import FactStore, FiniteAlgebra, Operation, direct_product
+from mvcirc.algebra import Const, FactStore, FiniteAlgebra, Operation, Var, direct_product
 from mvcirc.circuit import CircuitBuilder, ScsatInstance, eval_circuit
-from mvcirc.errors import UntypedLattice
+from mvcirc.errors import ElementOutOfRange, UnboundVariable, UnknownOp, UntypedLattice
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
@@ -249,6 +249,77 @@ def pair_algebra_commutator(alg, alpha, beta):
 
 
 # ---------------------------------------------------------------------------
+# Con(A) by joining partitions: the reference for congruence_lattice, which
+# relabels class ids along each principal's spanning edges and orders the
+# congruences by the principals under each.
+
+
+def partition_join(a, b):
+    """Least upper bound in the partition lattice (transitive closure of the union)."""
+    if a.n != b.n:
+        raise ValueError("partitions over different universes")
+    return Partition.from_pairs(a.n, ((cls[0], x) for p in (a, b)
+                                      for cls in p.classes() for x in cls[1:]))
+
+
+def join_closure_lattice(alg):
+    """(congruences, below, covers) of Con(alg), as congruence_lattice
+    gives them: the worklist join closure of the principal congruences,
+    sorted by class count, most first, then by ids, and ordered by one
+    Partition.leq per index pair."""
+    from mvcirc.congruence import congruence_from_pairs
+
+    n = alg.size
+    found = {Partition.zero(n): None}
+    principals = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            p = congruence_from_pairs(alg, [(a, b)])
+            if p not in found:
+                found[p] = None
+                principals.append(p)
+    worklist = list(found)
+    while worklist:
+        cur = worklist.pop()
+        for p in principals:
+            j = partition_join(cur, p)
+            if j not in found:
+                found[j] = None
+                worklist.append(j)
+    congruences = sorted(found, key=lambda p: (-p.num_classes, p.ids))
+    below = [sum(1 << i for i in range(j) if congruences[i].leq(theta)) | 1 << j
+             for j, theta in enumerate(congruences)]
+    above = [sum(1 << j for j, down in enumerate(below) if down >> i & 1)
+             for i in range(len(below))]
+    covers = [(i, j) for i, up in enumerate(above) for j, down in enumerate(below)
+              if i < j and up & down == 1 << i | 1 << j]
+    return congruences, below, covers
+
+
+# ---------------------------------------------------------------------------
+# Terms evaluated one point at a time: the reference for term_values, which
+# evaluates each node of a term once over all its points.
+
+
+def eval_term_at(alg, t, asg):
+    """t's value under the binding asg, by recursion over the term tree."""
+    if isinstance(t, Var):
+        if t.index >= len(asg):
+            raise UnboundVariable(f"variable x{t.index} not bound")
+        v = asg[t.index]
+    elif isinstance(t, Const):
+        v = t.value
+    else:
+        op = alg.op(t.op)
+        if len(t.args) != op.arity:
+            raise UnknownOp(f"op {t.op} expects {op.arity} arguments, got {len(t.args)}")
+        return op.apply([eval_term_at(alg, a, asg) for a in t.args], alg.size)
+    if not 0 <= v < alg.size:
+        raise ElementOutOfRange(f"element {v} out of range for size {alg.size}")
+    return v
+
+
+# ---------------------------------------------------------------------------
 # The radical by comparing partitions: the reference for structure.radical,
 # which reads the lattice's order masks instead.
 
@@ -271,7 +342,7 @@ def partition_radical(alg, typed, i):
             candidates.append(rho)
     result = Partition.zero(alg.size)
     for c in candidates:
-        result = result.join(c)
+        result = partition_join(result, c)
     # re-scan: the join of qualifying congruences must itself qualify
     for (a, b), label in typed.labels.items():
         if lat.congruences[b].leq(result) and label != i:

@@ -29,16 +29,19 @@ from mvcirc.algebra import (
     poly_clone_on_points,
     quotient,
     serialize_algebra,
+    term_values,
     translations,
 )
 from mvcirc.congruence import congruence_from_pairs
-from mvcirc.errors import CapExceeded, NotACongruence, NotMalcev, Tri, UnknownOp
+from mvcirc.errors import CapExceeded, MvcircError, NotACongruence, NotMalcev, Tri, UnknownOp
 from mvcirc.partition import Partition
+from mvcirc.structure import classify
 from mvcirc.zoo import get, zoo
 
 from conftest import (
     EDGE_ALGEBRAS,
     clone_cap,
+    eval_term_at,
     gumm_chain_exists,
     mod_congruence,
     pair_algebra,
@@ -87,6 +90,52 @@ def test_eval_term_errors(lat2):
 
     with pytest.raises(UnboundVariable):
         eval_term(lat2, Var(3), (0,))
+
+
+@pytest.mark.parametrize("term", [
+    App("nope", (Var(0),)), App("meet", (Var(0),)), App("meet", (Var(2), App("nope", ()))),
+    App("meet", (Const(2), Var(5))), App("meet", (Var(1), Var(0))), Const(7),
+])
+def test_term_values_raises_what_the_per_point_reference_meets_first(lat2, term):
+    """Over points that share their length, term_values raises the error a
+    recursive evaluation meets first at the first point that fails."""
+    points = [(0, 1), (1, 0), (0, 3)]
+
+    def outcome(fn):
+        try:
+            return fn()
+        except MvcircError as exc:
+            return type(exc), str(exc)
+
+    want = next((r for r in (outcome(lambda: eval_term_at(lat2, term, p)) for p in points)
+                 if isinstance(r, tuple)), None)
+    assert want is not None
+    assert outcome(lambda: term_values(lat2, (term,), points)) == want
+
+
+def test_term_values_match_the_per_point_reference_on_a_cold_zoo_classify(monkeypatch):
+    """Every witness of every closure a cold classify of the zoo stores, and
+    every Malcev term it finds, evaluated once per node over all its points,
+    agrees with the recursive evaluation at each point and with its table."""
+    monkeypatch.setattr(algebra_module, "STORE", FactStore())
+    for entry in zoo():
+        classify(entry.algebra)
+    checked = 0
+    for content, facts in algebra_module.STORE._entries.items():
+        size, signature, tables = content.value
+        alg = FiniteAlgebra("stored", size, tuple(
+            Operation(name, arity, table) for (name, arity), table in zip(signature, tables)))
+        cases = [(list(clone.witnesses.values()), key[2], [list(t) for t in clone.tables])
+                 for key, clone in facts.items() if key[:1] == ("closure",)]
+        malcev = facts.get("malcev")
+        if malcev is not None and malcev.status is Tri.YES:
+            cases.append(([malcev.value], algebra_module._identity_points(size), None))
+        for terms, points, tables in cases:
+            values = term_values(alg, terms, points)
+            assert values == [[eval_term_at(alg, t, p) for p in points] for t in terms]
+            assert tables is None or values == tables
+            checked += len(terms)
+    assert checked > 200
 
 
 # ---------------------------------------------------------------------------

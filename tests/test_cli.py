@@ -78,6 +78,13 @@ def test_commutator_cmd_rejects_a_non_congruence(capsys):
     assert "not a congruence" in err
 
 
+@pytest.mark.parametrize("alpha", ["{0 x}", "{0 9}"])
+def test_commutator_cmd_rejects_a_bad_element(alpha, capsys):
+    code, out, err = run_cli(["commutator", "zoo:Z6", "--alpha", alpha, "--beta", "{}"], capsys)
+    assert code == 64 and out == ""
+    assert err.startswith("error: ") and "invalid literal" not in err
+
+
 def test_typeset_cmd(capsys):
     code, out, _ = run_cli(["typeset", "zoo:2boolean", "--json"], capsys)
     assert code == 0

@@ -36,7 +36,15 @@ from mvcirc.structure import _decomposition_flags, decompose_nd, is_dl_like, rad
 from mvcirc.tct import typed_congruence_lattice
 from mvcirc.zoo import get, zoo
 
-from conftest import all_partitions, clone_cap, gumm_chain_exists, partition_radical
+from conftest import (
+    all_partitions,
+    clone_cap,
+    e2_power,
+    gumm_chain_exists,
+    join_closure_lattice,
+    partition_join,
+    partition_radical,
+)
 
 
 @st.composite
@@ -145,7 +153,7 @@ def test_factor_pairs_match_the_definition(alg):
     pair's map is an isomorphism of A onto the product of its quotients."""
     cons = congruence_lattice(alg).congruences
     oracle = [(a1, a2) for a1 in cons for a2 in cons
-              if a1.meet(a2).is_zero() and a1.join(a2).is_one()
+              if a1.meet(a2).is_zero() and partition_join(a1, a2).is_one()
               and _compose(a1, a2) == _compose(a2, a1)]
     pairs = factor_pairs(alg)
     assert [(fp.alpha1, fp.alpha2) for fp in pairs] == oracle
@@ -203,6 +211,17 @@ def test_congruence_lattice_matches_partition_filter(alg):
     lat = congruence_lattice(alg)
     oracle = {p for p in all_partitions(alg.size) if is_congruence(alg, p)}
     assert set(lat.congruences) == oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_algebras(), malcev_algebras()))
+@example(e2_power(4))
+def test_congruence_lattice_matches_the_join_closure_reference(alg):
+    """The relabelling join closure and the order read off principal masks
+    give the congruences, their order masks and the covers that joining
+    partitions and comparing each pair gives."""
+    lat = congruence_lattice(alg)
+    assert (lat.congruences, lat.below, lat.covers) == join_closure_lattice(alg)
 
 
 @settings(max_examples=120, deadline=None)

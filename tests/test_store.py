@@ -219,7 +219,8 @@ def test_unread_api_stays_deleted():
         (congruence, "principal_congruence"), (commutator, "centralizes"))
         if hasattr(m, name)] == []
     assert [f"{c.__name__}.{name}" for c, name in (
-        (Partition, "pairs"), (BlockProgram, "pack"), (Operation, "index"), (Circuit, "size"))
+        (Partition, "pairs"), (Partition, "join"), (BlockProgram, "pack"), (Operation, "index"),
+        (Circuit, "size"))
         if hasattr(c, name)] == []
     assert [f"{c.__name__}.{f.name}" for c, gone in (
         (algebra.Clone, {"arity", "points"}), (MinimalSet, {"idempotent"}),

@@ -253,6 +253,21 @@ def test_cold_classify_of_e2_4_compares_congruences_only_to_order_them(monkeypat
     assert (len(lat), len(lat.covers), len(factor_pairs(e2_4))) == (67, 240, 802)
 
 
+def test_cold_lattice_of_e2_5_joins_and_orders_without_comparing_partitions(monkeypatch):
+    """Con(E2^5) has 374 congruences and 2,077 covers.  The join closure
+    relabels class ids along each principal's spanning edges and the order
+    is read off the principals under each congruence, so a cold build makes
+    no Partition.leq call (joining and comparing partitions took 11,594
+    joins and 69,751 leq calls)."""
+    monkeypatch.setattr(algebra, "STORE", FactStore())
+    calls = Counter()
+    real = Partition.leq
+    monkeypatch.setattr(Partition, "leq", lambda *args: calls.update(["leq"]) or real(*args))
+    lat = congruence_lattice(e2_power(5))
+    assert calls["leq"] == 0 and not hasattr(Partition, "join")
+    assert (len(lat), len(lat.covers)) == (374, 2077)
+
+
 def _twisted_z2xz3():
     """Z2 x Z3, x = 3a + b, with add, neg and the unary g(a, b) = (0, a),
     a read in Z3.  g is not a homomorphism, so the algebra is nilpotent of
