@@ -848,16 +848,14 @@ def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
 
 def _quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
     n = alg.size
-    k = theta.num_classes
     reps = [cls[0] for cls in theta.classes()]
-    ops = []
-    for op in alg.ops:
-        table = tuple(
-            theta.class_of(op.apply(tuple(reps[c] for c in args), n))
-            for args in itertools.product(range(k), repeat=op.arity)
-        )
-        ops.append(Operation(op.name, op.arity, table))
-    return FiniteAlgebra(f"{alg.name}/{theta}", k, tuple(ops))
+    # index[r]: the table index of each r-tuple of representatives, in product order
+    index = [[0]]
+    for _ in range(max((op.arity for op in alg.ops), default=0)):
+        index.append([i * n + rep for i in index[-1] for rep in reps])
+    ops = tuple(Operation(op.name, op.arity, tuple(theta.ids[op.table[i]] for i in index[op.arity]))
+                for op in alg.ops)
+    return FiniteAlgebra(f"{alg.name}/{theta}", len(reps), ops)
 
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None) -> FiniteAlgebra:

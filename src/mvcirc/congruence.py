@@ -27,34 +27,37 @@ LATTICE_CAP = 100_000
 
 
 def congruence_from_pairs(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
-    """Least congruence containing the given pairs (Malcev-chain closure)."""
+    """Least congruence containing the given pairs (Malcev-chain closure).
+    A merge relabels the smaller class and queues the pair that caused it;
+    the queued pairs span every class, so closing them under the elementary
+    translations closes the partition."""
     n = alg.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    maps = translations(alg)
+    label = list(range(n))              # element -> the label of its class
+    members = [[x] for x in range(n)]   # label -> the elements of its class
     work: list[tuple[int, int]] = []
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-            work.append((ra, rb))
+    def merge(x: int, y: int) -> None:
+        cx, cy = label[x], label[y]
+        if cx != cy:
+            if len(members[cx]) < len(members[cy]):
+                cx, cy = cy, cx
+            for z in members[cy]:
+                label[z] = cx
+            members[cx] += members[cy]
+            work.append((x, y))
 
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ElementOutOfRange(f"pair ({a},{b}) out of range for size {n}")
-        union(a, b)
+        merge(a, b)
+    maps = translations(alg)
     while work:
         a, b = work.pop()
         for tab in maps:
-            union(tab[a], tab[b])
-    return Partition.from_ids([find(i) for i in range(n)])
+            x, y = tab[a], tab[b]
+            if label[x] != label[y]:
+                merge(x, y)
+    return Partition.from_ids(label)
 
 
 @dataclass
