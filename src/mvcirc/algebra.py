@@ -598,10 +598,12 @@ def _identity_points(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(p for p in itertools.product(range(n), repeat=3) if len(set(p)) <= 2)
 
 
-def _slices(n: int) -> tuple[Callable[[Sequence[int]], tuple[int, ...]], ...]:
-    """Readers of a table over _identity_points(n) giving, as tuples indexed
-    by (x, y) in product order, its values at (x,x,y), (x,y,y) and (x,y,x)."""
-    at = {p: i for i, p in enumerate(_identity_points(n))}
+def _slices(n: int, points: Sequence[tuple[int, ...]]
+            ) -> tuple[Callable[[Sequence[int]], tuple[int, ...]], ...]:
+    """Readers of a table over points, _identity_points(n), giving, as
+    tuples indexed by (x, y) in product order, its values at (x,x,y),
+    (x,y,y) and (x,y,x)."""
+    at = {p: i for i, p in enumerate(points)}
     pairs = list(itertools.product(range(n), repeat=2))
 
     def reader(point: Callable[[int, int], tuple[int, ...]]):
@@ -652,11 +654,12 @@ def find_malcev_term(alg: FiniteAlgebra) -> Search:
         if any(find_malcev_term(q).status is Tri.NO for q in _simple_quotients(alg)):
             return Search(Tri.NO)
         n = alg.size
-        xxy, xyy, _ = _slices(n)
+        points = _identity_points(n)
+        xxy, xyy, _ = _slices(n, points)
         sel_y = tuple(y for _ in range(n) for y in range(n))    # (x,y) -> y
         sel_x = tuple(x for x in range(n) for _ in range(n))    # (x,y) -> x
         clone, hit = poly_clone_on_points(
-            alg, _identity_points(n), 3,
+            alg, points, 3,
             stop=lambda t: xxy(t) == sel_y and xyy(t) == sel_x, constants=False)
         if hit is not None:
             term = clone.witness(hit)
@@ -698,9 +701,9 @@ def find_directed_gumm_terms(alg: FiniteAlgebra) -> Search:
     if any(find_directed_gumm_terms(q).status is Tri.NO for q in _simple_quotients(alg)):
         return Search(Tri.NO)
 
-    chains = _ChainReach(alg.size)
-    clone, hit = poly_clone_on_points(alg, _identity_points(alg.size), 3, stop=chains,
-                                      constants=False)
+    points = _identity_points(alg.size)
+    chains = _ChainReach(alg.size, points)
+    clone, hit = poly_clone_on_points(alg, points, 3, stop=chains, constants=False)
     if hit is None:
         return Search(Tri.NO if clone.complete else Tri.UNKNOWN)
     ds, q = chains.chain()
@@ -708,16 +711,17 @@ def find_directed_gumm_terms(alg: FiniteAlgebra) -> Search:
 
 
 class _ChainReach:
-    """Whether the tables seen so far, over _identity_points(n), hold a
-    directed Gumm chain, kept up to date as each table arrives (the stop of
-    the Gumm search's closure).  Nodes are the tables with d(x,y,x) = x; a
-    chain starts at a node with d(x,x,y) = x, steps from t to u when
-    u(x,x,y) = t(x,y,y), and ends at a node t with t(x,y,y) = Q(x,y,y) for
-    a table Q with Q(x,x,y) = y.  Called on each table in turn, it says
-    True once a chain exists, whatever order the tables come in."""
+    """Whether the tables seen so far, over points (_identity_points(n)),
+    hold a directed Gumm chain, kept up to date as each table arrives (the
+    stop of the Gumm search's closure).  Nodes are the tables with
+    d(x,y,x) = x; a chain starts at a node with d(x,x,y) = x, steps from t
+    to u when u(x,x,y) = t(x,y,y), and ends at a node t with t(x,y,y) =
+    Q(x,y,y) for a table Q with Q(x,x,y) = y.  Called on each table in
+    turn, it says True once a chain exists, whatever order the tables come
+    in."""
 
-    def __init__(self, n: int) -> None:
-        self.xxy, self.xyy, self.xyx = _slices(n)
+    def __init__(self, n: int, points: Sequence[tuple[int, ...]]) -> None:
+        self.xxy, self.xyy, self.xyx = _slices(n, points)
         self.sel_x = tuple(x for x in range(n) for _ in range(n))    # (x,y) -> x
         self.sel_y = tuple(y for _ in range(n) for y in range(n))    # (x,y) -> y
         self.reached: dict[tuple[int, ...], Table] = {}   # (x,y,y) slice -> a reached node
@@ -799,37 +803,43 @@ def check_gumm_chain(alg: FiniteAlgebra, chain: GummChain) -> bool:
 def translations(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All elementary unary translations x -> f(c_1, .., x, .., c_r) of alg
     as value tables (deduplicated, in order of op, position, context),
-    kept in the per-algebra store."""
-    return stored(alg, "translations", lambda: _translations(alg))
+    kept in the per-algebra store: translation_sets at the zero
+    congruence, where each context is its own class."""
+    return stored(alg, "translations", lambda: [
+        tab for tab, in translation_sets(alg, Partition.zero(alg.size))])
 
 
-def _translations(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
-    n = alg.size
-    out: dict[tuple[int, ...], None] = {}
+def translation_sets(alg: FiniteAlgebra, alpha: Partition) -> list[tuple[tuple[int, ...], ...]]:
+    """For each op, argument position and alpha-class of contexts (the
+    other arguments, one class per entry), the distinct elementary
+    translations x -> f(c_1, .., x, .., c_r) with such contexts, in order
+    of op, position and first context; each distinct set once."""
+    n, ids = alg.size, alpha.ids
+    out: dict[frozenset, tuple[tuple[int, ...], ...]] = {}
     for op in alg.ops:
         r, table = op.arity, op.table
         for pos in range(r):
-            # context c (the other r-1 arguments, in product order) puts x at
-            # base + x * stride, with stride the weight of position pos
+            # context c (in product order; classes holds the class of each
+            # entry) puts x at base + x * stride, with stride the weight of
+            # position pos
             stride = n ** (r - 1 - pos)
-            for c in range(n ** (r - 1)):
+            by_class: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
+            for c, classes in enumerate(itertools.product(ids, repeat=r - 1)):
                 base = c // stride * n * stride + c % stride
-                out.setdefault(table[base:base + n * stride:stride], None)
-    return list(out)
+                by_class.setdefault(classes, {}).setdefault(
+                    table[base:base + n * stride:stride], None)
+            for tabs in by_class.values():
+                out.setdefault(frozenset(tabs), tuple(tabs))
+    return list(out.values())
 
 
 def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
-    """Whether p is closed under every elementary translation, which
-    suffices for congruence closure (one position at a time)."""
-    if p.n != alg.size:
-        return False
-    ids = p.ids
-    for tab in translations(alg):
-        image: dict[int, int] = {}
-        for x, y in zip(ids, tab):
-            if image.setdefault(x, ids[y]) != ids[y]:
-                return False
-    return True
+    """Whether p is over alg's universe and generates itself: the congruence
+    generated by its spanning pairs is p exactly when p is closed under
+    every elementary translation."""
+    from .congruence import congruence_from_pairs  # congruence imports this module
+
+    return p.n == alg.size and congruence_from_pairs(alg, p.spanning_pairs()) == p
 
 
 def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:

@@ -15,7 +15,6 @@ against a brute-force term-condition oracle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,10 +26,11 @@ from .algebra import (
     known,
     stored,
     term_values,
+    translation_sets,
 )
 from .congruence import congruence_from_pairs, factor_pairs
 from .errors import LinearityCheckFailed, NotACongruence, NotMalcev, Tri
-from .partition import Partition
+from .partition import Classes, Partition
 
 
 def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
@@ -55,13 +55,13 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
     of A(alpha) sends (x, y) to (t_c(x), t_d(y)), where t_c and t_d are
     elementary translations of A at one op and argument position whose
     contexts c and d are alpha-related entry by entry; so for each set T of
-    A's translations whose contexts lie in one alpha-class (_context_sets),
-    every pair in T x T is one.  D is generated over the pairs: when
-    (x1, y1) and (x2, y2) merge, each T merges the images (u1, v1) and
-    (u2, v2) for every (u1, u2) in {(t(x1), t(x2)) : t in T} and (v1, v2) in
-    {(t(y1), t(y2)) : t in T}, sets that are often much smaller than T.
-    Each class of D keeps its members, and a merge relabels the smaller
-    class, so a pair's class is one list lookup."""
+    A's translations whose contexts lie in one alpha-class
+    (translation_sets), every pair in T x T is one.  D is generated over
+    the pairs: when (x1, y1) and (x2, y2) merge, each T merges the images
+    (u1, v1) and (u2, v2) for every (u1, u2) in {(t(x1), t(x2)) : t in T}
+    and (v1, v2) in {(t(y1), t(y2)) : t in T}, sets that are often much
+    smaller than T.  D's classes are one Classes over the pair indices, so
+    a pair's class is one list lookup."""
     n = alg.size
     ids = alpha.ids
     code = [-1] * (n * n)            # x * n + y -> index of the pair (x, y)
@@ -71,27 +71,13 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
             if ids[x] == ids[y]:
                 code[x * n + y] = len(pairs)
                 pairs.append((x, y))
-    label = list(range(len(pairs)))          # pair -> its class in D
-    members = [[i] for i in range(len(pairs))]   # class -> its pairs
-    work: list[tuple[int, int]] = []
-
-    def merge(a: int, b: int) -> None:
-        """Join the classes of the pairs a and b, relabeling the smaller."""
-        keep, drop = label[a], label[b]
-        if len(members[keep]) < len(members[drop]):
-            keep, drop = drop, keep
-        for i in members[drop]:
-            label[i] = keep
-        members[keep] += members[drop]
-        members[drop] = []
-        work.append((a, b))
-
+    delta = Classes(len(pairs))      # D's classes of the pair indices
+    label, merge, work = delta.label, delta.merge, delta.queue
     for u in range(n):
         for v in range(u + 1, n):
-            a, b = code[u * n + u], code[v * n + v]
-            if beta.same(u, v) and label[a] != label[b]:
-                merge(a, b)
-    sets = _context_sets(alg, alpha)
+            if beta.same(u, v):
+                merge(code[u * n + u], code[v * n + v])
+    sets = translation_sets(alg, alpha)
     images: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in sets]
 
     def image(s: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
@@ -116,30 +102,6 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
     related = [(x, y) for (x, y) in pairs
                if x != y and label[code[x * n + y]] == label[code[y * n + y]]]
     return congruence_from_pairs(alg, related)
-
-
-def _context_sets(alg: FiniteAlgebra, alpha: Partition) -> list[tuple[tuple[int, ...], ...]]:
-    """For each op, argument position and alpha-class of contexts (the
-    other arguments, one class per entry), the distinct elementary
-    translations x -> f(c_1, .., x, .., c_r) with such contexts; each
-    distinct set once."""
-    n, ids = alg.size, alpha.ids
-    out: dict[frozenset, tuple[tuple[int, ...], ...]] = {}
-    for op in alg.ops:
-        r, table = op.arity, op.table
-        for pos in range(r):
-            # context c (in product order; classes holds the class of each
-            # entry) puts x at base + x * stride, with stride the weight of
-            # position pos
-            stride = n ** (r - 1 - pos)
-            by_class: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
-            for c, classes in enumerate(itertools.product(ids, repeat=r - 1)):
-                base = c // stride * n * stride + c % stride
-                by_class.setdefault(classes, {}).setdefault(
-                    table[base:base + n * stride:stride], None)
-            for tabs in by_class.values():
-                out.setdefault(frozenset(tabs), tuple(tabs))
-    return list(out.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Principal congruences, the congruence lattice, and factor congruence pairs.
 
-Congruence generation closes a union-find structure under all elementary
-translations x -> f(c_1, .., x, .., c_r); one position at a time is enough
-for congruences (swap arguments one coordinate per step).  The full lattice
-is the join-closure of the distinct principal congruences, which scales
-with the lattice rather than the Bell number of the universe.  Each
-principal is kept as its spanning edges, and a join relabels the class ids
-of the congruence at hand along them.  Every congruence is the join of the
-principal congruences it contains (Burris and Sankappanavar, II), so the
-order is read off one bitmask per congruence of the principals under it,
-with no partition compared.
+Congruence generation merges classes (partition.Classes) and closes the
+merged pairs under all elementary translations x -> f(c_1, .., x, .., c_r);
+one position at a time is enough for congruences (swap arguments one
+coordinate per step).  The full lattice is the join-closure of the distinct
+principal congruences, which scales with the lattice rather than the Bell
+number of the universe.  Each principal is kept as its spanning pairs, and
+a join merges the class ids of the congruence at hand along them.  Every
+congruence is the join of the principal congruences it contains (Burris and
+Sankappanavar, II), so the order is read off one bitmask per congruence of
+the principals under it, with no partition compared.
 """
 
 from __future__ import annotations
@@ -21,31 +21,18 @@ from typing import Callable, Iterable, Iterator
 
 from .algebra import FiniteAlgebra, quotient, stored, translations
 from .errors import CapExceeded, ElementOutOfRange
-from .partition import Partition
+from .partition import Classes, Partition
 
 LATTICE_CAP = 100_000
 
 
 def congruence_from_pairs(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
     """Least congruence containing the given pairs (Malcev-chain closure).
-    A merge relabels the smaller class and queues the pair that caused it;
-    the queued pairs span every class, so closing them under the elementary
-    translations closes the partition."""
+    The merge queue spans every class, so closing its pairs under the
+    elementary translations closes the partition."""
     n = alg.size
-    label = list(range(n))              # element -> the label of its class
-    members = [[x] for x in range(n)]   # label -> the elements of its class
-    work: list[tuple[int, int]] = []
-
-    def merge(x: int, y: int) -> None:
-        cx, cy = label[x], label[y]
-        if cx != cy:
-            if len(members[cx]) < len(members[cy]):
-                cx, cy = cy, cx
-            for z in members[cy]:
-                label[z] = cx
-            members[cx] += members[cy]
-            work.append((x, y))
-
+    classes = Classes(n)
+    label, merge, work = classes.label, classes.merge, classes.queue
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ElementOutOfRange(f"pair ({a},{b}) out of range for size {n}")
@@ -82,18 +69,17 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
 
 def _congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     n = alg.size
-    # each distinct principal congruence as its spanning edges (u, v), the
-    # first member u of a class with each other member v; p <= theta iff
-    # theta holds every edge, and the two ends read as one itemgetter each
+    # each distinct principal congruence as its spanning pairs (u, v); p <=
+    # theta iff theta holds every edge, and the two ends read as one
+    # itemgetter each
     principals: dict[tuple[int, ...], tuple[Callable, Callable, list[tuple[int, int]]]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            ids = congruence_from_pairs(alg, [(a, b)]).ids
-            if ids not in principals:
-                first: dict[int, int] = {}
-                edges = [(first[c], v) for v, c in enumerate(ids) if first.setdefault(c, v) != v]
+            cg = congruence_from_pairs(alg, [(a, b)])
+            if cg.ids not in principals:
+                edges = cg.spanning_pairs()
                 us, vs = zip(*edges)
-                principals[ids] = (operator.itemgetter(*us), operator.itemgetter(*vs), edges)
+                principals[cg.ids] = (operator.itemgetter(*us), operator.itemgetter(*vs), edges)
     zero = tuple(range(n))
     found: dict[tuple[int, ...], None] = dict.fromkeys((zero, *principals))
     holds: dict[tuple[int, ...], int] = {}   # congruence -> bitmask of the principals under it
@@ -136,18 +122,18 @@ def _congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
 
 def _join(ids: tuple[int, ...], edges: list[tuple[int, int]]) -> tuple[int, ...]:
     """The canonical ids of the join of the partition ids with the one whose
-    spanning edges are edges: the classes an edge links are relabelled to
-    the least of their ids, then the ids left are numbered in order."""
-    root = list(range(max(ids) + 1))
+    spanning pairs are edges: the class ids an edge links are merged, then
+    renumbered in first-occurrence order."""
+    classes = Classes(max(ids) + 1)
+    label, merge = classes.label, classes.merge
     for u, v in edges:
-        a, b = root[ids[u]], root[ids[v]]
-        if a != b:
-            low, high = min(a, b), max(a, b)
-            root = [low if r == high else r for r in root]
-    # a root is the least id of its class, so the roots come in order
-    rank = {r: i for i, r in enumerate(dict.fromkeys(root))}
-    label = [rank[r] for r in root]
-    return tuple(map(label.__getitem__, ids))
+        a, b = ids[u], ids[v]
+        if label[a] != label[b]:
+            merge(a, b)
+    # ids is canonical, so its class ids first occur in order and numbering
+    # the merged labels by class id numbers them as they occur in ids
+    rank = Partition.from_ids(label).ids
+    return tuple(map(rank.__getitem__, ids))
 
 
 def _bits(mask: int) -> Iterator[int]:

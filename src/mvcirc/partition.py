@@ -25,6 +25,33 @@ def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+class Classes:
+    """A partition of {0..n-1} grown one merge at a time: label[x] is the
+    class of x, members[c] the elements of class c, and queue the pairs
+    whose merges joined two classes, which span every class.  A merge
+    relabels the smaller class, so an element changes class at most
+    log2(n) times; callers read label directly in their own loops."""
+
+    def __init__(self, n: int) -> None:
+        self.label = list(range(n))
+        self.members = [[x] for x in range(n)]
+        self.queue: list[tuple[int, int]] = []
+
+    def merge(self, a: int, b: int) -> None:
+        """Join the classes of a and b, queueing (a, b) when they differ."""
+        label, members = self.label, self.members
+        keep, drop = label[a], label[b]
+        if keep == drop:
+            return
+        if len(members[keep]) < len(members[drop]):
+            keep, drop = drop, keep
+        for x in members[drop]:
+            label[x] = keep
+        members[keep] += members[drop]
+        members[drop] = []
+        self.queue.append((a, b))
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     ids: tuple[int, ...]
@@ -43,19 +70,10 @@ class Partition:
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        classes = Classes(n)
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        return Partition(_canonical([find(i) for i in range(n)]))
+            classes.merge(a, b)
+        return Partition.from_ids(classes.label)
 
     @property
     def n(self) -> int:
@@ -96,6 +114,12 @@ class Partition:
         if self.n != other.n:
             raise ValueError("partitions over different universes")
         return Partition(_canonical(list(zip(self.ids, other.ids))))  # type: ignore[arg-type]
+
+    def spanning_pairs(self) -> list[tuple[int, int]]:
+        """(u, v) for the first member u of each class and each other member
+        v: the least pair list whose equivalence closure is self."""
+        first: dict[int, int] = {}
+        return [(first[c], v) for v, c in enumerate(self.ids) if first.setdefault(c, v) != v]
 
     def is_zero(self) -> bool:
         return self.num_classes == self.n

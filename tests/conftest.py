@@ -249,6 +249,29 @@ def pair_algebra_commutator(alg, alpha, beta):
 
 
 # ---------------------------------------------------------------------------
+# Partitions by union-find: the reference for Partition.from_pairs, which
+# merges classes through partition.Classes.
+
+
+def union_find_partition(n, pairs):
+    """The partition of {0..n-1} that pairs generate, by union-find with
+    path halving."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    return Partition.from_ids([find(i) for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
 # Con(A) by joining partitions: the reference for congruence_lattice, which
 # relabels class ids along each principal's spanning edges and orders the
 # congruences by the principals under each.

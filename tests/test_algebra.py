@@ -584,7 +584,7 @@ def test_chain_reach_decides_as_a_search_over_the_whole_set(drawn, rng):
     tables it saw."""
     n, tables = drawn
     rng.shuffle(tables)
-    reach = algebra_module._ChainReach(n)
+    reach = algebra_module._ChainReach(n, algebra_module._identity_points(n))
     hits = [i for i, tab in enumerate(tables) if reach(tab)]
     assert bool(hits) == _chain_exists(tables, n)
     if hits:

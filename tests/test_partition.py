@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from conftest import partition_join
+from conftest import partition_join, union_find_partition
 from mvcirc.partition import Partition
 
 ids_vectors = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=7)
@@ -48,6 +48,16 @@ def test_pairs_and_from_pairs_round_trip():
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4) if p.same(a, b)]
     assert pairs == [(0, 2), (1, 3)]
     assert Partition.from_pairs(4, pairs) == p
+
+
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing(),
+    max_size=3 * n))))
+def test_from_pairs_matches_union_find(drawn):
+    """Repeated pairs and self-pairs included."""
+    n, pairs = drawn
+    pairs += pairs[::2] + [(a, a) for a, _ in pairs[:2]]
+    assert Partition.from_pairs(n, pairs) == union_find_partition(n, pairs)
 
 
 def test_display_and_parse():

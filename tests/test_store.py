@@ -216,7 +216,8 @@ def test_unread_api_stays_deleted():
     program reads."""
     assert [f"{m.__name__}.{name}" for m, name in (
         (tct, "typeset"), (algebra, "unary_poly_clone"),
-        (congruence, "principal_congruence"), (commutator, "centralizes"))
+        (congruence, "principal_congruence"), (commutator, "centralizes"),
+        (commutator, "_context_sets"), (algebra, "_translations"))
         if hasattr(m, name)] == []
     assert [f"{c.__name__}.{name}" for c, name in (
         (Partition, "pairs"), (Partition, "join"), (BlockProgram, "pack"), (Operation, "index"),
