@@ -200,7 +200,10 @@ class _OpTables:
     # tag of the op's step in circuit.BlockProgram: 1 for a nullary op, its
     # one value; 2 for a unary op at width 1, a translate of its argument's
     # bytes; 3 for any other, Horner on its arguments' integers and a map of
-    # the digits through its table
+    # the digits through its table.  A folded program (see "Block
+    # evaluation" in circuit.py) has steps of the same tags over a group's
+    # leaves, with the group's composite table: 3 for k >= 2 leaves, 2 for
+    # one, 1 for none
     ops: dict[str, tuple[int, int, Sequence[int]]]
     symmetric: frozenset[str]                   # ops of arity >= 2 unchanged by permuting arguments
 
@@ -842,6 +845,14 @@ def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
     return p.n == alg.size and congruence_from_pairs(alg, p.spanning_pairs()) == p
 
 
+def require_congruence(alg: FiniteAlgebra, p: Partition) -> None:
+    """NotACongruence unless p is a congruence of alg.  When the store holds
+    Con(alg), p is one iff Con(alg) holds it; else is_congruence decides."""
+    lattice = known(alg, "lattice")
+    if not (p in lattice.members if lattice is not None else is_congruence(alg, p)):
+        raise NotACongruence(f"partition {p} is not a congruence of {alg.name}")
+
+
 def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
     """Quotient algebra; classes are numbered in canonical (first occurrence)
     order.  It is stored per algebra under ("quotient", name, theta), so it
@@ -849,8 +860,7 @@ def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
     be a congruence when the key is missed, so a stored key passed that
     check."""
     def build() -> FiniteAlgebra:
-        if not is_congruence(alg, theta):
-            raise NotACongruence(f"partition {theta} is not a congruence of {alg.name}")
+        require_congruence(alg, theta)
         return _quotient(alg, theta)
 
     return stored(alg, ("quotient", alg.name, theta), build)

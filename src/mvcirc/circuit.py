@@ -9,6 +9,7 @@ circuit over blocks of assignments at once, for the solvers' enumerations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -204,12 +205,26 @@ def compile_circuit(alg: FiniteAlgebra, c: Circuit) -> Callable[[Sequence[int]],
 # Block evaluation
 #
 # A block is `count` assignments.  Every input and gate holds a column with
-# one digit per assignment (see "Byte columns" in algebra.py).  A gate is
+# one digit per assignment (see "Byte columns" in algebra.py).  A step is
 # evaluated over the whole block at once, and each gate's column is read
-# as an integer at most once per block: a unary op at width 1 translates
-# its argument's bytes, any other op combines its arguments' integers by
+# as an integer at most once per block: a unary step at width 1 translates
+# its argument's bytes, any other step combines its arguments' integers by
 # Horner and maps the digits through its table, and the compared pairs
 # XOR as integers.  A gate keeps only the forms later steps read.
+#
+# At width 1 a program folds its steps once, before the first block past
+# FOLD_AT assignments.  An op gate or constant that exactly one step reads
+# and no pair names joins that step's group, and each group becomes one
+# step over its leaves, the inputs and gates it reads from outside: a tag-2
+# translate of its one leaf, or a tag-3 Horner on its k leaves, whose table
+# is the whole group tabulated over the |A|^k <= 256 leaf tuples (a group
+# with no leaf is a constant).  A group then costs one Horner, one
+# to_bytes, one translate and at most one from_bytes per block, where it
+# cost that much per gate.  A fold costs about what a few thousand
+# assignments of enumeration cost, so the many short enumerations, which
+# would not earn it back, never fold.
+
+FOLD_AT = 8192      # assignments evaluated before the steps fold
 
 
 class BlockProgram:
@@ -218,9 +233,11 @@ class BlockProgram:
     (sorted input names); `mismatches` evaluates a block and flags, per
     assignment, whether some pair differs.  Every gate is checked against
     the algebra, but only gates that some compared gate depends on are
-    evaluated."""
+    evaluated.  `steps` is the one step list that `mismatches` and
+    `differs` read; at width 1 it is replaced once by its folded form (see
+    "Block evaluation")."""
 
-    __slots__ = ("size", "width", "names", "pairs", "gates", "steps")
+    __slots__ = ("size", "width", "names", "pairs", "gates", "steps", "fold_in")
 
     def __init__(self, alg: FiniteAlgebra, c: Circuit, pairs: Iterable[tuple[int, int]]):
         tables = _op_tables(alg)
@@ -278,6 +295,9 @@ class BlockProgram:
                 append((i, 1, g.value, u))
         steps.reverse()
         self.steps = steps
+        # the assignments left to evaluate before the steps fold; None once
+        # they have, or at two-byte width, where they keep their form
+        self.fold_in = FOLD_AT if self.width == 1 else None
 
     def assignment(self, columns: Sequence[bytes], p: int) -> tuple[int, ...]:
         """The input values of assignment p of a block."""
@@ -311,12 +331,30 @@ class BlockProgram:
     def mismatches(self, columns: Sequence[bytes], count: int) -> bytes:
         """Evaluate the block whose input columns are given: one byte per
         assignment, zero exactly where every pair of gates agrees."""
+        left = self.fold_in
+        if left is not None:
+            if left <= 0:
+                self._fold()
+            else:
+                self.fold_in = left - count
+        ints = self._run(self.steps, columns, count)[0]
+        diff = 0
+        for a, b in self.pairs:
+            diff |= ints[a] ^ ints[b]
+        w = self.width
+        raw = diff.to_bytes(count * w, _ORDER)
+        return raw if w == 1 else bytes(map(bool, column_digits(w, raw)))
+
+    def _run(self, steps: Sequence[tuple], columns: Sequence[bytes],
+             count: int) -> tuple[list[int], list[bytes]]:
+        """Every step's column over a block, as an integer and as bytes,
+        each where the step's use asks for it."""
         n, w, order = self.size, self.width, _ORDER
         length = count * w
         frm = int.from_bytes
         cols: list = [b""] * self.gates
         ints = [0] * self.gates
-        for step in self.steps:
+        for step in steps:
             tag = step[1]
             if tag == 3:
                 acc = 0
@@ -334,11 +372,75 @@ class BlockProgram:
                 ints[step[0]] = frm(col, order)
             if step[-1] & 2:
                 cols[step[0]] = col
-        diff = 0
-        for a, b in self.pairs:
-            diff |= ints[a] ^ ints[b]
-        raw = diff.to_bytes(length, order)
-        return raw if w == 1 else bytes(map(bool, column_digits(w, raw)))
+        return ints, cols
+
+    def _fold(self) -> None:
+        """Replace the steps by their groups' steps.  In gate order, each
+        step takes into its group every argument other than an input that
+        it alone reads and no pair names, with that argument's group; while
+        the leaves number more than 8 or index more than 256 table rows,
+        the taken argument with the most leaves stays a step instead.  A
+        group other than its gate's own step is tabulated by running its
+        steps over the leaf tuples in product order."""
+        n, steps = self.size, self.steps
+        limit = 0
+        while limit < 8 and n ** (limit + 1) <= 256:
+            limit += 1
+        step_of = {step[0]: step for step in steps}
+        reads = {step[0]: step[3] if step[1] == 3 else (step[3],) if step[1] == 2 else ()
+                 for step in steps}
+        readers = Counter(a for args in reads.values() for a in set(args))
+        compared = {g for pair in self.pairs for g in pair}
+        leaves: dict[int, dict[int, None]] = {}     # gate -> its group's leaves, in order
+        inner: dict[int, list[int]] = {}            # gate -> the arguments in its group
+        for step in steps:
+            g = step[0]
+            args = dict.fromkeys(reads[g])
+            fold = [a for a in args if readers[a] == 1 and a not in compared
+                    and step_of[a][1] != 0]
+            while True:
+                group: dict[int, None] = {}
+                for a in args:
+                    group.update(leaves[a] if a in fold else {a: None})
+                if len(group) <= limit or not fold:
+                    break
+                fold.remove(max(fold, key=lambda a: len(leaves[a])))
+            leaves[g], inner[g] = group, fold
+        folded = {a for args in inner.values() for a in args}
+        grids: dict[int, list[bytes]] = {}     # k -> the k leaf columns in product order
+        out = []
+        for step in steps:
+            g = step[0]
+            if g in folded:
+                continue
+            k = len(leaves[g])
+            if tuple(leaves[g]) != reads[g]:
+                members, todo = [], [g]
+                while todo:
+                    members.append(todo.pop())
+                    todo.extend(inner[members[-1]])
+                columns = grids.get(k)
+                if columns is None:     # leaf j takes each value n^(k-1-j) times in turn
+                    columns = grids[k] = [
+                        b"".join([bytes((v,)) * n ** (k - 1 - j) for v in range(n)]) * n ** j
+                        for j in range(k)]
+                program = [(leaf, 0, j, 3) for j, leaf in enumerate(leaves[g])]
+                program += [step_of[m][:-1] + (3,) for m in sorted(members)]
+                table = self._run(program, columns, n ** k)[1][g].ljust(256, b"\0")
+                step = ((g, 1, table[0], 0) if k == 0 else
+                        (g, 2, table, next(iter(leaves[g])), 0) if k == 1 else
+                        (g, 3, table, tuple(leaves[g]), 0))
+            out.append(step)
+        # how the folded steps read each gate, as in __init__
+        use = dict.fromkeys(compared, 1)
+        for step in out:
+            if step[1] == 3:
+                for a in step[3]:
+                    use[a] = use.get(a, 0) | 1
+            elif step[1] == 2:
+                use[step[3]] = use.get(step[3], 0) | 2
+        self.steps = [step[:-1] + (use[step[0]],) for step in out]
+        self.fold_in = None
 
 
 # ---------------------------------------------------------------------------

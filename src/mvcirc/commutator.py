@@ -22,14 +22,14 @@ from .algebra import (
     FiniteAlgebra,
     Term,
     find_malcev_term,
-    is_congruence,
     known,
+    require_congruence,
     stored,
     term_values,
     translation_sets,
 )
 from .congruence import congruence_from_pairs, factor_pairs
-from .errors import LinearityCheckFailed, NotACongruence, NotMalcev, Tri
+from .errors import LinearityCheckFailed, NotMalcev, Tri
 from .partition import Classes, Partition
 
 
@@ -40,9 +40,8 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
     when the algebra is abelian by its module structure, since
     [alpha, beta] <= [1, 1]."""
     def build() -> Partition:
-        for p in (alpha, beta):
-            if not is_congruence(alg, p):
-                raise NotACongruence(f"{p} is not a congruence of {alg.name}")
+        require_congruence(alg, alpha)
+        require_congruence(alg, beta)
         if _abelian_by_module(alg):
             return Partition.zero(alg.size)
         return _commutator(alg, alpha, beta)

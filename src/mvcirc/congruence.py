@@ -56,6 +56,10 @@ class CongruenceLattice:
     def __len__(self) -> int:
         return len(self.congruences)
 
+    @functools.cached_property
+    def members(self) -> frozenset[Partition]:
+        return frozenset(self.congruences)
+
     def cover_pairs(self) -> list[tuple[Partition, Partition]]:
         return [(self.congruences[a], self.congruences[b]) for a, b in self.covers]
 

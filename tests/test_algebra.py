@@ -632,6 +632,10 @@ def test_quotient_is_stored_and_checked_on_every_call(monkeypatch, z4):
     for _ in range(2):
         with pytest.raises(NotACongruence):
             quotient(z4, bad)
+    congruence.congruence_lattice(z4)       # now Con(Z4) decides, not is_congruence
+    with pytest.raises(NotACongruence):
+        quotient(z4, bad)
+    assert quotient(z4, Partition.one(4)).size == 1
 
 
 @pytest.mark.parametrize("name", [e.name for e in zoo()])

@@ -1,11 +1,13 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvcirc.algebra import App, Const, Var, eval_term, pack_column
 from mvcirc.circuit import (
+    FOLD_AT,
     BlockProgram,
     CeqvInstance,
     CircuitBuilder,
@@ -28,6 +30,7 @@ from mvcirc.errors import (
     UnboundInput,
     UnknownOp,
 )
+from mvcirc.solvers import _lex_blocks
 from mvcirc.zoo import get
 
 from conftest import EDGE_ALGEBRAS, gate_values, random_edge_circuit
@@ -230,6 +233,79 @@ def test_block_kernel_uses_two_byte_digits_for_wide_tables():
     widths = {alg.name: BlockProgram(alg, identity(alg), []).width for alg in EDGE_ALGEBRAS}
     assert widths["W17"] == widths["T7"] == 2
     assert widths["Z6"] == widths["majority"] == widths["one"] == 1
+
+
+def _fold_circuit(alg, rng):
+    """A random circuit and pairs for the fold.  Op gates of every arity
+    read mostly the last four gates, so groups chain past the leaf bound,
+    arguments repeat and gates have several readers; constants come first
+    and among them (all the gates, past the inputs, of an algebra with no
+    ops); the pairs compare the last gate with a gate that some op gate reads,
+    then maybe any two gates."""
+    b = CircuitBuilder(alg.name)
+    for i in range(rng.randrange(1, 6)):
+        b.input(f"x{i}")
+    b.const(rng.randrange(alg.size))
+    for _ in range(rng.randrange(4, 24)):
+        if not alg.ops or rng.random() < 0.1:
+            b.const(rng.randrange(alg.size))
+            continue
+        op = rng.choice(alg.ops)
+        near = len(b.gates)
+        b.op(op.name, *(rng.randrange(max(0, near - 4), near) if rng.random() < 0.8
+                        else rng.randrange(near) for _ in range(op.arity)))
+    last = len(b.gates) - 1
+    read = [a for g in b.gates for a in g.args] or [last]
+    pairs = [(last, rng.choice(read)), (rng.randrange(last + 1), rng.randrange(last + 1))]
+    return b.build([last]), pairs[:rng.randrange(1, 3)]
+
+
+@pytest.mark.parametrize("alg", EDGE_ALGEBRAS, ids=lambda alg: alg.name)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), count=st.integers(256, 700))
+def test_folded_kernel_matches_unfolded(alg, seed, count):
+    rng = random.Random(seed)
+    c, pairs = _fold_circuit(alg, rng)
+    prog = BlockProgram(alg, c, pairs)
+    assignments = [tuple(rng.randrange(alg.size) for _ in prog.names) for _ in range(count)]
+    columns = [pack_column(prog.width, (a[i] for a in assignments)) for i in range(len(prog.names))]
+    unfolded, steps = prog.mismatches(columns, count), prog.steps
+    before = [prog.differs(values) for values in assignments]
+    while prog.fold_in is not None:
+        prog.mismatches(columns, count)
+    flags = prog.mismatches(columns, count)
+    assert (prog.steps is steps) == (prog.width == 2)     # one-byte digits alone fold
+    assert flags == unfolded
+    # a compared gate, and a gate that several steps read, stays a step
+    readers = Counter(a for step in steps if step[1] >= 2
+                      for a in ({step[3]} if step[1] == 2 else set(step[3])))
+    kept = {step[0] for step in prog.steps}
+    assert kept >= {g for pair in pairs for g in pair} | {a for a, n in readers.items() if n > 1}
+    for p, values in enumerate(assignments):
+        vals = gate_values(alg, c, dict(zip(prog.names, values)))
+        expected = any(vals[a] != vals[b] for a, b in pairs)
+        assert (flags[p] != 0) == prog.differs(values) == before[p] == expected
+
+
+def test_s3_chain_folds_after_its_first_blocks(s3):
+    # acc_i = acc_{i-1} (x_i x_{3i mod 7}): 7 inputs, 12 products, a
+    # constant and acc_6 * 1.  Folded, each acc_i from acc_2 on takes in its
+    # product (3 leaves, the most that 6^k <= 256 allows), acc_1 takes in
+    # x_1 x_3, and acc_6 * 1 becomes a translate of acc_6: 14 steps.
+    b = CircuitBuilder(s3.name)
+    xs = [b.input(f"x{i}") for i in range(7)]
+    acc = xs[0]
+    for i in range(1, 7):
+        acc = b.op("mul", acc, b.op("mul", xs[i], xs[3 * i % 7]))
+    shifted = b.op("mul", acc, b.const(1))
+    prog = BlockProgram(s3, b.build([acc, shifted]), [(acc, shifted)])
+    evaluated, runs = 0, set()      # (FOLD_AT evaluated before the block, steps it ran)
+    for columns, count in _lex_blocks(s3, 7):
+        prog.mismatches(columns, count)
+        runs.add((evaluated >= FOLD_AT, len(prog.steps)))
+        evaluated += count
+    assert runs == {(False, 21), (True, 14)}
+    assert prog.steps[-1][:2] == (shifted, 2)
 
 
 def test_hook_sees_every_gate_in_order(z6):

@@ -132,9 +132,11 @@ def test_plan_flags_start_no_further_malcev_search(monkeypatch):
 def test_cold_classify_decides_dl_likeness_and_builds_quotients_once(monkeypatch):
     """The factor pairs, the decomposition flags and is_dl_like all read
     quotients, and the flags read is_dl_like of every right factor: a cold
-    classify of the zoo still runs each build once per store key."""
+    classify of the zoo still runs each build once per store key.  Every
+    quotient and commutator it asks for is of a congruence in the stored
+    Con(A), so none is checked by is_congruence."""
     runs = Counter()
-    dl_like, build = structure._is_dl_like, algebra._quotient
+    dl_like, build, check = structure._is_dl_like, algebra._quotient, algebra.is_congruence
 
     def counted_dl_like(alg):
         runs[("dl_like", _content(alg))] += 1
@@ -146,10 +148,13 @@ def test_cold_classify_decides_dl_likeness_and_builds_quotients_once(monkeypatch
 
     monkeypatch.setattr(structure, "_is_dl_like", counted_dl_like)
     monkeypatch.setattr(algebra, "_quotient", counted_quotient)
+    monkeypatch.setattr(algebra, "is_congruence",
+                        lambda alg, p: runs.update(["is_congruence"]) or check(alg, p))
     monkeypatch.setattr(algebra, "STORE", FactStore())
     for e in zoo():
         classify(e.algebra)
 
+    assert runs["is_congruence"] == 0
     assert {key[0] for key in runs} == {"dl_like", "quotient"}
     assert [key for key, n in runs.items() if n > 1] == []
 
