@@ -29,7 +29,7 @@ from .algebra import (
     translation_sets,
 )
 from .congruence import congruence_from_pairs, factor_pairs
-from .errors import LinearityCheckFailed, NotMalcev, Tri
+from .errors import NotAffine, NotMalcev, Tri
 from .partition import Classes, Partition
 
 
@@ -110,7 +110,8 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
 class AbelianGroup:
     """The group (A, +) with x + y = d(x, 0, y) for a Malcev term d, and
     neutral element 0; the constructor checks the group axioms and raises
-    LinearityCheckFailed at the first that fails."""
+    NotAffine at the first that fails, since a Malcev algebra whose
+    d(x, 0, y) is no abelian group is not abelian (see Module)."""
 
     zero = 0
 
@@ -121,21 +122,21 @@ class AbelianGroup:
         self.plus = plus
         for x in range(n):
             if plus[x][0] != x or plus[0][x] != x:
-                raise LinearityCheckFailed("zero is not neutral for d(x,0,y)")
+                raise NotAffine("zero is not neutral for d(x,0,y)")
             if plus[x] != [plus[y][x] for y in range(n)]:
-                raise LinearityCheckFailed("addition is not commutative")
+                raise NotAffine("addition is not commutative")
         for x in range(n):
             for y in range(n):
                 for z in range(n):
                     if plus[plus[x][y]][z] != plus[x][plus[y][z]]:
-                        raise LinearityCheckFailed("addition is not associative")
+                        raise NotAffine("addition is not associative")
         neg = [None] * n
         for x in range(n):
             for y in range(n):
                 if plus[x][y] == 0:
                     neg[x] = y
         if any(v is None for v in neg):
-            raise LinearityCheckFailed("addition lacks inverses")
+            raise NotAffine("addition lacks inverses")
         self.neg = neg
 
     def add(self, x: int, y: int) -> int:
@@ -190,7 +191,7 @@ def _module_structure(alg: FiniteAlgebra, d_term: Term) -> Module:
     n = alg.size
     try:
         group = AbelianGroup(alg, d_term)
-    except LinearityCheckFailed as exc:
+    except NotAffine as exc:
         return Module(None, {}, str(exc))
     plus, sub = group.plus, group.sub
     forms = {}

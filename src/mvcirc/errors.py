@@ -95,10 +95,6 @@ class UnsupportedKind(MvcircError, TypeError):
     """A fast route was asked for a problem kind it does not decide."""
 
 
-class LinearityCheckFailed(MvcircError):
-    """A circuit output failed the affine route's check of its form."""
-
-
 class InvalidWitness(MvcircError):
     pass
 

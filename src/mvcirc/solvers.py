@@ -13,7 +13,9 @@ assignments they may evaluate.  The Plan, kept in the per-algebra store,
 holds the flag of each solver's hypothesis, read from the one predicate
 behind it (Plan.require), and the facts it uses.  The dispatcher runs the
 plan's route for the instance's kind, or a route the caller names; every
-satisfying witness re-verifies by evaluation before it is returned.
+satisfying witness re-verifies by evaluation before it is returned, and the
+affine route's check of each output's form verifies in the same way: each
+answer has one path, and a failed check raises AssertionError.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .algebra import (
     BLOCK,
     FiniteAlgebra,
-    Term,
     _op_tables,
-    find_malcev_term,
     pack_column,
     stored,
 )
@@ -57,10 +57,8 @@ from .commutator import (
 from .congruence import FactorPair, factor_pairs
 from .errors import (
     BudgetExceeded,
-    LinearityCheckFailed,
     NotAffine,
     NotDlLike,
-    NotMalcev,
     NotSupernilpotent,
     Tri,
     UnsupportedKind,
@@ -78,7 +76,6 @@ class SolveResult:
     witness: Optional[dict[str, int]]
     solver_used: str
     assignments_tried: int = 0
-    diagnostic: Optional[str] = None
 
     @property
     def experimental(self) -> bool:
@@ -93,7 +90,6 @@ class SolveResult:
             "solver": self.solver_used,
             "assignments_tried": self.assignments_tried,
             "experimental": self.experimental,
-            "diagnostic": self.diagnostic,
         }
 
 
@@ -209,17 +205,17 @@ def _lex_blocks(alg: FiniteAlgebra, m: int) -> Iterator[Block]:
         lo = hi
 
 
-def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram, first: tuple[int, ...],
+def _decide(alg: FiniteAlgebra, inst: Instance, program: BlockProgram,
             blocks: Iterable[Block], total: int, solver: str) -> SolveResult:
     """The answer from the first hit of an enumeration of total assignments,
     an assignment at which every compared pair agrees, or for CEQV some
     pair differs: sat, or nequiv, with the hit as witness; unsat, or equiv,
-    when there is none.  The first assignment is evaluated alone, so an
-    instance it decides builds no block; then the blocks are walked in
-    order."""
+    when there is none.  The first assignment, all 0, is evaluated alone,
+    so an instance it decides builds no block; then the blocks, which
+    follow it, are walked in order."""
     ceqv = isinstance(inst, CeqvInstance)
-    values, tried = first, 1
-    if program.differs(first) is not ceqv:      # the first assignment is no hit
+    values, tried = (0,) * len(program.names), 1
+    if program.differs(values) is not ceqv:     # the first assignment is no hit
         for columns, count in blocks:
             flags = program.mismatches(columns, count)
             # the first flag that is zero, or for CEQV nonzero
@@ -246,7 +242,7 @@ def solve_bruteforce(alg: FiniteAlgebra, inst: Instance, budget: int = BUDGET) -
     if total > budget:
         raise BudgetExceeded(total, budget)
     program = BlockProgram(alg, inst.circuit, _pairs(inst))
-    return _decide(alg, inst, program, (0,) * m, _lex_blocks(alg, m), total, "brute")
+    return _decide(alg, inst, program, _lex_blocks(alg, m), total, "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +262,8 @@ def _diagonal(alg: FiniteAlgebra, inst: CsatInstance | McsatInstance) -> SolveRe
     """The first constant diagonal, 0 then 1, 2, ..., at which every output
     agrees."""
     program = BlockProgram(alg, inst.circuit, _pairs(inst))
-    m = len(program.names)
-    diagonals = [pack_column(program.width, range(1, alg.size))] * m
-    return _decide(alg, inst, program, (0,) * m, [(diagonals, alg.size - 1)], alg.size, "usp")
+    diagonals = [pack_column(program.width, range(1, alg.size))] * len(program.names)
+    return _decide(alg, inst, program, [(diagonals, alg.size - 1)], alg.size, "usp")
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +377,7 @@ def _sweep(alg: FiniteAlgebra, inst: CsatInstance | CeqvInstance, bound: int,
     ceqv = isinstance(inst, CeqvInstance)
     solver = ("supernilpotent" if not ceqv else "ceqv-affine" if affine
               else "ceqv-supernilpotent-experimental")
-    return _decide(alg, inst, program, (0,) * m, _support_sweep(alg, m, max_support),
-                   total, solver)
-
-
-def composition_length(n: int) -> int:
-    """The number of prime factors of n counted with multiplicity: the
-    length of a composition series of an abelian group of order n, so the
-    most steps a strictly increasing chain of its subgroups can take."""
-    return len(prime_factors(n))
+    return _decide(alg, inst, program, _support_sweep(alg, m, max_support), total, solver)
 
 
 def solve_supernilpotent(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResult:
@@ -482,7 +469,7 @@ class _Coordinates:
         self.coords = {x: tuple(v[x][i] % o for i, o in factors) for x in range(n)}
         self.uncoords = {c: x for x, c in self.coords.items()}
         if len(self.uncoords) != n or math.prod(self.orders) != n:
-            raise LinearityCheckFailed("coordinates are not a bijection")
+            raise AssertionError("coordinates are not a bijection")
         self.basis = [self.uncoords[tuple(int(i == j) for i in range(len(factors)))]
                       for j in range(len(factors))]
 
@@ -572,8 +559,10 @@ def _affine_form(alg: FiniteAlgebra, group: AbelianGroup, circ: Circuit, output:
     c, read at the all-zero point, and the coefficient tables t_i in names
     order, read at the n(|A| - 1) points with one input off zero.  Then
     every one of the |A|^n points is checked against the form and every t_i
-    for additivity, raising LinearityCheckFailed at the first failure;
-    BudgetExceeded, before anything runs, when those points exceed budget."""
+    for additivity, raising AssertionError at the first failure, which the
+    plan's module structure rules out: every basic operation is affine over
+    (A, +), so every output is.  BudgetExceeded, before anything runs, when
+    those points exceed budget."""
     total = alg.size ** len(names)
     if total > budget:
         raise BudgetExceeded(total, budget)
@@ -593,12 +582,12 @@ def _affine_form(alg: FiniteAlgebra, group: AbelianGroup, circ: Circuit, output:
             acc = group.add(acc, tab[v])
         if acc != run(values)[0]:
             asg = dict(zip(names, values))
-            raise LinearityCheckFailed(f"output g{output} is not affine at {asg}")
+            raise AssertionError(f"output g{output} is not affine at {asg}")
     for nm, tab in zip(names, tables):
         for x in range(alg.size):
             for y in range(alg.size):
                 if tab[group.plus[x][y]] != group.add(tab[x], tab[y]):
-                    raise LinearityCheckFailed(f"coefficient of {nm} is not additive")
+                    raise AssertionError(f"coefficient of {nm} is not additive")
     return c, tables
 
 
@@ -606,23 +595,16 @@ def solve_affine(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResul
     """Read and check the affine form of both sides of every equation, and
     solve the linear system over the cyclic factors of (A, +), which the
     Smith form of its presentation splits off and which need not be prime
-    powers, as one system over the integers.  A failed linearity check
-    downgrades to brute force with a diagnostic; a found witness
-    re-verifies."""
+    powers, as one system over the integers.  The form checks verify, as
+    the witness check does: over an affine algebra every output is affine,
+    so a failed check raises AssertionError and there is no fallback."""
     plan.require("affine", inst)
-    alg, circ = plan.alg, inst.circuit
+    alg, circ, group = plan.alg, inst.circuit, plan.group
     equations = _pairs(inst)
     names = sorted(circ.input_names)
-    try:
-        group = plan.group
-        forms = {out: _affine_form(alg, group, circ, out, names, budget)
-                 for out in dict.fromkeys(out for pair in equations for out in pair)}
-        axes = plan.coordinates
-    except LinearityCheckFailed as exc:
-        res = solve_bruteforce(alg, inst, budget)
-        res.solver_used = "affine->brute"
-        res.diagnostic = str(exc)
-        return res
+    forms = {out: _affine_form(alg, group, circ, out, names, budget)
+             for out in dict.fromkeys(out for pair in equations for out in pair)}
+    axes = plan.coordinates
 
     # the unknowns are the coordinates y[i * r + j] of input i along
     # basis[j]; an equation g = h reads t(x) = c_h - c_g with t = t_g - t_h,
@@ -714,11 +696,6 @@ class Plan:
             raise error(f"{self.alg.name} is not {claim}")
 
     @cached_property
-    def malcev(self) -> Optional[Term]:
-        found = find_malcev_term(self.alg)
-        return found.value if found.status is Tri.YES else None  # type: ignore[return-value]
-
-    @cached_property
     def support_bound(self) -> int:
         """The support sweep's bound D, with the nilpotency class as degree
         bound."""
@@ -727,18 +704,21 @@ class Plan:
     @cached_property
     def affine_csat_bound(self) -> int:
         """The support sweep's proven bound for CSAT over an affine algebra:
-        the composition length of (A, +), a group of order |A|."""
-        return composition_length(self.alg.size)
+        the composition length of (A, +), a group of order |A|, which is the
+        number of prime factors of |A| counted with multiplicity, so the most
+        steps a strictly increasing chain of its subgroups can take."""
+        return len(prime_factors(self.alg.size))
 
     @cached_property
     def group(self) -> AbelianGroup:
         """(A, +) with x + y = d(x, 0, y) for the Malcev term d, from the
-        algebra's module structure."""
-        if self.malcev is None:
-            raise NotMalcev(f"no Malcev term found for {self.alg.name}")
+        algebra's module structure; NotMalcev without a Malcev term.  The
+        affine route reads it under a YES affine flag, so a failed module
+        check is a contradiction, raised as AssertionError."""
         module = module_structure(self.alg)
-        if module.group is None:
-            raise LinearityCheckFailed(module.failure)
+        if not module.abelian:
+            raise AssertionError(f"{self.alg.name} is flagged affine, but {module.failure}")
+        assert module.group is not None
         return module.group
 
     @cached_property

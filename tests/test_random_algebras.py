@@ -369,7 +369,7 @@ def _assert_malcev_slice_characterizes_equality(alg):
     plan = plan_for(alg)
     if plan.flags["supernilpotent"] is not Tri.YES:
         return
-    d = plan.malcev
+    d = find_malcev_term(alg).value
     for x, y, z in itertools.product(range(alg.size), repeat=3):
         assert (eval_term(alg, d, (x, y, z)) == z) == (x == y), (alg.name, x, y, z)
 

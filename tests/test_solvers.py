@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -23,7 +24,6 @@ from mvcirc.circuit import (
 from mvcirc.errors import BudgetExceeded, NotDlLike, Tri, UnknownOp
 from mvcirc.solvers import (
     RAMSEY_CEILING,
-    composition_length,
     dispatch,
     minimal_support_profile,
     plan_for,
@@ -592,10 +592,11 @@ def test_affine_budget_is_raised_by_the_linearity_check(z6, monkeypatch):
     assert (exc.value.needed, exc.value.budget) == (6 ** 8, 1000)
 
 
-def test_affine_falls_back_to_brute_force_when_a_form_check_fails(z6, monkeypatch):
+def test_affine_form_check_fails_loudly_under_a_wrong_group(z6, monkeypatch):
     # give a fresh Z6 plan the (A, +) of Z6 relabelled by the swap of 1 and
     # 2, which fixes 0 and is no automorphism: x + y then reads 1 + 1 = 4,
-    # so the form check fails at x = y = 1 and the route takes brute force
+    # so the form check fails at x = y = 1, and the route, which has no
+    # fallback, raises
     swap = (0, 2, 1, 3, 4, 5)
 
     def relabel(op):
@@ -607,17 +608,14 @@ def test_affine_falls_back_to_brute_force_when_a_form_check_fails(z6, monkeypatc
     relabelled = FiniteAlgebra("Z6swap", 6, tuple(relabel(op) for op in z6.ops))
     monkeypatch.setattr(algebra, "STORE", FactStore())
     plan = plan_for(z6)
-    plan.group = commutator.AbelianGroup(relabelled, plan.malcev)
+    plan.group = commutator.AbelianGroup(relabelled, algebra.find_malcev_term(z6).value)
     b = CircuitBuilder(z6.name)
     total = b.op("mul", b.input("x"), b.input("y"))
     three = b.const(3)
     inst = ScsatInstance(b.build([total]), ((total, three),))
-    res = solve_affine(plan, inst)
-    brute = solve_bruteforce(z6, inst)
-    assert (res.answer, res.witness, res.assignments_tried) == (
-        brute.answer, brute.witness, brute.assignments_tried)
-    assert res.solver_used == "affine->brute"
-    assert res.diagnostic == f"output g{total} is not affine at {{'x': 1, 'y': 1}}"
+    message = f"output g{total} is not affine at {{'x': 1, 'y': 1}}"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        solve_affine(plan, inst)
 
 
 def test_affine_agreement_batch():
@@ -948,7 +946,7 @@ def test_affine_sweeps_decide_forty_inputs(z6):
     for lit in reversed(lits[:-1]):
         right = b.op("mul", lit, right)
     fold = CeqvInstance(b.build([left, right]))
-    assert composition_length(z6.size) == 2
+    assert plan_for(z6).affine_csat_bound == 2
     for inst, answer, tried in ((chain, "unsat", 1 + 40 * 5 + 780 * 25),
                                 (fold, "equiv", 1 + 40 * 5)):
         t0 = time.perf_counter()
@@ -984,7 +982,9 @@ def test_product_keeps_a_factor_experimental(z4ring, z2xl2):
 
 
 def test_composition_length():
-    assert [composition_length(n) for n in (1, 2, 4, 6, 8, 12, 30, 49, 97)] == [
+    # the affine CSAT sweep's bound, the number of prime factors of |A|
+    # counted with multiplicity
+    assert [len(commutator.prime_factors(n)) for n in (1, 2, 4, 6, 8, 12, 30, 49, 97)] == [
         0, 1, 2, 2, 3, 3, 3, 2, 1]
 
 

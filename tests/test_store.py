@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import fields
 
 import mvcirc
-from mvcirc import algebra, commutator, congruence, solvers, structure, tct
+from mvcirc import algebra, commutator, congruence, errors, solvers, structure, tct
 from mvcirc.algebra import STORE_BOUND, FactStore, FiniteAlgebra, Operation
 from mvcirc.circuit import (
     BlockProgram,
@@ -222,15 +222,16 @@ def test_unread_api_stays_deleted():
     assert [f"{m.__name__}.{name}" for m, name in (
         (tct, "typeset"), (algebra, "unary_poly_clone"),
         (congruence, "principal_congruence"), (commutator, "centralizes"),
-        (commutator, "_context_sets"), (algebra, "_translations"))
+        (commutator, "_context_sets"), (algebra, "_translations"),
+        (errors, "LinearityCheckFailed"), (solvers, "composition_length"))
         if hasattr(m, name)] == []
     assert [f"{c.__name__}.{name}" for c, name in (
         (Partition, "pairs"), (Partition, "join"), (BlockProgram, "pack"), (Operation, "index"),
-        (Circuit, "size"))
+        (Circuit, "size"), (solvers.Plan, "malcev"))
         if hasattr(c, name)] == []
     assert [f"{c.__name__}.{f.name}" for c, gone in (
         (algebra.Clone, {"arity", "points"}), (MinimalSet, {"idempotent"}),
-        (ZooEntry, {"_cache"}))
+        (ZooEntry, {"_cache"}), (solvers.SolveResult, {"diagnostic"}))
         for f in fields(c) if f.name in gone] == []
 
 
@@ -346,7 +347,7 @@ def test_capped_malcev_closure_runs_once(monkeypatch):
     alg = FiniteAlgebra("f3", 3, (Operation("f", 2, (1, 2, 0, 2, 0, 1, 0, 0, 0)),))
     with clone_cap(2000):
         classify(alg)
-        assert solvers.plan_for(alg).malcev is None
+        assert algebra.find_malcev_term(alg).status is errors.Tri.UNKNOWN
     assert capped == [21]       # the 3(3*3 - 2) points with at most two distinct coordinates
 
 
