@@ -99,20 +99,18 @@ def eval_circuit(
     asg: Assignment,
     hook: Optional[Callable[[int, int], None]] = None,
 ) -> tuple[int, ...]:
-    """Single forward pass; each gate evaluates exactly once (hook observes)."""
-    vals = gate_values(alg, c, asg, hook)
+    """Single forward pass; each gate evaluates exactly once.  hook, when
+    given, then sees each (gate, value) in gate order."""
+    vals = gate_values(alg, c, asg)
+    if hook is not None:
+        for i, v in enumerate(vals):
+            hook(i, v)
     return tuple(vals[o] for o in c.outputs)
 
 
-def gate_values(
-    alg: FiniteAlgebra,
-    c: Circuit,
-    asg: Assignment,
-    hook: Optional[Callable[[int, int], None]] = None,
-) -> list[int]:
+def gate_values(alg: FiniteAlgebra, c: Circuit, asg: Assignment) -> list[int]:
     """The value of every gate at one assignment, in gate order, with the op
-    tables read from the algebra's column form; hook, when given, sees each
-    (gate, value) as it is computed."""
+    tables read from the algebra's column form."""
     n = alg.size
     ops = _op_tables(alg).ops
     vals: list[int] = []
@@ -150,8 +148,6 @@ def gate_values(
             if not 0 <= v < n:
                 raise ElementOutOfRange(f"const {v} out of range")
         append(v)
-        if hook is not None:
-            hook(i, v)
     return vals
 
 
@@ -590,7 +586,7 @@ def parse_circuit(text: str, alg: Optional[FiniteAlgebra] = None,
     lines are present, else a Circuit.  With alg given, op names and arities
     are checked at parse time."""
     gates: list[Gate] = []
-    outputs: list[int] = []
+    outputs: Optional[list[int]] = None
     equations: list[tuple[int, int]] = []
     if alg is not None and not algebra_name:
         algebra_name = alg.name
@@ -600,6 +596,8 @@ def parse_circuit(text: str, alg: Optional[FiniteAlgebra] = None,
         if not line:
             continue
         if line.startswith("outputs:"):
+            if outputs is not None:
+                raise ParseError("second outputs: line", ln)
             toks = line[len("outputs:"):].split()
             outputs = [_parse_gate_ref(t, len(gates), ln) for t in toks]
             continue

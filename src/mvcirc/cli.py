@@ -163,17 +163,9 @@ def _cmd_commutator(args) -> int:
     from .commutator import commutator
 
     alg = _load_algebra(args.algebra)
-    try:
-        alpha = Partition.parse(args.alpha, alg.size)
-        beta = Partition.parse(args.beta, alg.size)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    try:
-        result = commutator(alg, alpha, beta)
-    except MvcircError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_PRECONDITION
+    alpha = Partition.parse(args.alpha, alg.size)
+    beta = Partition.parse(args.beta, alg.size)
+    result = commutator(alg, alpha, beta)
     _emit(
         {"schema": 1, "algebra": alg.name, "alpha": str(alpha), "beta": str(beta),
          "commutator": str(result)},
@@ -209,7 +201,13 @@ def _cmd_typeset(args) -> int:
     return EX_OK
 
 
+# problem kind -> its instance type, other than scsat
+_KINDS = {"csat": CsatInstance, "mcsat": McsatInstance, "ceqv": CeqvInstance}
+
+
 def _instance_from_text(kind: str, alg: FiniteAlgebra, text: str):
+    """The instance of kind that text holds; ParseError when the text is
+    malformed or holds no instance of kind."""
     parsed = parse_circuit(text, alg, alg.name)
     if kind == "scsat":
         if isinstance(parsed, ScsatInstance):
@@ -223,13 +221,10 @@ def _instance_from_text(kind: str, alg: FiniteAlgebra, text: str):
         raise ParseError("scsat input needs equation: lines or an even output list")
     if isinstance(parsed, ScsatInstance):
         raise ParseError(f"{kind} input must not contain equation: lines")
-    if kind == "csat":
-        return CsatInstance(parsed)
-    if kind == "mcsat":
-        return McsatInstance(parsed)
-    if kind == "ceqv":
-        return CeqvInstance(parsed)
-    raise ParseError(f"unknown problem kind {kind!r}")
+    try:
+        return _KINDS[kind](parsed)
+    except ValueError as exc:     # the wrong number of outputs for kind
+        raise ParseError(str(exc)) from None
 
 
 def _budget(text: str) -> int:
@@ -249,19 +244,9 @@ def _cmd_solve(args) -> int:
     from .solvers import BUDGET, dispatch
 
     alg = _load_algebra(args.algebra)
-    text = _read_text(args.circuit)
-    try:
-        inst = _instance_from_text(args.problem, alg, text)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    inst = _instance_from_text(args.problem, alg, _read_text(args.circuit))
     budget = BUDGET if args.budget is None else args.budget
-    try:
-        result = dispatch(alg, inst, budget, solver=_SOLVERS[args.solver])
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_BUDGET
-
+    result = dispatch(alg, inst, budget, solver=_SOLVERS[args.solver])
     text_out = result.answer.upper()
     if result.witness is not None:
         text_out += " " + " ".join(f"{k}={v}" for k, v in sorted(result.witness.items()))
@@ -353,19 +338,22 @@ def build_parser() -> _Parser:
 
 _PARSER = build_parser()     # built once per process; parse_args leaves it unchanged
 
+# error -> exit code, the first class that matches
+_EXIT_CODES = ((BudgetExceeded, EX_BUDGET), (ParseError, EX_USAGE),
+               (MvcircError, EX_PRECONDITION))
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.  A package error prints
+    one error: line and maps to its code in _EXIT_CODES."""
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except SystemExit as exc:  # helpers exit for file errors
         return exc.code if isinstance(exc.code, int) else EX_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
     except MvcircError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_PRECONDITION
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .algebra import (
     term_values,
     translation_sets,
 )
-from .congruence import congruence_from_pairs, factor_pairs
+from .congruence import congruence_from_pairs, nontrivial_factor_pair
 from .errors import NotAffine, NotMalcev, Tri
 from .partition import Classes, Partition
 
@@ -293,10 +293,10 @@ def indecomposable_factorization(alg: FiniteAlgebra) -> list[FiniteAlgebra]:
     """Greedy recursive factorization into directly indecomposable factors."""
     if alg.size == 1:
         return []
-    for fp in factor_pairs(alg):
-        if not (fp.alpha1.is_zero() or fp.alpha1.is_one()):
-            return indecomposable_factorization(fp.left) + indecomposable_factorization(fp.right)
-    return [alg]
+    fp = nontrivial_factor_pair(alg)
+    if fp is None:
+        return [alg]
+    return indecomposable_factorization(fp.left) + indecomposable_factorization(fp.right)
 
 
 def is_supernilpotent(alg: FiniteAlgebra) -> Tri:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import FiniteAlgebra, quotient, stored, translations
 from .errors import CapExceeded, ElementOutOfRange
@@ -172,6 +172,13 @@ def factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:
     then an isomorphism onto A/a1 x A/a2.  The meet is 0 when only index 0
     lies below both."""
     return stored(alg, "factor_pairs", lambda: _factor_pairs(alg))
+
+
+def nontrivial_factor_pair(alg: FiniteAlgebra) -> Optional[FactorPair]:
+    """The first factor pair of factor_pairs whose congruences are neither
+    0 nor 1, or None when alg is directly indecomposable."""
+    return next((fp for fp in factor_pairs(alg)
+                 if not (fp.alpha1.is_zero() or fp.alpha1.is_one())), None)
 
 
 def _factor_pairs(alg: FiniteAlgebra) -> list[FactorPair]:

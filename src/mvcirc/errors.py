@@ -39,13 +39,9 @@ class UntypedLattice(MvcircError):
 
 
 class ParseError(MvcircError):
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        loc = ""
-        if line is not None:
-            loc = f" at line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(message + loc)
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"{message} at line {line}")
         self.line = line
-        self.column = column
 
 
 def parse_int(tok: str, what: str, line: int | None) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import parse_int
+from .errors import ParseError, parse_int
 
 
 def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
@@ -133,16 +133,20 @@ class Partition:
     @staticmethod
     def parse(text: str, n: int) -> "Partition":
         """Parse the {0 2|1 3} display form; singleton classes may be omitted.
-        A token that is no integer raises ParseError, an element out of
-        range ValueError."""
+        A token that is no integer, an element out of range and an element
+        listed twice raise ParseError."""
         body = text.strip()
         if body.startswith("{") and body.endswith("}"):
             body = body[1:-1]
         pairs: list[tuple[int, int]] = []
+        seen: set[int] = set()
         for chunk in body.split("|"):
             elems = [parse_int(tok, "element", None) for tok in chunk.split()]
             for x in elems:
                 if not 0 <= x < n:
-                    raise ValueError(f"element {x} out of range for size {n}")
+                    raise ParseError(f"element {x} out of range for size {n}")
+                if x in seen:
+                    raise ParseError(f"element {x} listed twice")
+                seen.add(x)
             pairs.extend((elems[0], x) for x in elems[1:])
         return Partition.from_pairs(n, pairs)

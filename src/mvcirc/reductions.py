@@ -76,6 +76,7 @@ class Cnf3:
 
 def parse_dimacs(text: str) -> Cnf3:
     num_vars = 0
+    declared = False
     clauses: list[tuple[int, int, int]] = []
     lits: list[int] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -86,6 +87,9 @@ def parse_dimacs(text: str) -> Cnf3:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("bad problem line", ln)
+            if declared:
+                raise ParseError("second problem line", ln)
+            declared = True
             num_vars = parse_int(parts[2], "variable count", ln)
             if num_vars < 0 or parse_int(parts[3], "clause count", ln) < 0:
                 raise ParseError("negative count in problem line", ln)
@@ -368,6 +372,8 @@ def parse_structure_file(text: str) -> RelStructure:
         if toks[0] == "domain":
             if len(toks) != 2:
                 raise ParseError("domain takes one integer", ln)
+            if domain is not None:
+                raise ParseError("second domain line", ln)
             domain = parse_int(toks[1], "domain", ln)
             if domain < 0:
                 raise ParseError(f"negative domain {domain}", ln)
@@ -377,6 +383,8 @@ def parse_structure_file(text: str) -> RelStructure:
             arity = parse_int(toks[3], "arity", ln)
             if arity < 0:
                 raise ParseError(f"negative arity {arity}", ln)
+            if toks[1] in relations:
+                raise ParseError(f"second rel {toks[1]} header", ln)
             current = relations[toks[1]] = (arity, set())
         else:
             if current is None:

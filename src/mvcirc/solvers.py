@@ -54,7 +54,7 @@ from .commutator import (
     nilpotency_class,
     prime_factors,
 )
-from .congruence import FactorPair, factor_pairs
+from .congruence import FactorPair, nontrivial_factor_pair
 from .errors import (
     BudgetExceeded,
     NotAffine,
@@ -125,9 +125,15 @@ def _pairs(inst: Instance) -> tuple[tuple[int, int], ...]:
     if isinstance(inst, ScsatInstance):
         return inst.equations
     outs = inst.circuit.outputs
-    if len(outs) == 2:      # the two outputs are the one pair
-        return (outs,)
     return tuple(zip(outs, outs[1:]))
+
+
+def _within(total: int, budget: int) -> int:
+    """total, the assignments a solve would evaluate, or BudgetExceeded
+    when that is more than the budget allows."""
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    return total
 
 
 class _Digits:
@@ -135,11 +141,10 @@ class _Digits:
     position varies fastest).  A range aligned to `span` assignments varies
     only the last j positions, where span = r^j is the largest power of
     r = len(values) within BLOCK (j <= k); the other positions are constant
-    on it.  The period of a digit d, each value r^d times in order, is
-    built once, when a range first varies d, so a first block that varies
-    only the low digits builds only their periods.  Kept per algebra by
-    _digits, so the periods and the lexicographic first block are built
-    once per (values, k, BLOCK)."""
+    on it.  The column of each of those j low digits over a whole span is
+    built with the digits, so a range slices it.  Kept per algebra by
+    _digits, so the span columns and the lexicographic first block are
+    built once per (values, k, BLOCK)."""
 
     def __init__(self, width: int, values: Sequence[int], k: int):
         r, j, span = len(values), 0, 1
@@ -147,27 +152,23 @@ class _Digits:
             j, span = j + 1, span * r
         self.width, self.r, self.k, self.span = width, r, k, span
         self.values = pack_column(width, values)    # the digit of each value, in order
-        self.periods = {0: self.values}             # digit -> its period
+        # digit d (position k-1-d) over one span, each value r^d times in
+        # turn; digits j-1 down to 0, the order of their positions
+        self.low = [b"".join([self.values[v:v + width] * r ** d
+                              for v in range(0, r * width, width)]) * (span // r ** (d + 1))
+                    for d in range(j - 1, -1, -1)]
 
     def columns(self, lo: int, count: int) -> list[bytes]:
         """The k columns of [lo, lo + count), a range inside one aligned
-        span.  A digit constant on the range repeats one value; a varying
-        digit repeats its period from the start of the span, cut to the
-        range."""
+        span: a digit above the low ones repeats its one value, a low digit
+        is its span column cut to the range."""
         w, r, values = self.width, self.r, self.values
-        start, end = lo % self.span, lo % self.span + count
         out = []
-        for d in range(self.k - 1, -1, -1):     # digit d belongs to position k-1-d
-            step = r ** d
-            if start // step == (end - 1) // step:
-                v = lo // step % r * w
-                out.append(values[v:v + w] * count)
-                continue
-            period = self.periods.get(d)
-            if period is None:
-                period = self.periods[d] = b"".join(
-                    [values[v:v + w] * step for v in range(0, r * w, w)])
-            out.append((period * -(-end // (r * step)))[start * w:end * w])
+        for d in range(self.k - 1, len(self.low) - 1, -1):
+            v = lo // r ** d % r * w
+            out.append(values[v:v + w] * count)
+        start = lo % self.span * w
+        out += [col[start:start + count * w] for col in self.low]
         return out
 
     @cached_property
@@ -238,9 +239,7 @@ def solve_bruteforce(alg: FiniteAlgebra, inst: Instance, budget: int = BUDGET) -
     """Lexicographic enumeration of all |A|^n assignments (sorted input names,
     values as base-|A| digits); the first hit is reported."""
     m = len(inst.circuit.input_names)
-    total = alg.size ** m
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    total = _within(alg.size ** m, budget)
     program = BlockProgram(alg, inst.circuit, _pairs(inst))
     return _decide(alg, inst, program, _lex_blocks(alg, m), total, "brute")
 
@@ -335,11 +334,13 @@ def _support_sweep(alg: FiniteAlgebra, m: int, max_support: int) -> Iterator[Blo
 def _support_blocks(digits: _Digits, m: int, fill: bytes, skip: int = 0) -> Iterator[Block]:
     """The blocks of one support size s = digits.k, past the first skip
     pieces; a piece is one aligned span of values on one position set.
-    Each column of a block is one join of its pieces."""
+    Each column of a block is one join of its pieces.  A piece at the
+    offset of the piece before it reuses its columns, so when one span
+    holds every value, as at small s, each s makes one columns call."""
     s, span = digits.k, digits.span
     per = digits.r ** s
-    whole = digits.columns(0, span) if span == per else None   # one span per position set
     blank = fill * span
+    last = None     # the offset whose columns are at hand
     pieces = itertools.islice(((positions, lo)
                                for positions in itertools.combinations(range(m), s)
                                for lo in range(0, per, span)), skip, None)
@@ -349,7 +350,9 @@ def _support_blocks(digits: _Digits, m: int, fill: bytes, skip: int = 0) -> Iter
             return
         parts = [[blank] * len(batch) for _ in range(m)]
         for k, (positions, lo) in enumerate(batch):
-            for i, col in zip(positions, whole or digits.columns(lo, span)):
+            if lo != last:
+                columns, last = digits.columns(lo, span), lo
+            for i, col in zip(positions, columns):
                 parts[i][k] = col
         yield [b"".join(column) for column in parts], len(batch) * span
 
@@ -357,12 +360,8 @@ def _support_blocks(digits: _Digits, m: int, fill: bytes, skip: int = 0) -> Iter
 def _sweep_size(n: int, inputs: int, max_support: int, budget: int = BUDGET) -> int:
     """The number of assignments in the support sweep; BudgetExceeded when
     that is more than the budget allows."""
-    total = 0
-    for s in range(max_support + 1):
-        total += math.comb(inputs, s) * (n - 1) ** s
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    return total
+    return _within(sum(math.comb(inputs, s) * (n - 1) ** s for s in range(max_support + 1)),
+                   budget)
 
 
 def _sweep(alg: FiniteAlgebra, inst: CsatInstance | CeqvInstance, bound: int,
@@ -420,9 +419,7 @@ def minimal_support_profile(alg: FiniteAlgebra, csat: CsatInstance,
     """For satisfiable instances, the histogram of support sizes (inputs
     off 0) over all solutions, by brute force; None when unsatisfiable."""
     m = len(csat.circuit.input_names)
-    total = alg.size ** m
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    _within(alg.size ** m, budget)
     program = BlockProgram(alg, csat.circuit, _pairs(csat))
     hist = Counter()
     if not program.differs((0,) * m):
@@ -563,9 +560,7 @@ def _affine_form(alg: FiniteAlgebra, group: AbelianGroup, circ: Circuit, output:
     plan's module structure rules out: every basic operation is affine over
     (A, +), so every output is.  BudgetExceeded, before anything runs, when
     those points exceed budget."""
-    total = alg.size ** len(names)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    _within(alg.size ** len(names), budget)
     run = compile_circuit(alg, circ.with_outputs([output]))
     zero = [group.zero] * len(names)
     c = run(zero)[0]
@@ -730,11 +725,11 @@ class Plan:
     @cached_property
     def split(self) -> Optional[_Split]:
         """The first nontrivial factor pair, with the plans of its quotients."""
-        for fp in factor_pairs(self.alg):
-            if not (fp.alpha1.is_zero() or fp.alpha1.is_one()):
-                return _Split(fp, plan_for(fp.left), plan_for(fp.right),
-                              {pair: x for x, pair in enumerate(fp.iso)})
-        return None
+        fp = nontrivial_factor_pair(self.alg)
+        if fp is None:
+            return None
+        return _Split(fp, plan_for(fp.left), plan_for(fp.right),
+                      {pair: x for x, pair in enumerate(fp.iso)})
 
 
 def plan_for(alg: FiniteAlgebra) -> Plan:

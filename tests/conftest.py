@@ -10,7 +10,7 @@ import pytest
 
 from mvcirc import algebra
 from mvcirc.algebra import Const, FactStore, FiniteAlgebra, Operation, Var, direct_product
-from mvcirc.circuit import CircuitBuilder, ScsatInstance, eval_circuit
+from mvcirc.circuit import CircuitBuilder, ScsatInstance
 from mvcirc.errors import ElementOutOfRange, UnboundVariable, UnknownOp, UntypedLattice
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
@@ -176,13 +176,6 @@ def random_system(alg, rng, max_eq=3, max_vars=4):
         (rng.randrange(len(b.gates)), rng.randrange(len(b.gates))) for _ in range(ne)
     )
     return ScsatInstance(b.build([0]), eqs)
-
-
-def gate_values(alg, circuit, asg):
-    """Every gate's value under asg, by eval_circuit."""
-    vals = []
-    eval_circuit(alg, circuit, asg, hook=lambda i, v: vals.append(v))
-    return vals
 
 
 def one(alg):

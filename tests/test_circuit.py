@@ -16,7 +16,7 @@ from mvcirc.circuit import (
     ScsatInstance,
     compile_circuit,
     eval_circuit,
-    gate_values as circuit_gate_values,
+    gate_values,
     iterated_commutator_circuit,
     parse_circuit,
     random_circuit,
@@ -33,7 +33,7 @@ from mvcirc.errors import (
 from mvcirc.solvers import _lex_blocks
 from mvcirc.zoo import get
 
-from conftest import EDGE_ALGEBRAS, gate_values, random_edge_circuit
+from conftest import EDGE_ALGEBRAS, random_edge_circuit
 
 
 def _term_size(t):
@@ -314,7 +314,7 @@ def test_hook_sees_every_gate_in_order(z6):
     outputs = eval_circuit(z6, c, {"x0": 1, "x1": 4, "x2": 5}, hook=lambda i, v: seen.append((i, v)))
     assert [i for i, _ in seen] == list(range(len(c.gates)))
     assert outputs == tuple(seen[o][1] for o in c.outputs)
-    assert [v for _, v in seen] == circuit_gate_values(z6, c, {"x0": 1, "x1": 4, "x2": 5})
+    assert [v for _, v in seen] == gate_values(z6, c, {"x0": 1, "x1": 4, "x2": 5})
 
 
 def test_block_program_checks_every_gate(z6):

@@ -78,7 +78,7 @@ def test_commutator_cmd_rejects_a_non_congruence(capsys):
     assert "not a congruence" in err
 
 
-@pytest.mark.parametrize("alpha", ["{0 x}", "{0 9}"])
+@pytest.mark.parametrize("alpha", ["{0 x}", "{0 9}", "{0 1|1 2}"])
 def test_commutator_cmd_rejects_a_bad_element(alpha, capsys):
     code, out, err = run_cli(["commutator", "zoo:Z6", "--alpha", alpha, "--beta", "{}"], capsys)
     assert code == 64 and out == ""
@@ -262,14 +262,19 @@ def test_reduce_csp(tmp_path, capsys):
     ("3sat", "p cnf 2 1\n1 3 2 0\n", 2),
     ("csp", "domain two\nrel eq arity 2\n0 0\n", 1),
     ("csp", "domain 2\nrel eq arity 2\n0 0\n0 5\n", 4),
+    ("3sat", "p cnf 3 1\n1 2 3 0\np cnf 1 0\n", 3),
+    ("csp", "domain 3\nrel eq arity 1\n2\ndomain 2\n", 4),
+    ("csp", "domain 2\nrel eq arity 2\n0 0\nrel eq arity 2\n1 1\n", 4),
+    ("solve", "g0 = input x\ng1 = const 0\noutputs: g0 g1\noutputs: g1 g0\n", 4),
 ])
 def test_reduce_malformed_input_is_a_usage_error(tmp_path, capsys, what, text, line):
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     inst = tmp_path / "i.txt"
     inst.write_text("eq x y\n")
-    argv = ["reduce", "3sat", "zoo:2boolean", str(bad)] if what == "3sat" else [
-        "reduce", "csp", str(bad), str(inst)]
+    argv = {"3sat": ["reduce", "3sat", "zoo:2boolean", str(bad)],
+            "csp": ["reduce", "csp", str(bad), str(inst)],
+            "solve": ["solve", "csat", "zoo:2lattice", str(bad)]}[what]
     code, _, err = run_cli(argv, capsys)
     assert code == 64
     assert err.startswith("error: ") and f"at line {line}" in err

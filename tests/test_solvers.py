@@ -18,6 +18,7 @@ from mvcirc.circuit import (
     ScsatInstance,
     const_gate,
     eval_circuit,
+    gate_values,
     op_gate,
     random_circuit,
 )
@@ -37,7 +38,7 @@ from mvcirc.structure import classify
 from mvcirc.zoo import get, zoo
 
 from conftest import (
-    EDGE_ALGEBRAS, clone_cap, gate_values, random_edge_circuit, random_system, run_optimised,
+    EDGE_ALGEBRAS, clone_cap, random_edge_circuit, random_system, run_optimised,
 )
 
 
@@ -90,7 +91,7 @@ def test_brute_reports_lex_least_witness(z4):
 
 # ---------------------------------------------------------------------------
 # Enumeration order: every route that enumerates against a reference that
-# walks the documented order one assignment at a time with eval_circuit.
+# walks the documented order one assignment at a time with gate_values.
 # Block sizes below BLOCK put block boundaries inside small instances.
 
 KINDS = ("CSAT", "MCSAT", "SCSAT", "CEQV")
@@ -229,9 +230,9 @@ def test_enumerations_cross_full_blocks(bool2, z4ring):
     assert not any(_holds(z4ring, inst, dict(zip(names, a))) for a in _old_sweep_order(4, 10, 4))
 
 
-# The enumeration columns are per-algebra facts: the store keeps the digit
-# periods and the lexicographic first block per (values, k, BLOCK), and the
-# support sweep's first block per (m, BLOCK).
+# The enumeration columns are per-algebra facts: the store keeps the low
+# digits' span columns and the lexicographic first block per (values, k,
+# BLOCK), and the support sweep's first block per (m, BLOCK).
 
 
 def _blocks_in_order(alg, blocks):
@@ -284,9 +285,9 @@ def test_cached_enumeration_columns_are_bytes(monkeypatch):
     facts = algebra.STORE.facts(alg)
     (sweep_first, _), fill = facts[("sweep", 4, BLOCK)]
     lex_first, _ = facts[("digits", range(6), 4, BLOCK)].first
-    periods = [p for key, d in facts.items() if key[0] == "digits" for p in d.periods.values()]
-    columns = [fill, *sweep_first, *lex_first, *periods]
-    assert len(periods) > 2 and all(type(c) is bytes for c in columns)
+    spans = [c for key, d in facts.items() if key[0] == "digits" for c in d.low]
+    columns = [fill, *sweep_first, *lex_first, *spans]
+    assert len(spans) > 2 and all(type(c) is bytes for c in columns)
 
 
 def test_a_second_solve_builds_no_digits(monkeypatch):
