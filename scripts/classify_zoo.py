@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the classification table for every built-in algebra."""
+"""Print the classification table for every built-in algebra, each row with
+its classify time in milliseconds (time.perf_counter)."""
 
 import sys
 import time
@@ -13,15 +14,17 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for entry in zoo():
-        t0 = time.time()
-        rep = classify(entry.algebra)
+        alg = entry.algebra     # built lazily; AD2's build imports the reductions
+        t0 = time.perf_counter()
+        rep = classify(alg)
+        ms = (time.perf_counter() - t0) * 1000
         verdicts = " / ".join(
             rep.verdicts[p].kind for p in ("CSAT", "MCSAT", "SCSAT", "CEQV")
         )
         print(
             f"{entry.name:14s} {str(rep.nilpotent):>5s} {rep.supernilpotent.value:>8s} "
             f"{rep.affine.value:>8s} {rep.dl_like.value:>8s}  {verdicts}"
-            f"   [{time.time() - t0:.2f}s]"
+            f"   [{ms:.2f} ms]"
         )
         for caveat in rep.caveats:
             print(f"{'':14s} caveat: {caveat}")

@@ -581,12 +581,17 @@ def _parse_gate_ref(tok: str, current: int, ln: int) -> int:
 
 
 def parse_circuit(text: str, alg: Optional[FiniteAlgebra] = None,
-                  algebra_name: str = "") -> Circuit | ScsatInstance:
+                  algebra_name: str = "",
+                  kind: Optional[Callable[[Circuit], object]] = None,
+                  ) -> Circuit | ScsatInstance | CsatInstance | McsatInstance | CeqvInstance:
     """Parse the gate-list format.  Returns a ScsatInstance when equation
-    lines are present, else a Circuit.  With alg given, op names and arities
-    are checked at parse time."""
+    lines are present, else a Circuit, or kind(circuit) with kind given
+    (CsatInstance, McsatInstance or CeqvInstance), a wrong output count
+    then a ParseError at the outputs: line.  With alg given, op names and
+    arities are checked at parse time."""
     gates: list[Gate] = []
     outputs: Optional[list[int]] = None
+    outputs_line: Optional[int] = None
     equations: list[tuple[int, int]] = []
     if alg is not None and not algebra_name:
         algebra_name = alg.name
@@ -600,6 +605,7 @@ def parse_circuit(text: str, alg: Optional[FiniteAlgebra] = None,
                 raise ParseError("second outputs: line", ln)
             toks = line[len("outputs:"):].split()
             outputs = [_parse_gate_ref(t, len(gates), ln) for t in toks]
+            outputs_line = ln
             continue
         if line.startswith("equation:"):
             toks = line[len("equation:"):].split()
@@ -643,8 +649,15 @@ def parse_circuit(text: str, alg: Optional[FiniteAlgebra] = None,
         circ = Circuit(tuple(gates), tuple(outputs) if outputs else (0,), algebra_name)
         return ScsatInstance(circ, tuple(equations))
     if not outputs:
-        raise ParseError("missing outputs: line")
-    return Circuit(tuple(gates), tuple(outputs), algebra_name)
+        raise ParseError("missing outputs: line" if outputs is None else "outputs: line names no gate",
+                         outputs_line)
+    circ = Circuit(tuple(gates), tuple(outputs), algebra_name)
+    if kind is None:
+        return circ
+    try:
+        return kind(circ)
+    except ValueError as exc:     # the wrong number of outputs for kind
+        raise ParseError(str(exc), outputs_line) from None
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ _KINDS = {"csat": CsatInstance, "mcsat": McsatInstance, "ceqv": CeqvInstance}
 def _instance_from_text(kind: str, alg: FiniteAlgebra, text: str):
     """The instance of kind that text holds; ParseError when the text is
     malformed or holds no instance of kind."""
-    parsed = parse_circuit(text, alg, alg.name)
+    parsed = parse_circuit(text, alg, alg.name, _KINDS.get(kind))
     if kind == "scsat":
         if isinstance(parsed, ScsatInstance):
             return parsed
@@ -221,10 +221,7 @@ def _instance_from_text(kind: str, alg: FiniteAlgebra, text: str):
         raise ParseError("scsat input needs equation: lines or an even output list")
     if isinstance(parsed, ScsatInstance):
         raise ParseError(f"{kind} input must not contain equation: lines")
-    try:
-        return _KINDS[kind](parsed)
-    except ValueError as exc:     # the wrong number of outputs for kind
-        raise ParseError(str(exc)) from None
+    return parsed
 
 
 def _budget(text: str) -> int:

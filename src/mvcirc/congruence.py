@@ -51,6 +51,7 @@ def congruence_from_pairs(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) 
 class CongruenceLattice:
     congruences: list[Partition]    # by class count, most first: 0 is the zero congruence
     below: list[int]                # j -> bitmask of the i with congruences[i] <= congruences[j]
+    above: list[int]                # i -> bitmask of the j with congruences[i] <= congruences[j]
     covers: list[tuple[int, int]]   # (lower, upper) indices
 
     def __len__(self) -> int:
@@ -62,6 +63,26 @@ class CongruenceLattice:
 
     def cover_pairs(self) -> list[tuple[Partition, Partition]]:
         return [(self.congruences[a], self.congruences[b]) for a, b in self.covers]
+
+    def perspectivity_classes(self) -> list[list[tuple[int, int]]]:
+        """The covers in groups closed under perspectivity: alpha < beta and
+        gamma < delta share a group when beta ^ gamma = alpha and
+        beta v gamma = delta.  Each gamma is taken from above alpha, so the
+        join alone decides: alpha <= beta ^ gamma <= beta, and beta ^ gamma
+        = beta would put beta under gamma and the join at gamma.  The join
+        is read off the order masks: above[beta] & above[gamma] =
+        above[delta]."""
+        above, covers = self.above, self.covers
+        starting: dict[int, list[int]] = {}     # lower index -> the covers from it
+        for k, (lo, _) in enumerate(covers):
+            starting.setdefault(lo, []).append(k)
+        groups = Classes(len(covers))
+        for k, (a, b) in enumerate(covers):
+            for g in _bits(above[a]):
+                for m in starting.get(g, ()):
+                    if above[b] & above[g] == above[covers[m][1]]:
+                        groups.merge(k, m)
+        return [[covers[k] for k in members] for members in groups.members if members]
 
 
 def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
@@ -121,7 +142,7 @@ def _congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     # j covers i when the interval [i, j] holds nothing else
     covers = [(i, j) for i, up in enumerate(above) for j in _bits(up ^ 1 << i)
               if up & below[j] == 1 << i | 1 << j]
-    return CongruenceLattice(congruences, below, covers)
+    return CongruenceLattice(congruences, below, above, covers)
 
 
 def _join(ids: tuple[int, ...], edges: list[tuple[int, int]]) -> tuple[int, ...]:

@@ -7,7 +7,11 @@ The Structure of Finite Algebras, 1988, Ch. 5 and 9).  So its label is 2
 when [beta, beta] <= alpha and 3 otherwise, read off the stored commutator,
 or 2 outright when the module structure says the algebra is abelian.
 
-Without a Malcev term, the label comes from a ladder of clone searches.
+Without a Malcev term, the label comes from a ladder of clone searches,
+which typed_congruence_lattice runs once per class of perspective covers,
+as the label of 0 < beta/alpha in the quotient A/alpha of the member with
+the coarsest lower congruence (Hobby and McKenzie, Lemma 6.2 and
+Definition 5.1; see _typed_congruence_lattice).
 For a quotient alpha < beta, the candidate sets are ranges f(A) of unary
 polynomials with f(beta) not inside alpha and at least two elements; the
 inclusion-minimal ones are the minimal sets.  The local label
@@ -40,6 +44,7 @@ from .algebra import (
     find_malcev_term,
     kary_poly_clone,
     poly_clone_on_points,
+    quotient,
     stored,
 )
 from .commutator import commutator, is_abelian
@@ -246,8 +251,43 @@ def typed_congruence_lattice(alg: FiniteAlgebra) -> TypedLattice:
 
 
 def _typed_congruence_lattice(alg: FiniteAlgebra) -> TypedLattice:
+    """Every cover's label.  A Malcev algebra reads each cover's commutator
+    (type_of).  Otherwise the covers are grouped by perspectivity and one
+    member of each group is typed, on its own smallest quotient, by two
+    lemmas:
+
+    - Quotients: for alpha < beta a cover in Con(A), typ(alpha, beta) in A
+      equals typ(0, beta/alpha) in A/alpha.  The unary polynomials of
+      A/alpha are the maps f/alpha for f in Pol_1(A), f(beta) is inside
+      alpha iff f/alpha collapses beta/alpha, so the minimal sets and
+      traces of A/alpha are those of A read modulo alpha, and so are the
+      minimal algebras A|_N / alpha whose type is the label (Hobby and
+      McKenzie, The Structure of Finite Algebras, 1988, Definition 5.1).
+    - Perspectivity: for covers alpha < beta and gamma < delta with
+      beta ^ gamma = alpha and beta v gamma = delta, M_A(alpha, beta) =
+      M_A(gamma, delta) and typ(alpha, beta) = typ(gamma, delta) (Hobby and
+      McKenzie, Lemma 6.2): a unary polynomial f has f(beta) inside alpha
+      iff f(delta) is inside gamma.
+
+    So a group takes the label of its member with the coarsest lower
+    congruence alpha, typed as (0, beta/alpha) in the stored
+    quotient(alg, alpha); while that is undecided, the next coarsest
+    member is typed; a quotient with a Malcev term of its own is typed by
+    its commutator.  CongruenceLattice.perspectivity_classes groups the
+    covers by reading their joins off the lattice's order masks.
+    """
     lat = congruence_lattice(alg)
-    labels = {}
-    for i, j in lat.covers:
-        labels[(i, j)] = type_of(alg, lat.congruences[i], lat.congruences[j])
-    return TypedLattice(lat, labels)
+    cons = lat.congruences
+    if find_malcev_term(alg).status is Tri.YES:
+        return TypedLattice(lat, {(i, j): type_of(alg, cons[i], cons[j]) for i, j in lat.covers})
+    labels: dict[tuple[int, int], Optional[int]] = {}
+    for group in lat.perspectivity_classes():
+        for lo, hi in sorted(group, key=lambda cover: -cover[0]):
+            small = quotient(alg, cons[lo])
+            # beta/alpha: class k of alpha is element k of the quotient
+            over = Partition.from_ids(list(dict(zip(cons[lo].ids, cons[hi].ids)).values()))
+            label = type_of(small, Partition.zero(small.size), over)
+            if label is not None:
+                break
+        labels.update(dict.fromkeys(group, label))
+    return TypedLattice(lat, {cover: labels[cover] for cover in lat.covers})

@@ -280,6 +280,22 @@ def test_reduce_malformed_input_is_a_usage_error(tmp_path, capsys, what, text, l
     assert err.startswith("error: ") and f"at line {line}" in err
 
 
+@pytest.mark.parametrize("problem, text, message", [
+    ("csat", "g0 = input x\ng1 = input y\n# three outputs\noutputs: g0 g1 g1\n",
+     "CSAT instance needs exactly 2 outputs at line 4"),
+    ("ceqv", "g0 = input x\noutputs: g0\n", "CEQV instance needs exactly 2 outputs at line 2"),
+    ("mcsat", "g0 = input x\noutputs: g0\n", "MCSAT instance needs at least 2 outputs at line 2"),
+    ("csat", "g0 = input x\n\noutputs:   # none\n", "outputs: line names no gate at line 3"),
+])
+def test_solve_names_the_outputs_line_of_a_wrong_output_list(tmp_path, capsys, problem, text,
+                                                              message):
+    circ = tmp_path / "c.txt"
+    circ.write_text(text)
+    code, _, err = run_cli(["solve", problem, "zoo:2lattice", str(circ)], capsys)
+    assert code == 64
+    assert err.strip() == f"error: {message}"
+
+
 def test_solve_mcsat(tmp_path, capsys):
     circ = tmp_path / "m.txt"
     circ.write_text(

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvcirc.algebra import is_congruence
 from mvcirc.congruence import (
@@ -10,6 +11,7 @@ from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
 from conftest import all_partitions, e2_power, mod_congruence, partition_join
+from test_random_algebras import small_algebras, small_products
 
 
 def brute_force_congruences(alg):
@@ -106,6 +108,42 @@ def test_covers_acyclic_and_transitive_closure(z6, z2xz2, majority):
                 strict = lat.congruences[i].leq(lat.congruences[j]) and i != j
                 assert reach[i][j] == strict
                 assert lat.below[j] >> i & 1 == (strict or i == j)
+                assert lat.above[i] >> j & 1 == (strict or i == j)
+
+
+def _perspectivity_reference(alg):
+    """The covers grouped by perspectivity, each meet and join taken on the
+    partitions themselves, every pair of covers compared."""
+    lat = congruence_lattice(alg)
+    cons = lat.congruences
+    group = {cover: {cover} for cover in lat.covers}
+    for a, b in lat.covers:
+        for g, d in lat.covers:
+            if cons[b].meet(cons[g]) == cons[a] and partition_join(cons[b], cons[g]) == cons[d]:
+                merged = group[(a, b)] | group[(g, d)]
+                for cover in merged:
+                    group[cover] = merged
+    return {frozenset(members) for members in group.values()}
+
+
+def _perspectivity_classes(alg):
+    groups = congruence_lattice(alg).perspectivity_classes()
+    assert sum(map(len, groups)) == len(congruence_lattice(alg).covers)
+    return set(map(frozenset, groups))
+
+
+@pytest.mark.parametrize("name,sizes", [("majority", [4, 4, 4]), ("AD2", [1, 6]),
+                                        ("Z2xL2", [2, 2]), ("Z6", [2, 2]), ("Z4", [1, 1])])
+def test_perspectivity_classes_of_zoo_lattices(name, sizes):
+    classes = _perspectivity_classes(get(name))
+    assert classes == _perspectivity_reference(get(name))
+    assert sorted(map(len, classes)) == sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_algebras(), small_products()))
+def test_perspectivity_classes_match_the_partition_reference(alg):
+    assert _perspectivity_classes(alg) == _perspectivity_reference(alg)
 
 
 def test_every_lattice_member_is_operation_closed(z6, s3, majority, z4ring):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from mvcirc.circuit import CeqvInstance, CircuitBuilder, CsatInstance, ScsatInstance
-from mvcirc.zoo import get
+from mvcirc.zoo import get, zoo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +29,16 @@ def test_script_exits_cleanly(argv):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_classify_zoo_times_each_row_in_milliseconds():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "classify_zoo.py")],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    times = [float(m) for m in re.findall(r"\[(\d+\.\d\d) ms\]$", out, re.MULTILINE)]
+    # a coarse clock read every row as zero
+    assert len(times) == len(zoo()) and sum(times) > 0
 
 
 def test_bench_pairs_takes_the_median_of_three_traced_runs(tmp_path, monkeypatch):

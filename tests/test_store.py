@@ -9,6 +9,8 @@ import random
 from collections import Counter
 from dataclasses import fields
 
+import pytest
+
 import mvcirc
 from mvcirc import algebra, commutator, congruence, errors, solvers, structure, tct
 from mvcirc.algebra import STORE_BOUND, FactStore, FiniteAlgebra, Operation
@@ -353,7 +355,8 @@ def test_capped_malcev_closure_runs_once(monkeypatch):
 
 def test_capped_unary_clone_closes_once(monkeypatch):
     # majority's unary polynomial clone outgrows cap 6: minimal_sets asks
-    # for it on each of the 12 covers, and the capped outcome is remembered
+    # for it on each of majority's own 12 covers, and the capped outcome is
+    # remembered (its typing runs on 2-element quotients, whose clones close)
     close = algebra._close_tables
     alg = get("majority")
     whole = tuple((x,) for x in range(alg.size))
@@ -366,6 +369,9 @@ def test_capped_unary_clone_closes_once(monkeypatch):
 
     monkeypatch.setattr(algebra, "_close_tables", counted)
     with clone_cap(6):
-        typed = tct.typed_congruence_lattice(alg)
-    assert len(typed.labels) == 12 and typed.typeset() == {None}
+        covers = congruence.congruence_lattice(alg).cover_pairs()
+        for lo, hi in covers:
+            with pytest.raises(errors.CapExceeded):
+                tct.minimal_sets(alg, lo, hi)
+    assert len(covers) == 12
     assert runs == [_content(alg)]

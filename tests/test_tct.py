@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvcirc import tct
+from mvcirc import algebra, tct
 from mvcirc.algebra import (
     FiniteAlgebra,
     Operation,
@@ -172,6 +172,74 @@ def test_cm_typeset_restriction_and_empty_tails():
         for lo, hi in lat.cover_pairs():
             for ms in minimal_sets(alg, lo, hi):
                 assert _tail(ms) == ()
+
+
+# ---------------------------------------------------------------------------
+# One typing per perspectivity class, on a quotient, against typing each cover
+
+
+def _per_cover_labels(alg):
+    """Every cover typed on the algebra itself, one type_of call each: the
+    typing loop before covers were grouped, kept here as the reference."""
+    lat = congruence_lattice(alg)
+    return {(i, j): type_of(alg, lat.congruences[i], lat.congruences[j]) for i, j in lat.covers}
+
+
+def test_class_labels_match_the_per_cover_reference_on_the_zoo():
+    for entry in zoo():
+        alg = entry.algebra
+        assert typed_congruence_lattice(alg).labels == _per_cover_labels(alg), entry.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_algebras(), small_products()))
+def test_class_labels_never_contradict_the_per_cover_reference(alg):
+    # a class may decide a cover the reference leaves open, never the reverse
+    with clone_cap(2000, shared=True):
+        want = _per_cover_labels(alg)
+        got = typed_congruence_lattice(alg).labels
+    assert got.keys() == want.keys()
+    assert all(got[cover] == label for cover, label in want.items() if label is not None)
+
+
+@pytest.mark.parametrize("name,covers,calls", [
+    # (size of the algebra typed, whether the lower congruence is 0)
+    ("majority", 12, [(2, True)] * 3),
+    ("AD2", 7, [(2, True), (4, True)]),     # (0, 1) is its own class, typed on AD2/0
+    ("Z2xL2", 4, [(2, True)] * 2),
+    ("Z2xZ2", 6, [(4, False)] * 3 + [(4, True)] * 3),   # Malcev: each cover, on itself
+])
+def test_a_cold_typing_types_each_perspectivity_class_once(name, covers, calls, monkeypatch):
+    """type_of runs once per perspectivity class of covers, on the quotient
+    by the coarsest lower congruence in the class, when the algebra has no
+    Malcev term, and once per cover, on the algebra itself, when it has."""
+    seen = []
+    typed = tct.type_of
+
+    def counted(alg, alpha, beta):
+        seen.append((alg.size, alpha.is_zero()))
+        return typed(alg, alpha, beta)
+
+    monkeypatch.setattr(tct, "type_of", counted)
+    with clone_cap(algebra.CLONE_CAP):
+        assert len(tct.typed_congruence_lattice(get(name)).labels) == covers
+    assert sorted(seen) == calls
+
+
+def test_an_undecided_class_member_hands_over_to_the_next_coarsest(monkeypatch):
+    # majority's Con is the cube 2^3: each class of four covers has lower
+    # congruences with 2, 3, 3 and 4 classes
+    seen = []
+    typed = tct.type_of
+
+    def undecided_on_two_elements(alg, alpha, beta):
+        seen.append(alg.size)
+        return None if alg.size == 2 else typed(alg, alpha, beta)
+
+    monkeypatch.setattr(tct, "type_of", undecided_on_two_elements)
+    with clone_cap(algebra.CLONE_CAP):
+        assert set(tct.typed_congruence_lattice(get("majority")).labels.values()) == {4}
+    assert sorted(seen) == [2, 2, 2, 3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
