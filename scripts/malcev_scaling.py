@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Cold `classify` time and peak RSS for abelian groups of order 16 to 64.
+"""Cold `classify` time and peak RSS for groups of order 16 to 64.
 
     python scripts/malcev_scaling.py [NAME ...]
 
-NAME is one of Z16, E2^4, Z32, E2^5 and Z64 (all five by default): the
-cyclic groups, and the elementary abelian 2-groups as powers of Z2, each
-with mul and inv.  Each algebra is classified in a child interpreter of its
-own, which reports its own peak RSS, VmHWM from /proc/self/status: a child's
-ru_maxrss would include the RSS of the process that started it.  Where
-/proc is missing the RSS column reads n/a.  Exits 1 if a child fails.
+NAME is one of Z16, E2^4, Z32, E2^5, Z64 and D8xZ2 (all six by default):
+the cyclic groups, the elementary abelian 2-groups as powers of Z2, and the
+dihedral group of order 8 times Z2, each with mul and inv.  Each algebra is
+classified in a child interpreter of its own, which reports its own peak
+RSS, VmHWM from /proc/self/status: a child's ru_maxrss would include the
+RSS of the process that started it.  Where /proc is missing the RSS column
+reads n/a.  Exits 1 if a child fails.
 """
 
 import json
@@ -16,7 +17,7 @@ import subprocess
 import sys
 import time
 
-NAMES = ("Z16", "E2^4", "Z32", "E2^5", "Z64")
+NAMES = ("Z16", "E2^4", "Z32", "E2^5", "Z64", "D8xZ2")
 
 
 def build(name: str):
@@ -26,6 +27,15 @@ def build(name: str):
         return FiniteAlgebra(f"Z{n}", n, (op_from_fn("mul", 2, n, lambda x, y: (x + y) % n),
                                          op_from_fn("inv", 1, n, lambda x: -x % n)))
 
+    if name == "D8xZ2":
+        # r^k s^e is element k + 4e; s r^k = r^-k s
+        def mul(x: int, y: int) -> int:
+            k, e, j, f = x % 4, x // 4, y % 4, y // 4
+            return (k + (-j if e else j)) % 4 + 4 * (e ^ f)
+
+        d8 = FiniteAlgebra("D8", 8, (op_from_fn("mul", 2, 8, mul),
+                                     op_from_fn("inv", 1, 8, lambda x: x if x >= 4 else -x % 4)))
+        return direct_product(d8, cyclic(2), name)
     if name.startswith("E2^"):
         alg = cyclic(2)
         for _ in range(int(name[3:]) - 1):

@@ -598,7 +598,8 @@ def _identity_points(n: int) -> tuple[tuple[int, ...], ...]:
     Gumm identity reads only these, and restricting tables to a point set
     commutes with the pointwise operations, so the term clone closed over
     them holds exactly the restrictions of the ternary term operations."""
-    return tuple(p for p in itertools.product(range(n), repeat=3) if len(set(p)) <= 2)
+    return tuple(sorted({p for x in range(n) for y in range(n)
+                         for p in ((x, x, y), (x, y, y), (x, y, x))}))
 
 
 def _slices(n: int, points: Sequence[tuple[int, ...]]

@@ -586,7 +586,7 @@ def parse_circuit(text: str, alg: Optional[FiniteAlgebra] = None,
                   ) -> Circuit | ScsatInstance | CsatInstance | McsatInstance | CeqvInstance:
     """Parse the gate-list format.  Returns a ScsatInstance when equation
     lines are present, else a Circuit, or kind(circuit) with kind given
-    (CsatInstance, McsatInstance or CeqvInstance), a wrong output count
+    (say CsatInstance), a ValueError from kind on a wrong output count
     then a ParseError at the outputs: line.  With alg given, op names and
     arities are checked at parse time."""
     gates: list[Gate] = []

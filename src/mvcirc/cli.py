@@ -201,25 +201,24 @@ def _cmd_typeset(args) -> int:
     return EX_OK
 
 
-# problem kind -> its instance type, other than scsat
-_KINDS = {"csat": CsatInstance, "mcsat": McsatInstance, "ceqv": CeqvInstance}
+def _paired_outputs(circ: Circuit) -> ScsatInstance:
+    """The SCSAT instance equating circ's outputs in pairs; ValueError on an odd count."""
+    outs = circ.outputs
+    if len(outs) % 2:
+        raise ValueError("scsat input needs equation: lines or an even output list")
+    return ScsatInstance(circ, tuple(zip(outs[::2], outs[1::2])))
+
+
+# problem kind -> its instance type, made from a circuit with no equation: lines
+_KINDS = {"csat": CsatInstance, "mcsat": McsatInstance, "ceqv": CeqvInstance,
+          "scsat": _paired_outputs}
 
 
 def _instance_from_text(kind: str, alg: FiniteAlgebra, text: str):
     """The instance of kind that text holds; ParseError when the text is
     malformed or holds no instance of kind."""
-    parsed = parse_circuit(text, alg, alg.name, _KINDS.get(kind))
-    if kind == "scsat":
-        if isinstance(parsed, ScsatInstance):
-            return parsed
-        if isinstance(parsed, Circuit) and len(parsed.outputs) % 2 == 0:
-            eqs = tuple(
-                (parsed.outputs[i], parsed.outputs[i + 1])
-                for i in range(0, len(parsed.outputs), 2)
-            )
-            return ScsatInstance(parsed, eqs)
-        raise ParseError("scsat input needs equation: lines or an even output list")
-    if isinstance(parsed, ScsatInstance):
+    parsed = parse_circuit(text, alg, alg.name, _KINDS[kind])
+    if kind != "scsat" and isinstance(parsed, ScsatInstance):
         raise ParseError(f"{kind} input must not contain equation: lines")
     return parsed
 

@@ -61,9 +61,6 @@ class CongruenceLattice:
     def members(self) -> frozenset[Partition]:
         return frozenset(self.congruences)
 
-    def cover_pairs(self) -> list[tuple[Partition, Partition]]:
-        return [(self.congruences[a], self.congruences[b]) for a, b in self.covers]
-
     def perspectivity_classes(self) -> list[list[tuple[int, int]]]:
         """The covers in groups closed under perspectivity: alpha < beta and
         gamma < delta share a group when beta ^ gamma = alpha and

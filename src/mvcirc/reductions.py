@@ -28,7 +28,6 @@ from .circuit import (
     McsatInstance,
     ScsatInstance,
 )
-from .congruence import congruence_lattice
 from .errors import (
     CapExceeded,
     InvalidWitness,
@@ -36,7 +35,7 @@ from .errors import (
     ParseError,
     parse_int,
 )
-from .tct import minimal_sets, pair_ops, type_of
+from .tct import minimal_sets, pair_ops, typed_congruence_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +173,11 @@ def boolean_host_witness(alg: FiniteAlgebra) -> Type3Witness:
 
 
 def derive_type3_witness(alg: FiniteAlgebra) -> Optional[Type3Witness]:
-    """Auto-derive a witness from a type-3 labeled cover, if one exists."""
-    lat = congruence_lattice(alg)
-    for lo, hi in lat.cover_pairs():
-        if type_of(alg, lo, hi) != 3:
-            continue
+    """Auto-derive a witness from a type-3 labeled cover, if one exists,
+    trying the covers of the typed lattice in order."""
+    typed = typed_congruence_lattice(alg)
+    cons = typed.lattice.congruences
+    for lo, hi in ((cons[i], cons[j]) for (i, j), label in typed.labels.items() if label == 3):
         try:
             ms = minimal_sets(alg, lo, hi)[0]
         except CapExceeded:

@@ -1,17 +1,17 @@
 """Minimal sets, traces, and the five-way type labeling of prime quotients.
 
-An algebra with a Malcev term needs no search: it generates a
-congruence-permutable variety, which omits types 1, 4 and 5, and a prime
-quotient alpha < beta is abelian iff its type is 1 or 2 (Hobby and McKenzie,
-The Structure of Finite Algebras, 1988, Ch. 5 and 9).  So its label is 2
-when [beta, beta] <= alpha and 3 otherwise, read off the stored commutator,
-or 2 outright when the module structure says the algebra is abelian.
+typed_congruence_lattice types each class of perspective covers once, as
+the label of 0 < beta/alpha in the quotient A/alpha of the member with the
+coarsest lower congruence (Hobby and McKenzie, The Structure of Finite
+Algebras, 1988, Lemma 6.2 and Definition 5.1; see _typed_congruence_lattice).
 
-Without a Malcev term, the label comes from a ladder of clone searches,
-which typed_congruence_lattice runs once per class of perspective covers,
-as the label of 0 < beta/alpha in the quotient A/alpha of the member with
-the coarsest lower congruence (Hobby and McKenzie, Lemma 6.2 and
-Definition 5.1; see _typed_congruence_lattice).
+A quotient with a Malcev term needs no search: it generates a
+congruence-permutable variety, which omits types 1, 4 and 5, and a prime
+quotient 0 < beta is abelian iff its type is 1 or 2 (Hobby and McKenzie,
+Ch. 5 and 9).  So its label is 2 when [beta, beta] = 0 and 3 otherwise,
+read off the stored commutator.
+
+Without a Malcev term, the label comes from a ladder of clone searches.
 For a quotient alpha < beta, the candidate sets are ranges f(A) of unary
 polynomials with f(beta) not inside alpha and at least two elements; the
 inclusion-minimal ones are the minimal sets.  The local label
@@ -47,7 +47,7 @@ from .algebra import (
     quotient,
     stored,
 )
-from .commutator import commutator, is_abelian
+from .commutator import commutator
 from .congruence import CongruenceLattice, congruence_lattice
 from .errors import CapExceeded, Tri
 from .partition import Partition
@@ -176,18 +176,17 @@ def type_of(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Optional[i
     """Label in 1..5 for the quotient alpha < beta, or None when undecided.
 
     With a Malcev term the label is read off the commutator: 2 when
-    [beta, beta] <= alpha, else 3; every label of an abelian algebra is 2,
-    as [beta, beta] <= [1, 1] = 0, so its module structure decides.  A
-    Malcev algebra generates a congruence-permutable variety, which omits
-    types 1, 4 and 5, and a prime quotient is abelian iff its type is 1 or
-    2 (Hobby and McKenzie, The Structure of Finite Algebras, 1988, Ch. 5
-    and 9).  Only when the Malcev search says NO or UNKNOWN does
-    _type_by_search run.
+    [beta, beta] <= alpha, else 3; an algebra abelian by its module
+    structure has every commutator 0, so every label 2.  A Malcev algebra
+    generates a congruence-permutable variety, which omits types 1, 4 and
+    5, and a prime quotient is abelian iff its type is 1 or 2 (Hobby and
+    McKenzie, The Structure of Finite Algebras, 1988, Ch. 5 and 9).  Only
+    when the Malcev search says NO or UNKNOWN does _type_by_search run.
     """
     if not alpha.leq(beta) or alpha == beta:
         raise ValueError("need alpha < beta")
     if find_malcev_term(alg).status is Tri.YES:
-        return 2 if is_abelian(alg) or commutator(alg, beta, beta).leq(alpha) else 3
+        return 2 if commutator(alg, beta, beta).leq(alpha) else 3
     return _type_by_search(alg, alpha, beta)
 
 
@@ -251,10 +250,9 @@ def typed_congruence_lattice(alg: FiniteAlgebra) -> TypedLattice:
 
 
 def _typed_congruence_lattice(alg: FiniteAlgebra) -> TypedLattice:
-    """Every cover's label.  A Malcev algebra reads each cover's commutator
-    (type_of).  Otherwise the covers are grouped by perspectivity and one
+    """Every cover's label.  The covers are grouped by perspectivity and one
     member of each group is typed, on its own smallest quotient, by two
-    lemmas:
+    lemmas that hold in every finite algebra:
 
     - Quotients: for alpha < beta a cover in Con(A), typ(alpha, beta) in A
       equals typ(0, beta/alpha) in A/alpha.  The unary polynomials of
@@ -271,15 +269,13 @@ def _typed_congruence_lattice(alg: FiniteAlgebra) -> TypedLattice:
 
     So a group takes the label of its member with the coarsest lower
     congruence alpha, typed as (0, beta/alpha) in the stored
-    quotient(alg, alpha); while that is undecided, the next coarsest
-    member is typed; a quotient with a Malcev term of its own is typed by
-    its commutator.  CongruenceLattice.perspectivity_classes groups the
-    covers by reading their joins off the lattice's order masks.
+    quotient(alg, alpha) through type_of, which reads the commutator when
+    that quotient has a Malcev term; while that is undecided, the next
+    coarsest member is typed.  CongruenceLattice.perspectivity_classes
+    groups the covers by reading their joins off the lattice's order masks.
     """
     lat = congruence_lattice(alg)
     cons = lat.congruences
-    if find_malcev_term(alg).status is Tri.YES:
-        return TypedLattice(lat, {(i, j): type_of(alg, cons[i], cons[j]) for i, j in lat.covers})
     labels: dict[tuple[int, int], Optional[int]] = {}
     for group in lat.perspectivity_classes():
         for lo, hi in sorted(group, key=lambda cover: -cover[0]):

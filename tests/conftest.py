@@ -186,6 +186,11 @@ def zero(alg):
     return Partition.zero(alg.size)
 
 
+def cover_pairs(lat):
+    """The covers of a congruence lattice as (lower, upper) partitions."""
+    return [(lat.congruences[a], lat.congruences[b]) for a, b in lat.covers]
+
+
 def mod_congruence(n, m):
     """x ~ y iff x = y (mod m), over universe 0..n-1."""
     return Partition.from_ids(tuple(x % m for x in range(n)))

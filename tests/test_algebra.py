@@ -579,6 +579,14 @@ def _conservative_tables(draw):
     return n, draw(st.lists(table, min_size=1, max_size=14, unique=True))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_identity_points_are_the_points_with_two_values_at_most(n):
+    # the reference filters all n^3 points; _identity_points builds them from the pairs
+    want = tuple(p for p in itertools.product(range(n), repeat=3) if len(set(p)) <= 2)
+    assert algebra_module._identity_points(n) == want
+    assert len(want) == n * (3 * n - 2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_conservative_tables(), st.randoms(use_true_random=False))
 def test_chain_reach_decides_as_a_search_over_the_whole_set(drawn, rng):

@@ -286,6 +286,8 @@ def test_reduce_malformed_input_is_a_usage_error(tmp_path, capsys, what, text, l
     ("ceqv", "g0 = input x\noutputs: g0\n", "CEQV instance needs exactly 2 outputs at line 2"),
     ("mcsat", "g0 = input x\noutputs: g0\n", "MCSAT instance needs at least 2 outputs at line 2"),
     ("csat", "g0 = input x\n\noutputs:   # none\n", "outputs: line names no gate at line 3"),
+    ("scsat", "g0 = input x\ng1 = const 0\noutputs: g0\n",
+     "scsat input needs equation: lines or an even output list at line 3"),
 ])
 def test_solve_names_the_outputs_line_of_a_wrong_output_list(tmp_path, capsys, problem, text,
                                                               message):

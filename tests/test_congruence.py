@@ -10,7 +10,7 @@ from mvcirc.congruence import (
 from mvcirc.partition import Partition
 from mvcirc.zoo import get
 
-from conftest import all_partitions, e2_power, mod_congruence, partition_join
+from conftest import all_partitions, cover_pairs, e2_power, mod_congruence, partition_join
 from test_random_algebras import small_algebras, small_products
 
 
@@ -83,7 +83,7 @@ def test_z6_lattice_is_diamond(z6):
 
 def test_z4_lattice_is_chain(z4):
     lat = congruence_lattice(z4)
-    assert set(lat.cover_pairs()) == {
+    assert set(cover_pairs(lat)) == {
         (Partition.zero(4), mod_congruence(4, 2)),
         (mod_congruence(4, 2), Partition.one(4)),
     }

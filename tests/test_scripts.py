@@ -31,6 +31,31 @@ def test_script_exits_cleanly(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_malcev_scaling_builds_d8_times_z2_as_a_nonabelian_group():
+    spec = importlib.util.spec_from_file_location("malcev_scaling",
+                                                  ROOT / "scripts" / "malcev_scaling.py")
+    malcev_scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(malcev_scaling)
+    alg = malcev_scaling.build("D8xZ2")
+    mul, inv = (alg.op(name).table for name in ("mul", "inv"))
+    n = alg.size
+
+    def times(x, y):
+        return mul[x * n + y]
+
+    assert n == 16 and alg.name == "D8xZ2"
+    assert all(times(times(x, y), z) == times(x, times(y, z))
+               for x in range(n) for y in range(n) for z in range(n))
+    assert all(times(0, x) == x == times(x, 0) and times(x, inv[x]) == 0 for x in range(n))
+    # D8's centre has order 2, so the product's has order 4
+    assert sum(all(times(x, y) == times(y, x) for y in range(n)) for x in range(n)) == 4
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "malcev_scaling.py"), "D8xZ2"],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert re.search(r"^D8xZ2 .* False +\[2\]$", out, re.MULTILINE), out
+
+
 def test_classify_zoo_times_each_row_in_milliseconds():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}

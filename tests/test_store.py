@@ -28,7 +28,7 @@ from mvcirc.structure import classify
 from mvcirc.tct import MinimalSet
 from mvcirc.zoo import ZooEntry, get, zoo
 
-from conftest import clone_cap
+from conftest import clone_cap, cover_pairs
 
 
 def _content(alg):
@@ -229,7 +229,8 @@ def test_unread_api_stays_deleted():
         if hasattr(m, name)] == []
     assert [f"{c.__name__}.{name}" for c, name in (
         (Partition, "pairs"), (Partition, "join"), (BlockProgram, "pack"), (Operation, "index"),
-        (Circuit, "size"), (solvers.Plan, "malcev"))
+        (Circuit, "size"), (solvers.Plan, "malcev"),
+        (congruence.CongruenceLattice, "cover_pairs"))
         if hasattr(c, name)] == []
     assert [f"{c.__name__}.{f.name}" for c, gone in (
         (algebra.Clone, {"arity", "points"}), (MinimalSet, {"idempotent"}),
@@ -369,7 +370,7 @@ def test_capped_unary_clone_closes_once(monkeypatch):
 
     monkeypatch.setattr(algebra, "_close_tables", counted)
     with clone_cap(6):
-        covers = congruence.congruence_lattice(alg).cover_pairs()
+        covers = cover_pairs(congruence.congruence_lattice(alg))
         for lo, hi in covers:
             with pytest.raises(errors.CapExceeded):
                 tct.minimal_sets(alg, lo, hi)
