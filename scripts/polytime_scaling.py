@@ -3,7 +3,8 @@
 kind that the classification calls PolyTime, dispatch planted instances with
 n inputs and about 3n gates at the default budget, and print per row the
 route, the time, assignments_tried and any BudgetExceeded.  Every answer is
-checked against its plant.  This is a report: it asserts no scaling bound.
+checked against its plant and, where |A|^n is at most BRUTE_MAX assignments,
+against brute force.  This is a report: it asserts no scaling bound.
 
 Usage: python scripts/polytime_scaling.py [limit_s] [n ...]
 
@@ -19,7 +20,7 @@ The plants are the benchmark's constructions in perfbench/instances.py:
 
 A dispatch that runs past limit_s seconds (default 20) is stopped, and that
 plant's larger sizes are skipped.  The sizes default to 10 20 40 80 160.
-Exits 1 when an answer disagrees with its plant.
+Exits 1 when an answer disagrees with its plant or with brute force.
 """
 
 import random
@@ -34,12 +35,13 @@ import instances  # the benchmark's seeded constructions, from perfbench/
 
 from mvcirc.circuit import CeqvInstance, Circuit, CsatInstance, McsatInstance, const_gate
 from mvcirc.errors import BudgetExceeded
-from mvcirc.solvers import dispatch
+from mvcirc.solvers import dispatch, solve_bruteforce
 from mvcirc.structure import classify
 from mvcirc.zoo import zoo
 
 KINDS = ("CSAT", "MCSAT", "SCSAT", "CEQV")
 SIZES = (10, 20, 40, 80, 160)
+BRUTE_MAX = 2 ** 20     # the most assignments the brute-force cross-check evaluates
 
 
 class TimeLimit(Exception):
@@ -125,6 +127,11 @@ def main() -> int:
                             if res.answer != answer:
                                 wrong += 1
                                 outcome += f" WRONG, planted {answer}"
+                            if alg.size ** len(inst.circuit.input_names) <= BRUTE_MAX:
+                                brute = solve_bruteforce(alg, inst, BRUTE_MAX).answer
+                                if brute != res.answer:
+                                    wrong += 1
+                                    outcome += f" WRONG, brute force says {brute}"
                         print(f"{head}  {route:34} {seconds:8.3f} {tried:>9}  {outcome}")
     finally:
         signal.signal(signal.SIGALRM, previous)

@@ -153,8 +153,9 @@ def gate_values(alg: FiniteAlgebra, c: Circuit, asg: Assignment) -> list[int]:
 
 def compile_circuit(alg: FiniteAlgebra, c: Circuit) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """Compile to an evaluator of one assignment, taking values for
-    sorted(input_names).  Its one caller is solvers._affine_form, which
-    reads and checks the affine form of one output; every enumeration runs
+    sorted(input_names), and check every gate against the algebra.  Its one
+    caller is solvers.solve_affine, which reads and checks the affine form
+    of each compared output that is not a constant; every enumeration runs
     on BlockProgram."""
     n = alg.size
     names = sorted(c.input_names)

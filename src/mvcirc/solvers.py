@@ -13,9 +13,11 @@ assignments they may evaluate.  The Plan, kept in the per-algebra store,
 holds the flag of each solver's hypothesis, read from the one predicate
 behind it (Plan.require), and the facts it uses.  The dispatcher runs the
 plan's route for the instance's kind, or a route the caller names; every
-satisfying witness re-verifies by evaluation before it is returned, and the
-affine route's check of each output's form verifies in the same way: each
-answer has one path, and a failed check raises AssertionError.
+satisfying witness re-verifies by evaluation before it is returned, the
+affine route's check of each compared side's form (a constant's is read off
+the gate) verifies in the same way, and so does the refutation behind its
+unsat answers: each answer has one path, and a failed check raises
+AssertionError.
 """
 
 from __future__ import annotations
@@ -530,14 +532,17 @@ def _smith_diagonalize(a: list[list[int]]) -> tuple[list[list[int]], list[list[i
     return u, s, v
 
 
-def _solve_integer(rows: list[list[int]], rhs: list[int], moduli: list[int]) -> Optional[list[int]]:
-    """Integers y with rows[i] * y = rhs[i] (mod moduli[i]) for every i, or
-    None when there are none.  A slack column per row carries its modulus,
-    so the congruences become one integer system M z = rhs with
-    M = [rows | diag(moduli)], solved by one Smith form S = U M V: S w =
-    U rhs, z = V w, and y is z without its slack entries.  The slack
-    columns give M full row rank, so every S[i][i] is nonzero, and the
-    system is solvable iff each divides its entry of U rhs."""
+def _solve_integer(rows: list[list[int]], rhs: list[int],
+                   moduli: list[int]) -> tuple[Optional[list[int]], Optional[tuple[list[int], int]]]:
+    """(y, None) for integers y with rows[i] * y = rhs[i] (mod moduli[i])
+    for every i, or (None, (u, d)) when there are none.  A slack column per
+    row carries its modulus, so the congruences become one integer system
+    M z = rhs with M = [rows | diag(moduli)], solved by one Smith form
+    S = U M V: S w = U rhs, z = V w, and y is z without its slack entries.
+    The slack columns give M full row rank, so every S[i][i] is nonzero,
+    and the system is solvable iff each divides its entry of U rhs.  When
+    d = |S[i][i]| does not, u = U[i] refutes it: u M = S[i][i] (row i of
+    V^-1) is 0 mod d, while u rhs is not (see _check_refutation)."""
     m = len(rows)
     u, s, v = _smith_diagonalize([row + [q * (i == k) for k in range(m)]
                                   for i, (row, q) in enumerate(zip(rows, moduli))])
@@ -545,39 +550,59 @@ def _solve_integer(rows: list[list[int]], rhs: list[int], moduli: list[int]) -> 
     for i in range(m):
         c = sum(x * b for x, b in zip(u[i], rhs))
         if c % s[i][i]:
-            return None
+            return None, (u[i], abs(s[i][i]))
         w.append(c // s[i][i])
-    return [sum(x * y for x, y in zip(v[j], w)) for j in range(len(v) - m)]
+    return [sum(x * y for x, y in zip(v[j], w)) for j in range(len(v) - m)], None
 
 
-def _affine_form(alg: FiniteAlgebra, group: AbelianGroup, circ: Circuit, output: int,
-                 names: list[str], budget: int) -> tuple[int, list[list[int]]]:
-    """The output as c + t_1(x_1) + ... + t_n(x_n) over (A, +): the constant
-    c, read at the all-zero point, and the coefficient tables t_i in names
-    order, read at the n(|A| - 1) points with one input off zero.  Then
-    every one of the |A|^n points is checked against the form and every t_i
-    for additivity, raising AssertionError at the first failure, which the
+def _check_refutation(rows: list[list[int]], rhs: list[int], moduli: list[int],
+                      u: list[int], d: int) -> None:
+    """Check that u proves rows[i] * y = rhs[i] (mod moduli[i]) unsolvable,
+    against the system as built rather than its Smith form: u M = 0 (mod d)
+    in every column of M = [rows | diag(moduli)], and u rhs != 0 (mod d).
+    Any solution z of M z = rhs would give u rhs = u M z = 0 (mod d).
+    Raises AssertionError, explicitly, when the check fails."""
+    columns = [sum(x * row[j] for x, row in zip(u, rows)) for j in range(len(rows[0]))]
+    columns += [x * q for x, q in zip(u, moduli)]
+    if any(c % d for c in columns) or not sum(x * b for x, b in zip(u, rhs)) % d:
+        raise AssertionError(f"the refutation {u} mod {d} does not check")
+
+
+def _affine_form(alg: FiniteAlgebra, group: AbelianGroup, sides: Circuit, k: int,
+                 run: Callable[[Sequence[int]], tuple[int, ...]], names: list[str],
+                 budget: int) -> tuple[int, list[list[int]]]:
+    """The k-th output of sides, whose outputs run evaluates, as
+    c + t_1(x_1) + ... + t_n(x_n) over (A, +), with the coefficient tables
+    t_i in names order.  A constant gate is affine over any group: its form
+    is its value with all-zero tables, read off the gate, charging nothing
+    to the budget.  Any other output has c read at the all-zero point and
+    t_i at the n(|A| - 1) points with one input off zero; then every one of
+    the |A|^n points is checked against the form and every t_i for
+    additivity, raising AssertionError at the first failure, which the
     plan's module structure rules out: every basic operation is affine over
     (A, +), so every output is.  BudgetExceeded, before anything runs, when
     those points exceed budget."""
+    out = sides.outputs[k]
+    gate = sides.gates[out]
+    if gate.kind == "const":
+        return gate.value, [[group.zero] * alg.size for _ in names]
     _within(alg.size ** len(names), budget)
-    run = compile_circuit(alg, circ.with_outputs([output]))
     zero = [group.zero] * len(names)
-    c = run(zero)[0]
+    c = run(zero)[k]
     tables = []
     for i in range(len(names)):
         tab = [group.zero] * alg.size
         for a in range(alg.size):
             if a != group.zero:
-                tab[a] = group.sub(run(zero[:i] + [a] + zero[i + 1:])[0], c)
+                tab[a] = group.sub(run(zero[:i] + [a] + zero[i + 1:])[k], c)
         tables.append(tab)
     for values in itertools.product(range(alg.size), repeat=len(names)):
         acc = c
         for tab, v in zip(tables, values):
             acc = group.add(acc, tab[v])
-        if acc != run(values)[0]:
+        if acc != run(values)[k]:
             asg = dict(zip(names, values))
-            raise AssertionError(f"output g{output} is not affine at {asg}")
+            raise AssertionError(f"output g{out} is not affine at {asg}")
     for nm, tab in zip(names, tables):
         for x in range(alg.size):
             for y in range(alg.size):
@@ -587,18 +612,24 @@ def _affine_form(alg: FiniteAlgebra, group: AbelianGroup, circ: Circuit, output:
 
 
 def solve_affine(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResult:
-    """Read and check the affine form of both sides of every equation, and
-    solve the linear system over the cyclic factors of (A, +), which the
-    Smith form of its presentation splits off and which need not be prime
-    powers, as one system over the integers.  The form checks verify, as
-    the witness check does: over an affine algebra every output is affine,
-    so a failed check raises AssertionError and there is no fallback."""
+    """Read the affine form of both sides of every equation, checking each
+    side that is not a constant gate at all |A|^n points, and solve the
+    linear system over the cyclic factors of (A, +), which the Smith form
+    of its presentation splits off and which need not be prime powers, as
+    one system over the integers.  Every gate is checked against the
+    algebra once, by compiling the circuit, even when every side is a
+    constant.  The form checks verify, as the witness check does, and an
+    unsat answer carries a refutation of the system that is checked as
+    built: over an affine algebra every output is affine, so a failed check
+    raises AssertionError and there is no fallback."""
     plan.require("affine", inst)
     alg, circ, group = plan.alg, inst.circuit, plan.group
     equations = _pairs(inst)
     names = sorted(circ.input_names)
-    forms = {out: _affine_form(alg, group, circ, out, names, budget)
-             for out in dict.fromkeys(out for pair in equations for out in pair)}
+    sides = circ.with_outputs(tuple(dict.fromkeys(out for pair in equations for out in pair)))
+    run = compile_circuit(alg, sides)
+    forms = {out: _affine_form(alg, group, sides, k, run, names, budget)
+             for k, out in enumerate(sides.outputs)}
     axes = plan.coordinates
 
     # the unknowns are the coordinates y[i * r + j] of input i along
@@ -615,8 +646,9 @@ def solve_affine(plan: Plan, inst: Instance, budget: int = BUDGET) -> SolveResul
             rows.append([image[k] for image in images])
             rhs.append(target[k])
             moduli.append(q)
-    y = _solve_integer(rows, rhs, moduli) if rows else [0] * (len(names) * r)
+    y, refutation = _solve_integer(rows, rhs, moduli) if rows else ([0] * (len(names) * r), None)
     if y is None:
+        _check_refutation(rows, rhs, moduli, *refutation)
         return SolveResult("unsat", None, "affine", 0)
     witness = {nm: axes.uncoords[tuple(y[i * r + j] % q for j, q in enumerate(orders))]
                for i, nm in enumerate(names)}

@@ -1,6 +1,7 @@
 """White-box checks of the linear-system core behind the affine solver:
 Smith diagonalization must be exact and the integer solver of systems of
-congruences complete (never answering None when a solution exists)."""
+congruences complete (never refuting a system that has a solution), with
+every refutation checked against the system as built."""
 
 import itertools
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from mvcirc.algebra import FiniteAlgebra, find_malcev_term, op_from_fn
 from mvcirc.commutator import AbelianGroup
-from mvcirc.solvers import _Coordinates, _smith_diagonalize, _solve_integer
+from mvcirc.solvers import _check_refutation, _Coordinates, _smith_diagonalize, _solve_integer
 
 
 def _matmul(a, b):
@@ -64,13 +65,42 @@ def test_linear_solver_sound_and_complete(mod):
             return all(sum(r * x for r, x in zip(row, xs)) % q == b % q
                        for row, b, q in zip(rows, rhs, moduli))
 
-        got = _solve_integer(rows, rhs, moduli)
+        got, refutation = _solve_integer(rows, rhs, moduli)
         if any(solves(xs) for xs in itertools.product(range(mod), repeat=n)):
             assert got is not None and len(got) == n and solves(got), (rows, rhs, moduli)
         else:
             assert got is None, (rows, rhs, moduli)
+            _check_refutation(rows, rhs, moduli, *refutation)
             unsolvable += 1
     assert unsolvable > 0
+
+
+def test_a_refutation_computed_without_a_slack_column_fails_its_check():
+    # a zero modulus drops that row's slack column from the Smith form, so
+    # the congruence must then hold over the integers; the refutations that
+    # _solve_integer finds for such a system, when the true system is
+    # solvable, are wrong, and the check against the true system rejects
+    # every one
+    rng = random.Random(11)
+    rejected = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        moduli = [rng.choice([2, 3, 4, 6]) for _ in range(m)]
+        rows = [[rng.randrange(q) for _ in range(n)] for q in moduli]
+        rhs = [rng.randrange(q) for q in moduli]
+        if _solve_integer(rows, rhs, moduli)[0] is None:
+            continue
+        dropped = moduli[:]
+        dropped[rng.randrange(m)] = 0
+        try:
+            _, refutation = _solve_integer(rows, rhs, dropped)
+        except ZeroDivisionError:     # the dropped column left M short of full row rank
+            continue
+        if refutation is not None:
+            with pytest.raises(AssertionError, match="does not check"):
+                _check_refutation(rows, rhs, moduli, *refutation)
+            rejected += 1
+    assert rejected > 0
 
 
 def _cyclic_product(m, n):

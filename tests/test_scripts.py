@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -168,3 +169,26 @@ def test_traced_dispatch_records_the_fast_solvers(monkeypatch):
     view = spans.SpanView(tracer, None)
     assert view.top_total({"solvers.solve_affine"}) > 0
     assert view.count_total("solvers.solve_supernilpotent") > 0
+
+
+def test_polytime_scaling_counts_a_brute_force_disagreement_as_wrong(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))      # the script adds perfbench/
+    spec = importlib.util.spec_from_file_location("polytime_scaling",
+                                                  ROOT / "scripts" / "polytime_scaling.py")
+    polytime_scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(polytime_scaling)
+    flipped = {"sat": "unsat", "unsat": "sat", "equiv": "nequiv", "nequiv": "equiv"}
+    brute = polytime_scaling.solve_bruteforce
+
+    def lying(alg, inst, budget):
+        res = brute(alg, inst, budget)
+        return replace(res, answer=flipped[res.answer])
+
+    monkeypatch.setattr(polytime_scaling, "solve_bruteforce", lying)
+    monkeypatch.setattr(sys, "argv", ["polytime_scaling.py", "10", "3"])
+    assert polytime_scaling.main() == 1
+    # at n = 3 every plant is answered and fits brute force, so every row
+    # but the header and the trivial algebra's is marked, by brute force only
+    rows = [r for r in capsys.readouterr().out.splitlines()[1:] if "no plant" not in r]
+    assert rows and all(re.search(r"  (\w+) WRONG, brute force says (\w+)$", r) for r in rows)
+    assert not any("WRONG, planted" in r for r in rows)

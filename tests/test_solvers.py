@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from mvcirc.circuit import (
     op_gate,
     random_circuit,
 )
-from mvcirc.errors import BudgetExceeded, NotDlLike, Tri, UnknownOp
+from mvcirc.errors import BudgetExceeded, ElementOutOfRange, NotDlLike, Tri, UnknownOp
 from mvcirc.solvers import (
     RAMSEY_CEILING,
     dispatch,
@@ -619,8 +620,15 @@ def test_affine_form_check_fails_loudly_under_a_wrong_group(z6, monkeypatch):
         solve_affine(plan, inst)
 
 
-def test_affine_agreement_batch():
+def test_affine_agreement_batch(monkeypatch):
+    # every unsat answer carries a refutation, checked as the solve builds
+    # its system
+    checked = []
+    check = solvers._check_refutation
+    monkeypatch.setattr(solvers, "_check_refutation",
+                        lambda *args: checked.append(check(*args)))
     rng = random.Random(4242)
+    unsat = 0
     for name in ("Z4", "Z6", "Z2xZ2"):
         alg = get(name)
         for _ in range(60):
@@ -628,6 +636,139 @@ def test_affine_agreement_batch():
             a = solve_affine(plan_for(alg), inst)
             b = solve_bruteforce(alg, inst)
             assert a.answer == b.answer, f"{name}: {a.answer} vs {b.answer}"
+            unsat += a.answer == "unsat"
+    assert unsat > 0 and len(checked) == unsat
+
+
+def test_affine_unsat_refutations_are_checked_under_optimisation():
+    proc = run_optimised(
+        "from mvcirc import solvers\n"
+        "from mvcirc.circuit import CircuitBuilder, ScsatInstance\n"
+        "from mvcirc.zoo import get\n"
+        "solvers._solve_integer = lambda rows, rhs, moduli: (None, ([1] * len(rows), 7))\n"
+        "b = CircuitBuilder('Z6')\n"
+        "x, one = b.input('x'), b.const(1)\n"
+        "print(solvers.dispatch(get('Z6'), ScsatInstance(b.build([x]), ((x, one),))))\n")
+    assert proc.returncode != 0 and "does not check" in proc.stderr, proc.stdout
+
+
+def _pointwise_form(alg, group, circ, out, names):
+    """The form of gate out read and checked at every point, as the affine
+    route reads a side that is not a constant: the reference for the form
+    it gives a constant side without evaluating anything."""
+    def value(values):
+        return gate_values(alg, circ, dict(zip(names, values)))[out]
+
+    zero = [group.zero] * len(names)
+    c = value(zero)
+    tables = [[group.sub(value(zero[:i] + [a] + zero[i + 1:]), c) for a in range(alg.size)]
+              for i in range(len(names))]
+    for values in itertools.product(range(alg.size), repeat=len(names)):
+        acc = c
+        for tab, v in zip(tables, values):
+            acc = group.add(acc, tab[v])
+        assert acc == value(values)
+    return c, tables
+
+
+def _with_constant_sides(alg, rng):
+    """A random system, with one more equation that has a constant side,
+    and an MCSAT instance on its circuit with a constant output."""
+    system = random_system(alg, rng, max_eq=2, max_vars=3)
+    circ = system.circuit
+    constants = [i for i, g in enumerate(circ.gates) if g.kind == "const"]
+    gate = rng.randrange(len(circ.gates))
+    equations = system.equations + ((gate, rng.choice(constants)),)
+    outputs = [rng.randrange(len(circ.gates)) for _ in range(rng.randint(1, 2))]
+    outputs.insert(rng.randrange(len(outputs) + 1), rng.choice(constants))
+    return ScsatInstance(circ, equations), McsatInstance(circ.with_outputs(outputs))
+
+
+def test_affine_constant_sides_agree_with_brute_force_and_the_pointwise_read():
+    rng = random.Random(3535)
+    for name in ("Z4", "Z6", "Z2xZ2"):
+        alg = get(name)
+        group = plan_for(alg).group
+        answers = Counter()
+        for _ in range(40):
+            for inst in _with_constant_sides(alg, rng):
+                res = dispatch(alg, inst)
+                assert res.solver_used == "affine"
+                assert res.answer == solve_bruteforce(alg, inst).answer, (name, inst)
+                answers[res.answer] += 1
+                circ, names = inst.circuit, sorted(inst.circuit.input_names)
+                sides = circ.with_outputs(tuple(dict.fromkeys(
+                    out for pair in solvers._pairs(inst) for out in pair)))
+                run = solvers.compile_circuit(alg, sides)
+                for k, out in enumerate(sides.outputs):
+                    if circ.gates[out].kind == "const":
+                        form = solvers._affine_form(alg, group, sides, k, run, names, 0)
+                        assert form == _pointwise_form(alg, group, circ, out, names)
+        assert answers["sat"] and answers["unsat"], (name, answers)
+
+
+def test_affine_reads_no_point_for_a_constant_side(monkeypatch):
+    # a planted system g1 = c1, g2 = c2 over Z6 with 3 inputs: the compiled
+    # circuit runs at 1 + 3 * 5 + 6^3 points for each of g1 and g2 alone,
+    # and the budget is charged for those two sides only
+    z6 = get("Z6")
+    rng = random.Random(35)
+    circ = random_circuit(z6, rng, 3, 12, 1)
+    planted = {nm: rng.randrange(6) for nm in circ.input_names}
+    values = gate_values(z6, circ, planted)
+    g1, g2 = len(circ.gates) - 1, len(circ.gates) - 2
+    assert circ.gates[g1].kind == circ.gates[g2].kind == "op"
+    b = CircuitBuilder(z6.name)
+    b.gates = list(circ.gates)
+    equations = tuple((g, b.const(values[g])) for g in (g1, g2))
+    inst = ScsatInstance(b.build([g1]), equations)
+    runs, charged = [], []
+    compile_circuit, within = solvers.compile_circuit, solvers._within
+
+    def counted(alg, c):
+        run = compile_circuit(alg, c)
+        return lambda values: runs.append(1) or run(values)
+
+    monkeypatch.setattr(solvers, "compile_circuit", counted)
+    monkeypatch.setattr(solvers, "_within",
+                        lambda total, budget: charged.append(total) or within(total, budget))
+    assert solve_affine(plan_for(z6), inst).answer == "sat"
+    assert len(runs) == 2 * (1 + 3 * 5 + 6 ** 3)
+    assert charged == [6 ** 3, 6 ** 3]
+
+
+def test_all_constant_sides_still_check_every_gate(z6):
+    # every side is a constant, so no form is read pointwise, yet the
+    # circuit's other gates are checked against the algebra as before, also
+    # when the answer is unsat and no witness is evaluated
+    for (bad, error), value in itertools.product(
+            (("op", UnknownOp), ("const", ElementOutOfRange)), (1, 2)):
+        b = CircuitBuilder(z6.name)
+        x = b.input("x")
+        if bad == "op":
+            b.op("nope", x)
+        else:
+            b.const(7)
+        one, other = b.const(1), b.const(value)
+        inst = ScsatInstance(b.build([x]), ((one, other),))
+        with pytest.raises(error):
+            solve_affine(plan_for(z6), inst)
+        with pytest.raises(error):
+            dispatch(z6, inst)
+
+
+def test_an_all_constant_system_is_decided_at_40_inputs(z6):
+    # no side is read pointwise, so 6^40 points are never charged
+    b = CircuitBuilder(z6.name)
+    total = b.input("x0")
+    for i in range(1, 40):
+        total = b.op("mul", total, b.input(f"x{i}"))
+    c1, c2, c3 = b.const(1), b.const(1), b.const(4)
+    circ = b.build([total])
+    sat = solve_affine(plan_for(z6), ScsatInstance(circ, ((c1, c2),)), budget=1000)
+    assert sat.answer == "sat" and set(sat.witness.values()) == {0}
+    unsat = solve_affine(plan_for(z6), ScsatInstance(circ, ((c1, c2), (c2, c3))), budget=1000)
+    assert unsat.answer == "unsat"
 
 
 def test_affine_mcsat(z4):
